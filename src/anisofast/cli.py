@@ -36,6 +36,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -419,6 +420,17 @@ def _check_row(report: harnack.InequalityReport, traj) -> list:
     ]
 
 
+def _finite_or_null(value):
+    """Replace every non-finite float in nested lists and dicts by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_finite_or_null(v) for v in value]
+    return value
+
+
 def cmd_analyze(run_dir: str, config: CampaignConfig) -> dict:
     """Execute the configured checks on a persisted run; returns output paths."""
     traj_dir = os.path.join(run_dir, "trajectory")
@@ -450,7 +462,7 @@ def cmd_analyze(run_dir: str, config: CampaignConfig) -> dict:
     outputs["checks"] = checks_csv
     manifest_path = os.path.join(run_dir, "checks.json")
     with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifests, fh, indent=2, sort_keys=True, allow_nan=True)
+        json.dump(_finite_or_null(manifests), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     outputs["checks_manifest"] = manifest_path
 
@@ -497,9 +509,7 @@ def cmd_analyze(run_dir: str, config: CampaignConfig) -> dict:
 
         decay_rows = []
         for geometry in GEOMETRIES:
-            report = extinction.decay_report(
-                traj, prof, config.decay_rho, threshold, geometry
-            )
+            report = extinction._fit_decay(samples, prof, t_star, threshold, geometry)
             decay_rows.append(
                 [
                     report.geometry,

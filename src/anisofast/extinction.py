@@ -10,6 +10,7 @@ geometries at once: the intrinsic cube is rebuilt at time parameter
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -18,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError
 from .geometry import ExponentProfile, intrinsic_cube, scale_cube, standard_cube
-from .harnack import cube_contained, cube_integral, cube_sup
+from .harnack import _cube_integrals, _cube_sups, cube_contained
 from .solver import Trajectory
 
 #: sup values below FLOOR_FACTOR * threshold are excluded from fit windows
@@ -75,8 +76,6 @@ def detect_extinction(traj: Trajectory, threshold: float) -> Optional[float]:
     """
     if not threshold > 0.0:
         raise DomainError(f"threshold must be positive, got {threshold!r}")
-    if not traj.snapshots:
-        raise DomainError("trajectory has no snapshots")
     sups = traj.sup_series()
     times = np.asarray(traj.times)
     below = sups < threshold
@@ -116,44 +115,32 @@ def decay_samples(
     """Evaluate mass and sup over K_rho(t_star - tau) and the fixed standard cube."""
     if not rho > 0.0:
         raise DomainError(f"rho must be positive, got {rho!r}")
-    std = standard_cube(rho, prof)
-    floor = FLOOR_FACTOR * threshold
-    rows = []
-    for f in traj.snapshots:
-        remaining = t_star - f.time
-        if remaining <= 0.0:
-            continue
-        if prof.strict_fast:
-            cube = intrinsic_cube(rho, remaining, prof)
-            m_int = cube_integral(f, cube, 1.0)
-            s_int = cube_sup(f, cube)
-            contained = cube_contained(scale_cube(cube, 4.0), traj.grid)
-        else:
-            m_int, s_int, contained = math.nan, math.nan, False
-        rows.append(
-            (
-                f.time,
-                remaining,
-                m_int,
-                s_int,
-                cube_integral(f, std, 1.0),
-                cube_sup(f, std),
-                contained,
-                f.sup() >= floor,
-            )
-        )
-    if not rows:
+    # t_star - tau > 0 exactly when tau < t_star, and times never decrease
+    before = bisect.bisect_left(traj.times, t_star)
+    if before == 0:
         raise DomainError("no snapshots strictly before t_star")
-    cols = list(zip(*rows))
+    rows = traj.values[:before]
+    tau = np.array(traj.times[:before])
+    remaining = t_star - tau
+    mass_int = np.full(before, math.nan)
+    sup_int = np.full(before, math.nan)
+    contained = np.zeros(before, dtype=bool)
+    if prof.strict_fast:
+        for k in range(before):
+            cube = intrinsic_cube(rho, float(remaining[k]), prof)
+            mass_int[k] = _cube_integrals(traj.grid, rows[k : k + 1], cube, 1.0)[0]
+            sup_int[k] = _cube_sups(traj.grid, rows[k : k + 1], cube)[0]
+            contained[k] = cube_contained(scale_cube(cube, 4.0), traj.grid)
+    std = standard_cube(rho, prof)
     return DecaySamples(
-        tau=np.array(cols[0]),
-        remaining=np.array(cols[1]),
-        mass_intrinsic=np.array(cols[2]),
-        sup_intrinsic=np.array(cols[3]),
-        mass_standard=np.array(cols[4]),
-        sup_standard=np.array(cols[5]),
-        contained=np.array(cols[6], dtype=bool),
-        in_window=np.array(cols[7], dtype=bool),
+        tau=tau,
+        remaining=remaining,
+        mass_intrinsic=mass_int,
+        sup_intrinsic=sup_int,
+        mass_standard=_cube_integrals(traj.grid, rows, std, 1.0),
+        sup_standard=_cube_sups(traj.grid, rows, std),
+        contained=contained,
+        in_window=rows.max(axis=1) >= FLOOR_FACTOR * threshold,
     )
 
 
@@ -208,7 +195,17 @@ def decay_report(
     if t_star is None:
         raise DomainError("trajectory never crosses the extinction threshold")
     samples = decay_samples(traj, prof, rho, t_star, threshold)
+    return _fit_decay(samples, prof, t_star, threshold, geometry)
 
+
+def _fit_decay(
+    samples: DecaySamples,
+    prof: ExponentProfile,
+    t_star: float,
+    threshold: float,
+    geometry: str,
+) -> DecayReport:
+    """The fits of `decay_report` on samples already taken; one geometry."""
     window = samples.in_window & (samples.tau >= 0.5 * t_star)
     if int(window.sum()) < MIN_FIT_POINTS:
         window = samples.in_window

@@ -9,7 +9,9 @@ gamma_min across parameter/refinement families is what the test suites check.
 
 Cube quadrature is a midpoint rule with tensor-product clipping: each cell
 contributes the product of its per-axis overlap fractions with the cube, so
-constant integrands are integrated exactly and the face error is O(h).
+constant integrands are integrated exactly and the face error is O(h).  It
+runs on a whole window of snapshot rows at once: only the support box of the
+cube's weights is read, and it is contracted one axis at a time.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .geometry import (
     smallness_violated,
     standard_cube,
 )
-from .solver import Field, Grid, Trajectory
+from .solver import WINDOW_RTOL, Field, Grid, Trajectory
 
 THEOREMS = (
     "L1L1_intrinsic",
@@ -45,8 +47,6 @@ THEOREMS = (
     "Backwards_composite_standard",
     "Caccioppoli",
 )
-
-_WINDOW_RTOL = 1e-9
 
 GAMMA_INFINITE = float("inf")
 
@@ -105,8 +105,59 @@ def _axis_weights(grid: Grid, cube: CubeSpec) -> list[np.ndarray]:
     return weights
 
 
-def _empty_overlap(weights: list[np.ndarray]) -> bool:
-    return any(float(w.max(initial=0.0)) == 0.0 for w in weights)
+def _tensor(factors: list[np.ndarray]) -> np.ndarray:
+    """Outer product of per-axis factors on the grid they span."""
+    out = np.ones(tuple(f.size for f in factors))
+    for i, f in enumerate(factors):
+        shape = [1] * len(factors)
+        shape[i] = -1
+        out = out * f.reshape(shape)
+    return out
+
+
+def _span(mask: np.ndarray) -> Optional[slice]:
+    """Slice from the first to the last marked cell of one axis; None if none is."""
+    idx = np.flatnonzero(mask)
+    return slice(int(idx[0]), int(idx[-1]) + 1) if idx.size else None
+
+
+def _cube_integrals(grid: Grid, rows: np.ndarray, cube: CubeSpec, r: float) -> np.ndarray:
+    """Midpoint quadrature of max(u, 0)^r (u itself at r = 1) over the cube,
+    for every row of an (S, n_cells) snapshot array.
+
+    Only the support box (the cells of nonzero weight) is read; it is
+    contracted one axis at a time against that axis's weights, innermost
+    axis first.
+    """
+    if r < 1.0:
+        raise DomainError(f"integral order r must be >= 1, got {r!r}")
+    weights = _axis_weights(grid, cube)
+    spans = [_span(w > 0.0) for w in weights]
+    if None in spans:
+        warnings.warn("cube does not intersect the grid domain; integral is 0", stacklevel=3)
+        return np.zeros(len(rows))
+    block = rows.reshape(-1, *grid.shape)[(slice(None), *spans)]
+    if r != 1.0:
+        block = np.maximum(block, 0.0)
+        block **= r
+    for w, span in zip(reversed(weights), reversed(spans)):
+        block = block @ w[span]
+    return block * grid.cell_volume
+
+
+def _cube_sups(grid: Grid, rows: np.ndarray, cube: CubeSpec) -> np.ndarray:
+    """Maximum over the cells whose centers lie in the (open) cube, per row."""
+    if cube.N != grid.N:
+        raise DomainError(f"cube dimension {cube.N} != grid dimension {grid.N}")
+    spans = [
+        _span(np.abs(grid.axis_centers(i) - cube.center[i]) < cube.half_widths[i])
+        for i in range(grid.N)
+    ]
+    if None in spans:
+        warnings.warn("no cell centers inside the cube; sup is 0", stacklevel=3)
+        return np.zeros(len(rows))
+    block = rows.reshape(-1, *grid.shape)[(slice(None), *spans)]
+    return block.max(axis=tuple(range(1, grid.N + 1)))
 
 
 def cube_integral(field: Field, cube: CubeSpec, r: float = 1.0) -> float:
@@ -115,40 +166,12 @@ def cube_integral(field: Field, cube: CubeSpec, r: float = 1.0) -> float:
     For r > 1 the integrand is max(u, 0)^r; the solver monitors but does not
     clamp round-off negatives, and fractional powers must not see them.
     """
-    if r < 1.0:
-        raise DomainError(f"integral order r must be >= 1, got {r!r}")
-    grid = field.grid
-    weights = _axis_weights(grid, cube)
-    if _empty_overlap(weights):
-        warnings.warn("cube does not intersect the grid domain; integral is 0", stacklevel=2)
-        return 0.0
-    if r == 1.0:
-        out = field.reshaped()
-    else:
-        out = np.maximum(field.reshaped(), 0.0) ** r
-    for i, w in enumerate(weights):
-        shape = [1] * grid.N
-        shape[i] = -1
-        out = out * w.reshape(shape)
-    return float(out.sum() * grid.cell_volume)
+    return float(_cube_integrals(field.grid, field.values[None], cube, r)[0])
 
 
 def cube_sup(field: Field, cube: CubeSpec) -> float:
     """Maximum of u over cells whose centers lie in the (open) cube."""
-    grid = field.grid
-    if cube.N != grid.N:
-        raise DomainError(f"cube dimension {cube.N} != grid dimension {grid.N}")
-    indices = []
-    for i in range(grid.N):
-        centers = grid.axis_centers(i)
-        mask = np.abs(centers - cube.center[i]) < cube.half_widths[i]
-        idx = np.nonzero(mask)[0]
-        if idx.size == 0:
-            warnings.warn("no cell centers inside the cube; sup is 0", stacklevel=2)
-            return 0.0
-        indices.append(idx)
-    sub = field.reshaped()[np.ix_(*indices)]
-    return float(sub.max())
+    return float(_cube_sups(field.grid, field.values[None], cube)[0])
 
 
 def cube_contained(cube: CubeSpec, grid: Grid) -> bool:
@@ -163,10 +186,7 @@ def cube_contained(cube: CubeSpec, grid: Grid) -> bool:
 
 # --- time-window reductions --------------------------------------------------
 
-
-def _snaps_in_window(traj: Trajectory, t_a: float, t_b: float) -> list[Field]:
-    tol = _WINDOW_RTOL * max(1.0, abs(t_b))
-    return [f for f in traj.snapshots if t_a - tol <= f.time <= t_b + tol]
+_EXTREMA = {"sup_l1": np.max, "inf_l1": np.min, "sup_lr": np.max, "sup_linf": np.max}
 
 
 def time_extremal(
@@ -179,23 +199,22 @@ def time_extremal(
     """Extremum over snapshots in the window of a per-snapshot cube reduction.
 
     The cube is fixed; it is not re-evaluated per snapshot time.  kind is one
-    of sup_l1 | inf_l1 | sup_lr | sup_linf (sup_lr uses the order r).
+    of sup_l1 | inf_l1 | sup_lr | sup_linf (sup_lr uses the order r).  All
+    snapshots of the window are reduced at once.
     """
     t_a, t_b = float(window[0]), float(window[1])
     if t_b < t_a:
         raise DomainError(f"empty window [{t_a}, {t_b}]")
-    snaps = _snaps_in_window(traj, t_a, t_b)
-    if not snaps:
+    rows = traj.values[traj.window(t_a, t_b)]
+    if not len(rows):
         raise DomainError(f"no snapshots in window [{t_a}, {t_b}]")
-    if kind == "sup_l1":
-        return max(cube_integral(f, cube, 1.0) for f in snaps)
-    if kind == "inf_l1":
-        return min(cube_integral(f, cube, 1.0) for f in snaps)
-    if kind == "sup_lr":
-        return max(cube_integral(f, cube, r) for f in snaps)
+    if kind not in _EXTREMA:
+        raise DomainError(f"unknown reduction kind {kind!r}")
     if kind == "sup_linf":
-        return max(cube_sup(f, cube) for f in snaps)
-    raise DomainError(f"unknown reduction kind {kind!r}")
+        per_snapshot = _cube_sups(traj.grid, rows, cube)
+    else:
+        per_snapshot = _cube_integrals(traj.grid, rows, cube, r if kind == "sup_lr" else 1.0)
+    return float(_EXTREMA[kind](per_snapshot))
 
 
 # --- the checkers ------------------------------------------------------------
@@ -204,10 +223,15 @@ def time_extremal(
 def _validate_window(traj: Trajectory, t: float) -> None:
     if not t > 0.0:
         raise DomainError(f"t must be positive, got {t!r}")
-    if t > traj.end_time * (1.0 + _WINDOW_RTOL):
+    if t > traj.end_time * (1.0 + WINDOW_RTOL):
         raise DomainError(
             f"window [0, {t}] exceeds the trajectory horizon {traj.end_time}"
         )
+
+
+def _snapshots_until(traj: Trajectory, t: float) -> int:
+    window = traj.window(0.0, t)
+    return window.stop - window.start
 
 
 def _base_cubes(traj: Trajectory, rho: float, t: float, geometry: str):
@@ -257,9 +281,8 @@ def check_l1l1(
     _validate_window(traj, t)
     prof = traj.exponents
     cube, cube2, _ = _base_cubes(traj, rho, t, geometry)
-    snaps = _snaps_in_window(traj, 0.0, t)
-    lhs = max(cube_integral(f, cube, 1.0) for f in snaps)
-    inf_doubled = min(cube_integral(f, cube2, 1.0) for f in snaps)
+    lhs = time_extremal(traj, cube, (0.0, t), "sup_l1")
+    inf_doubled = time_extremal(traj, cube2, (0.0, t), "inf_l1")
     if geometry == "intrinsic":
         scaling = (t / rho**prof.lam) ** (1.0 / (2.0 - prof.p_bar))
         terms = {"inf_doubled": inf_doubled, "scaling": scaling}
@@ -280,7 +303,7 @@ def check_l1l1(
         smallness_index=index,
         params=_params(rho, t, C, geometry),
         hypothesis_ok=cube_contained(cube2, traj.grid),
-        snapshots_in_window=len(snaps),
+        snapshots_in_window=_snapshots_until(traj, t),
     )
 
 
@@ -302,12 +325,8 @@ def check_l1linf(
             theorem, params, f"lam={prof.lam:.6g} <= 0 (subcritical range)"
         )
     cube, cube2, half = _base_cubes(traj, rho, t, geometry)
-    snaps_full = _snaps_in_window(traj, 0.0, t)
-    snaps_late = _snaps_in_window(traj, 0.5 * t, t)
-    if not snaps_late:
-        raise DomainError(f"no snapshots in window [{0.5 * t}, {t}]")
-    lhs = max(cube_sup(f, half) for f in snaps_late)
-    inf_doubled = min(cube_integral(f, cube2, 1.0) for f in snaps_full)
+    lhs = time_extremal(traj, half, (0.5 * t, t), "sup_linf")
+    inf_doubled = time_extremal(traj, cube2, (0.0, t), "inf_l1")
     base = t / rho**prof.p_bar
     harnack_term = t ** (-prof.N / prof.lam) * inf_doubled ** (prof.p_bar / prof.lam)
     if geometry == "intrinsic":
@@ -334,7 +353,7 @@ def check_l1linf(
         smallness_index=index,
         params=params,
         hypothesis_ok=cube_contained(cube2, traj.grid),
-        snapshots_in_window=len(snaps_full),
+        snapshots_in_window=_snapshots_until(traj, t),
     )
 
 
@@ -361,13 +380,9 @@ def check_lr_sup(
     if lam_r <= 0.0:
         return _not_applicable(theorem, params, f"lam_r={lam_r:.6g} <= 0")
     cube, cube2, half = _base_cubes(traj, rho, t, geometry)
-    snaps_full = _snaps_in_window(traj, 0.0, t)
-    snaps_late = _snaps_in_window(traj, 0.5 * t, t)
-    if not snaps_late:
-        raise DomainError(f"no snapshots in window [{0.5 * t}, {t}]")
-    lhs = max(cube_sup(f, half) for f in snaps_late)
+    lhs = time_extremal(traj, half, (0.5 * t, t), "sup_linf")
     volume = (2.0 * rho) ** prof.N
-    sup_mean = max(cube_integral(f, cube, r) for f in snaps_full) / volume
+    sup_mean = time_extremal(traj, cube, (0.0, t), "sup_lr", r) / volume
     base = t / rho**prof.p_bar
     mean_term = base ** (-prof.N / lam_r) * sup_mean ** (prof.p_bar / lam_r)
     if geometry == "intrinsic":
@@ -390,7 +405,7 @@ def check_lr_sup(
         smallness_index=index,
         params=params,
         hypothesis_ok=hyp,
-        snapshots_in_window=len(snaps_full),
+        snapshots_in_window=_snapshots_until(traj, t),
     )
 
 
@@ -409,8 +424,7 @@ def check_lr_backward(
         raise DomainError(f"r must exceed 1, got {r!r}")
     prof = traj.exponents
     cube, cube2, _ = _base_cubes(traj, rho, t, geometry)
-    snaps = _snaps_in_window(traj, 0.0, t)
-    lhs = max(cube_integral(f, cube, r) for f in snaps)
+    lhs = time_extremal(traj, cube, (0.0, t), "sup_lr", r)
     initial = cube_integral(traj.initial, cube2, r)
     if geometry == "intrinsic":
         scaling = (t**r / rho ** prof.lam_r(r)) ** (1.0 / (2.0 - prof.p_bar))
@@ -433,7 +447,7 @@ def check_lr_backward(
         smallness_index=index,
         params=_params(rho, t, C, geometry, r),
         hypothesis_ok=cube_contained(cube2, traj.grid),
-        snapshots_in_window=len(snaps),
+        snapshots_in_window=_snapshots_until(traj, t),
     )
 
 
@@ -461,11 +475,7 @@ def check_backwards_composite(
     if lam_r <= 0.0:
         return _not_applicable(theorem, params, f"lam_r={lam_r:.6g} <= 0")
     cube, cube2, half = _base_cubes(traj, rho, t, geometry)
-    snaps_full = _snaps_in_window(traj, 0.0, t)
-    snaps_late = _snaps_in_window(traj, 0.5 * t, t)
-    if not snaps_late:
-        raise DomainError(f"no snapshots in window [{0.5 * t}, {t}]")
-    lhs = max(cube_sup(f, half) for f in snaps_late)
+    lhs = time_extremal(traj, half, (0.5 * t, t), "sup_linf")
     initial = cube_integral(traj.initial, cube2, r)
     initial_term = t ** (-prof.N / lam_r) * initial ** (prof.p_bar / lam_r)
     base = t / rho**prof.p_bar
@@ -493,5 +503,5 @@ def check_backwards_composite(
         smallness_index=index,
         params=params,
         hypothesis_ok=cube_contained(cube2, traj.grid),
-        snapshots_in_window=len(snaps_full),
+        snapshots_in_window=_snapshots_until(traj, t),
     )

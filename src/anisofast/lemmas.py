@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError
 from .geometry import CubeSpec, ExponentProfile
-from .harnack import InequalityReport, _axis_weights, cube_contained, gamma_min
+from .harnack import InequalityReport, _axis_weights, _tensor, cube_contained, gamma_min
 from .solver import Field, Trajectory
 
 
@@ -219,13 +219,12 @@ class CutoffSpec:
 
     def values(self, grid) -> np.ndarray:
         """zeta = prod_i zeta_i^{p_i} at every cell center of the grid."""
-        out = np.ones(grid.shape)
-        for i, pi in enumerate(self.exponents):
-            z = self.axis_ramp(i, grid.axis_centers(i)) ** pi
-            shape = [1] * grid.N
-            shape[i] = -1
-            out = out * z.reshape(shape)
-        return out
+        return _tensor(
+            [
+                self.axis_ramp(i, grid.axis_centers(i)) ** pi
+                for i, pi in enumerate(self.exponents)
+            ]
+        )
 
 
 def _trapezoid(values: Sequence[float], times: Sequence[float]) -> float:
@@ -267,29 +266,24 @@ def caccioppoli_report(
     grid = traj.grid
     if not cube_contained(cutoff.outer, grid):
         raise DomainError("cutoff outer cube must lie inside the grid domain")
-    tol = 1e-9 * max(1.0, abs(t2))
-    snaps = [f for f in traj.snapshots if t1 - tol <= f.time <= t2 + tol]
-    if len(snaps) < 2:
+    window = traj.window(t1, t2)
+    rows = traj.values[window]
+    times = traj.times[window]
+    if len(times) < 2:
         raise DomainError(f"need at least 2 snapshots in window [{t1}, {t2}]")
 
-    times = [f.time for f in snaps]
     ramp_len = 0.25 * (t2 - t1)
     xi = np.clip((np.asarray(times) - t1) / ramp_len, 0.0, 1.0)
     zeta = cutoff.values(grid)
-    outer_weights = _axis_weights(grid, cutoff.outer)
-    w_outer = np.ones(grid.shape)
-    for i, w in enumerate(outer_weights):
-        shape = [1] * grid.N
-        shape[i] = -1
-        w_outer = w_outer * w.reshape(shape)
+    w_outer = _tensor(_axis_weights(grid, cutoff.outer))
     vol = grid.cell_volume
 
     sup_term = 0.0
     grad_series = [[] for _ in prof.p]
     trunc_series = [[] for _ in prof.p]
     chi_series = []
-    for f, x in zip(snaps, xi):
-        u = f.reshaped()
+    for row, x in zip(rows, xi):
+        u = row.reshape(grid.shape)
         trunc = np.maximum(u - k, 0.0)
         sup_term = max(sup_term, float((trunc**2 * zeta).sum()) * vol * x)
         w = trunc * zeta * x
@@ -328,5 +322,5 @@ def caccioppoli_report(
             "C_1": float(C_1),
         },
         hypothesis_ok=True,
-        snapshots_in_window=len(snaps),
+        snapshots_in_window=len(times),
     )

@@ -15,6 +15,7 @@ adaptive step from `stable_dt`, clipped so snapshot times are hit exactly.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import os
@@ -34,6 +35,9 @@ PROFILE_KINDS = ("sine_product", "bump", "plateau", "from_file")
 SNAPSHOT_DTYPE = "<f8"  # little-endian float64, row-major
 
 _TIME_RTOL = 1e-12
+
+#: relative tolerance of `Trajectory.window` on its end points
+WINDOW_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -282,36 +286,71 @@ class SimConfig:
 
 @dataclass
 class Trajectory:
-    """Time-ordered snapshots of one run plus the full (time, dt) step log."""
+    """Snapshots of one run as one (S, n_cells) array, plus the (time, dt) step log.
+
+    Row k of `values` is the flattened field at `times[k]`; times never
+    decrease.  `snapshots`, `initial` and `sup_series` are views or
+    reductions of that one array, never copies of it.
+    """
 
     grid: Grid
     exponents: ExponentProfile
     eps: float
-    snapshots: list[Field]
-    step_times: np.ndarray
-    step_dts: np.ndarray
+    values: np.ndarray
+    times: tuple[float, ...]
+    step_times: np.ndarray = field(default_factory=lambda: np.empty(0))
+    step_dts: np.ndarray = field(default_factory=lambda: np.empty(0))
     mass_drift: Optional[float] = None
     min_value: float = 0.0
 
-    @property
-    def times(self) -> list[float]:
-        return [f.time for f in self.snapshots]
+    def __post_init__(self):
+        self.times = tuple(float(t) for t in self.times)
+        self.values = np.ascontiguousarray(self.values, dtype=np.float64)
+        if not self.times:
+            raise IngestionError("trajectory has no snapshots")
+        if self.values.shape != (len(self.times), self.grid.n_cells):
+            raise IngestionError(
+                f"snapshot array of shape {self.values.shape} for {len(self.times)} "
+                f"times on a grid of {self.grid.n_cells} cells"
+            )
+        if any(b < a for a, b in zip(self.times, self.times[1:])):
+            raise IngestionError("snapshot times must not decrease")
+
+    @classmethod
+    def from_fields(
+        cls, grid: Grid, exponents: ExponentProfile, eps: float, fields: Sequence[Field]
+    ) -> "Trajectory":
+        """Stack time-ordered fields on `grid` into one trajectory."""
+        values = np.empty((len(fields), grid.n_cells))
+        for k, f in enumerate(fields):
+            if f.grid != grid:
+                raise IngestionError(f"snapshot {k} lives on a different grid")
+            values[k] = f.values
+        return cls(grid, exponents, eps, values, tuple(f.time for f in fields))
 
     @property
-    def step_log(self) -> list[tuple[float, float]]:
-        """(time, dt) per step; large for long runs, prefer the raw arrays."""
-        return list(zip(self.step_times.tolist(), self.step_dts.tolist()))
+    def snapshots(self) -> list[Field]:
+        """One `Field` per row, sharing memory with `values`."""
+        return [Field(self.grid, row, t) for row, t in zip(self.values, self.times)]
 
     @property
     def end_time(self) -> float:
-        return self.snapshots[-1].time
+        return self.times[-1]
 
     @property
     def initial(self) -> Field:
-        return self.snapshots[0]
+        return Field(self.grid, self.values[0], self.times[0])
 
     def sup_series(self) -> np.ndarray:
-        return np.array([f.sup() for f in self.snapshots])
+        return self.values.max(axis=1)
+
+    def window(self, t_a: float, t_b: float) -> slice:
+        """Rows with t_a - tol <= time <= t_b + tol, tol = 1e-9 max(1, |t_b|)."""
+        tol = WINDOW_RTOL * max(1.0, abs(t_b))
+        return slice(
+            bisect.bisect_left(self.times, t_a - tol),
+            bisect.bisect_right(self.times, t_b + tol),
+        )
 
 
 def run(config: SimConfig) -> Trajectory:
@@ -324,7 +363,9 @@ def run(config: SimConfig) -> Trajectory:
     grid = config.grid
     prof = config.exponents
     initial = init_field(grid, config.profile)
-    snapshots = [initial]
+    values = np.empty((len(config.snapshot_times), grid.n_cells))
+    values[0] = initial.values
+    times = [initial.time]
     times_log = array("d")
     dts_log = array("d")
     periodic = grid.boundary == "periodic"
@@ -346,7 +387,7 @@ def run(config: SimConfig) -> Trajectory:
 
     U = initial.reshaped().copy()
     t_now = 0.0
-    for target in config.snapshot_times[1:]:
+    for k, target in enumerate(config.snapshot_times[1:], start=1):
         while t_now < target * (1.0 - _TIME_RTOL):
             gradients = []
             denom = 0.0
@@ -393,13 +434,15 @@ def run(config: SimConfig) -> Trajectory:
                     drift = max(drift, abs(mass - mass0) / abs(mass0))
                 else:
                     drift = max(drift, abs(mass))
-        snapshots.append(Field(grid=grid, values=U.copy().ravel(), time=t_now))
+        values[k] = U.ravel()
+        times.append(t_now)
 
     return Trajectory(
         grid=grid,
         exponents=prof,
         eps=config.eps,
-        snapshots=snapshots,
+        values=values,
+        times=tuple(times),
         step_times=np.array(times_log, dtype=np.float64),
         step_dts=np.array(dts_log, dtype=np.float64),
         mass_drift=drift if periodic else None,
@@ -414,11 +457,11 @@ def save_trajectory(traj: Trajectory, path: str) -> str:
     """Write snapshots as little-endian float64 files plus manifest.json."""
     os.makedirs(path, exist_ok=True)
     entries = []
-    for k, f in enumerate(traj.snapshots):
+    for k, (row, t) in enumerate(zip(traj.values, traj.times)):
         name = f"snap_{k:06d}.f64"
         with open(os.path.join(path, name), "wb") as fh:
-            fh.write(np.ascontiguousarray(f.values, dtype=SNAPSHOT_DTYPE).tobytes())
-        entries.append({"time": f.time, "file": name})
+            fh.write(np.ascontiguousarray(row, dtype=SNAPSHOT_DTYPE))
+        entries.append({"time": t, "file": name})
     manifest = {
         "format": 1,
         "dimension": traj.grid.N,
@@ -441,7 +484,11 @@ def save_trajectory(traj: Trajectory, path: str) -> str:
 
 
 def load_trajectory(path: str) -> Trajectory:
-    """Read back a trajectory directory; snapshot values round-trip bit-exactly."""
+    """Read back a trajectory directory; snapshot values round-trip bit-exactly.
+
+    Each snapshot file is read straight into its row of one preallocated
+    array, so loading holds the snapshots in memory once.
+    """
     mpath = os.path.join(path, "manifest.json")
     if not os.path.exists(mpath):
         raise IngestionError(f"no manifest.json in {path!r}")
@@ -451,22 +498,26 @@ def load_trajectory(path: str) -> Trajectory:
         manifest["half_domain"], manifest["resolution"], manifest["boundary"]
     )
     prof = derive_exponents(manifest["p"], manifest["dimension"])
-    snapshots = []
-    for entry in manifest["snapshots"]:
+    entries = manifest["snapshots"]
+    if not entries:
+        raise IngestionError(f"trajectory at {path!r} has no snapshots")
+    values = np.empty((len(entries), grid.n_cells), dtype=SNAPSHOT_DTYPE)
+    for row, entry in zip(values, entries):
         fpath = os.path.join(path, entry["file"])
         if not os.path.exists(fpath):
             raise IngestionError(f"missing snapshot file {entry['file']!r} in {path!r}")
-        values = np.fromfile(fpath, dtype=SNAPSHOT_DTYPE).astype(np.float64)
-        snapshots.append(Field(grid=grid, values=values, time=float(entry["time"])))
-    if not snapshots:
-        raise IngestionError(f"trajectory at {path!r} has no snapshots")
+        with open(fpath, "rb") as fh:
+            complete = fh.readinto(row) == row.nbytes and not fh.read(1)
+        if not complete:
+            raise IngestionError(
+                f"snapshot file {entry['file']!r} does not hold {grid.n_cells} values"
+            )
     return Trajectory(
         grid=grid,
         exponents=prof,
         eps=float(manifest["eps"]),
-        snapshots=snapshots,
-        step_times=np.empty(0),
-        step_dts=np.empty(0),
+        values=values.astype(np.float64, copy=False),
+        times=tuple(float(entry["time"]) for entry in entries),
         mass_drift=manifest.get("mass_drift"),
         min_value=float(manifest.get("min_value", 0.0)),
     )

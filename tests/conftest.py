@@ -46,14 +46,7 @@ def zero_traj_1d():
     prof = af.derive_exponents([1.5], 1)
     grid = af.build_grid([0.5], [64], "dirichlet_zero")
     snaps = [af.Field(grid, np.zeros(64), t) for t in (0.0, 0.05, 0.1)]
-    return af.Trajectory(
-        grid=grid,
-        exponents=prof,
-        eps=1e-3,
-        snapshots=snaps,
-        step_times=np.empty(0),
-        step_dts=np.empty(0),
-    )
+    return af.Trajectory.from_fields(grid, prof, 1e-3, snaps)
 
 
 def synthetic_power_trajectory(prof, grid, shape_field, t_star=1.0, n_snap=51):
@@ -63,11 +56,4 @@ def synthetic_power_trajectory(prof, grid, shape_field, t_star=1.0, n_snap=51):
     snaps = [
         af.Field(grid, (t_star - t) ** exponent * shape_field, t) for t in times
     ]
-    return af.Trajectory(
-        grid=grid,
-        exponents=prof,
-        eps=1e-9,
-        snapshots=snaps,
-        step_times=np.empty(0),
-        step_dts=np.empty(0),
-    )
+    return af.Trajectory.from_fields(grid, prof, 1e-9, snaps)

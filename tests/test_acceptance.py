@@ -394,7 +394,7 @@ def test_criterion_11_not_applicable_routing():
     prof_sub = af.derive_exponents([1.1, 1.1], 2)
     grid = af.build_grid([0.5, 0.5], [8, 8], "dirichlet_zero")
     snaps = [af.Field(grid, np.full(64, 0.5), t) for t in (0.0, 0.1)]
-    traj = af.Trajectory(grid, prof_sub, 1e-3, snaps, np.empty(0), np.empty(0))
+    traj = af.Trajectory.from_fields(grid, prof_sub, 1e-3, snaps)
     na_intrinsic = af.check_l1linf(traj, 0.1, 0.1, "intrinsic")
     na_standard = af.check_l1linf(traj, 0.1, 0.1, "standard")
 

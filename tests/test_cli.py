@@ -185,6 +185,38 @@ def test_checks_csv_echoes_parameters(tmp_path):
     assert all("rhs_terms" in m for m in manifests)
 
 
+def test_checks_json_is_strict_json(tmp_path):
+    # lam = 2(1.1 - 2) + 1.1 < 0: the L1-Linf rows are not applicable
+    out = str(tmp_path / "strict")
+    text = """
+[simulation]
+p = 1.1 1.1
+half_domain = 0.5 0.5
+resolution = 8 8
+t_end = 0.01
+eps = 0.05
+snapshots = 5
+
+[analysis]
+check = l1linf geometry=intrinsic rho=0.1 t=0.01
+check = l1l1 geometry=standard rho=0.1 t=0.01
+
+[output]
+directory = {out}
+""".format(out=out)
+    cfg = parse_config(text)
+    outputs = cmd_analyze(cmd_run(cfg, out), cfg)
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    with open(outputs["checks_manifest"], encoding="utf-8") as fh:
+        manifests = json.load(fh, parse_constant=reject)
+    assert [m["applicable"] for m in manifests] == [False, True]
+    assert manifests[0]["lhs"] is None and manifests[0]["gamma_min"] is None
+    assert manifests[1]["gamma_min"] > 0.0
+
+
 def test_analyze_decay_outputs(tmp_path):
     out = str(tmp_path / "decay")
     text = """

@@ -39,7 +39,7 @@ def test_detect_log_interpolation_accuracy():
     base = np.ones(16)
     times = np.linspace(0.0, 1.0, 21)
     snaps = [af.Field(grid, math.exp(-10.0 * t) * base, t) for t in times]
-    traj = af.Trajectory(grid, prof, 1e-9, snaps, np.empty(0), np.empty(0))
+    traj = af.Trajectory.from_fields(grid, prof, 1e-9, snaps)
     threshold = 1e-3
     expected = -math.log(threshold) / 10.0
     assert af.detect_extinction(traj, threshold) == pytest.approx(expected, abs=1e-9)

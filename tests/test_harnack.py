@@ -169,7 +169,7 @@ def test_l1l1_constant_periodic_trajectory():
     prof = af.derive_exponents([1.5, 1.5], 2)
     grid = af.build_grid([0.5, 0.5], [16, 16], "periodic")
     snaps = [af.Field(grid, np.full(256, 0.8), t) for t in (0.0, 0.05, 0.1)]
-    traj = af.Trajectory(grid, prof, 1e-3, snaps, np.empty(0), np.empty(0))
+    traj = af.Trajectory.from_fields(grid, prof, 1e-3, snaps)
     rep = af.check_l1l1(traj, 0.1, 0.1, "intrinsic")
     assert rep.lhs == pytest.approx(0.8 * 0.2**2, rel=1e-12)
     assert rep.gamma_min <= 1.0
@@ -201,7 +201,7 @@ def test_l1linf_not_applicable_subcritical(zero_traj_1d):
     assert prof.lam == pytest.approx(-0.7, abs=1e-12)
     grid = af.build_grid([0.5, 0.5], [8, 8], "dirichlet_zero")
     snaps = [af.Field(grid, np.zeros(64), t) for t in (0.0, 0.1)]
-    traj = af.Trajectory(grid, prof, 1e-3, snaps, np.empty(0), np.empty(0))
+    traj = af.Trajectory.from_fields(grid, prof, 1e-3, snaps)
     rep = af.check_l1linf(traj, 0.1, 0.1, "intrinsic")
     assert not rep.applicable
     assert "lam" in rep.reason
