@@ -197,6 +197,18 @@ def parse_config(text: str) -> CampaignConfig:
         doc = _parse_kv_document(text)
 
     violations: list[str] = []
+
+    def number(values: dict, key: str, default, kind=float):
+        """values[key] converted by `kind`, or `default` when absent; None if invalid."""
+        if key not in values:
+            return default
+        try:
+            return kind(values[key])
+        except (TypeError, ValueError):
+            what = "an integer" if kind is int else "a number"
+            violations.append(f"{key} must be {what}, got {values[key]!r}")
+            return None
+
     for section in doc:
         if section not in ("simulation", "analysis", "output"):
             violations.append(f"unknown section [{section}]")
@@ -239,31 +251,32 @@ def parse_config(text: str) -> CampaignConfig:
 
     if "t_end" not in sim:
         violations.append("missing required key 't_end' in [simulation]")
-        t_end = 0.0
-    else:
-        t_end = float(sim["t_end"])
-        if t_end < 0.0:
-            violations.append(f"t_end must be nonnegative, got {t_end}")
+    t_end = number(sim, "t_end", 0.0)
+    if t_end is not None and t_end < 0.0:
+        violations.append(f"t_end must be nonnegative, got {t_end}")
 
     profile = None
-    try:
-        profile = InitialProfile(
-            kind=str(sim.get("profile", "bump")),
-            amplitude=float(sim.get("amplitude", 1.0)),
-            radius=float(sim.get("radius", 0.25)),
-            path=sim.get("path"),
-        )
-    except ConfigError as exc:
-        violations.extend(exc.violations)
+    amplitude = number(sim, "amplitude", 1.0)
+    radius = number(sim, "radius", 0.25)
+    if amplitude is not None and radius is not None:
+        try:
+            profile = InitialProfile(
+                kind=str(sim.get("profile", "bump")),
+                amplitude=amplitude,
+                radius=radius,
+                path=sim.get("path"),
+            )
+        except ConfigError as exc:
+            violations.extend(exc.violations)
 
-    eps = float(sim["eps"]) if "eps" in sim else (min(grid.spacings) if grid else 0.0)
-    safety = float(sim.get("safety", 0.5))
-    snapshots = int(sim.get("snapshots", 101))
+    eps = number(sim, "eps", min(grid.spacings) if grid else 0.0)
+    safety = number(sim, "safety", 0.5)
+    snapshots = number(sim, "snapshots", 101, int)
 
-    threshold_rel = float(ana.get("extinction_threshold", 1e-6))
-    if threshold_rel <= 0.0:
+    threshold_rel = number(ana, "extinction_threshold", 1e-6)
+    if threshold_rel is not None and threshold_rel <= 0.0:
         violations.append("extinction_threshold must be positive")
-    decay_rho = float(ana["decay_rho"]) if "decay_rho" in ana else None
+    decay_rho = number(ana, "decay_rho", None)
     if decay_rho is not None and decay_rho <= 0.0:
         violations.append("decay_rho must be positive")
 
@@ -272,7 +285,7 @@ def parse_config(text: str) -> CampaignConfig:
         spec = _parse_check(entry, violations)
         if spec is not None:
             checks.append(spec)
-            if spec.t > t_end:
+            if t_end is not None and spec.t > t_end:
                 violations.append(
                     f"check {spec.kind!r}: t={spec.t} exceeds t_end={t_end}"
                 )
@@ -314,8 +327,8 @@ def load_config(path: str) -> CampaignConfig:
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, float):  # np.float64 too, whose repr is "np.float64(...)"
+        return repr(float(value))
     if value is None:
         return ""
     return str(value)

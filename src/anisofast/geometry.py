@@ -12,7 +12,6 @@ of anisotropy.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -57,7 +56,9 @@ def derive_exponents(p_list: Sequence[float], N: int) -> ExponentProfile:
 
     Entries need not be pre-sorted.  p_i = 2 is admitted (heat-equation
     validation mode) but flags strict_fast = False, and the intrinsic-geometry
-    operations below reject such profiles.
+    operations below reject such profiles.  p_bar >= N (every 1D profile) is
+    admitted too; only the embedding (`lemmas.sobolev_critical`) needs
+    p_bar < N, and it rejects such profiles.
     """
     if int(N) != N or N < 1:
         raise DomainError(f"dimension must be a positive integer, got {N!r}")
@@ -72,12 +73,6 @@ def derive_exponents(p_list: Sequence[float], N: int) -> ExponentProfile:
     p_bar = N / sum(1.0 / x for x in p)
     lam = N * (p_bar - 2.0) + p_bar
     lam_i = tuple(N * (x - 2.0) + p_bar for x in p)
-    if p_bar >= N:
-        warnings.warn(
-            f"harmonic-mean exponent p_bar={p_bar:.6g} is not below the dimension "
-            f"N={N}; embedding-based quantities assume p_bar < N",
-            stacklevel=2,
-        )
     return ExponentProfile(
         p=p, N=N, p_bar=p_bar, lam=lam, lam_i=lam_i, strict_fast=p[-1] < 2.0
     )

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DomainError
 from .geometry import CubeSpec, ExponentProfile
 from .harnack import InequalityReport, _axis_weights, _tensor, cube_contained, gamma_min
-from .solver import Field, Trajectory
+from .solver import Field, Trajectory, _FaceGradients
 
 
 def young_gamma(eps: float, q: float) -> float:
@@ -117,7 +117,8 @@ def sobolev_critical(prof: ExponentProfile) -> float:
     """p* = N p_bar / (N - p_bar); requires p_bar < N."""
     if prof.p_bar >= prof.N:
         raise DomainError(
-            f"embedding needs p_bar < N; got p_bar={prof.p_bar:.6g}, N={prof.N}"
+            f"harmonic-mean exponent p_bar={prof.p_bar:.6g} is not below the "
+            f"dimension N={prof.N}; the embedding needs p_bar < N"
         )
     return prof.N * prof.p_bar / (prof.N - prof.p_bar)
 
@@ -138,8 +139,9 @@ def sobolev_ratio(
         RHS = T^(1-theta p*/p_bar) (sup_t int |phi|^sigma dx)^(1-theta)
               * prod_i (iint |d_i phi|^{p_i} dx dt)^(theta p* / (N p_i))
 
-    Axis derivatives are one-sided differences with a zero ghost layer.  The
-    ratio is invariant under phi -> c*phi, and defined as 0 for phi == 0.
+    Axis derivatives are one-sided differences with a zero ghost layer, from
+    the solver's face-gradient helper.  The ratio is invariant under
+    phi -> c*phi, and defined as 0 for phi == 0.
     """
     p_star = sobolev_critical(prof)
     if not 0.0 <= theta <= prof.p_bar / p_star + 1e-15:
@@ -162,11 +164,9 @@ def sobolev_ratio(
         return 0.0
     sup_sigma = float((phi**sigma).sum()) * vol
     rhs = T ** (1.0 - theta * p_star / prof.p_bar) * sup_sigma ** (1.0 - theta)
-    for i, pi in enumerate(prof.p):
-        h = grid.spacings[i]
-        pad = [(0, 0)] * grid.N
-        pad[i] = (1, 1)
-        g = np.diff(np.pad(field.reshaped(), pad), axis=i) / h
+    grads = _FaceGradients(grid.shape, grid.spacings, periodic=False)
+    grads.u[...] = field.reshaped()
+    for pi, g in zip(prof.p, grads.compute()):
         grad_int = T * float((np.abs(g) ** pi).sum()) * vol
         rhs *= grad_int ** (theta * p_star / (prof.N * pi))
     return lhs / rhs
@@ -278,6 +278,7 @@ def caccioppoli_report(
     w_outer = _tensor(_axis_weights(grid, cutoff.outer))
     vol = grid.cell_volume
 
+    grads = _FaceGradients(grid.shape, grid.spacings, periodic=False)
     sup_term = 0.0
     grad_series = [[] for _ in prof.p]
     trunc_series = [[] for _ in prof.p]
@@ -286,11 +287,8 @@ def caccioppoli_report(
         u = row.reshape(grid.shape)
         trunc = np.maximum(u - k, 0.0)
         sup_term = max(sup_term, float((trunc**2 * zeta).sum()) * vol * x)
-        w = trunc * zeta * x
-        for i, pi in enumerate(prof.p):
-            pad = [(0, 0)] * grid.N
-            pad[i] = (1, 1)
-            g = np.diff(np.pad(w, pad), axis=i) / grid.spacings[i]
+        grads.u[...] = trunc * zeta * x
+        for i, (pi, g) in enumerate(zip(prof.p, grads.compute())):
             grad_series[i].append(float((np.abs(g) ** pi).sum()) * vol)
             trunc_series[i].append(float((trunc**pi * w_outer).sum()) * vol)
         chi_series.append(float(((u > k) * w_outer).sum()) * vol)

@@ -174,18 +174,139 @@ def init_field(grid: Grid, profile: InitialProfile) -> Field:
     return Field(grid=grid, values=u.ravel(), time=0.0)
 
 
-def _face_gradients(U: np.ndarray, axis: int, h: float, boundary: str) -> np.ndarray:
-    """One-sided difference quotients across faces along one axis.
+def _along(axis: int, s: slice) -> tuple[slice, ...]:
+    """Index taking `s` along `axis` and everything along the other axes."""
+    return (slice(None),) * axis + (s,)
 
-    Dirichlet returns n+1 faces (ghost value 0 beyond both ends); periodic
-    returns n faces, face k sitting between cells k and k+1 (mod n).
+
+_INNER, _HI, _LO = slice(1, -1), slice(1, None), slice(None, -1)
+_FIRST, _LAST = slice(None, 1), slice(-1, None)
+
+
+class _FaceGradients:
+    """Difference quotients (u[k+1] - u[k]) / h_i across every face, in fixed buffers.
+
+    Write the array into `u`, then `compute()` fills `g[i]` for each axis and
+    allocates nothing.  With a zero ghost layer axis i has n_i + 1 faces;
+    `u` is then the interior of an array padded along axis 0 only, so it
+    stays C-contiguous and the axis-0 gradient is one subtraction.  Periodic
+    axes have n_i faces, face k sitting between cells k and k+1 (mod n_i).
     """
-    if boundary == "dirichlet_zero":
-        pad = [(0, 0)] * U.ndim
-        pad[axis] = (1, 1)
-        Up = np.pad(U, pad)
-        return np.diff(Up, axis=axis) / h
-    return (np.roll(U, -1, axis=axis) - U) / h
+
+    def __init__(self, shape: Sequence[int], spacings: Sequence[float], periodic: bool):
+        shape = tuple(shape)
+        if periodic:
+            self.u = u = np.zeros(shape)
+        else:
+            padded = np.zeros((shape[0] + 2,) + shape[1:])
+            self.u = u = padded[1:-1]
+        zero = np.array(0.0)
+        self.g = []
+        self._ops = []
+        for i, h in enumerate(spacings):
+            def at(a, s):
+                return a[_along(i, s)]
+
+            if periodic:
+                g = np.empty(shape)
+                pairs = (
+                    (at(g, _LO), at(u, _HI), at(u, _LO)),
+                    (at(g, _LAST), at(u, _FIRST), at(u, _LAST)),
+                )
+            else:
+                g = np.empty(tuple(n + (k == i) for k, n in enumerate(shape)))
+                if i == 0:
+                    pairs = ((g, padded[1:], padded[:-1]),)
+                else:
+                    pairs = (
+                        (at(g, _INNER), at(u, _HI), at(u, _LO)),
+                        (at(g, _FIRST), at(u, _FIRST), zero),
+                        (at(g, _LAST), zero, at(u, _LAST)),
+                    )
+            self.g.append(g)
+            # a 0-d array operand costs less per call than a Python float
+            self._ops.append((pairs, g, np.array(h)))
+
+    def compute(self) -> list[np.ndarray]:
+        for pairs, g, h in self._ops:
+            for out, hi, lo in pairs:
+                np.subtract(hi, lo, out=out)
+            np.divide(g, h, out=g)
+        return self.g
+
+
+class _FluxKernel:
+    """The one flux-form operator behind `stable_dt`, `advance` and `run`.
+
+    It owns every buffer a step needs and works in them with `out=` ufunc
+    calls, so `rate()` and `step()` allocate no arrays (on N-D grids numpy
+    may still use its bounded internal buffers for strided views).  Per axis
+    the arithmetic is, op for op: g = diff(u) / h, g*g, + eps^2,
+    ** ((p_i-2)/2), * g, diff of the face fluxes, / h; the axis divergences
+    are summed in axis order.
+    """
+
+    def __init__(self, grid: Grid, prof: ExponentProfile, eps: float):
+        periodic = grid.boundary == "periodic"
+        self._grad = _FaceGradients(grid.shape, grid.spacings, periodic)
+        self.u = self._grad.u
+        self._eps2 = eps * eps
+        self._eps2_0d = np.array(self._eps2)
+        self._div = np.empty(grid.shape)
+        scratch = np.empty(grid.shape)
+        self._axes = []
+        for i, (pi, h, g) in enumerate(zip(prof.p, grid.spacings, self._grad.g)):
+            f = np.empty(g.shape)
+            d = self._div if i == 0 else scratch
+            hi, lo = f[_along(i, _HI)], f[_along(i, _LO)]
+            if periodic:  # d[k] = F[k] - F[k-1], face -1 being the last face
+                first, last = f[_along(i, _FIRST)], f[_along(i, _LAST)]
+                pairs = ((d[_along(i, _HI)], hi, lo), (d[_along(i, _FIRST)], first, last))
+            else:  # d[k] = F[k+1] - F[k] over the n_i + 1 faces
+                pairs = ((d, hi, lo),)
+            self._axes.append((g, f, pairs, d, np.array(h), h * h, pi - 1.0, (pi - 2.0) / 2.0))
+
+    def rate(self) -> float:
+        """sum_i 2 a_i_max / h_i^2 at `u`, the inverse of the unit-safety step.
+
+        a_i_max = (p_i - 1)(min g^2 + eps^2)^((p_i-2)/2), as in `stable_dt`.
+        Leaves g and g*g in place for `step`.
+        """
+        self._grad.compute()
+        eps2 = self._eps2
+        denom = 0.0
+        for g, f, _, _, _, h2, pm1, expo in self._axes:
+            np.multiply(g, g, out=f)
+            a_max = pm1 * (float(np.minimum.reduce(f, None)) + eps2) ** expo
+            denom += 2.0 * a_max / h2
+        return denom
+
+    def step(self, dt: float) -> None:
+        """u += dt * sum_i (F_i^+ - F_i^-) / h_i from the gradients of the last `rate()`."""
+        eps2 = self._eps2_0d
+        div = self._div
+        for g, f, pairs, d, h, _, _, expo in self._axes:
+            np.add(f, eps2, out=f)
+            np.power(f, expo, out=f)
+            np.multiply(f, g, out=f)
+            for out, hi, lo in pairs:
+                np.subtract(hi, lo, out=out)
+            np.divide(d, h, out=d)
+            if d is not div:
+                np.add(div, d, out=div)
+        np.multiply(div, dt, out=div)
+        np.add(self.u, div, out=self.u)
+
+
+def _kernel_at(field: Field, prof: ExponentProfile, eps: float) -> _FluxKernel:
+    if not eps > 0.0:
+        raise DomainError(f"eps must be positive, got {eps!r}")
+    grid = field.grid
+    if prof.N != grid.N:
+        raise DomainError(f"profile dimension {prof.N} != grid dimension {grid.N}")
+    kernel = _FluxKernel(grid, prof, eps)
+    kernel.u[...] = field.reshaped()
+    return kernel
 
 
 def stable_dt(
@@ -197,46 +318,20 @@ def stable_dt(
     exponent is nonpositive for p_i <= 2, the face maximum is attained at the
     smallest g^2, so only min(g^2) is needed per axis.
     """
-    if not eps > 0.0:
-        raise DomainError(f"eps must be positive, got {eps!r}")
     if not 0.0 < safety <= 1.0:
         raise DomainError(f"safety must lie in (0, 1], got {safety!r}")
-    grid = field.grid
-    if prof.N != grid.N:
-        raise DomainError(f"profile dimension {prof.N} != grid dimension {grid.N}")
-    U = field.reshaped()
-    denom = 0.0
-    for i, pi in enumerate(prof.p):
-        h = grid.spacings[i]
-        g = _face_gradients(U, i, h, grid.boundary)
-        g2_min = float((g * g).min())
-        a_max = (pi - 1.0) * (g2_min + eps * eps) ** ((pi - 2.0) / 2.0)
-        denom += 2.0 * a_max / (h * h)
-    return safety / denom
+    return safety / _kernel_at(field, prof, eps).rate()
 
 
 def advance(field: Field, prof: ExponentProfile, eps: float, dt: float) -> Field:
     """One conservative explicit Euler step of size dt."""
-    if not eps > 0.0:
-        raise DomainError(f"eps must be positive, got {eps!r}")
-    grid = field.grid
-    U = field.reshaped()
-    eps2 = eps * eps
-    div = None
-    for i, pi in enumerate(prof.p):
-        h = grid.spacings[i]
-        g = _face_gradients(U, i, h, grid.boundary)
-        F = (g * g + eps2) ** ((pi - 2.0) / 2.0) * g
-        if grid.boundary == "dirichlet_zero":
-            d = np.diff(F, axis=i) / h
-        else:
-            d = (F - np.roll(F, 1, axis=i)) / h
-        div = d if div is None else div + d
-    new = U + dt * div
+    kernel = _kernel_at(field, prof, eps)
+    kernel.rate()
+    kernel.step(dt)
     t_new = field.time + dt
-    if not np.isfinite(new).all():
+    if not np.isfinite(kernel.u).all():
         raise BlowupError(t_new)
-    return Field(grid=grid, values=new.ravel(), time=t_new)
+    return Field(grid=field.grid, values=kernel.u.copy(), time=t_new)
 
 
 def uniform_snapshots(t_end: float, count: int) -> tuple[float, ...]:
@@ -356,12 +451,12 @@ class Trajectory:
 def run(config: SimConfig) -> Trajectory:
     """Integrate to t_end, hitting every snapshot time exactly; deterministic.
 
-    The loop fuses the `stable_dt` and `advance` contracts into one kernel so
-    each axis gradient is computed once per step; the arithmetic (and hence
-    every bit of the result) matches composing the two public operations.
+    Each step is `stable_dt` followed by `advance` (the step clipped to the
+    next snapshot time), evaluated through one `_FluxKernel`, so every bit of
+    the result matches composing the two public operations.  A step whose
+    field is not finite raises `BlowupError` with its end time.
     """
     grid = config.grid
-    prof = config.exponents
     initial = init_field(grid, config.profile)
     values = np.empty((len(config.snapshot_times), grid.n_cells))
     values[0] = initial.values
@@ -373,63 +468,34 @@ def run(config: SimConfig) -> Trajectory:
     drift = 0.0
     min_value = float(initial.values.min())
 
-    eps = config.eps
-    eps2 = eps * eps
-    spacings = grid.spacings
-    ghosts = []
-    if not periodic:
-        for i in range(grid.N):
-            shape = list(grid.shape)
-            shape[i] += 2
-            sl = [slice(None)] * grid.N
-            sl[i] = slice(1, -1)
-            ghosts.append((np.zeros(shape), tuple(sl)))
-
-    U = initial.reshaped().copy()
+    kernel = _FluxKernel(grid, config.exponents, config.eps)
+    U = kernel.u
+    U[...] = initial.reshaped()
+    rate, step = kernel.rate, kernel.step
+    add_reduce, min_reduce = np.add.reduce, np.minimum.reduce
+    safety = config.safety
     t_now = 0.0
     for k, target in enumerate(config.snapshot_times[1:], start=1):
-        while t_now < target * (1.0 - _TIME_RTOL):
-            gradients = []
-            denom = 0.0
-            for i, pi in enumerate(prof.p):
-                h = spacings[i]
-                if periodic:
-                    g = (np.roll(U, -1, axis=i) - U) / h
-                else:
-                    buf, interior = ghosts[i]
-                    buf[interior] = U
-                    g = np.diff(buf, axis=i) / h
-                g2 = g * g
-                a_max = (pi - 1.0) * (float(g2.min()) + eps2) ** ((pi - 2.0) / 2.0)
-                denom += 2.0 * a_max / (h * h)
-                gradients.append((g, g2))
-            dt_cfl = config.safety / denom
+        stop = target * (1.0 - _TIME_RTOL)
+        while t_now < stop:
+            dt = safety / rate()
             remaining = target - t_now
-            clipped = dt_cfl >= remaining
-            dt = remaining if clipped else dt_cfl
-
-            div = None
-            for i, pi in enumerate(prof.p):
-                g, g2 = gradients[i]
-                flux = g2
-                flux += eps2
-                np.power(flux, (pi - 2.0) / 2.0, out=flux)
-                flux *= g
-                if periodic:
-                    d = (flux - np.roll(flux, 1, axis=i)) / spacings[i]
-                else:
-                    d = np.diff(flux, axis=i) / spacings[i]
-                div = d if div is None else div + d
-            div *= dt
-            U += div
+            clipped = dt >= remaining
+            if clipped:
+                dt = remaining
+            step(dt)
             t_now = target if clipped else t_now + dt
-            if not np.isfinite(U).all():
+            # a finite sum proves every value finite; otherwise check exactly
+            total = add_reduce(U, None)
+            if not math.isfinite(total) and not np.isfinite(U).all():
                 raise BlowupError(t_now)
             times_log.append(t_now)
             dts_log.append(dt)
-            min_value = min(min_value, float(U.min()))
+            low = float(min_reduce(U, None))
+            if low < min_value:
+                min_value = low
             if periodic:
-                mass = float(U.sum())
+                mass = float(total)
                 if mass0 != 0.0:
                     drift = max(drift, abs(mass - mass0) / abs(mass0))
                 else:
@@ -439,7 +505,7 @@ def run(config: SimConfig) -> Trajectory:
 
     return Trajectory(
         grid=grid,
-        exponents=prof,
+        exponents=config.exponents,
         eps=config.eps,
         values=values,
         times=tuple(times),

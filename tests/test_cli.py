@@ -89,6 +89,43 @@ def test_parse_collects_all_violations():
     assert len(excinfo.value.violations) >= 2
 
 
+NUMERIC_KEYS = {
+    "t_end": "simulation",
+    "eps": "simulation",
+    "safety": "simulation",
+    "snapshots": "simulation",
+    "amplitude": "simulation",
+    "radius": "simulation",
+    "extinction_threshold": "analysis",
+    "decay_rho": "analysis",
+}
+
+
+def _with_value(key, value):
+    """MINIMAL with `key = value` set in its section (replacing t_end if that is the key)."""
+    lines = [ln for ln in MINIMAL.splitlines() if not ln.startswith(f"{key} ")]
+    text = "\n".join(lines) + "\n"
+    if NUMERIC_KEYS[key] == "simulation":
+        return text.replace("[simulation]\n", f"[simulation]\n{key} = {value}\n")
+    return text + f"[analysis]\n{key} = {value}\n"
+
+
+@pytest.mark.parametrize("key", sorted(NUMERIC_KEYS))
+def test_parse_non_numeric_value_is_a_violation(key):
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(_with_value(key, "abc"))
+    assert any(key in v and "'abc'" in v for v in excinfo.value.violations)
+
+
+def test_parse_non_numeric_values_all_reported():
+    text = _with_value("safety", "fast").replace("t_end = 0.02", "t_end = soon")
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(text + "[analysis]\ndecay_rho = wide\n")
+    violations = excinfo.value.violations
+    for key, value in (("t_end", "soon"), ("safety", "fast"), ("decay_rho", "wide")):
+        assert any(key in v and repr(value) in v for v in violations), violations
+
+
 def test_parse_json_equivalent():
     doc = {
         "simulation": {
@@ -260,6 +297,22 @@ directory = {out}
     with open(outputs["summary"], encoding="utf-8") as fh:
         summary = fh.read()
     assert "decay:intrinsic:mass" in summary
+
+
+def test_decay_samples_cells_are_plain_numbers(tmp_path):
+    # numpy scalars must be written as numbers, not as "np.float64(...)"
+    out = str(tmp_path / "decay")
+    sim = "t_end = 0.45\neps = 2e-2\nsafety = 0.45\nsnapshots = 76"
+    text = MINIMAL.replace("t_end = 0.02", sim)
+    cfg = parse_config(text + "[analysis]\nextinction_threshold = 1e-5\ndecay_rho = 0.1\n")
+    outputs = cmd_analyze(cmd_run(cfg, out), cfg)
+    with open(outputs["decay_samples"], encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) > 10
+    for row in rows[1:]:
+        for cell in row[:6]:
+            float(cell)
+        assert set(row[6:]) <= {"true", "false"}
 
 
 def test_cmd_lemmas_deterministic(tmp_path):

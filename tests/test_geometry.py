@@ -1,11 +1,14 @@
 """Exponent arithmetic, cube constructions, and their exact identities."""
 
+import warnings
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import anisofast as af
 from anisofast.errors import DomainError
+from anisofast.lemmas import sobolev_critical
 
 # draws shared by the invariance properties: dimension, exponents, radius, time
 dims = st.integers(min_value=1, max_value=4)
@@ -66,9 +69,14 @@ def test_heat_mode_allowed_but_not_strict():
         af.nu(0.5, 1.0, prof)
 
 
-def test_pbar_above_dimension_warns():
-    with pytest.warns(UserWarning, match="harmonic-mean"):
-        af.derive_exponents([1.5], 1)
+def test_pbar_above_dimension_rejected_only_by_embedding():
+    # every 1D profile has p_bar >= N; building it is silent, and only the
+    # embedding, which needs p_bar < N, rejects it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        prof = af.derive_exponents([1.5], 1)
+    with pytest.raises(DomainError, match="harmonic-mean exponent p_bar=1.5"):
+        sobolev_critical(prof)
 
 
 # --- nu and nu_sigma ---------------------------------------------------------

@@ -1,11 +1,13 @@
 """Grid construction, initial data, time stepping, and persistence."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import anisofast as af
 from anisofast.errors import BlowupError, ConfigError, IngestionError
-from anisofast.solver import advance, stable_dt
+from anisofast.solver import _FaceGradients, _FluxKernel, advance, stable_dt
 
 
 def test_build_grid_1d():
@@ -233,3 +235,167 @@ def test_heat_oracle_quick():
     x = grid.axis_centers(0)
     exact = np.exp(-np.pi**2 * 0.05) * np.cos(np.pi * x)
     assert np.abs(traj.snapshots[-1].values - exact).max() <= 0.01
+
+
+# --- the shared flux kernel ---------------------------------------------------
+
+COMPOSITION_CASES = {
+    "1d_dirichlet": ([1.5], [32], "dirichlet_zero", "bump", 1e-3, 0.004),
+    "1d_periodic": ([1.3], [24], "periodic", "plateau", 1e-2, 0.004),
+    "2d_dirichlet_aniso": ([1.4, 1.7], [12, 10], "dirichlet_zero", "sine_product", 2e-2, 0.002),
+    "2d_periodic_aniso": ([1.2, 1.8], [10, 12], "periodic", "bump", 2e-2, 0.01),
+    "3d_dirichlet_heat_axis": (
+        [1.3, 1.6, 2.0], [6, 8, 5], "dirichlet_zero", "sine_product", 5e-2, 0.01
+    ),
+    "3d_periodic_aniso": ([1.3, 1.5, 1.7], [8, 6, 7], "periodic", "bump", 5e-2, 0.01),
+}
+
+
+def _composition_config(case):
+    p, res, boundary, kind, eps, t_end = COMPOSITION_CASES[case]
+    grid = af.build_grid([0.5] * len(p), res, boundary)
+    return af.SimConfig(
+        grid=grid,
+        profile=af.InitialProfile(kind, 1.0, 0.3),
+        exponents=af.derive_exponents(p, len(p)),
+        eps=eps,
+        t_end=t_end,
+        safety=0.4,
+        snapshot_times=af.uniform_snapshots(t_end, 5),
+    )
+
+
+@pytest.mark.parametrize("case", sorted(COMPOSITION_CASES))
+def test_run_equals_composed_stable_dt_and_advance(case):
+    # run() must be stable_dt + advance, the step clipped to the next snapshot
+    # time and the clock set to that time, bit for bit
+    cfg = _composition_config(case)
+    prof, eps = cfg.exponents, cfg.eps
+    field = af.init_field(cfg.grid, cfg.profile)
+    rows, dts, times = [field.values.copy()], [], []
+    min_value = float(field.values.min())
+    mass0 = float(field.values.sum())
+    drift = 0.0
+    for target in cfg.snapshot_times[1:]:
+        while field.time < target * (1.0 - 1e-12):
+            dt = stable_dt(field, prof, eps, cfg.safety)
+            clipped = dt >= target - field.time
+            if clipped:
+                dt = target - field.time
+            field = advance(field, prof, eps, dt)
+            if clipped:
+                field.time = target
+            dts.append(dt)
+            times.append(field.time)
+            min_value = min(min_value, float(field.values.min()))
+            drift = max(drift, abs(float(field.values.sum()) - mass0) / abs(mass0))
+        rows.append(field.values.copy())
+
+    traj = af.run(cfg)
+    assert len(dts) > 10
+    assert traj.values.tobytes() == np.array(rows).tobytes()
+    assert traj.step_dts.tobytes() == np.array(dts).tobytes()
+    assert traj.step_times.tobytes() == np.array(times).tobytes()
+    assert traj.min_value == min_value
+    if cfg.grid.boundary == "periodic":
+        assert traj.mass_drift == drift
+    else:
+        assert traj.mass_drift is None
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_run_memory_is_snapshots_plus_fixed_workspace():
+    # the step loop works in the kernel's preallocated buffers: the peak is the
+    # snapshot array plus a fixed number of fields, whatever the step count
+    grid = af.build_grid([0.5] * 3, [16] * 3, "periodic")
+    prof = af.derive_exponents([1.3, 1.5, 1.7], 3)
+    field_bytes = grid.n_cells * 8
+    steps, excess = [], []
+    for t_end in (2e-4, 1e-2):
+        cfg = af.SimConfig(
+            grid=grid,
+            profile=af.InitialProfile("bump", 1.0, 0.3),
+            exponents=prof,
+            eps=0.05,
+            t_end=t_end,
+            safety=0.3,
+            snapshot_times=(0.0, t_end / 2, t_end),
+        )
+        traj, peak = _traced_peak(lambda: af.run(cfg))
+        steps.append(traj.step_dts.size)
+        excess.append(peak - traj.values.nbytes)
+    assert steps[1] >= 10 * steps[0]
+    assert max(excess) <= 14 * field_bytes
+    assert abs(excess[1] - excess[0]) <= field_bytes // 4
+
+
+def test_flux_kernel_steps_allocate_nothing():
+    grid = af.build_grid([0.5], [4096], "dirichlet_zero")
+    prof = af.derive_exponents([1.5], 1)
+    kernel = _FluxKernel(grid, prof, 1e-3)
+    kernel.u[...] = af.init_field(grid, af.InitialProfile("bump", 1.0, 0.25)).reshaped()
+    dt = 0.4 / kernel.rate()
+    kernel.step(dt)
+
+    def steps():
+        for _ in range(20):
+            kernel.step(0.4 / kernel.rate())
+        return tracemalloc.get_traced_memory()[0]
+
+    current, peak = _traced_peak(steps)
+    assert peak - current <= 4096  # scalars only; one field is 32 KiB
+
+
+def test_face_gradients_match_padded_differences():
+    rng = np.random.default_rng(7)
+    shape, spacings = (5, 4, 6), (0.1, 0.2, 0.3)
+    u = rng.uniform(-1.0, 1.0, shape)
+    u[0, 0, 0] = -0.0
+    for periodic in (False, True):
+        grads = _FaceGradients(shape, spacings, periodic)
+        grads.u[...] = u
+        for i, g in enumerate(grads.compute()):
+            if periodic:
+                expected = (np.roll(u, -1, axis=i) - u) / spacings[i]
+            else:
+                pad = [(0, 0)] * 3
+                pad[i] = (1, 1)
+                expected = np.diff(np.pad(u, pad), axis=i) / spacings[i]
+            assert g.shape == expected.shape
+            assert g.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("boundary", ["dirichlet_zero", "periodic"])
+def test_advance_matches_reference_flux_arithmetic(boundary):
+    # the kernel's order of operations, written out with whole-array temporaries:
+    # g = diff / h, (g*g + eps^2) ** ((p-2)/2) * g, diff / h, axis sum in order
+    grid = af.build_grid([0.37, 0.41, 0.53], [6, 5, 7], boundary)
+    prof = af.derive_exponents([1.3, 1.6, 1.9], 3)
+    eps, dt = 3e-2, 2e-5
+    u = np.random.default_rng(11).uniform(0.0, 1.0, grid.shape)
+    div = None
+    for i, (pi, h) in enumerate(zip(prof.p, grid.spacings)):
+        if boundary == "periodic":
+            g = (np.roll(u, -1, axis=i) - u) / h
+        else:
+            pad = [(0, 0)] * 3
+            pad[i] = (1, 1)
+            g = np.diff(np.pad(u, pad), axis=i) / h
+        flux = np.power(g * g + eps * eps, (pi - 2.0) / 2.0) * g
+        if boundary == "periodic":
+            d = (flux - np.roll(flux, 1, axis=i)) / h
+        else:
+            d = np.diff(flux, axis=i) / h
+        div = d if div is None else div + d
+    expected = u + dt * div
+    out = advance(af.Field(grid, u.ravel(), 0.0), prof, eps, dt)
+    assert out.values.tobytes() == expected.ravel().tobytes()
