@@ -48,10 +48,9 @@ from .errors import BlowupError, ConfigError, DomainError
 from .geometry import GEOMETRIES, derive_exponents
 from .solver import InitialProfile, SimConfig, build_grid, uniform_snapshots
 
-CHECK_KINDS = ("l1l1", "l1linf", "lr_sup", "lr_backward", "composite")
+CHECK_KINDS = tuple(harnack.CHECKS)
 
 _SIM_KEYS = {
-    "dimension",
     "p",
     "half_domain",
     "resolution",
@@ -178,8 +177,9 @@ def _parse_check(value, violations) -> CheckSpec | None:
         violations.append(f"check {kind!r}: rho must be positive")
     if t <= 0.0:
         violations.append(f"check {kind!r}: t must be positive")
-    if kind in ("lr_sup", "lr_backward", "composite") and r is None:
-        violations.append(f"check {kind!r} requires r")
+    r_problem = harnack.CHECKS[kind].r_violation(r)
+    if r_problem:
+        violations.append(f"check {kind!r}: {r_problem}")
     if C < 0.0:
         violations.append(f"check {kind!r}: C must be nonnegative")
     return CheckSpec(kind=kind, geometry=geometry, rho=rho, t=t, r=r, C=C)
@@ -229,8 +229,7 @@ def parse_config(text: str) -> CampaignConfig:
     prof = None
     try:
         p_list = _floats(sim["p"], name="p")
-        n = int(sim.get("dimension", len(p_list)))
-        prof = derive_exponents(p_list, n)
+        prof = derive_exponents(p_list, len(p_list))
     except KeyError:
         violations.append("missing required key 'p' in [simulation]")
     except (DomainError, ValueError) as exc:
@@ -388,6 +387,7 @@ _CHECK_HEADER = [
     "reason",
 ]
 
+# the columns of decay_report.csv, each an attribute of extinction.DecayReport
 _DECAY_HEADER = [
     "geometry",
     "t_star",
@@ -455,21 +455,7 @@ def cmd_analyze(run_dir: str, config: CampaignConfig) -> dict:
     for spec in config.checks:
         report = _CHECK_DISPATCH[spec.kind](traj, spec)
         rows.append(_check_row(report, traj))
-        manifests.append(
-            {
-                "theorem": report.theorem,
-                "params": report.params,
-                "applicable": report.applicable,
-                "lhs": report.lhs,
-                "rhs_terms": report.rhs_terms,
-                "gamma_min": report.gamma_min,
-                "smallness_triggered": report.smallness_triggered,
-                "smallness_index": report.smallness_index,
-                "hypothesis_ok": report.hypothesis_ok,
-                "snapshots_in_window": report.snapshots_in_window,
-                "reason": report.reason,
-            }
-        )
+        manifests.append(dict(vars(report)))  # every field of the report
     checks_csv = os.path.join(run_dir, "checks.csv")
     _write_csv(checks_csv, _CHECK_HEADER, rows)
     outputs["checks"] = checks_csv
@@ -523,38 +509,12 @@ def cmd_analyze(run_dir: str, config: CampaignConfig) -> dict:
         decay_rows = []
         for geometry in GEOMETRIES:
             report = extinction._fit_decay(samples, prof, t_star, threshold, geometry)
-            decay_rows.append(
-                [
-                    report.geometry,
-                    report.t_star,
-                    report.threshold,
-                    report.n_points,
-                    report.mass_slope,
-                    report.mass_stderr,
-                    report.mass_r_squared,
-                    report.mass_theory,
-                    report.mass_applicable,
-                    report.sup_slope,
-                    report.sup_stderr,
-                    report.sup_r_squared,
-                    report.sup_theory,
-                    report.sup_applicable,
-                    report.containment_fraction,
-                    report.reason,
-                ]
-            )
-            summary_rows.append(
-                [
-                    f"decay:{geometry}:mass",
-                    _fmt(report.mass_slope) + " vs " + _fmt(report.mass_theory),
-                ]
-            )
-            summary_rows.append(
-                [
-                    f"decay:{geometry}:sup",
-                    _fmt(report.sup_slope) + " vs " + _fmt(report.sup_theory),
-                ]
-            )
+            decay_rows.append([getattr(report, name) for name in _DECAY_HEADER])
+            for quantity in ("mass", "sup"):
+                slope = getattr(report, f"{quantity}_slope")
+                theory = getattr(report, f"{quantity}_theory")
+                item = f"decay:{geometry}:{quantity}"
+                summary_rows.append([item, _fmt(slope) + " vs " + _fmt(theory)])
         decay_csv = os.path.join(run_dir, "decay_report.csv")
         _write_csv(decay_csv, _DECAY_HEADER, decay_rows)
         outputs["decay_report"] = decay_csv

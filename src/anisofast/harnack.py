@@ -1,11 +1,17 @@
 """Evaluate both sides of the integral Harnack-type inequalities on a trajectory.
 
-Each checker measures the left side and every named right-side term of one
-inequality at user-supplied (rho, t, r, C), and reports gamma_min = lhs / sum
-of right-side terms: the smallest constant that makes this instance of the
-inequality hold.  Nothing is asserted against a fixed threshold here; the
-structural constants of the inequalities are not numeric, so stability of
-gamma_min across parameter/refinement families is what the test suites check.
+Each row of CHECKS states one inequality in both geometries.  One evaluator
+measures its left side and every named right-side term at user-supplied
+(rho, t, r, C), and reports gamma_min = lhs / sum of right-side terms: the
+smallest constant that makes this instance of the inequality hold.  Nothing is
+asserted against a fixed threshold here; the structural constants of the
+inequalities are not numeric, so stability of gamma_min across
+parameter/refinement families is what the test suites check.
+
+The five rows share two families.  l1l1 is the r = 1 row of lr_backward and
+l1linf the r = 1 row of composite (lam_r(1) is lam, lam_ir(1) is lam_i and
+t^1 is t, bit for bit); lr_sup is composite with the cube mean of u^r as its
+data term, t/rho^p_bar as that term's base and no weighted sum.
 
 Cube quadrature is a midpoint rule with tensor-product clipping: each cell
 contributes the product of its per-axis overlap fractions with the cube, so
@@ -19,13 +25,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import DomainError
 from .geometry import (
     CubeSpec,
+    ExponentProfile,
     GEOMETRIES,
     intrinsic_cube,
     scale_cube,
@@ -33,20 +40,6 @@ from .geometry import (
     standard_cube,
 )
 from .solver import WINDOW_RTOL, Field, Grid, Trajectory
-
-THEOREMS = (
-    "L1L1_intrinsic",
-    "L1L1_standard",
-    "L1Linf_intrinsic",
-    "L1Linf_standard",
-    "LrLinf_sup",
-    "LrLinf_sup_standard",
-    "Lr_backward_intrinsic",
-    "Lr_backward_standard",
-    "Backwards_composite_intrinsic",
-    "Backwards_composite_standard",
-    "Caccioppoli",
-)
 
 GAMMA_INFINITE = float("inf")
 
@@ -220,56 +213,208 @@ def time_extremal(
 # --- the checkers ------------------------------------------------------------
 
 
-def _validate_window(traj: Trajectory, t: float) -> None:
+@dataclass
+class _Instance:
+    """One (rho, t, r, geometry) point of a trajectory, with K_rho, K_{2rho}
+    and K_{rho/2}, and the measurements the inequalities are built from."""
+
+    traj: Trajectory
+    prof: ExponentProfile
+    rho: float
+    t: float
+    r: float  # 1 for the inequalities stated without an order
+    geometry: str
+    cube: CubeSpec
+    doubled: CubeSpec
+    half: CubeSpec
+
+    @classmethod
+    def at(cls, traj: Trajectory, rho: float, t: float, r: float, geometry: str):
+        """The point with its cubes built for the geometry at time level t."""
+        prof = traj.exponents
+        if geometry == "intrinsic":
+            base = intrinsic_cube(rho, t, prof)
+            cubes = (base, scale_cube(base, 2.0), scale_cube(base, 0.5))
+        else:
+            cubes = [standard_cube(a * rho, prof) for a in (1.0, 2.0, 0.5)]
+        return cls(traj, prof, rho, t, r, geometry, *cubes)
+
+    @property
+    def base(self) -> float:
+        """t / rho^p_bar, the ratio the sup family's scaling terms are powers of."""
+        return self.t / self.rho**self.prof.p_bar
+
+    def sup_mass(self) -> float:
+        """sup over 0 <= tau <= t of int_{K_rho} u^r."""
+        return time_extremal(self.traj, self.cube, (0.0, self.t), "sup_lr", self.r)
+
+    def sup_half(self) -> float:
+        """sup of u over K_{rho/2} x [t/2, t]."""
+        return time_extremal(self.traj, self.half, (0.5 * self.t, self.t), "sup_linf")
+
+    def inf_doubled(self) -> float:
+        """inf over 0 <= tau <= t of int_{K_{2rho}} u."""
+        return time_extremal(self.traj, self.doubled, (0.0, self.t), "inf_l1")
+
+    def initial_doubled(self) -> float:
+        """int_{K_{2rho}} u_0^r."""
+        return cube_integral(self.traj.initial, self.doubled, self.r)
+
+    def four_rho_intrinsic(self) -> CubeSpec:
+        """K_{4rho} (intrinsic) or K_rho (standard): the cube lr_sup needs in the box."""
+        return scale_cube(self.cube, 4.0) if self.geometry == "intrinsic" else self.cube
+
+    def power_term(self, base: float, data: float) -> float:
+        """base^(-N/lam_r) data^(p_bar/lam_r), the data term of the sup family."""
+        lam_r = self.prof.lam_r(self.r)
+        return base ** (-self.prof.N / lam_r) * data ** (self.prof.p_bar / lam_r)
+
+    def backward_scaling(self) -> dict[str, float]:
+        """(t^r / rho^lam_r)^(1/(2-p_bar)), or in the standard geometry the sum
+        over axes of (t^r / rho^lam_ir)^(1/(2-p_i))."""
+        prof, tr = self.prof, self.t**self.r
+        if self.geometry == "intrinsic":
+            ratio = tr / self.rho ** prof.lam_r(self.r)
+            return {"scaling": ratio ** (1.0 / (2.0 - prof.p_bar))}
+        pairs = zip(prof.lam_ir(self.r), prof.p)
+        scaling_sum = sum((tr / self.rho**lir) ** (1.0 / (2.0 - pi)) for lir, pi in pairs)
+        return {"scaling_sum": scaling_sum}
+
+    def sup_scaling(self, weighted: bool = True) -> dict[str, float]:
+        """base^(1/(2-p_bar)), or in the standard geometry the sums over axes of
+        base^(lam_ir/((2-p_i) lam_r)) (if weighted) and of base^(1/(2-p_i))."""
+        prof, base = self.prof, self.base
+        if self.geometry == "intrinsic":
+            return {"scaling": base ** (1.0 / (2.0 - prof.p_bar))}
+        terms = {}
+        if weighted:
+            lam_r, pairs = prof.lam_r(self.r), zip(prof.lam_ir(self.r), prof.p)
+            terms["scaling_weighted_sum"] = sum(
+                base ** (lir / ((2.0 - pi) * lam_r)) for lir, pi in pairs
+            )
+        terms["scaling_sum"] = sum(base ** (1.0 / (2.0 - pi)) for pi in prof.p)
+        return terms
+
+
+def _needs_lam_positive(prof: ExponentProfile, r: float) -> str:
+    return f"lam={prof.lam:.6g} <= 0 (subcritical range)" if prof.lam <= 0.0 else ""
+
+
+def _needs_lam_r_positive(prof: ExponentProfile, r: float) -> str:
+    lam_r = prof.lam_r(r)
+    return f"lam_r={lam_r:.6g} <= 0" if lam_r <= 0.0 else ""
+
+
+@dataclass(frozen=True)
+class Inequality:
+    """One row of CHECKS: a Harnack-type inequality stated in both geometries."""
+
+    theorems: tuple[str, str]  # ids in the intrinsic and the standard geometry
+    lhs: Callable[[_Instance], float]
+    rhs: Callable[[_Instance], dict[str, float]]  # the named right-side terms
+    applicable: Callable[[ExponentProfile, float], str] = lambda prof, r: ""  # or why not
+    hypothesis: Callable[[_Instance], CubeSpec] = lambda x: x.doubled  # inside the box
+    r_min: Optional[float] = None  # None: stated for r = 1 only, r is not an option
+    r_strict: bool = True  # r must exceed r_min, not only reach it
+
+    def r_violation(self, r: Optional[float]) -> str:
+        """Why r cannot be the order of this inequality; "" when it can."""
+        if self.r_min is None:
+            return "" if r is None else f"r is not an option (r = 1 is implied), got {r!r}"
+        if r is None:
+            return "r is required"
+        if self.r_strict:
+            return "" if r > self.r_min else f"r must exceed {self.r_min:g}, got {r!r}"
+        return "" if r >= self.r_min else f"r must be >= {self.r_min:g}, got {r!r}"
+
+
+CHECKS = {
+    "l1l1": Inequality(
+        theorems=("L1L1_intrinsic", "L1L1_standard"),
+        lhs=_Instance.sup_mass,
+        rhs=lambda x: {"inf_doubled": x.inf_doubled(), **x.backward_scaling()},
+    ),
+    "l1linf": Inequality(
+        theorems=("L1Linf_intrinsic", "L1Linf_standard"),
+        lhs=_Instance.sup_half,
+        rhs=lambda x: {"harnack": x.power_term(x.t, x.inf_doubled()), **x.sup_scaling()},
+        applicable=_needs_lam_positive,
+    ),
+    "lr_sup": Inequality(
+        theorems=("LrLinf_sup", "LrLinf_sup_standard"),
+        lhs=_Instance.sup_half,
+        rhs=lambda x: {
+            "mean_term": x.power_term(x.base, x.sup_mass() / (2.0 * x.rho) ** x.prof.N),
+            **x.sup_scaling(weighted=False),
+        },
+        applicable=_needs_lam_r_positive,
+        hypothesis=_Instance.four_rho_intrinsic,
+        r_min=1.0,
+        r_strict=False,
+    ),
+    "lr_backward": Inequality(
+        theorems=("Lr_backward_intrinsic", "Lr_backward_standard"),
+        lhs=_Instance.sup_mass,
+        rhs=lambda x: {"initial_doubled": x.initial_doubled(), **x.backward_scaling()},
+        r_min=1.0,
+    ),
+    "composite": Inequality(
+        theorems=("Backwards_composite_intrinsic", "Backwards_composite_standard"),
+        lhs=_Instance.sup_half,
+        rhs=lambda x: {
+            "initial_term": x.power_term(x.t, x.initial_doubled()),
+            **x.sup_scaling(),
+        },
+        applicable=_needs_lam_r_positive,
+        r_min=1.0,
+    ),
+}
+
+
+def _evaluate(kind, traj, rho, t, r, geometry, C) -> InequalityReport:
+    """Measure the CHECKS[kind] inequality at (rho, t, r, C) in one geometry.
+
+    r is None for the inequalities stated without an order.  When the
+    applicability predicate fails the report is not-applicable (no exception).
+    """
+    row = CHECKS[kind]
+    if geometry not in GEOMETRIES:
+        raise DomainError(f"geometry must be one of {GEOMETRIES}, got {geometry!r}")
     if not t > 0.0:
         raise DomainError(f"t must be positive, got {t!r}")
     if t > traj.end_time * (1.0 + WINDOW_RTOL):
         raise DomainError(
             f"window [0, {t}] exceeds the trajectory horizon {traj.end_time}"
         )
-
-
-def _snapshots_until(traj: Trajectory, t: float) -> int:
-    window = traj.window(0.0, t)
-    return window.stop - window.start
-
-
-def _base_cubes(traj: Trajectory, rho: float, t: float, geometry: str):
-    """(K_rho, K_{2rho}, K_{rho/2}) for the requested geometry at time level t."""
-    prof = traj.exponents
-    if geometry == "intrinsic":
-        base = intrinsic_cube(rho, t, prof)
-        return base, scale_cube(base, 2.0), scale_cube(base, 0.5)
-    return (
-        standard_cube(rho, prof),
-        standard_cube(2.0 * rho, prof),
-        standard_cube(0.5 * rho, prof),
-    )
-
-
-def _check_geometry(geometry: str) -> None:
-    if geometry not in GEOMETRIES:
-        raise DomainError(f"geometry must be one of {GEOMETRIES}, got {geometry!r}")
-
-
-def _params(rho: float, t: float, C: float, geometry: str, r: float | None = None):
+    problem = row.r_violation(r)
+    if problem:
+        raise DomainError(problem)
+    theorem = row.theorems[GEOMETRIES.index(geometry)]
     params = {"rho": float(rho), "t": float(t), "C": float(C), "geometry": geometry}
     if r is not None:
         params["r"] = float(r)
-    return params
-
-
-def _not_applicable(theorem, params, reason) -> InequalityReport:
+    order = 1.0 if r is None else r
+    reason = row.applicable(traj.exponents, order)
+    if reason:
+        nan = math.nan
+        return InequalityReport(
+            theorem, nan, {}, nan, False, None, params, applicable=False, reason=reason
+        )
+    x = _Instance.at(traj, rho, t, order, geometry)
+    lhs = row.lhs(x)
+    terms = row.rhs(x)
+    violated, index = smallness_violated(C, rho, t, x.prof, geometry)
+    window = traj.window(0.0, t)
     return InequalityReport(
         theorem=theorem,
-        lhs=float("nan"),
-        rhs_terms={},
-        gamma_min=float("nan"),
-        smallness_triggered=False,
-        smallness_index=None,
+        lhs=lhs,
+        rhs_terms=terms,
+        gamma_min=gamma_min(lhs, terms.values()),
+        smallness_triggered=violated,
+        smallness_index=index,
         params=params,
-        applicable=False,
-        reason=reason,
+        hypothesis_ok=cube_contained(row.hypothesis(x), traj.grid),
+        snapshots_in_window=window.stop - window.start,
     )
 
 
@@ -277,84 +422,14 @@ def check_l1l1(
     traj: Trajectory, rho: float, t: float, geometry: str = "intrinsic", C: float = 0.0
 ) -> InequalityReport:
     """sup_{0<=tau<=t} int_{K_rho} u  vs  inf over the doubled cube + scaling term."""
-    _check_geometry(geometry)
-    _validate_window(traj, t)
-    prof = traj.exponents
-    cube, cube2, _ = _base_cubes(traj, rho, t, geometry)
-    lhs = time_extremal(traj, cube, (0.0, t), "sup_l1")
-    inf_doubled = time_extremal(traj, cube2, (0.0, t), "inf_l1")
-    if geometry == "intrinsic":
-        scaling = (t / rho**prof.lam) ** (1.0 / (2.0 - prof.p_bar))
-        terms = {"inf_doubled": inf_doubled, "scaling": scaling}
-        theorem = "L1L1_intrinsic"
-    else:
-        scaling = sum(
-            (t / rho**li) ** (1.0 / (2.0 - pi)) for li, pi in zip(prof.lam_i, prof.p)
-        )
-        terms = {"inf_doubled": inf_doubled, "scaling_sum": scaling}
-        theorem = "L1L1_standard"
-    violated, index = smallness_violated(C, rho, t, prof, geometry)
-    return InequalityReport(
-        theorem=theorem,
-        lhs=lhs,
-        rhs_terms=terms,
-        gamma_min=gamma_min(lhs, terms.values()),
-        smallness_triggered=violated,
-        smallness_index=index,
-        params=_params(rho, t, C, geometry),
-        hypothesis_ok=cube_contained(cube2, traj.grid),
-        snapshots_in_window=_snapshots_until(traj, t),
-    )
+    return _evaluate("l1l1", traj, rho, t, None, geometry, C)
 
 
 def check_l1linf(
     traj: Trajectory, rho: float, t: float, geometry: str = "intrinsic", C: float = 0.0
 ) -> InequalityReport:
-    """sup over K_{rho/2} x [t/2, t]  vs  t^(-N/lam) (inf mass)^(p_bar/lam) + scaling.
-
-    Requires the supercritical range lam > 0; otherwise a not-applicable
-    report is returned (no exception).
-    """
-    _check_geometry(geometry)
-    _validate_window(traj, t)
-    prof = traj.exponents
-    theorem = "L1Linf_intrinsic" if geometry == "intrinsic" else "L1Linf_standard"
-    params = _params(rho, t, C, geometry)
-    if prof.lam <= 0.0:
-        return _not_applicable(
-            theorem, params, f"lam={prof.lam:.6g} <= 0 (subcritical range)"
-        )
-    cube, cube2, half = _base_cubes(traj, rho, t, geometry)
-    lhs = time_extremal(traj, half, (0.5 * t, t), "sup_linf")
-    inf_doubled = time_extremal(traj, cube2, (0.0, t), "inf_l1")
-    base = t / rho**prof.p_bar
-    harnack_term = t ** (-prof.N / prof.lam) * inf_doubled ** (prof.p_bar / prof.lam)
-    if geometry == "intrinsic":
-        terms = {
-            "harnack": harnack_term,
-            "scaling": base ** (1.0 / (2.0 - prof.p_bar)),
-        }
-    else:
-        terms = {
-            "harnack": harnack_term,
-            "scaling_weighted_sum": sum(
-                base ** (li / ((2.0 - pi) * prof.lam))
-                for li, pi in zip(prof.lam_i, prof.p)
-            ),
-            "scaling_sum": sum(base ** (1.0 / (2.0 - pi)) for pi in prof.p),
-        }
-    violated, index = smallness_violated(C, rho, t, prof, geometry)
-    return InequalityReport(
-        theorem=theorem,
-        lhs=lhs,
-        rhs_terms=terms,
-        gamma_min=gamma_min(lhs, terms.values()),
-        smallness_triggered=violated,
-        smallness_index=index,
-        params=params,
-        hypothesis_ok=cube_contained(cube2, traj.grid),
-        snapshots_in_window=_snapshots_until(traj, t),
-    )
+    """sup over K_{rho/2} x [t/2, t]  vs  t^(-N/lam) (inf mass)^(p_bar/lam) + scaling."""
+    return _evaluate("l1linf", traj, rho, t, None, geometry, C)
 
 
 def check_lr_sup(
@@ -365,48 +440,8 @@ def check_lr_sup(
     geometry: str = "intrinsic",
     C: float = 0.0,
 ) -> InequalityReport:
-    """sup over K_{rho/2} x [t/2, t]  vs  the time-sup of the mean of u^r.
-
-    Requires lam_r = N(p_bar-2) + r*p_bar > 0; otherwise not-applicable.
-    """
-    _check_geometry(geometry)
-    _validate_window(traj, t)
-    if r < 1.0:
-        raise DomainError(f"r must be >= 1, got {r!r}")
-    prof = traj.exponents
-    lam_r = prof.lam_r(r)
-    theorem = "LrLinf_sup" if geometry == "intrinsic" else "LrLinf_sup_standard"
-    params = _params(rho, t, C, geometry, r)
-    if lam_r <= 0.0:
-        return _not_applicable(theorem, params, f"lam_r={lam_r:.6g} <= 0")
-    cube, cube2, half = _base_cubes(traj, rho, t, geometry)
-    lhs = time_extremal(traj, half, (0.5 * t, t), "sup_linf")
-    volume = (2.0 * rho) ** prof.N
-    sup_mean = time_extremal(traj, cube, (0.0, t), "sup_lr", r) / volume
-    base = t / rho**prof.p_bar
-    mean_term = base ** (-prof.N / lam_r) * sup_mean ** (prof.p_bar / lam_r)
-    if geometry == "intrinsic":
-        terms = {"mean_term": mean_term, "scaling": base ** (1.0 / (2.0 - prof.p_bar))}
-        # theorem hypothesis asks for the 4*rho cube inside the domain
-        hyp = cube_contained(scale_cube(cube, 4.0), traj.grid)
-    else:
-        terms = {
-            "mean_term": mean_term,
-            "scaling_sum": sum(base ** (1.0 / (2.0 - pi)) for pi in prof.p),
-        }
-        hyp = cube_contained(cube, traj.grid)
-    violated, index = smallness_violated(C, rho, t, prof, geometry)
-    return InequalityReport(
-        theorem=theorem,
-        lhs=lhs,
-        rhs_terms=terms,
-        gamma_min=gamma_min(lhs, terms.values()),
-        smallness_triggered=violated,
-        smallness_index=index,
-        params=params,
-        hypothesis_ok=hyp,
-        snapshots_in_window=_snapshots_until(traj, t),
-    )
+    """sup over K_{rho/2} x [t/2, t]  vs  the time-sup of the mean of u^r."""
+    return _evaluate("lr_sup", traj, rho, t, r, geometry, C)
 
 
 def check_lr_backward(
@@ -418,37 +453,7 @@ def check_lr_backward(
     C: float = 0.0,
 ) -> InequalityReport:
     """sup_{0<=tau<=t} int_{K_rho} u^r  vs  the initial-datum integral + scaling."""
-    _check_geometry(geometry)
-    _validate_window(traj, t)
-    if r <= 1.0:
-        raise DomainError(f"r must exceed 1, got {r!r}")
-    prof = traj.exponents
-    cube, cube2, _ = _base_cubes(traj, rho, t, geometry)
-    lhs = time_extremal(traj, cube, (0.0, t), "sup_lr", r)
-    initial = cube_integral(traj.initial, cube2, r)
-    if geometry == "intrinsic":
-        scaling = (t**r / rho ** prof.lam_r(r)) ** (1.0 / (2.0 - prof.p_bar))
-        terms = {"initial_doubled": initial, "scaling": scaling}
-        theorem = "Lr_backward_intrinsic"
-    else:
-        scaling = sum(
-            (t**r / rho**lir) ** (1.0 / (2.0 - pi))
-            for lir, pi in zip(prof.lam_ir(r), prof.p)
-        )
-        terms = {"initial_doubled": initial, "scaling_sum": scaling}
-        theorem = "Lr_backward_standard"
-    violated, index = smallness_violated(C, rho, t, prof, geometry)
-    return InequalityReport(
-        theorem=theorem,
-        lhs=lhs,
-        rhs_terms=terms,
-        gamma_min=gamma_min(lhs, terms.values()),
-        smallness_triggered=violated,
-        smallness_index=index,
-        params=_params(rho, t, C, geometry, r),
-        hypothesis_ok=cube_contained(cube2, traj.grid),
-        snapshots_in_window=_snapshots_until(traj, t),
-    )
+    return _evaluate("lr_backward", traj, rho, t, r, geometry, C)
 
 
 def check_backwards_composite(
@@ -460,48 +465,4 @@ def check_backwards_composite(
     C: float = 0.0,
 ) -> InequalityReport:
     """sup over K_{rho/2} x [t/2, t]  vs  t^(-N/lam_r) (initial u^r mass)^(p_bar/lam_r)."""
-    _check_geometry(geometry)
-    _validate_window(traj, t)
-    if r <= 1.0:
-        raise DomainError(f"r must exceed 1, got {r!r}")
-    prof = traj.exponents
-    lam_r = prof.lam_r(r)
-    theorem = (
-        "Backwards_composite_intrinsic"
-        if geometry == "intrinsic"
-        else "Backwards_composite_standard"
-    )
-    params = _params(rho, t, C, geometry, r)
-    if lam_r <= 0.0:
-        return _not_applicable(theorem, params, f"lam_r={lam_r:.6g} <= 0")
-    cube, cube2, half = _base_cubes(traj, rho, t, geometry)
-    lhs = time_extremal(traj, half, (0.5 * t, t), "sup_linf")
-    initial = cube_integral(traj.initial, cube2, r)
-    initial_term = t ** (-prof.N / lam_r) * initial ** (prof.p_bar / lam_r)
-    base = t / rho**prof.p_bar
-    if geometry == "intrinsic":
-        terms = {
-            "initial_term": initial_term,
-            "scaling": base ** (1.0 / (2.0 - prof.p_bar)),
-        }
-    else:
-        terms = {
-            "initial_term": initial_term,
-            "scaling_weighted_sum": sum(
-                base ** (lir / ((2.0 - pi) * lam_r))
-                for lir, pi in zip(prof.lam_ir(r), prof.p)
-            ),
-            "scaling_sum": sum(base ** (1.0 / (2.0 - pi)) for pi in prof.p),
-        }
-    violated, index = smallness_violated(C, rho, t, prof, geometry)
-    return InequalityReport(
-        theorem=theorem,
-        lhs=lhs,
-        rhs_terms=terms,
-        gamma_min=gamma_min(lhs, terms.values()),
-        smallness_triggered=violated,
-        smallness_index=index,
-        params=params,
-        hypothesis_ok=cube_contained(cube2, traj.grid),
-        snapshots_in_window=_snapshots_until(traj, t),
-    )
+    return _evaluate("composite", traj, rho, t, r, geometry, C)

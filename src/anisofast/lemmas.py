@@ -239,7 +239,6 @@ def caccioppoli_report(
     window: tuple[float, float],
     C: float = 0.0,
     C_o: float = 1.0,
-    C_1: float = 1.0,
 ) -> InequalityReport:
     """Evaluate the truncation energy estimate term by term over a time window.
 
@@ -258,8 +257,8 @@ def caccioppoli_report(
     """
     if k < 0.0 or not math.isfinite(k):
         raise DomainError(f"truncation level k must be nonnegative, got {k!r}")
-    if C < 0.0 or C_o <= 0.0 or C_1 <= 0.0:
-        raise DomainError("need C >= 0, C_o > 0, C_1 > 0")
+    if C < 0.0 or C_o <= 0.0:
+        raise DomainError("need C >= 0, C_o > 0")
     t1, t2 = float(window[0]), float(window[1])
     if not t2 > t1:
         raise DomainError(f"empty time window [{t1}, {t2}]")
@@ -317,7 +316,6 @@ def caccioppoli_report(
             "t2": t2,
             "C": float(C),
             "C_o": float(C_o),
-            "C_1": float(C_1),
         },
         hypothesis_ok=True,
         snapshots_in_window=len(times),

@@ -1,0 +1,279 @@
+"""The table of Harnack-type checks: pinned values, the order rule of each row,
+and the checker names the benchmark traces."""
+
+import ast
+import inspect
+import math
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import anisofast as af
+from anisofast import cli, harnack
+from anisofast.errors import DomainError
+
+GEOMETRIES = ("intrinsic", "standard")
+
+# the public checker of each kind; r is passed only to those that take one
+CHECKERS = {
+    "l1l1": lambda traj, rho, t, r, g: af.check_l1l1(traj, rho, t, g),
+    "l1linf": lambda traj, rho, t, r, g: af.check_l1linf(traj, rho, t, g),
+    "lr_sup": lambda traj, rho, t, r, g: af.check_lr_sup(traj, rho, t, r, g),
+    "lr_backward": lambda traj, rho, t, r, g: af.check_lr_backward(traj, rho, t, r, g),
+    "composite": lambda traj, rho, t, r, g: af.check_backwards_composite(traj, rho, t, r, g),
+}
+
+# Recorded with the five hand-written checkers that preceded the table, C = 0:
+# fixture -> ((rho, t, r), one (theorem, lhs, rhs terms in order, gamma_min)
+# per kind of CHECKERS and geometry, in that order).
+PINNED = {
+    "run_2d_aniso": (
+        (0.13, 0.06, 2.0),
+        [
+            (
+                "L1L1_intrinsic",
+                0.057639174244884565,
+                {"inf_doubled": 0.013299221056956516, "scaling": 0.02678418910106853},
+                1.4379808009759545,
+            ),
+            (
+                "L1L1_standard",
+                0.057869474629363635,
+                {"inf_doubled": 0.013503384524390013, "scaling_sum": 0.05521641276113902},
+                0.8421077610127023,
+            ),
+            (
+                "L1Linf_intrinsic",
+                0.25275165201884514,
+                {"harnack": 0.17949457050123005, "scaling": 1.584863260418257},
+                0.14325419004552198,
+            ),
+            (
+                "L1Linf_standard",
+                0.25275165201884514,
+                {
+                    "harnack": 0.18820699699649832,
+                    "scaling_weighted_sum": 3.5905126710531174,
+                    "scaling_sum": 3.2672433586472795,
+                },
+                0.03587183910292722,
+            ),
+            (
+                "LrLinf_sup",
+                0.25275165201884514,
+                {"mean_term": 0.6273770986343616, "scaling": 1.584863260418257},
+                0.11425144242784036,
+            ),
+            (
+                "LrLinf_sup_standard",
+                0.25275165201884514,
+                {"mean_term": 0.6304862332327322, "scaling_sum": 3.2672433586472795},
+                0.06484586630775845,
+            ),
+            (
+                "Lr_backward_intrinsic",
+                0.04990039739896514,
+                {"initial_doubled": 0.07797020965393857, "scaling": 0.04244927726637862},
+                0.4143880585704932,
+            ),
+            (
+                "Lr_backward_standard",
+                0.05022743970329596,
+                {"initial_doubled": 0.07831996310692016, "scaling_sum": 0.09104989252485521},
+                0.29655477662149476,
+            ),
+            (
+                "Backwards_composite_intrinsic",
+                0.25275165201884514,
+                {"initial_term": 2.510844270896125, "scaling": 1.584863260418257},
+                0.06171135269947678,
+            ),
+            (
+                "Backwards_composite_standard",
+                0.25275165201884514,
+                {
+                    "initial_term": 2.519362961281056,
+                    "scaling_weighted_sum": 3.330597969872907,
+                    "scaling_sum": 3.2672433586472795,
+                },
+                0.02772249518436042,
+            ),
+        ],
+    ),
+    "zero_traj_1d": (
+        (0.1, 0.05, 1.5),
+        [
+            ("L1L1_intrinsic", 0.0, {"inf_doubled": 0.0, "scaling": 0.25}, 0.0),
+            ("L1L1_standard", 0.0, {"inf_doubled": 0.0, "scaling_sum": 0.25}, 0.0),
+            ("L1Linf_intrinsic", 0.0, {"harnack": 0.0, "scaling": 2.4999999999999996}, 0.0),
+            (
+                "L1Linf_standard",
+                0.0,
+                {
+                    "harnack": 0.0,
+                    "scaling_weighted_sum": 2.4999999999999996,
+                    "scaling_sum": 2.4999999999999996,
+                },
+                0.0,
+            ),
+            ("LrLinf_sup", 0.0, {"mean_term": 0.0, "scaling": 2.4999999999999996}, 0.0),
+            (
+                "LrLinf_sup_standard",
+                0.0,
+                {"mean_term": 0.0, "scaling_sum": 2.4999999999999996},
+                0.0,
+            ),
+            (
+                "Lr_backward_intrinsic",
+                0.0,
+                {"initial_doubled": 0.0, "scaling": 0.39528470752104744},
+                0.0,
+            ),
+            (
+                "Lr_backward_standard",
+                0.0,
+                {"initial_doubled": 0.0, "scaling_sum": 0.39528470752104744},
+                0.0,
+            ),
+            (
+                "Backwards_composite_intrinsic",
+                0.0,
+                {"initial_term": 0.0, "scaling": 2.4999999999999996},
+                0.0,
+            ),
+            (
+                "Backwards_composite_standard",
+                0.0,
+                {
+                    "initial_term": 0.0,
+                    "scaling_weighted_sum": 2.4999999999999996,
+                    "scaling_sum": 2.4999999999999996,
+                },
+                0.0,
+            ),
+        ],
+    ),
+}
+
+
+def _close(value, expected):
+    return value == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("fixture", sorted(PINNED))
+def test_checker_values_pinned(fixture, request):
+    traj = request.getfixturevalue(fixture)
+    (rho, t, r), expected = PINNED[fixture]
+    reports = [CHECKERS[kind](traj, rho, t, r, g) for kind in CHECKERS for g in GEOMETRIES]
+    for rep, (theorem, lhs, terms, gamma) in zip(reports, expected, strict=True):
+        assert rep.applicable and rep.theorem == theorem
+        assert list(rep.rhs_terms) == list(terms), theorem
+        assert _close(rep.lhs, lhs), theorem
+        for name, value in terms.items():
+            assert _close(rep.rhs_terms[name], value), (theorem, name)
+        assert _close(rep.gamma_min, gamma), theorem
+
+
+def test_not_applicable_rows_pinned():
+    # lam = 2(1.1 - 2) + 1.1 = -0.7 and lam_r(1.5) = -1.8 + 1.65 = -0.15
+    prof = af.derive_exponents([1.1, 1.1], 2)
+    grid = af.build_grid([0.5, 0.5], [8, 8], "dirichlet_zero")
+    snaps = [af.Field(grid, np.zeros(64), t) for t in (0.0, 0.1)]
+    traj = af.Trajectory.from_fields(grid, prof, 1e-3, snaps)
+    expected = [
+        ("l1linf", ("L1Linf_intrinsic", "L1Linf_standard"), "lam=-0.7 <= 0 (subcritical range)"),
+        ("lr_sup", ("LrLinf_sup", "LrLinf_sup_standard"), "lam_r=-0.15 <= 0"),
+        (
+            "composite",
+            ("Backwards_composite_intrinsic", "Backwards_composite_standard"),
+            "lam_r=-0.15 <= 0",
+        ),
+    ]
+    for kind, theorems, reason in expected:
+        for g, theorem in zip(GEOMETRIES, theorems):
+            rep = CHECKERS[kind](traj, 0.1, 0.1, 1.5, g)
+            assert rep.theorem == theorem and not rep.applicable
+            assert rep.reason == reason
+            assert math.isnan(rep.lhs) and math.isnan(rep.gamma_min)
+            assert rep.rhs_terms == {}
+            assert rep.params.get("r") == (None if kind == "l1linf" else 1.5)
+
+
+@pytest.mark.parametrize(
+    "kind, r, message",
+    [
+        ("lr_sup", 0.5, "r must be >= 1, got 0.5"),
+        ("lr_backward", 1.0, "r must exceed 1, got 1.0"),
+        ("composite", 1.0, "r must exceed 1, got 1.0"),
+    ],
+)
+def test_order_rule_is_the_checkers_error(zero_traj_1d, kind, r, message):
+    assert harnack.CHECKS[kind].r_violation(r) == message
+    with pytest.raises(DomainError, match=re.escape(message)):
+        CHECKERS[kind](zero_traj_1d, 0.1, 0.05, r, "intrinsic")
+
+
+def test_check_kinds_come_from_the_table():
+    assert cli.CHECK_KINDS == tuple(harnack.CHECKS) == tuple(CHECKERS)
+
+
+# --- the names the benchmark traces ---------------------------------------------
+
+BENCH_RUN = Path(__file__).resolve().parents[1] / "bench" / "run.py"
+
+
+def _bench_check_functions() -> dict:
+    """bench/run.py's CHECK_KINDS (traced function name -> kind), read with ast."""
+    tree = ast.parse(BENCH_RUN.read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "CHECK_KINDS"
+            for target in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{BENCH_RUN} assigns no CHECK_KINDS")
+
+
+def test_bench_traced_names_are_public_harnack_functions():
+    functions = _bench_check_functions()
+    for name in functions:
+        fn = getattr(harnack, name, None)
+        assert not name.startswith("_") and inspect.isfunction(fn), name
+        assert fn.__module__ == harnack.__name__, name
+    assert sorted(functions.values()) == sorted(cli.CHECK_KINDS)
+
+
+def test_analyze_reaches_each_check_through_the_harnack_module(tmp_path, monkeypatch):
+    functions = _bench_check_functions()
+    calls = dict.fromkeys(functions, 0)
+    checks = []
+    for name, kind in functions.items():
+        original = getattr(harnack, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(harnack, name, counting)
+        order = " r=2" if "r" in inspect.signature(original).parameters else ""
+        checks.append(f"check = {kind} rho=0.1 t=0.02{order}")
+    out = tmp_path / "traced"
+    text = "\n".join(
+        [
+            "[simulation]",
+            "p = 1.5",
+            "half_domain = 0.5",
+            "resolution = 32",
+            "t_end = 0.02",
+            "snapshots = 5",
+            "[analysis]",
+            *checks,
+            "[output]",
+            f"directory = {out}",
+        ]
+    )
+    cfg = cli.parse_config(text)
+    cli.cmd_analyze(cli.cmd_run(cfg, str(out)), cfg)
+    assert calls == dict.fromkeys(functions, 1)

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -65,6 +66,10 @@ def test_parse_unknown_key_is_named():
     with pytest.raises(ConfigError) as excinfo:
         parse_config(MINIMAL + "\nwobble = 3\n")
     assert any("wobble" in v for v in excinfo.value.violations)
+    # the exponents fix the dimension; there is no separate key for it
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(MINIMAL + "\ndimension = 1\n")
+    assert "unknown key 'dimension' in [simulation]" in excinfo.value.violations
 
 
 def test_parse_exponent_out_of_range():
@@ -147,6 +152,23 @@ def test_parse_check_specs():
     assert cfg.checks[2].r == 2.0
     with pytest.raises(ConfigError):
         parse_config(FULL.format(out="x") + "\n[analysis]\ncheck = lr_sup rho=0.1 t=0.04\n")
+
+
+@pytest.mark.parametrize(
+    "check, violation",
+    [
+        ("lr_backward rho=0.1 t=0.01 r=1", "check 'lr_backward': r must exceed 1, got 1.0"),
+        ("composite rho=0.1 t=0.01 r=0.9", "check 'composite': r must exceed 1, got 0.9"),
+        ("lr_sup rho=0.1 t=0.01 r=0.5", "check 'lr_sup': r must be >= 1, got 0.5"),
+        ("l1l1 rho=0.1 t=0.01 r=2", "check 'l1l1': r is not an option (r = 1 is implied), got 2.0"),
+        ("l1linf rho=0.1 t=0.01 r=1", "check 'l1linf': r is not an option (r = 1 is implied), got 1.0"),
+        ("composite rho=0.1 t=0.01", "check 'composite': r is required"),
+    ],
+)
+def test_parse_check_order_follows_the_table(check, violation):
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(MINIMAL + f"[analysis]\ncheck = {check}\n")
+    assert violation in excinfo.value.violations
 
 
 def test_run_t_end_zero_initial_snapshot_only(tmp_path):
@@ -360,6 +382,22 @@ def test_main_cli_roundtrip(tmp_path):
         main(["report", os.path.join(out, "checks.csv"), "--out", merged]) == 0
     )
     assert os.path.exists(merged)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_demo_config_runs(tmp_path):
+    # the ini block of the README, as written, with its output redirected
+    text = README.read_text(encoding="utf-8")
+    config = text.split("```ini\n", 1)[1].split("```", 1)[0]
+    assert "directory = out/demo" in config
+    out = tmp_path / "demo"
+    config_path = tmp_path / "demo.cfg"
+    config_path.write_text(config.replace("out/demo", str(out)), encoding="utf-8")
+    assert main(["run", "--config", str(config_path)]) == 0
+    assert main(["analyze", "--config", str(config_path)]) == 0
+    assert (out / "summary.csv").is_file()
 
 
 def test_main_reports_config_errors(tmp_path, capsys):
