@@ -173,15 +173,15 @@ def _parse_check(value, violations) -> CheckSpec | None:
     if geometry not in GEOMETRIES:
         violations.append(f"check {kind!r}: geometry must be one of {GEOMETRIES}")
         return None
-    if rho <= 0.0:
-        violations.append(f"check {kind!r}: rho must be positive")
-    if t <= 0.0:
-        violations.append(f"check {kind!r}: t must be positive")
+    if not 0.0 < rho < math.inf:  # NaN fails every comparison
+        violations.append(f"check {kind!r}: rho must be positive and finite, got {rho!r}")
+    if not 0.0 < t < math.inf:
+        violations.append(f"check {kind!r}: t must be positive and finite, got {t!r}")
     r_problem = harnack.CHECKS[kind].r_violation(r)
     if r_problem:
         violations.append(f"check {kind!r}: {r_problem}")
-    if C < 0.0:
-        violations.append(f"check {kind!r}: C must be nonnegative")
+    if not 0.0 <= C < math.inf:
+        violations.append(f"check {kind!r}: C must be nonnegative and finite, got {C!r}")
     return CheckSpec(kind=kind, geometry=geometry, rho=rho, t=t, r=r, C=C)
 
 

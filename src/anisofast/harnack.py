@@ -35,6 +35,8 @@ from .geometry import (
     ExponentProfile,
     GEOMETRIES,
     intrinsic_cube,
+    nu,
+    nu_sigma,
     scale_cube,
     smallness_violated,
     standard_cube,
@@ -283,17 +285,21 @@ class _Instance:
     def sup_scaling(self, weighted: bool = True) -> dict[str, float]:
         """base^(1/(2-p_bar)), or in the standard geometry the sums over axes of
         base^(lam_ir/((2-p_i) lam_r)) (if weighted) and of base^(1/(2-p_i))."""
-        prof, base = self.prof, self.base
+        prof = self.prof
         if self.geometry == "intrinsic":
-            return {"scaling": base ** (1.0 / (2.0 - prof.p_bar))}
+            return {"scaling": nu(self.t, self.rho, prof)}
         terms = {}
         if weighted:
             lam_r, pairs = prof.lam_r(self.r), zip(prof.lam_ir(self.r), prof.p)
             terms["scaling_weighted_sum"] = sum(
-                base ** (lir / ((2.0 - pi) * lam_r)) for lir, pi in pairs
+                self.base ** (lir / ((2.0 - pi) * lam_r)) for lir, pi in pairs
             )
-        terms["scaling_sum"] = sum(base ** (1.0 / (2.0 - pi)) for pi in prof.p)
+        terms["scaling_sum"] = nu_sigma(self.t, self.rho, prof)
         return terms
+
+
+def _needs_fast(prof: ExponentProfile) -> str:
+    return "" if prof.strict_fast else "Harnack inequalities need all p_i < 2"
 
 
 def _needs_lam_positive(prof: ExponentProfile, r: float) -> str:
@@ -374,8 +380,9 @@ CHECKS = {
 def _evaluate(kind, traj, rho, t, r, geometry, C) -> InequalityReport:
     """Measure the CHECKS[kind] inequality at (rho, t, r, C) in one geometry.
 
-    r is None for the inequalities stated without an order.  When the
-    applicability predicate fails the report is not-applicable (no exception).
+    r is None for the inequalities stated without an order.  Every row needs
+    all p_i < 2 before its own applicability predicate; when either fails the
+    report is not-applicable (no exception).
     """
     row = CHECKS[kind]
     if geometry not in GEOMETRIES:
@@ -394,7 +401,7 @@ def _evaluate(kind, traj, rho, t, r, geometry, C) -> InequalityReport:
     if r is not None:
         params["r"] = float(r)
     order = 1.0 if r is None else r
-    reason = row.applicable(traj.exponents, order)
+    reason = _needs_fast(traj.exponents) or row.applicable(traj.exponents, order)
     if reason:
         nan = math.nan
         return InequalityReport(

@@ -520,8 +520,16 @@ def run(config: SimConfig) -> Trajectory:
 
 
 def save_trajectory(traj: Trajectory, path: str) -> str:
-    """Write snapshots as little-endian float64 files plus manifest.json."""
+    """Write snapshots as little-endian float64 files plus manifest.json.
+
+    The old manifest goes first and the new one comes last, through a temp
+    file and a rename, so a write that dies part way leaves no manifest that
+    would pass old snapshots off with new ones.
+    """
     os.makedirs(path, exist_ok=True)
+    mpath = os.path.join(path, "manifest.json")
+    if os.path.exists(mpath):
+        os.remove(mpath)
     entries = []
     for k, (row, t) in enumerate(zip(traj.values, traj.times)):
         name = f"snap_{k:06d}.f64"
@@ -543,14 +551,18 @@ def save_trajectory(traj: Trajectory, path: str) -> str:
         "min_value": traj.min_value,
         "initial_sup": traj.initial.sup(),
     }
-    with open(os.path.join(path, "manifest.json"), "w", encoding="utf-8") as fh:
+    with open(mpath + ".tmp", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    os.replace(mpath + ".tmp", mpath)
     return path
 
 
 def load_trajectory(path: str) -> Trajectory:
     """Read back a trajectory directory; snapshot values round-trip bit-exactly.
+
+    A manifest of another format than 1, or whose initial_sup is not the max
+    of the first snapshot, is rejected.
 
     Each snapshot file is read straight into its row of one preallocated
     array, so loading holds the snapshots in memory once.
@@ -560,6 +572,8 @@ def load_trajectory(path: str) -> Trajectory:
         raise IngestionError(f"no manifest.json in {path!r}")
     with open(mpath, encoding="utf-8") as fh:
         manifest = json.load(fh)
+    if manifest.get("format") != 1:
+        raise IngestionError(f"unknown trajectory format {manifest.get('format')!r} in {path!r}")
     grid = build_grid(
         manifest["half_domain"], manifest["resolution"], manifest["boundary"]
     )
@@ -578,7 +592,7 @@ def load_trajectory(path: str) -> Trajectory:
             raise IngestionError(
                 f"snapshot file {entry['file']!r} does not hold {grid.n_cells} values"
             )
-    return Trajectory(
+    traj = Trajectory(
         grid=grid,
         exponents=prof,
         eps=float(manifest["eps"]),
@@ -587,3 +601,6 @@ def load_trajectory(path: str) -> Trajectory:
         mass_drift=manifest.get("mass_drift"),
         min_value=float(manifest.get("min_value", 0.0)),
     )
+    if manifest.get("initial_sup") != traj.initial.sup():
+        raise IngestionError(f"initial_sup in {path!r} is not the max of the first snapshot")
+    return traj

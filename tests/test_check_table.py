@@ -201,6 +201,23 @@ def test_not_applicable_rows_pinned():
             assert rep.params.get("r") == (None if kind == "l1linf" else 1.5)
 
 
+@pytest.mark.parametrize("geometry", GEOMETRIES)
+@pytest.mark.parametrize("kind", sorted(CHECKERS))
+def test_any_p_equal_to_2_is_not_applicable(kind, geometry):
+    # p = (1.5, 2): lam and lam_r(2) are positive, so only the p_i < 2 condition fails
+    prof = af.derive_exponents([1.5, 2.0], 2)
+    grid = af.build_grid([0.5, 0.5], [16, 16], "dirichlet_zero")
+    bump = af.init_field(grid, af.InitialProfile("bump", 1.0, 0.3)).values
+    snaps = [af.Field(grid, (1.0 - t) * bump, t) for t in (0.0, 0.05, 0.1)]
+    traj = af.Trajectory.from_fields(grid, prof, 1e-3, snaps)
+    rep = CHECKERS[kind](traj, 0.1, 0.1, 2.0, geometry)
+    theorems = harnack.CHECKS[kind].theorems
+    assert rep.theorem == theorems[GEOMETRIES.index(geometry)] and not rep.applicable
+    assert rep.reason == "Harnack inequalities need all p_i < 2"
+    assert math.isnan(rep.lhs) and math.isnan(rep.gamma_min)
+    assert rep.rhs_terms == {}
+
+
 @pytest.mark.parametrize(
     "kind, r, message",
     [

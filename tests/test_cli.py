@@ -171,6 +171,20 @@ def test_parse_check_order_follows_the_table(check, violation):
     assert violation in excinfo.value.violations
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", ["rho", "t", "C"])
+def test_parse_check_non_finite_value_is_a_violation(key, value):
+    options = {"rho": "0.1", "t": "0.01", "C": "0"}
+    options[key] = value
+    check = "l1l1 " + " ".join(f"{k}={v}" for k, v in options.items())
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(MINIMAL + f"[analysis]\ncheck = {check}\n")
+    assert any(
+        f"check 'l1l1': {key} must be" in v and f"got {float(value)!r}" in v
+        for v in excinfo.value.violations
+    ), excinfo.value.violations
+
+
 def test_run_t_end_zero_initial_snapshot_only(tmp_path):
     cfg = parse_config(MINIMAL.replace("t_end = 0.02", "t_end = 0"))
     run_dir = cmd_run(cfg, str(tmp_path / "run0"))
@@ -274,6 +288,40 @@ directory = {out}
     assert [m["applicable"] for m in manifests] == [False, True]
     assert manifests[0]["lhs"] is None and manifests[0]["gamma_min"] is None
     assert manifests[1]["gamma_min"] > 0.0
+
+
+def test_analyze_p_equal_to_2_writes_not_applicable_rows(tmp_path):
+    out = tmp_path / "heat_axis"
+    config_path = tmp_path / "heat_axis.cfg"
+    config_path.write_text(
+        f"""
+[simulation]
+p = 1.5 2
+half_domain = 0.5 0.5
+resolution = 8 8
+t_end = 0.01
+eps = 0.05
+snapshots = 5
+
+[analysis]
+check = l1l1 geometry=standard rho=0.1 t=0.01
+check = l1linf geometry=intrinsic rho=0.1 t=0.01
+check = lr_sup geometry=standard rho=0.1 t=0.01 r=2
+check = lr_backward geometry=intrinsic rho=0.1 t=0.01 r=2
+check = composite geometry=standard rho=0.1 t=0.01 r=2
+
+[output]
+directory = {out}
+""",
+        encoding="utf-8",
+    )
+    assert main(["run", "--config", str(config_path)]) == 0
+    assert main(["analyze", "--config", str(config_path)]) == 0
+    with open(out / "checks.csv", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 5
+    assert all(row["applicable"] == "false" for row in rows)
+    assert {row["reason"] for row in rows} == {"Harnack inequalities need all p_i < 2"}
 
 
 def test_analyze_decay_outputs(tmp_path):

@@ -1,5 +1,6 @@
 """Grid construction, initial data, time stepping, and persistence."""
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -216,6 +217,52 @@ def test_trajectory_roundtrip_bit_exact(tmp_path, run_1d_fast):
     assert loaded.eps == run_1d_fast.eps
     for f1, f2 in zip(loaded.snapshots, run_1d_fast.snapshots):
         assert np.array_equal(f1.values, f2.values)
+
+
+def _scaled(traj, factor, count):
+    """The first `count` snapshots of traj times factor, on the same grid."""
+    fields = [af.Field(traj.grid, factor * f.values, f.time) for f in traj.snapshots[:count]]
+    return af.Trajectory.from_fields(traj.grid, traj.exponents, traj.eps, fields)
+
+
+def test_rerun_that_dies_midway_does_not_load(tmp_path, monkeypatch, run_1d_fast):
+    path = str(tmp_path / "traj")
+    af.save_trajectory(run_1d_fast, path)
+    rerun = _scaled(run_1d_fast, 2.3, 5)
+    opened = []
+
+    def dying_open(file, mode="r", *args, **kwargs):
+        if str(file).endswith(".f64"):
+            if len(opened) == 2:
+                raise OSError("no space left on device")
+            opened.append(file)
+        return open(file, mode, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(af.solver, "open", dying_open, raising=False)
+        with pytest.raises(OSError):
+            af.save_trajectory(rerun, path)
+    assert len(opened) == 2
+    # two new snapshot files sit next to the old ones, and no manifest vouches for them
+    with pytest.raises(IngestionError, match="no manifest.json"):
+        af.load_trajectory(path)
+    af.save_trajectory(rerun, path)
+    loaded = af.load_trajectory(path)
+    assert loaded.values.tobytes() == rerun.values.tobytes()
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [("initial_sup", 1.5, "initial_sup"), ("format", 2, "format"), ("format", None, "format")],
+)
+def test_load_rejects_an_inconsistent_manifest(tmp_path, run_1d_fast, key, value, message):
+    path = tmp_path / "traj"
+    af.save_trajectory(run_1d_fast, str(path))
+    manifest = json.loads((path / "manifest.json").read_text(encoding="utf-8"))
+    manifest[key] = manifest[key] * value if key == "initial_sup" else value
+    (path / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    with pytest.raises(IngestionError, match=message):
+        af.load_trajectory(str(path))
 
 
 def test_heat_oracle_quick():
