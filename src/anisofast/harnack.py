@@ -329,6 +329,8 @@ class Inequality:
             return "" if r is None else f"r is not an option (r = 1 is implied), got {r!r}"
         if r is None:
             return "r is required"
+        if not math.isfinite(r):
+            return f"r must be finite, got {r!r}"
         if self.r_strict:
             return "" if r > self.r_min else f"r must exceed {self.r_min:g}, got {r!r}"
         return "" if r >= self.r_min else f"r must be >= {self.r_min:g}, got {r!r}"

@@ -16,6 +16,7 @@ adaptive step from `stable_dt`, clipped so snapshot times are hit exactly.
 from __future__ import annotations
 
 import bisect
+import fnmatch
 import json
 import math
 import os
@@ -179,123 +180,156 @@ def _along(axis: int, s: slice) -> tuple[slice, ...]:
     return (slice(None),) * axis + (s,)
 
 
-_INNER, _HI, _LO = slice(1, -1), slice(1, None), slice(None, -1)
 _FIRST, _LAST = slice(None, 1), slice(-1, None)
 
 
 class _FaceGradients:
-    """Difference quotients (u[k+1] - u[k]) / h_i across every face, in fixed buffers.
+    """Differences u[k+1] - u[k] across every face, each axis in one flat buffer.
 
-    Write the array into `u`, then `compute()` fills `g[i]` for each axis and
-    allocates nothing.  With a zero ghost layer axis i has n_i + 1 faces;
-    `u` is then the interior of an array padded along axis 0 only, so it
-    stays C-contiguous and the axis-0 gradient is one subtraction.  Periodic
-    axes have n_i faces, face k sitting between cells k and k+1 (mod n_i).
+    Write the array into `u`, then `differences()` fills `faces[i]` for each
+    axis and allocates nothing; `split` names its parts.  The last n = u.size
+    entries are the faces after each cell along axis i, in cell order;
+    periodic axes wrap, so the face after cell n_i - 1 is the one before
+    cell 0.  With a zero ghost layer the buffer starts with the n / n_i faces
+    before the first cell.  Each axis is one flat subtraction at offset
+    stride_i plus a fix-up of one boundary hyperplane; the zero-ghost `u` is
+    the interior of an array padded along axis 0 only, so there the whole
+    axis-0 buffer is one subtraction.
     """
 
     def __init__(self, shape: Sequence[int], spacings: Sequence[float], periodic: bool):
         shape = tuple(shape)
+        self.shape, self.periodic = shape, periodic
+        n = math.prod(shape)
+        self.strides = [n // math.prod(shape[: i + 1]) for i in range(len(shape))]
         if periodic:
             self.u = u = np.zeros(shape)
         else:
-            padded = np.zeros((shape[0] + 2,) + shape[1:])
-            self.u = u = padded[1:-1]
+            padded = np.zeros(n + 2 * self.strides[0])
+            self.u = u = padded[self.strides[0] : -self.strides[0]].reshape(shape)
+        flat = u.reshape(-1)
         zero = np.array(0.0)
-        self.g = []
+        self._h = tuple(spacings)
+        self.faces = []
         self._ops = []
-        for i, h in enumerate(spacings):
-            def at(a, s):
-                return a[_along(i, s)]
-
-            if periodic:
-                g = np.empty(shape)
-                pairs = (
-                    (at(g, _LO), at(u, _HI), at(u, _LO)),
-                    (at(g, _LAST), at(u, _FIRST), at(u, _LAST)),
-                )
+        for i, s in enumerate(self.strides):
+            faces = np.empty(n if periodic else n + n // shape[i])
+            before, after = self.split(faces, i)
+            first, last = u[_along(i, _FIRST)], u[_along(i, _LAST)]
+            if not periodic and i == 0:
+                self._ops.append((faces, padded[s:], padded[:-s]))
+            elif periodic:
+                self._ops += [
+                    (faces[:-s], flat[s:], flat[:-s]),
+                    (after[_along(i, _LAST)], first, last),
+                ]
             else:
-                g = np.empty(tuple(n + (k == i) for k, n in enumerate(shape)))
-                if i == 0:
-                    pairs = ((g, padded[1:], padded[:-1]),)
-                else:
-                    pairs = (
-                        (at(g, _INNER), at(u, _HI), at(u, _LO)),
-                        (at(g, _FIRST), at(u, _FIRST), zero),
-                        (at(g, _LAST), zero, at(u, _LAST)),
-                    )
-            self.g.append(g)
-            # a 0-d array operand costs less per call than a Python float
-            self._ops.append((pairs, g, np.array(h)))
+                self._ops += [
+                    (faces[-n:-s], flat[s:], flat[:-s]),
+                    (after[_along(i, _LAST)], zero, last),
+                    (before, first, zero),
+                ]
+            self.faces.append(faces)
+
+    def split(self, buf: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """(faces before the first cell, faces after each cell) of an axis-i buffer.
+
+        The first has the shape of `u` with 1 along axis i, the second that of `u`.
+        """
+        after = buf[buf.size - math.prod(self.shape) :].reshape(self.shape)
+        if self.periodic:
+            return after[_along(i, _LAST)], after
+        hyperplane = self.shape[:i] + (1,) + self.shape[i + 1 :]
+        return buf[: buf.size - after.size].reshape(hyperplane), after
+
+    def differences(self) -> list[np.ndarray]:
+        for out, hi, lo in self._ops:
+            np.subtract(hi, lo, out=out)
+        return self.faces
 
     def compute(self) -> list[np.ndarray]:
-        for pairs, g, h in self._ops:
-            for out, hi, lo in pairs:
-                np.subtract(hi, lo, out=out)
-            np.divide(g, h, out=g)
-        return self.g
+        """New arrays of the quotients (u[k+1] - u[k]) / h_i, faces in axis order.
+
+        Axis i has n_i + 1 faces with a zero ghost layer and n_i periodic ones,
+        face k sitting between cells k and k+1 (mod n_i).
+        """
+        grads = []
+        for i, (faces, h) in enumerate(zip(self.differences(), self._h)):
+            before, after = self.split(faces, i)
+            g = after.copy() if self.periodic else np.concatenate((before, after), axis=i)
+            grads.append(np.divide(g, h, out=g))
+        return grads
 
 
 class _FluxKernel:
     """The one flux-form operator behind `stable_dt`, `advance` and `run`.
 
-    It owns every buffer a step needs and works in them with `out=` ufunc
-    calls, so `rate()` and `step()` allocate no arrays (on N-D grids numpy
-    may still use its bounded internal buffers for strided views).  Per axis
-    the arithmetic is, op for op: g = diff(u) / h, g*g, + eps^2,
-    ** ((p_i-2)/2), * g, diff of the face fluxes, / h; the axis divergences
-    are summed in axis order.
+    Per axis it works on the raw face differences G = u[k+1] - u[k] with the
+    grid constants folded in: the flux is Phi_i = G (G^2 + (h_i eps)^2)^e_i,
+    e_i = (p_i-2)/2, with the power taken as exp(e_i log S) (S >= (h_i eps)^2
+    > 0), and the update is u += sum_i (dt h_i^-p_i)(Phi_i[k] - Phi_i[k-1]).
+    Since F_i = h_i^(1-p_i) Phi_i, that is dt * sum_i (F_i^+ - F_i^-) / h_i;
+    the axis terms are summed in axis order before they are added to u.  The
+    kernel owns every buffer a step needs and works in them with `out=` ufunc
+    calls on flat contiguous arrays, plus one boundary hyperplane per axis,
+    so `rate()` and `step()` allocate no arrays.
     """
 
     def __init__(self, grid: Grid, prof: ExponentProfile, eps: float):
         periodic = grid.boundary == "periodic"
-        self._grad = _FaceGradients(grid.shape, grid.spacings, periodic)
-        self.u = self._grad.u
-        self._eps2 = eps * eps
-        self._eps2_0d = np.array(self._eps2)
-        self._div = np.empty(grid.shape)
-        scratch = np.empty(grid.shape)
-        self._axes = []
-        for i, (pi, h, g) in enumerate(zip(prof.p, grid.spacings, self._grad.g)):
-            f = np.empty(g.shape)
+        self._grad = grad = _FaceGradients(grid.shape, grid.spacings, periodic)
+        self.u = grad.u
+        self._flat = grad.u.reshape(-1)
+        n = grid.n_cells
+        self._div = np.empty(n)
+        scratch = np.empty(n)
+        self._bounds, self._axes = [], []
+        for i, (pi, h, faces, s) in enumerate(
+            zip(prof.p, grid.spacings, grad.faces, grad.strides)
+        ):
+            flux = np.empty_like(faces)
             d = self._div if i == 0 else scratch
-            hi, lo = f[_along(i, _HI)], f[_along(i, _LO)]
-            if periodic:  # d[k] = F[k] - F[k-1], face -1 being the last face
-                first, last = f[_along(i, _FIRST)], f[_along(i, _LAST)]
-                pairs = ((d[_along(i, _HI)], hi, lo), (d[_along(i, _FIRST)], first, last))
-            else:  # d[k] = F[k+1] - F[k] over the n_i + 1 faces
-                pairs = ((d, hi, lo),)
-            self._axes.append((g, f, pairs, d, np.array(h), h * h, pi - 1.0, (pi - 2.0) / 2.0))
+            if not periodic and i == 0:  # flux = [faces before cell 0, faces after each cell]
+                pairs = ((d, flux[s:], flux[:-s]),)
+            else:  # d[k] = Phi[k] - Phi[k-1], fixed up on the hyperplane k = 0
+                before, after = grad.split(flux, i)
+                cells = flux[flux.size - n :]
+                first = d.reshape(grid.shape)[_along(i, _FIRST)]
+                pairs = ((d[s:], cells[s:], cells[:-s]), (first, after[_along(i, _FIRST)], before))
+            kappa, expo, scale = (h * eps) ** 2, (pi - 2.0) / 2.0, h**-pi
+            self._bounds.append((faces, flux, kappa, expo, 2.0 * (pi - 1.0) * scale))
+            # a 0-d array operand costs less per call than a Python float
+            self._axes.append((faces, flux, pairs, d, np.array(kappa), np.array(expo), scale))
 
     def rate(self) -> float:
         """sum_i 2 a_i_max / h_i^2 at `u`, the inverse of the unit-safety step.
 
-        a_i_max = (p_i - 1)(min g^2 + eps^2)^((p_i-2)/2), as in `stable_dt`.
-        Leaves g and g*g in place for `step`.
+        a_i_max = (p_i - 1)(min g^2 + eps^2)^e_i, as in `stable_dt`; with
+        g = G / h_i the sum is sum_i 2 (p_i - 1) h_i^-p_i (min G^2 + (h_i eps)^2)^e_i.
+        Leaves G and G*G in place for `step`.
         """
-        self._grad.compute()
-        eps2 = self._eps2
+        self._grad.differences()
         denom = 0.0
-        for g, f, _, _, _, h2, pm1, expo in self._axes:
-            np.multiply(g, g, out=f)
-            a_max = pm1 * (float(np.minimum.reduce(f, None)) + eps2) ** expo
-            denom += 2.0 * a_max / h2
+        for faces, flux, kappa, expo, c in self._bounds:
+            np.multiply(faces, faces, out=flux)
+            denom += c * (float(np.minimum.reduce(flux, None)) + kappa) ** expo
         return denom
 
     def step(self, dt: float) -> None:
-        """u += dt * sum_i (F_i^+ - F_i^-) / h_i from the gradients of the last `rate()`."""
-        eps2 = self._eps2_0d
+        """u += sum_i (dt h_i^-p_i)(Phi_i[k] - Phi_i[k-1]) from the last `rate()`."""
         div = self._div
-        for g, f, pairs, d, h, _, _, expo in self._axes:
-            np.add(f, eps2, out=f)
-            np.power(f, expo, out=f)
-            np.multiply(f, g, out=f)
+        for faces, flux, pairs, d, kappa, expo, scale in self._axes:
+            np.add(flux, kappa, out=flux)
+            np.log(flux, out=flux)
+            np.multiply(flux, expo, out=flux)
+            np.exp(flux, out=flux)
+            np.multiply(flux, faces, out=flux)
             for out, hi, lo in pairs:
                 np.subtract(hi, lo, out=out)
-            np.divide(d, h, out=d)
+            np.multiply(d, dt * scale, out=d)
             if d is not div:
                 np.add(div, d, out=div)
-        np.multiply(div, dt, out=div)
-        np.add(self.u, div, out=self.u)
+        np.add(self._flat, div, out=self._flat)
 
 
 def _kernel_at(field: Field, prof: ExponentProfile, eps: float) -> _FluxKernel:
@@ -524,15 +558,18 @@ def save_trajectory(traj: Trajectory, path: str) -> str:
 
     The old manifest goes first and the new one comes last, through a temp
     file and a rename, so a write that dies part way leaves no manifest that
-    would pass old snapshots off with new ones.
+    would pass old snapshots off with new ones.  Snapshot files of an earlier,
+    longer run that this one does not overwrite are removed.
     """
     os.makedirs(path, exist_ok=True)
     mpath = os.path.join(path, "manifest.json")
     if os.path.exists(mpath):
         os.remove(mpath)
+    names = [f"snap_{k:06d}.f64" for k in range(len(traj.times))]
+    for stale in set(fnmatch.filter(os.listdir(path), "snap_*.f64")).difference(names):
+        os.remove(os.path.join(path, stale))
     entries = []
-    for k, (row, t) in enumerate(zip(traj.values, traj.times)):
-        name = f"snap_{k:06d}.f64"
+    for name, row, t in zip(names, traj.values, traj.times):
         with open(os.path.join(path, name), "wb") as fh:
             fh.write(np.ascontiguousarray(row, dtype=SNAPSHOT_DTYPE))
         entries.append({"time": t, "file": name})

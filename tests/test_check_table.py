@@ -224,6 +224,9 @@ def test_any_p_equal_to_2_is_not_applicable(kind, geometry):
         ("lr_sup", 0.5, "r must be >= 1, got 0.5"),
         ("lr_backward", 1.0, "r must exceed 1, got 1.0"),
         ("composite", 1.0, "r must exceed 1, got 1.0"),
+        ("lr_sup", math.inf, "r must be finite, got inf"),
+        ("lr_backward", math.inf, "r must be finite, got inf"),
+        ("composite", math.nan, "r must be finite, got nan"),
     ],
 )
 def test_order_rule_is_the_checkers_error(zero_traj_1d, kind, r, message):

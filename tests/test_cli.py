@@ -163,6 +163,9 @@ def test_parse_check_specs():
         ("l1l1 rho=0.1 t=0.01 r=2", "check 'l1l1': r is not an option (r = 1 is implied), got 2.0"),
         ("l1linf rho=0.1 t=0.01 r=1", "check 'l1linf': r is not an option (r = 1 is implied), got 1.0"),
         ("composite rho=0.1 t=0.01", "check 'composite': r is required"),
+        ("lr_sup rho=0.1 t=0.01 r=inf", "check 'lr_sup': r must be finite, got inf"),
+        ("lr_backward rho=0.1 t=0.01 r=inf", "check 'lr_backward': r must be finite, got inf"),
+        ("composite rho=0.1 t=0.01 r=nan", "check 'composite': r must be finite, got nan"),
     ],
 )
 def test_parse_check_order_follows_the_table(check, violation):
