@@ -210,8 +210,7 @@ class _FaceGradients:
         flat = u.reshape(-1)
         zero = np.array(0.0)
         self._h = tuple(spacings)
-        self.faces = []
-        self._ops = []
+        self.faces, self._parts, self._ops = [], [], []
         for i, s in enumerate(self.strides):
             faces = np.empty(n if periodic else n + n // shape[i])
             before, after = self.split(faces, i)
@@ -230,6 +229,7 @@ class _FaceGradients:
                     (before, first, zero),
                 ]
             self.faces.append(faces)
+            self._parts.append((before, after))
 
     def split(self, buf: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
         """(faces before the first cell, faces after each cell) of an axis-i buffer.
@@ -253,11 +253,16 @@ class _FaceGradients:
         Axis i has n_i + 1 faces with a zero ghost layer and n_i periodic ones,
         face k sitting between cells k and k+1 (mod n_i).
         """
+        self.differences()
         grads = []
-        for i, (faces, h) in enumerate(zip(self.differences(), self._h)):
-            before, after = self.split(faces, i)
-            g = after.copy() if self.periodic else np.concatenate((before, after), axis=i)
-            grads.append(np.divide(g, h, out=g))
+        for i, ((before, after), h) in enumerate(zip(self._parts, self._h)):
+            if self.periodic:
+                grads.append(np.divide(after, h))
+                continue
+            g = np.empty(tuple(n + (k == i) for k, n in enumerate(self.shape)))
+            np.divide(before, h, out=g[_along(i, _FIRST)])
+            np.divide(after, h, out=g[_along(i, slice(1, None))])
+            grads.append(g)
         return grads
 
 
