@@ -242,10 +242,9 @@ class _FaceGradients:
         hyperplane = self.shape[:i] + (1,) + self.shape[i + 1 :]
         return buf[: buf.size - after.size].reshape(hyperplane), after
 
-    def differences(self) -> list[np.ndarray]:
+    def differences(self) -> None:
         for out, hi, lo in self._ops:
             np.subtract(hi, lo, out=out)
-        return self.faces
 
     def compute(self) -> list[np.ndarray]:
         """New arrays of the quotients (u[k+1] - u[k]) / h_i, faces in axis order.
