@@ -472,7 +472,7 @@ def test_flux_kernel_nd_steps_allocate_under_a_quarter_field(res, boundary):
 
 # exp(e log S) in place of np.power(S, e): the largest error in units in the
 # last place of np.power over the kernel's range, measured at 22 (p = 1.05)
-# with numpy 2.4.6 on x86-64; it grows with |e log S|
+# with numpy 2.4.6 on x86-64 with AVX-512; it grows with |e log S|
 EXP_LOG_MAX_ULP = 24
 
 
