@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import extinction, harnack, lemmas, solver
-from .errors import BlowupError, ConfigError, DomainError
+from .errors import BlowupError, ConfigError, DomainError, IngestionError
 from .geometry import GEOMETRIES, derive_exponents
 from .solver import InitialProfile, SimConfig, build_grid, uniform_snapshots
 
@@ -581,30 +581,6 @@ def cmd_lemmas(seed: int, outdir: str) -> str:
     return path
 
 
-def cmd_report(csv_paths: list[str], out_path: str) -> str:
-    """Merge CSV files sharing one header into a single table."""
-    header = None
-    merged: list[list[str]] = []
-    for path in csv_paths:
-        with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            rows = list(reader)
-        if not rows:
-            continue
-        if header is None:
-            header = rows[0]
-        elif rows[0] != header:
-            raise ConfigError([f"{path!r} header differs from the first file"])
-        merged.extend(rows[1:])
-    if header is None:
-        raise ConfigError(["no rows to merge"])
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(merged)
-    return out_path
-
-
 # --- argparse entry point ---------------------------------------------------------
 
 
@@ -629,11 +605,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_lm.add_argument("--out", default="out")
     p_lm.add_argument("--seed", type=int, default=0)
     p_lm.add_argument("--verbose", action="store_true")
-
-    p_rp = sub.add_parser("report", help="merge CSV tables sharing a header")
-    p_rp.add_argument("csv", nargs="+")
-    p_rp.add_argument("--out", required=True)
-    p_rp.add_argument("--verbose", action="store_true")
     return parser
 
 
@@ -655,10 +626,6 @@ def main(argv: list[str] | None = None) -> int:
             path = cmd_lemmas(args.seed, args.out)
             if args.verbose:
                 print(f"lemma campaign: {path}")
-        elif args.command == "report":
-            cmd_report(args.csv, args.out)
-            if args.verbose:
-                print(f"merged: {args.out}")
     except ConfigError as exc:
         for violation in exc.violations:
             print(f"config error: {violation}", file=sys.stderr)
@@ -666,7 +633,7 @@ def main(argv: list[str] | None = None) -> int:
     except BlowupError as exc:
         print(f"blowup: {exc}", file=sys.stderr)
         return 1
-    except (DomainError, OSError) as exc:
+    except (DomainError, IngestionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

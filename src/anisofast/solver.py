@@ -16,7 +16,6 @@ adaptive step from `stable_dt`, clipped so snapshot times are hit exactly.
 from __future__ import annotations
 
 import bisect
-import fnmatch
 import json
 import math
 import os
@@ -364,8 +363,9 @@ def stable_dt(
 def advance(field: Field, prof: ExponentProfile, eps: float, dt: float) -> Field:
     """One conservative explicit Euler step of size dt."""
     kernel = _kernel_at(field, prof, eps)
-    kernel.rate()
-    kernel.step(dt)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported as BlowupError below
+        kernel.rate()
+        kernel.step(dt)
     t_new = field.time + dt
     if not np.isfinite(kernel.u).all():
         raise BlowupError(t_new)
@@ -554,31 +554,30 @@ def run(config: SimConfig) -> Trajectory:
     )
 
 
-# --- persistence: directory of raw snapshots plus one JSON manifest ---------
+# --- persistence: one file of all snapshots plus one JSON manifest ----------
+
+TRAJECTORY_FORMAT = 2
+SNAPSHOTS_FILE = "snapshots.f64"
 
 
 def save_trajectory(traj: Trajectory, path: str) -> str:
-    """Write snapshots as little-endian float64 files plus manifest.json.
+    """Write `traj.values` to snapshots.f64 and its description to manifest.json.
 
-    The old manifest goes first and the new one comes last, through a temp
-    file and a rename, so a write that dies part way leaves no manifest that
-    would pass old snapshots off with new ones.  Snapshot files of an earlier,
-    longer run that this one does not overwrite are removed.
+    snapshots.f64 holds one row per snapshot, little-endian float64,
+    row-major, in one write; the manifest gives the times and the grid.  The
+    old manifest goes first and the new one comes last, through a temp file
+    and a rename, so a write that dies part way leaves no manifest that would
+    pass old rows off with new ones.  Opening the data file truncates it, so
+    a shorter rerun leaves no rows of a longer one.
     """
     os.makedirs(path, exist_ok=True)
     mpath = os.path.join(path, "manifest.json")
     if os.path.exists(mpath):
         os.remove(mpath)
-    names = [f"snap_{k:06d}.f64" for k in range(len(traj.times))]
-    for stale in set(fnmatch.filter(os.listdir(path), "snap_*.f64")).difference(names):
-        os.remove(os.path.join(path, stale))
-    entries = []
-    for name, row, t in zip(names, traj.values, traj.times):
-        with open(os.path.join(path, name), "wb") as fh:
-            fh.write(np.ascontiguousarray(row, dtype=SNAPSHOT_DTYPE))
-        entries.append({"time": t, "file": name})
+    with open(os.path.join(path, SNAPSHOTS_FILE), "wb") as fh:
+        fh.write(np.ascontiguousarray(traj.values, dtype=SNAPSHOT_DTYPE))
     manifest = {
-        "format": 1,
+        "format": TRAJECTORY_FORMAT,
         "dimension": traj.grid.N,
         "resolution": list(traj.grid.resolution),
         "half_domain": list(traj.grid.half_domain),
@@ -586,7 +585,7 @@ def save_trajectory(traj: Trajectory, path: str) -> str:
         "boundary": traj.grid.boundary,
         "p": list(traj.exponents.p),
         "eps": traj.eps,
-        "snapshots": entries,
+        "times": list(traj.times),
         "steps": int(traj.step_dts.size),
         "mass_drift": traj.mass_drift,
         "min_value": traj.min_value,
@@ -602,46 +601,49 @@ def save_trajectory(traj: Trajectory, path: str) -> str:
 def load_trajectory(path: str) -> Trajectory:
     """Read back a trajectory directory; snapshot values round-trip bit-exactly.
 
-    A manifest of another format than 1, or whose initial_sup is not the max
-    of the first snapshot, is rejected.
-
-    Each snapshot file is read straight into its row of one preallocated
-    array, so loading holds the snapshots in memory once.
+    snapshots.f64 is read with one `readinto` into a preallocated
+    (len(times), n_cells) array, so loading holds the snapshots in memory
+    once.  Every fault of the directory raises `IngestionError`: a missing
+    or undecodable manifest, a format other than 2, a missing key or a value
+    the grid or the exponents reject, a data file that does not hold exactly
+    len(times) x n_cells values, and an initial_sup that is not the max of
+    the first snapshot.
     """
     mpath = os.path.join(path, "manifest.json")
     if not os.path.exists(mpath):
         raise IngestionError(f"no manifest.json in {path!r}")
-    with open(mpath, encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    if manifest.get("format") != 1:
-        raise IngestionError(f"unknown trajectory format {manifest.get('format')!r} in {path!r}")
-    grid = build_grid(
-        manifest["half_domain"], manifest["resolution"], manifest["boundary"]
-    )
-    prof = derive_exponents(manifest["p"], manifest["dimension"])
-    entries = manifest["snapshots"]
-    if not entries:
-        raise IngestionError(f"trajectory at {path!r} has no snapshots")
-    values = np.empty((len(entries), grid.n_cells), dtype=SNAPSHOT_DTYPE)
-    for row, entry in zip(values, entries):
-        fpath = os.path.join(path, entry["file"])
-        if not os.path.exists(fpath):
-            raise IngestionError(f"missing snapshot file {entry['file']!r} in {path!r}")
-        with open(fpath, "rb") as fh:
-            complete = fh.readinto(row) == row.nbytes and not fh.read(1)
-        if not complete:
+    try:
+        with open(mpath, encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        if manifest.get("format") != TRAJECTORY_FORMAT:
             raise IngestionError(
-                f"snapshot file {entry['file']!r} does not hold {grid.n_cells} values"
+                f"trajectory format {manifest.get('format')!r} in {path!r} is not "
+                f"{TRAJECTORY_FORMAT}; rerun `anisofast run` to rewrite it"
             )
-    traj = Trajectory(
-        grid=grid,
-        exponents=prof,
-        eps=float(manifest["eps"]),
-        values=values.astype(np.float64, copy=False),
-        times=tuple(float(entry["time"]) for entry in entries),
-        mass_drift=manifest.get("mass_drift"),
-        min_value=float(manifest.get("min_value", 0.0)),
-    )
-    if manifest.get("initial_sup") != traj.initial.sup():
+        grid = build_grid(
+            manifest["half_domain"], manifest["resolution"], manifest["boundary"]
+        )
+        prof = derive_exponents(manifest["p"], manifest["dimension"])
+        times = tuple(float(t) for t in manifest["times"])
+        eps, initial_sup = float(manifest["eps"]), manifest["initial_sup"]
+        mass_drift, min_value = manifest["mass_drift"], float(manifest["min_value"])
+    except IngestionError:
+        raise
+    except KeyError as missing:
+        raise IngestionError(f"manifest.json in {path!r} lacks key {missing}") from None
+    except (AttributeError, TypeError, ValueError) as exc:  # JSON, ConfigError, DomainError
+        raise IngestionError(f"invalid manifest.json in {path!r}: {exc}") from exc
+    dpath = os.path.join(path, SNAPSHOTS_FILE)
+    if not os.path.exists(dpath):
+        raise IngestionError(f"no {SNAPSHOTS_FILE} in {path!r}")
+    values = np.empty((len(times), grid.n_cells), dtype=SNAPSHOT_DTYPE)
+    with open(dpath, "rb") as fh:
+        complete = fh.readinto(values) == values.nbytes and not fh.read(1)
+    if not complete:
+        raise IngestionError(
+            f"{SNAPSHOTS_FILE} in {path!r} does not hold {len(times)} x {grid.n_cells} values"
+        )
+    traj = Trajectory(grid, prof, eps, values, times, mass_drift=mass_drift, min_value=min_value)
+    if initial_sup != traj.initial.sup():
         raise IngestionError(f"initial_sup in {path!r} is not the max of the first snapshot")
     return traj

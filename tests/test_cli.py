@@ -11,7 +11,6 @@ import anisofast as af
 from anisofast.cli import (
     cmd_analyze,
     cmd_lemmas,
-    cmd_report,
     cmd_run,
     main,
     parse_config,
@@ -406,20 +405,6 @@ def test_cmd_lemmas_deterministic(tmp_path):
     assert all(int(row["failures"]) == 0 for row in rows)
 
 
-def test_cmd_report_merges(tmp_path):
-    a = tmp_path / "a.csv"
-    b = tmp_path / "b.csv"
-    a.write_text("x,y\n1,2\n", encoding="utf-8")
-    b.write_text("x,y\n3,4\n", encoding="utf-8")
-    out = tmp_path / "merged.csv"
-    cmd_report([str(a), str(b)], str(out))
-    assert out.read_text(encoding="utf-8") == "x,y\n1,2\n3,4\n"
-    c = tmp_path / "c.csv"
-    c.write_text("z\n5\n", encoding="utf-8")
-    with pytest.raises(ConfigError):
-        cmd_report([str(a), str(c)], str(out))
-
-
 def test_main_cli_roundtrip(tmp_path):
     out = str(tmp_path / "cli_run")
     config_path = tmp_path / "campaign.cfg"
@@ -428,11 +413,6 @@ def test_main_cli_roundtrip(tmp_path):
     assert main(["analyze", "--config", str(config_path)]) == 0
     assert os.path.exists(os.path.join(out, "checks.csv"))
     assert main(["lemmas", "--out", str(tmp_path / "lem"), "--seed", "3"]) == 0
-    merged = str(tmp_path / "merged.csv")
-    assert (
-        main(["report", os.path.join(out, "checks.csv"), "--out", merged]) == 0
-    )
-    assert os.path.exists(merged)
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -457,3 +437,58 @@ def test_main_reports_config_errors(tmp_path, capsys):
     assert main(["run", "--config", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err
+
+
+def _rewrite_manifest(change):
+    def damage(traj_dir):
+        path = traj_dir / "manifest.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        change(manifest)
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+
+    return damage
+
+
+# what goes wrong with a stored trajectory, and the words the error names it by
+TRAJECTORY_FAULTS = {
+    "no_manifest": (lambda d: (d / "manifest.json").unlink(), "no manifest.json"),
+    "not_json": (
+        lambda d: (d / "manifest.json").write_text("{not json", encoding="utf-8"),
+        "invalid manifest.json",
+    ),
+    "missing_key": (_rewrite_manifest(lambda m: m.pop("eps")), "lacks key 'eps'"),
+    "bad_boundary": (
+        _rewrite_manifest(lambda m: m.update(boundary="sideways")),
+        "boundary must be one of",
+    ),
+    "bad_exponent": (_rewrite_manifest(lambda m: m.update(p=[3.0])), "exponent out of (1, 2]"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(TRAJECTORY_FAULTS))
+def test_main_reports_a_bad_trajectory_as_an_error(tmp_path, capsys, fault):
+    damage, message = TRAJECTORY_FAULTS[fault]
+    out = tmp_path / "run"
+    config_path = tmp_path / "campaign.cfg"
+    config_path.write_text(
+        MINIMAL + f"snapshots = 3\n[output]\ndirectory = {out}\n", encoding="utf-8"
+    )
+    assert main(["run", "--config", str(config_path)]) == 0
+    damage(out / "trajectory")
+    capsys.readouterr()
+    assert main(["analyze", "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "manifest.json" in err and message in err, err
+
+
+def test_main_reports_a_wrong_size_datum_as_an_error(tmp_path, capsys):
+    datum = tmp_path / "u0.f64"
+    datum.write_bytes(bytes(8 * 63))
+    config_path = tmp_path / "campaign.cfg"
+    config_path.write_text(
+        MINIMAL + f"profile = from_file\npath = {datum}\n[output]\ndirectory = {tmp_path}\n",
+        encoding="utf-8",
+    )
+    assert main(["run", "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "holds 63 values, grid needs 64" in err, err

@@ -164,9 +164,9 @@ def test_load_trajectory_reads_one_contiguous_array(tmp_path, run_1d_fast):
 
 def test_load_trajectory_rejects_short_snapshot_file(tmp_path, zero_traj_1d):
     path = af.save_trajectory(zero_traj_1d, str(tmp_path / "traj"))
-    with open(tmp_path / "traj" / "snap_000001.f64", "r+b") as fh:
-        fh.truncate(8 * 63)
-    with pytest.raises(af.IngestionError, match="64 values"):
+    with open(tmp_path / "traj" / "snapshots.f64", "r+b") as fh:
+        fh.truncate(8 * (64 + 63))  # snapshot 1 one value short, snapshot 2 gone
+    with pytest.raises(af.IngestionError, match="3 x 64 values"):
         af.load_trajectory(path)
 
 

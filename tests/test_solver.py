@@ -102,6 +102,7 @@ def test_advance_zero_dirichlet_stays_zero():
     assert np.array_equal(out.values, np.zeros(32))
 
 
+@pytest.mark.filterwarnings("error")
 def test_advance_blowup_raises_with_time():
     grid = af.build_grid([0.5], [32], "dirichlet_zero")
     prof = af.derive_exponents([1.5], 1)
@@ -225,6 +226,24 @@ def _scaled(traj, factor, count):
     return af.Trajectory.from_fields(traj.grid, traj.exponents, traj.eps, fields)
 
 
+class _DyingFile:
+    """A binary file whose write stores the first half of its data, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        raw = memoryview(data).cast("B")
+        self.fh.write(raw[: raw.nbytes // 2])
+        raise OSError("no space left on device")
+
+
 def test_rerun_that_dies_midway_does_not_load(tmp_path, monkeypatch, run_1d_fast):
     path = str(tmp_path / "traj")
     af.save_trajectory(run_1d_fast, path)
@@ -232,18 +251,19 @@ def test_rerun_that_dies_midway_does_not_load(tmp_path, monkeypatch, run_1d_fast
     opened = []
 
     def dying_open(file, mode="r", *args, **kwargs):
+        fh = open(file, mode, *args, **kwargs)
         if str(file).endswith(".f64"):
-            if len(opened) == 2:
-                raise OSError("no space left on device")
             opened.append(file)
-        return open(file, mode, *args, **kwargs)
+            return _DyingFile(fh)
+        return fh
 
     with monkeypatch.context() as m:
         m.setattr(af.solver, "open", dying_open, raising=False)
         with pytest.raises(OSError):
             af.save_trajectory(rerun, path)
-    assert len(opened) == 2
-    # two new snapshot files sit next to the old ones, and no manifest vouches for them
+    assert len(opened) == 1
+    # half the new rows sit in the data file, and no manifest vouches for them
+    assert (tmp_path / "traj" / "snapshots.f64").stat().st_size == rerun.values.nbytes // 2
     with pytest.raises(IngestionError, match="no manifest.json"):
         af.load_trajectory(path)
     af.save_trajectory(rerun, path)
@@ -253,7 +273,7 @@ def test_rerun_that_dies_midway_does_not_load(tmp_path, monkeypatch, run_1d_fast
 
 @pytest.mark.parametrize(
     "key, value, message",
-    [("initial_sup", 1.5, "initial_sup"), ("format", 2, "format"), ("format", None, "format")],
+    [("initial_sup", 1.5, "initial_sup"), ("format", 1, "format"), ("format", None, "format")],
 )
 def test_load_rejects_an_inconsistent_manifest(tmp_path, run_1d_fast, key, value, message):
     path = tmp_path / "traj"
@@ -262,6 +282,68 @@ def test_load_rejects_an_inconsistent_manifest(tmp_path, run_1d_fast, key, value
     manifest[key] = manifest[key] * value if key == "initial_sup" else value
     (path / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
     with pytest.raises(IngestionError, match=message):
+        af.load_trajectory(str(path))
+
+
+@pytest.mark.parametrize("boundary", ["dirichlet_zero", "periodic"])
+@pytest.mark.parametrize("p", [[1.5], [1.4, 1.6], [1.3, 1.5, 1.7]])
+def test_save_load_round_trip_is_bit_exact(tmp_path, p, boundary):
+    N = len(p)
+    grid = af.build_grid([0.5] * N, [8, 6, 5][:N], boundary)
+    cfg = af.SimConfig(
+        grid=grid,
+        profile=af.InitialProfile("bump", 1.0, 0.3),
+        exponents=af.derive_exponents(p, N),
+        eps=5e-2,
+        t_end=2e-3,
+        safety=0.3,
+        snapshot_times=(0.0, 1e-3, 2e-3),
+    )
+    traj = af.run(cfg)
+    path = tmp_path / "traj"
+    loaded = af.load_trajectory(af.save_trajectory(traj, str(path)))
+    assert sorted(f.name for f in path.iterdir()) == ["manifest.json", "snapshots.f64"]
+    assert (path / "snapshots.f64").read_bytes() == traj.values.astype("<f8").tobytes()
+    assert loaded.values.tobytes() == traj.values.tobytes()
+    assert loaded.times == traj.times
+    assert (loaded.grid, loaded.exponents, loaded.eps) == (traj.grid, traj.exponents, traj.eps)
+    assert (loaded.mass_drift, loaded.min_value) == (traj.mass_drift, traj.min_value)
+    assert (traj.mass_drift is None) == (boundary == "dirichlet_zero")
+
+
+@pytest.mark.parametrize(
+    "extra_bytes, message",
+    [
+        (-8, "does not hold 3 x 64 values"),
+        (8, "does not hold 3 x 64 values"),
+        (None, "no snapshots.f64"),
+    ],
+)
+def test_load_rejects_a_data_file_of_the_wrong_size(tmp_path, zero_traj_1d, extra_bytes, message):
+    path = af.save_trajectory(zero_traj_1d, str(tmp_path / "traj"))
+    data = tmp_path / "traj" / "snapshots.f64"
+    if extra_bytes is None:
+        data.unlink()
+    else:
+        with open(data, "r+b") as fh:
+            fh.truncate(zero_traj_1d.values.nbytes + extra_bytes)  # one value short or long
+    with pytest.raises(IngestionError, match=message):
+        af.load_trajectory(path)
+
+
+def test_load_rejects_a_format_1_directory(tmp_path, zero_traj_1d):
+    # the earlier layout: one file per snapshot, named in the manifest's entries
+    path = tmp_path / "traj"
+    af.save_trajectory(zero_traj_1d, str(path))
+    (path / "snapshots.f64").unlink()
+    manifest = json.loads((path / "manifest.json").read_text(encoding="utf-8"))
+    manifest["format"] = 1
+    manifest["snapshots"] = []
+    for k, (row, t) in enumerate(zip(zero_traj_1d.values, manifest.pop("times"))):
+        (path / f"snap_{k:06d}.f64").write_bytes(row.astype("<f8").tobytes())
+        manifest["snapshots"].append({"time": t, "file": f"snap_{k:06d}.f64"})
+    (path / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    with pytest.raises(IngestionError, match="format 1 in .* rerun `anisofast run`"):
         af.load_trajectory(str(path))
 
 
@@ -530,10 +612,12 @@ def test_shorter_rerun_leaves_only_its_own_snapshot_files(tmp_path, run_1d_fast)
     path = tmp_path / "traj"
     af.save_trajectory(run_1d_fast, str(path))
     (path / "notes.txt").write_text("kept", encoding="utf-8")
-    assert len(list(path.glob("snap_*.f64"))) == 201
+    files = ["manifest.json", "notes.txt", "snapshots.f64"]
+    assert sorted(f.name for f in path.iterdir()) == files
+    assert (path / "snapshots.f64").read_bytes() == run_1d_fast.values.tobytes()
     rerun = _scaled(run_1d_fast, 2.3, 5)
     af.save_trajectory(rerun, str(path))
-    snaps = sorted(f.name for f in path.glob("snap_*.f64"))
-    assert snaps == [f"snap_{k:06d}.f64" for k in range(5)]
+    assert sorted(f.name for f in path.iterdir()) == files
+    assert (path / "snapshots.f64").read_bytes() == rerun.values.tobytes()
     assert (path / "notes.txt").read_text(encoding="utf-8") == "kept"
     assert af.load_trajectory(str(path)).values.tobytes() == rerun.values.tobytes()
