@@ -40,6 +40,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -529,56 +530,127 @@ def cmd_lemmas(seed: int, outdir: str) -> str:
     """Randomized lemma campaigns; deterministic for a fixed seed."""
     os.makedirs(outdir, exist_ok=True)
     rng = np.random.default_rng(seed)
-    rows = []
+    rows = [_young_campaign(rng), _fast_convergence_campaign(rng), _iteration_bound_campaign(rng)]
+    path = os.path.join(outdir, "lemmas.csv")
+    _write_csv(path, ["campaign", "trials", "failures", "extreme"], rows)
+    return path
 
-    # Young inequality over random (a, b) pairs and several (eps, q) choices
+
+def _young_campaign(rng: np.random.Generator) -> list:
+    """Young's inequality over random (a, b) pairs and several (eps, q) choices."""
     trials, failures, worst = 0, 0, 0.0
     for q, eps in ((1.3, 0.1), (1.7, 0.05), (2.0, 0.5), (3.0, 1.0)):
         gamma = lemmas.young_gamma(eps, q)
         qp = lemmas.young_conjugate(q)
-        a = rng.uniform(0.0, 10.0, size=25000) + 1e-12
-        b = rng.uniform(0.0, 10.0, size=25000) + 1e-12
-        margin = eps * a**q + gamma * b**qp - a * b
-        scale = np.maximum(a * b, 1.0)
+        a = rng.uniform(0.0, 10.0, size=25000)
+        a += 1e-12
+        b = rng.uniform(0.0, 10.0, size=25000)
+        b += 1e-12
+        # margin = eps a^q + gamma b^q' - a b, left to right, in place
+        margin = a**q
+        margin *= eps
+        scale = b**qp
+        scale *= gamma
+        margin += scale
+        np.multiply(a, b, out=scale)
+        margin -= scale
+        np.maximum(scale, 1.0, out=scale)
         trials += a.size
         failures += int((margin < -1e-12 * scale).sum())
-        worst = min(worst, float((margin / scale).min()))
-    rows.append(["young_inequality", trials, failures, worst])
+        margin /= scale
+        worst = min(worst, float(margin.min()))
+    return ["young_inequality", trials, failures, worst]
 
-    # fast geometric convergence at 0.99x the smallness threshold
-    trials, failures = 0, 0
-    for _ in range(1000):
-        C = float(rng.uniform(0.1, 10.0))
-        b = float(rng.uniform(1.1, 8.0))
-        alpha = float(rng.uniform(0.1, 2.0))
+
+def _fast_convergence_campaign(rng: np.random.Generator) -> list:
+    """Fast geometric convergence at 0.99x the smallness threshold."""
+    failures = 0
+    draws = rng.uniform((0.1, 1.1, 0.1), (10.0, 8.0, 2.0), size=(1000, 3)).tolist()
+    for C, b, alpha in draws:
         y0 = 0.99 * C ** (-1.0 / alpha) * b ** (-1.0 / alpha**2)
-        result = lemmas.fast_convergence(C, b, alpha, y0, n_max=200)
-        trials += 1
-        failures += 0 if result.converged else 1
-    rows.append(["fast_convergence_threshold", trials, failures, 0.0])
+        failures += not lemmas.fast_convergence(C, b, alpha, y0, n_max=200).converged
+    return ["fast_convergence_threshold", len(draws), failures, 0.0]
 
-    # iteration bound on synthetic admissible sequences
-    trials, failures, worst = 0, 0, 0.0
+
+class _Sequence(NamedTuple):
+    """One synthetic admissible sequence: its constants, its first row of draws, y_horizon."""
+
+    horizon: int
+    row: int
+    eps: float
+    b: float
+    inhom: float
+    bound: float
+    m_cap: float
+    y: np.ndarray
+
+
+#: rows of 100 uniforms one chunk of sequences may draw (900 KiB; no sequence
+#: needs more than log(1e-14) / log(0.9) < 307), and its most sequences
+_CHUNK_ROWS, _CHUNK_SEQUENCES = 1152, 32
+
+
+def _iteration_bound_campaign(rng: np.random.Generator) -> list:
+    """The iteration bound on 100 synthetic admissible sequences of 100 paths each.
+
+    A sequence starts from y uniform on [0, m_cap) and runs
+    y <- U min(m_cap, eps y + I b^n) for n = horizon-1 .. 0, U uniform on
+    [0, 1).  Consecutive sequences draw, in stream order, into one buffer
+    until the next would not fit; then that chunk runs at once.
+    """
+    draws = np.empty((_CHUNK_ROWS, 100))
+    outcomes, chunk, used = [], [], 0
     for _ in range(100):
         eps = float(rng.uniform(0.05, 0.9))
         b = float(rng.uniform(1.01, min(8.0, 0.95 / eps)))
         inhom = float(rng.uniform(0.5, 10.0))
         bound = lemmas.iteration_bound(eps, b, inhom, M=1.0)
         horizon = max(8, int(np.ceil(np.log(1e-14) / np.log(eps))))
+        if used + horizon > _CHUNK_ROWS or len(chunk) == _CHUNK_SEQUENCES:
+            outcomes.append(_run_chunk(chunk, draws))
+            chunk, used = [], 0
         m_cap = 100.0 * bound
         y = rng.uniform(0.0, m_cap, size=100)
-        for n in range(horizon - 1, -1, -1):
-            cap = np.minimum(m_cap, eps * y + inhom * b**n)
-            y = rng.uniform(0.0, 1.0, size=y.size) * cap
-        slack = bound + eps**horizon * m_cap
-        trials += y.size
-        failures += int((y > slack).sum())
-        worst = max(worst, float((y / bound).max()))
-    rows.append(["iteration_bound", trials, failures, worst])
+        rng.random(out=draws[used : used + horizon])
+        chunk.append(_Sequence(horizon, used, eps, b, inhom, bound, m_cap, y))
+        used += horizon
+    outcomes.append(_run_chunk(chunk, draws))
+    paths, failures, worst = zip(*outcomes)
+    return ["iteration_bound", sum(paths), sum(failures), max(0.0, *worst)]
 
-    path = os.path.join(outdir, "lemmas.csv")
-    _write_csv(path, ["campaign", "trials", "failures", "extreme"], rows)
-    return path
+
+def _run_chunk(chunk: list[_Sequence], draws: np.ndarray) -> tuple[int, int, float]:
+    """Run a chunk of sequences to n = 0; (paths, paths above the slack, max y/bound).
+
+    The sequences are aligned at their first step and sorted by horizon, so
+    those still running are a prefix.  The entries of a step, one per running
+    sequence (its row of `draws` and its I b^n), are contiguous, so a step is
+    five ufunc calls on views made before the loop.
+    """
+    chunk = sorted(chunk, key=lambda s: -s.horizon)  # stable: ties keep stream order
+    h = np.array([s.horizon for s in chunk])
+    running = np.searchsorted(-h, -np.arange(h[0])).tolist()  # sequences with horizon > k
+    first = np.cumsum(running) - running
+    k = np.arange(h.sum()) - np.repeat(np.cumsum(h) - h, h)  # each sequence's steps
+    at = first[k] + np.repeat(np.arange(len(chunk)), h)  # their entries
+    rows, terms = np.empty(at.size, dtype=np.intp), np.empty((at.size, 1))
+    rows[at] = np.repeat([s.row for s in chunk], h) + k
+    terms[at, 0] = [s.inhom * s.b**n for s in chunk for n in range(s.horizon - 1, -1, -1)]
+    y = np.array([s.y for s in chunk])
+    eps = np.repeat([[s.eps] for s in chunk], 100, axis=1)  # full rows: no broadcasting
+    m_cap = np.repeat([[s.m_cap] for s in chunk], 100, axis=1)
+    cap, u = np.empty_like(y), np.empty_like(y)
+    lead = {n: (y[:n], eps[:n], cap[:n], m_cap[:n], u[:n]) for n in set(running)}
+    steps = [lead[n] + (terms[e : e + n], rows[e : e + n]) for e, n in zip(first.tolist(), running)]
+    for ys, e, c, m, v, t, r in steps:
+        np.multiply(ys, e, out=c)
+        np.add(c, t, out=c)
+        np.minimum(c, m, out=c)
+        draws.take(r, 0, v, "clip")  # every row is in range; "clip" is the cheaper mode
+        np.multiply(v, c, out=ys)
+    bound = np.array([s.bound for s in chunk])[:, None]
+    slack = np.array([s.bound + s.eps**s.horizon * s.m_cap for s in chunk])[:, None]
+    return y.size, int((y > slack).sum()), float((y / bound).max())
 
 
 # --- argparse entry point ---------------------------------------------------------

@@ -67,27 +67,26 @@ def fast_convergence(
             f"C={C!r}, b={b!r}, alpha={alpha!r}, Y0={Y0!r}, n_max={n_max!r}"
         )
     bound = C ** (-1.0 / alpha) * b ** (-1.0 / alpha**2)
-    values = [float(Y0)]
+    expo = 1.0 + alpha
+    y = float(Y0)
+    values, decreasing = [y], True
     for n in range(n_max):
-        y = values[-1]
         if y == 0.0:
             break
-        nxt = C * b**n * y ** (1.0 + alpha)
-        if not math.isfinite(nxt) or nxt > 1e100:
+        nxt = C * b**n * y**expo
+        decreasing = decreasing and nxt < y
+        if not nxt <= 1e100:  # above 1e100, inf or nan
             values.append(float(nxt) if math.isfinite(nxt) else math.inf)
             break
         values.append(nxt)
-    ys = values
-    if ys[-1] == 0.0 or ys[-1] < 1e-300:
+        y = nxt
+    if values[-1] == 0.0 or values[-1] < 1e-300:
         converged = True
-    elif not math.isfinite(ys[-1]):
+    elif not math.isfinite(values[-1]):
         converged = False
     else:
-        decreasing = all(b2 < b1 for b1, b2 in zip(ys, ys[1:]))
-        converged = (
-            len(ys) > 1 and decreasing and ys[-1] / ys[-2] < 0.5
-        )
-    return SequenceLemmaResult(values=tuple(ys), converged=converged, bound=bound)
+        converged = len(values) > 1 and decreasing and values[-1] / values[-2] < 0.5
+    return SequenceLemmaResult(values=tuple(values), converged=converged, bound=bound)
 
 
 def iteration_bound(eps: float, b: float, I: float, M: float) -> Optional[float]:

@@ -272,7 +272,9 @@ class _FluxKernel:
     e_i = (p_i-2)/2, with the power taken as exp(e_i log S) (S >= (h_i eps)^2
     > 0), and the update is u += sum_i (dt h_i^-p_i)(Phi_i[k] - Phi_i[k-1]).
     Since F_i = h_i^(1-p_i) Phi_i, that is dt * sum_i (F_i^+ - F_i^-) / h_i;
-    the axis terms are summed in axis order before they are added to u.  The
+    the axis terms are summed in axis order before they are added to u.  A
+    heat axis (p_i = 2) has Phi_i = G, so it skips the power and differences
+    G itself; which axes do is fixed when the kernel is built.  The
     kernel owns every buffer a step needs and works in them with `out=` ufunc
     calls on flat contiguous arrays, plus one boundary hyperplane per axis,
     so `rate()` and `step()` allocate no arrays.
@@ -291,6 +293,12 @@ class _FluxKernel:
             zip(prof.p, grid.spacings, grad.faces, grad.strides)
         ):
             flux = np.empty_like(faces)
+            kappa, expo, scale = (h * eps) ** 2, (pi - 2.0) / 2.0, h**-pi
+            self._bounds.append((faces, flux, kappa, expo, 2.0 * (pi - 1.0) * scale))
+            if pi == 2.0:  # a heat axis: exp(0 log S) = 1, so Phi = G
+                flux, power = faces, ()
+            else:  # a 0-d array operand costs less per call than a Python float
+                power = ((faces, flux, np.array(kappa), np.array(expo)),)
             d = self._div if i == 0 else scratch
             if not periodic and i == 0:  # flux = [faces before cell 0, faces after each cell]
                 pairs = ((d, flux[s:], flux[:-s]),)
@@ -299,10 +307,7 @@ class _FluxKernel:
                 cells = flux[flux.size - n :]
                 first = d.reshape(grid.shape)[_along(i, _FIRST)]
                 pairs = ((d[s:], cells[s:], cells[:-s]), (first, after[_along(i, _FIRST)], before))
-            kappa, expo, scale = (h * eps) ** 2, (pi - 2.0) / 2.0, h**-pi
-            self._bounds.append((faces, flux, kappa, expo, 2.0 * (pi - 1.0) * scale))
-            # a 0-d array operand costs less per call than a Python float
-            self._axes.append((faces, flux, pairs, d, np.array(kappa), np.array(expo), scale))
+            self._axes.append((power, pairs, d, scale))
 
     def rate(self) -> float:
         """sum_i 2 a_i_max / h_i^2 at `u`, the inverse of the unit-safety step.
@@ -321,12 +326,13 @@ class _FluxKernel:
     def step(self, dt: float) -> None:
         """u += sum_i (dt h_i^-p_i)(Phi_i[k] - Phi_i[k-1]) from the last `rate()`."""
         div = self._div
-        for faces, flux, pairs, d, kappa, expo, scale in self._axes:
-            np.add(flux, kappa, out=flux)
-            np.log(flux, out=flux)
-            np.multiply(flux, expo, out=flux)
-            np.exp(flux, out=flux)
-            np.multiply(flux, faces, out=flux)
+        for power, pairs, d, scale in self._axes:
+            for faces, flux, kappa, expo in power:  # none on a heat axis
+                np.add(flux, kappa, out=flux)
+                np.log(flux, out=flux)
+                np.multiply(flux, expo, out=flux)
+                np.exp(flux, out=flux)
+                np.multiply(flux, faces, out=flux)
             for out, hi, lo in pairs:
                 np.subtract(hi, lo, out=out)
             np.multiply(d, dt * scale, out=d)
@@ -441,6 +447,10 @@ class Trajectory:
         self.values = np.ascontiguousarray(self.values, dtype=np.float64)
         if not self.times:
             raise IngestionError("trajectory has no snapshots")
+        if self.exponents.N != self.grid.N:
+            raise IngestionError(
+                f"{self.exponents.N} exponents for a {self.grid.N}-dimensional grid"
+            )
         if self.values.shape != (len(self.times), self.grid.n_cells):
             raise IngestionError(
                 f"snapshot array of shape {self.values.shape} for {len(self.times)} "
@@ -605,7 +615,8 @@ def load_trajectory(path: str) -> Trajectory:
     (len(times), n_cells) array, so loading holds the snapshots in memory
     once.  Every fault of the directory raises `IngestionError`: a missing
     or undecodable manifest, a format other than 2, a missing key or a value
-    the grid or the exponents reject, a data file that does not hold exactly
+    the grid or the exponents reject, exponents whose count is not the
+    grid's dimension, a data file that does not hold exactly
     len(times) x n_cells values, and an initial_sup that is not the max of
     the first snapshot.
     """
@@ -624,6 +635,11 @@ def load_trajectory(path: str) -> Trajectory:
             manifest["half_domain"], manifest["resolution"], manifest["boundary"]
         )
         prof = derive_exponents(manifest["p"], manifest["dimension"])
+        if prof.N != grid.N:
+            raise IngestionError(
+                f"manifest.json in {path!r} gives {prof.N} exponents for a "
+                f"{grid.N}-dimensional grid"
+            )
         times = tuple(float(t) for t in manifest["times"])
         eps, initial_sup = float(manifest["eps"]), manifest["initial_sup"]
         mass_drift, min_value = manifest["mass_drift"], float(manifest["min_value"])

@@ -3,11 +3,14 @@
 import csv
 import json
 import os
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import anisofast as af
+from anisofast import cli
 from anisofast.cli import (
     cmd_analyze,
     cmd_lemmas,
@@ -16,6 +19,7 @@ from anisofast.cli import (
     parse_config,
 )
 from anisofast.errors import ConfigError
+from anisofast.lemmas import fast_convergence, iteration_bound, young_conjugate, young_gamma
 
 MINIMAL = """
 [simulation]
@@ -405,6 +409,92 @@ def test_cmd_lemmas_deterministic(tmp_path):
     assert all(int(row["failures"]) == 0 for row in rows)
 
 
+# the iteration-bound extremes of lemmas.csv as the per-sequence loop wrote them
+LEMMAS_EXTREME = {0: "0.9518742751352376", 3: "0.9380037157675006", 7: "0.9618514709339816"}
+
+
+@pytest.mark.parametrize("seed", sorted(LEMMAS_EXTREME))
+def test_cmd_lemmas_bytes_are_pinned(tmp_path, seed):
+    expected = (
+        "campaign,trials,failures,extreme\n"
+        "young_inequality,100000,0,0.0\n"
+        "fast_convergence_threshold,1000,0,0.0\n"
+        f"iteration_bound,10000,0,{LEMMAS_EXTREME[seed]}\n"
+    )
+    with open(cmd_lemmas(seed, str(tmp_path)), "rb") as fh:
+        assert fh.read() == expected.encode("ascii")
+
+
+def _lemma_rows_by_loops(seed):
+    """The three campaigns as loops over draws, sequences and steps; the reference."""
+    rng = np.random.default_rng(seed)
+    trials, failures, worst = 0, 0, 0.0
+    for q, eps in ((1.3, 0.1), (1.7, 0.05), (2.0, 0.5), (3.0, 1.0)):
+        gamma, qp = young_gamma(eps, q), young_conjugate(q)
+        a = rng.uniform(0.0, 10.0, size=25000) + 1e-12
+        b = rng.uniform(0.0, 10.0, size=25000) + 1e-12
+        margin = eps * a**q + gamma * b**qp - a * b
+        scale = np.maximum(a * b, 1.0)
+        trials += a.size
+        failures += int((margin < -1e-12 * scale).sum())
+        worst = min(worst, float((margin / scale).min()))
+    rows = [["young_inequality", trials, failures, worst]]
+    failures = 0
+    for _ in range(1000):
+        C = float(rng.uniform(0.1, 10.0))
+        b = float(rng.uniform(1.1, 8.0))
+        alpha = float(rng.uniform(0.1, 2.0))
+        y0 = 0.99 * C ** (-1.0 / alpha) * b ** (-1.0 / alpha**2)
+        failures += 0 if fast_convergence(C, b, alpha, y0, n_max=200).converged else 1
+    rows.append(["fast_convergence_threshold", 1000, failures, 0.0])
+    trials, failures, worst = 0, 0, 0.0
+    for _ in range(100):
+        eps = float(rng.uniform(0.05, 0.9))
+        b = float(rng.uniform(1.01, min(8.0, 0.95 / eps)))
+        inhom = float(rng.uniform(0.5, 10.0))
+        bound = iteration_bound(eps, b, inhom, M=1.0)
+        horizon = max(8, int(np.ceil(np.log(1e-14) / np.log(eps))))
+        m_cap = 100.0 * bound
+        y = rng.uniform(0.0, m_cap, size=100)
+        for n in range(horizon - 1, -1, -1):
+            cap = np.minimum(m_cap, eps * y + inhom * b**n)
+            y = rng.uniform(0.0, 1.0, size=y.size) * cap
+        slack = bound + eps**horizon * m_cap
+        trials += y.size
+        failures += int((y > slack).sum())
+        worst = max(worst, float((y / bound).max()))
+    rows.append(["iteration_bound", trials, failures, worst])
+    return rows
+
+
+# chunk sizes: one sequence per chunk, the default, the whole campaign in one chunk
+@pytest.mark.parametrize("chunk_rows, chunk_sequences", [(307, 1), (1152, 32), (10**4, 100)])
+def test_cmd_lemmas_matches_the_loops_for_any_chunking(
+    tmp_path, monkeypatch, chunk_rows, chunk_sequences
+):
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk_rows)
+    monkeypatch.setattr(cli, "_CHUNK_SEQUENCES", chunk_sequences)
+    header = ["campaign", "trials", "failures", "extreme"]
+    for seed in (1, 11, 99):
+        expected = str(tmp_path / f"loops{seed}.csv")
+        cli._write_csv(expected, header, _lemma_rows_by_loops(seed))
+        with open(cmd_lemmas(seed, str(tmp_path / str(seed))), "rb") as fh, open(expected, "rb") as ref:
+            assert fh.read() == ref.read(), seed
+
+
+def test_cmd_lemmas_memory_peak(tmp_path):
+    # the per-sequence loops peaked at 1,401,800 bytes here (in the Young
+    # campaign); drawing the iteration-bound sequences in chunks must not add to it
+    cmd_lemmas(7, str(tmp_path))  # first-call allocations are not the campaign's
+    tracemalloc.start()
+    try:
+        cmd_lemmas(7, str(tmp_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_401_800
+
+
 def test_main_cli_roundtrip(tmp_path):
     out = str(tmp_path / "cli_run")
     config_path = tmp_path / "campaign.cfg"
@@ -479,6 +569,25 @@ def test_main_reports_a_bad_trajectory_as_an_error(tmp_path, capsys, fault):
     assert main(["analyze", "--config", str(config_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "manifest.json" in err and message in err, err
+
+
+def test_main_rejects_a_manifest_whose_exponents_miss_the_grid(tmp_path, capsys):
+    out = tmp_path / "run"
+    config_path = tmp_path / "campaign.cfg"
+    config_path.write_text(
+        MINIMAL
+        + "snapshots = 3\n[analysis]\ncheck = l1l1 rho=0.1 t=0.01\n"
+        + f"[output]\ndirectory = {out}\n",
+        encoding="utf-8",
+    )
+    assert main(["run", "--config", str(config_path)]) == 0
+    _rewrite_manifest(lambda m: m.update(p=[1.4, 1.6], dimension=2))(out / "trajectory")
+    capsys.readouterr()
+    assert main(["analyze", "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: manifest.json in "), err
+    assert "2 exponents for a 1-dimensional grid" in err, err
+    assert not (out / "checks.csv").exists()  # stopped at load, before the check
 
 
 def test_main_reports_a_wrong_size_datum_as_an_error(tmp_path, capsys):

@@ -178,3 +178,5 @@ def test_trajectory_rejects_inconsistent_arrays(zero_traj_1d):
         af.Trajectory(grid, prof, 1e-3, np.zeros((2, 64)), (0.1, 0.0))
     with pytest.raises(af.IngestionError):
         af.Trajectory(grid, prof, 1e-3, np.zeros((0, 64)), ())
+    with pytest.raises(af.IngestionError, match="2 exponents for a 1-dimensional grid"):
+        af.Trajectory(grid, af.derive_exponents([1.4, 1.6], 2), 1e-3, np.zeros((2, 64)), (0.0, 0.1))

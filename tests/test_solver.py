@@ -530,6 +530,37 @@ def test_advance_matches_reference_flux_arithmetic(boundary):
     assert out.values.tobytes() == expected.ravel().tobytes()
 
 
+@pytest.mark.parametrize("boundary", ["dirichlet_zero", "periodic"])
+@pytest.mark.parametrize("amplitude", [1.0, 1e160])
+def test_heat_axis_flux_is_the_face_difference(boundary, amplitude):
+    # p_i = 2 makes Phi_i = G (G^2 + kappa)^0 = G, so a step with p = (2, 2)
+    # is the five-point update from the raw face differences, bit for bit,
+    # also where G^2 overflows (the power pipeline gave nan for |G| > 1.3e154)
+    grid = af.build_grid([0.37, 0.41], [7, 5], boundary)
+    prof = af.derive_exponents([2.0, 2.0], 2)
+    dt = 1e-4
+    u = amplitude * np.random.default_rng(5).uniform(0.0, 1.0, grid.shape)
+    kernel = _FluxKernel(grid, prof, 3e-2)
+    kernel.u[...] = u
+    with np.errstate(over="ignore"):  # G^2 in the step bound
+        kernel.rate()
+    kernel.step(dt)
+    div = None
+    for i, h in enumerate(grid.spacings):
+        if boundary == "periodic":
+            g = np.roll(u, -1, axis=i) - u
+            d = g - np.roll(g, 1, axis=i)
+        else:
+            pad = [(0, 0), (0, 0)]
+            pad[i] = (1, 1)
+            d = np.diff(np.diff(np.pad(u, pad), axis=i), axis=i)
+        d = d * (dt * h**-2.0)
+        div = d if div is None else div + d
+    expected = u + div
+    assert np.isfinite(expected).all()
+    assert kernel.u.tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize(
     "res, boundary",
     [([48, 48], "dirichlet_zero"), ([16] * 3, "dirichlet_zero"), ([16] * 3, "periodic")],
