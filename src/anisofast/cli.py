@@ -625,7 +625,7 @@ def _run_chunk(chunk: list[_Sequence], draws: np.ndarray) -> tuple[int, int, flo
     The sequences are aligned at their first step and sorted by horizon, so
     those still running are a prefix.  The entries of a step, one per running
     sequence (its row of `draws` and its I b^n), are contiguous, so a step is
-    five ufunc calls on views made before the loop.
+    five numpy calls on views made before the loop.
     """
     chunk = sorted(chunk, key=lambda s: -s.horizon)  # stable: ties keep stream order
     h = np.array([s.horizon for s in chunk])
