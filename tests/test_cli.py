@@ -1,6 +1,7 @@
 """Config parsing, the command pipeline, and output determinism."""
 
 import csv
+import hashlib
 import json
 import os
 import tracemalloc
@@ -389,6 +390,76 @@ def test_decay_samples_cells_are_plain_numbers(tmp_path):
         for cell in row[:6]:
             float(cell)
         assert set(row[6:]) <= {"true", "false"}
+
+
+_ALL_KINDS_2D = "".join(
+    f"check = {kind} geometry={g} rho=0.12 t=0.05{order}{' C=0.5' if kind == 'l1l1' else ''}\n"
+    for kind, order in (
+        ("l1l1", ""),
+        ("l1linf", ""),
+        ("lr_sup", " r=2"),
+        ("lr_backward", " r=2"),
+        ("composite", " r=2"),
+    )
+    for g in ("intrinsic", "standard")
+)
+
+# sha256 of every analyze output, recorded before `analyze` was routed through
+# extinction.decay_reports and the dataclass-declared CSV columns
+ANALYZE_PINS = {
+    "decay_1d": (
+        "[simulation]\np = 1.5\nhalf_domain = 0.5\nresolution = 64\nt_end = 0.45\n"
+        "eps = 2e-2\nsafety = 0.45\nsnapshots = 91\nradius = 0.25\n"
+        "[analysis]\nextinction_threshold = 1e-5\ndecay_rho = 0.1\n"
+        "check = l1l1 geometry=intrinsic rho=0.1 t=0.2\n"
+        "check = l1linf geometry=standard rho=0.1 t=0.2\n",
+        {
+            "checks.csv": "5fb4bb2e91e0f20f86d947ef0013f14a1bb5bed92d0470b4c71bd3b4c1cde9c0",
+            "checks.json": "f81bbea9225895e52d3d17e50fed50921330e456a3884d1a57afe713fee23b68",
+            "decay_samples.csv": "e66cdd5bf79319cdcd9ccea7244b6b77413ca80b25b1fca6fb136f0c06f1f9d6",
+            "decay_report.csv": "458bbbaf7ef8dbaec86668ae5942dfb17f216d427ca80be6e36512f8a5be42e2",
+            "summary.csv": "46f5721f4982a93a188514c1d0e62e1e002ba6077433b312b5b26c1cb09c5c2e",
+        },
+    ),
+    "checks_2d": (
+        "[simulation]\np = 1.4 1.6\nhalf_domain = 0.5 0.5\nresolution = 32 32\n"
+        "t_end = 0.2\neps = 0.05\nsafety = 0.35\nsnapshots = 81\nradius = 0.3\n"
+        "[analysis]\nextinction_threshold = 1e-3\ndecay_rho = 0.1\n" + _ALL_KINDS_2D,
+        {
+            "checks.csv": "9f8553e6b3299662999ec731dbd03386259caf211783e856bd1305da3540f9dc",
+            "checks.json": "50ca56bc2943def3fc6e7fe6c658083af53e05fa54c1e8535f9c527c8be6e087",
+            "decay_samples.csv": "a78a390aa46510929840d873d1bd17d5673811900c82aeddd6b684029c4536c5",
+            "decay_report.csv": "63902f58c54057d649b5daa712b7c30078e482bcd4a3730527b60f10d0561a20",
+            "summary.csv": "7e8fcd627e89a81b0a4fd59c1b0f71d5132965da7b51d1991f5d939142641402",
+        },
+    ),
+    "heat_1d": (  # p = 2: every check and decay row is not-applicable
+        "[simulation]\np = 2\nhalf_domain = 0.5\nresolution = 16\nt_end = 0.6\n"
+        "eps = 0.05\nsnapshots = 31\n"
+        "[analysis]\nextinction_threshold = 1e-2\ndecay_rho = 0.1\n"
+        "check = l1l1 geometry=intrinsic rho=0.1 t=0.1\n"
+        "check = lr_backward geometry=standard rho=0.1 t=0.1 r=2\n",
+        {
+            "checks.csv": "c5ab50200c571b499ea023202cb56c4d77cf5ea5bfb7aae8c10ce3e96d27d20f",
+            "checks.json": "c5446f78afd89229a06141cc143b6d93f5d5e1795b1375d24db54591dd402b33",
+            "decay_samples.csv": "e4975953cbd72bfbc0e93348439b4ce6461f02fb3b9320cc34fc601580cb83cc",
+            "decay_report.csv": "a8659bd501ac33b0427822691f5226d6de0569513315e0d9ddc8c7d31647fe27",
+            "summary.csv": "1b0a3b937572dd5ed31f75b403e8e2304595597726b13251f84d40f6217f327f",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ANALYZE_PINS))
+def test_analyze_bytes_are_pinned(tmp_path, case):
+    text, digests = ANALYZE_PINS[case]
+    out = tmp_path / case
+    config_path = tmp_path / f"{case}.cfg"
+    config_path.write_text(f"{text}[output]\ndirectory = {out}\n", encoding="utf-8")
+    assert main(["run", "--config", str(config_path)]) == 0
+    assert main(["analyze", "--config", str(config_path)]) == 0
+    actual = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in digests}
+    assert actual == digests
 
 
 def test_cmd_lemmas_deterministic(tmp_path):
