@@ -10,6 +10,7 @@ from .extinction import (
     DecayReport,
     PowerLawFit,
     decay_report,
+    decay_reports,
     decay_samples,
     detect_extinction,
     fit_power_law,

@@ -39,8 +39,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import astuple, dataclass, fields
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -334,7 +334,7 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: str, header: list[str], rows: Iterable[Sequence]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -366,72 +366,38 @@ _CHECK_DISPATCH = {
     ),
 }
 
-_CHECK_HEADER = [
-    "theorem",
-    "geometry",
-    "rho",
-    "t",
-    "r",
-    "C",
-    "applicable",
-    "lhs",
-    "rhs_total",
-    "gamma_min",
-    "smallness_triggered",
-    "smallness_index",
-    "hypothesis_ok",
-    "snapshots_in_window",
-    "p",
-    "eps",
-    "resolution",
-    "boundary",
-    "reason",
-]
+#: the run a check measured, echoed in every row of checks.csv
+_RUN_ECHO = {
+    "p": lambda traj: " ".join(repr(x) for x in traj.exponents.p),
+    "eps": lambda traj: traj.eps,
+    "resolution": lambda traj: " ".join(str(n) for n in traj.grid.resolution),
+    "boundary": lambda traj: traj.grid.boundary,
+}
 
-# the columns of decay_report.csv, each an attribute of extinction.DecayReport
-_DECAY_HEADER = [
-    "geometry",
-    "t_star",
-    "threshold",
-    "n_points",
-    "mass_slope",
-    "mass_stderr",
-    "mass_r_squared",
-    "mass_theory",
-    "mass_applicable",
-    "sup_slope",
-    "sup_stderr",
-    "sup_r_squared",
-    "sup_theory",
-    "sup_applicable",
-    "containment_fraction",
-    "reason",
-]
+#: the columns of checks.csv in order, each group read from one source: the
+#: report's attributes, its params (blank where a check has none) or the run
+_CHECK_COLUMNS = (
+    ("report", "theorem"),
+    ("params", "geometry rho t r C"),
+    (
+        "report",
+        "applicable lhs rhs_total gamma_min smallness_triggered smallness_index "
+        "hypothesis_ok snapshots_in_window",
+    ),
+    ("run", " ".join(_RUN_ECHO)),
+    ("report", "reason"),
+)
+_CHECK_HEADER = [name for _, names in _CHECK_COLUMNS for name in names.split()]
 
 
-def _check_row(report: harnack.InequalityReport, traj) -> list:
-    params = report.params
-    return [
-        report.theorem,
-        params.get("geometry", ""),
-        params.get("rho", ""),
-        params.get("t", ""),
-        params.get("r", ""),
-        params.get("C", ""),
-        report.applicable,
-        report.lhs,
-        report.rhs_total if report.applicable else float("nan"),
-        report.gamma_min,
-        report.smallness_triggered,
-        report.smallness_index,
-        report.hypothesis_ok,
-        report.snapshots_in_window,
-        " ".join(repr(x) for x in traj.exponents.p),
-        traj.eps,
-        " ".join(str(n) for n in traj.grid.resolution),
-        traj.grid.boundary,
-        report.reason,
-    ]
+def _check_row(report: harnack.InequalityReport, run: dict) -> list:
+    """The _CHECK_COLUMNS of one report; `run` holds the _RUN_ECHO values."""
+    read = {
+        "report": lambda name: getattr(report, name),
+        "params": lambda name: report.params.get(name, ""),
+        "run": run.__getitem__,
+    }
+    return [read[source](name) for source, names in _CHECK_COLUMNS for name in names.split()]
 
 
 def _finite_or_null(value):
@@ -451,74 +417,41 @@ def cmd_analyze(run_dir: str, config: CampaignConfig) -> dict:
     traj = solver.load_trajectory(traj_dir)
     outputs = {}
 
-    rows = []
-    manifests = []
-    for spec in config.checks:
-        report = _CHECK_DISPATCH[spec.kind](traj, spec)
-        rows.append(_check_row(report, traj))
-        manifests.append(dict(vars(report)))  # every field of the report
+    reports = [_CHECK_DISPATCH[spec.kind](traj, spec) for spec in config.checks]
+    run = {name: echo(traj) for name, echo in _RUN_ECHO.items()}
     checks_csv = os.path.join(run_dir, "checks.csv")
-    _write_csv(checks_csv, _CHECK_HEADER, rows)
+    _write_csv(checks_csv, _CHECK_HEADER, [_check_row(report, run) for report in reports])
     outputs["checks"] = checks_csv
     manifest_path = os.path.join(run_dir, "checks.json")
+    manifests = [dict(vars(report)) for report in reports]  # every field of each report
     with open(manifest_path, "w", encoding="utf-8") as fh:
         json.dump(_finite_or_null(manifests), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     outputs["checks_manifest"] = manifest_path
 
-    summary_rows = [["check:" + row[0], _fmt(row[9])] for row in rows]
+    summary_rows = [["check:" + report.theorem, report.gamma_min] for report in reports]
     if config.decay_rho is not None:
-        prof = traj.exponents
         threshold = config.threshold_rel * traj.initial.sup()
-        t_star = extinction.detect_extinction(traj, threshold)
-        if t_star is None:
-            raise DomainError(
-                "decay analysis requested but the run never crosses the "
-                f"extinction threshold {threshold!r}"
-            )
-        samples = extinction.decay_samples(traj, prof, config.decay_rho, t_star, threshold)
-        sample_rows = [
-            [
-                samples.tau[i],
-                samples.remaining[i],
-                samples.mass_intrinsic[i],
-                samples.sup_intrinsic[i],
-                samples.mass_standard[i],
-                samples.sup_standard[i],
-                bool(samples.contained[i]),
-                bool(samples.in_window[i]),
-            ]
-            for i in range(samples.tau.size)
-        ]
-        samples_csv = os.path.join(run_dir, "decay_samples.csv")
-        _write_csv(
-            samples_csv,
-            [
-                "tau",
-                "remaining",
-                "mass_intrinsic",
-                "sup_intrinsic",
-                "mass_standard",
-                "sup_standard",
-                "contained_4rho",
-                "in_window",
-            ],
-            sample_rows,
+        samples, decay = extinction.decay_reports(
+            traj, traj.exponents, config.decay_rho, threshold
         )
-        outputs["decay_samples"] = samples_csv
-
-        decay_rows = []
-        for geometry in GEOMETRIES:
-            report = extinction._fit_decay(samples, prof, t_star, threshold, geometry)
-            decay_rows.append([getattr(report, name) for name in _DECAY_HEADER])
+        # the header of each decay CSV is the field list of the dataclass it reports
+        columns = [f.name for f in fields(samples)]
+        outputs["decay_samples"] = os.path.join(run_dir, "decay_samples.csv")
+        _write_csv(
+            outputs["decay_samples"],
+            columns,
+            zip(*(getattr(samples, name).tolist() for name in columns)),
+        )
+        columns = [f.name for f in fields(extinction.DecayReport)]
+        outputs["decay_report"] = os.path.join(run_dir, "decay_report.csv")
+        _write_csv(outputs["decay_report"], columns, [astuple(r) for r in decay])
+        for report in decay:
             for quantity in ("mass", "sup"):
                 slope = getattr(report, f"{quantity}_slope")
                 theory = getattr(report, f"{quantity}_theory")
-                item = f"decay:{geometry}:{quantity}"
+                item = f"decay:{report.geometry}:{quantity}"
                 summary_rows.append([item, _fmt(slope) + " vs " + _fmt(theory)])
-        decay_csv = os.path.join(run_dir, "decay_report.csv")
-        _write_csv(decay_csv, _DECAY_HEADER, decay_rows)
-        outputs["decay_report"] = decay_csv
 
     summary_csv = os.path.join(run_dir, "summary.csv")
     _write_csv(summary_csv, ["item", "value"], summary_rows)

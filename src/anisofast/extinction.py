@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .geometry import ExponentProfile, intrinsic_cube, scale_cube, standard_cube
+from .geometry import GEOMETRIES, ExponentProfile, intrinsic_cube, scale_cube, standard_cube
 from .harnack import _cube_integrals, _cube_sups, cube_contained
 from .solver import Trajectory
 
@@ -101,7 +101,7 @@ class DecaySamples:
     sup_intrinsic: np.ndarray
     mass_standard: np.ndarray
     sup_standard: np.ndarray
-    contained: np.ndarray  # whether K_{4 rho}(t_star - tau) fits in the domain
+    contained_4rho: np.ndarray  # whether K_{4 rho}(t_star - tau) fits in the domain
     in_window: np.ndarray  # sup >= FLOOR_FACTOR * threshold
 
 
@@ -139,7 +139,7 @@ def decay_samples(
         sup_intrinsic=sup_int,
         mass_standard=_cube_integrals(traj.grid, rows, std, 1.0),
         sup_standard=_cube_sups(traj.grid, rows, std),
-        contained=contained,
+        contained_4rho=contained,
         in_window=rows.max(axis=1) >= FLOOR_FACTOR * threshold,
     )
 
@@ -151,14 +151,11 @@ class DecayReport:
     geometry: str
     t_star: float
     threshold: float
-    floor: float
-    fit_window: tuple[float, float]
     n_points: int
     mass_slope: float
     mass_stderr: float
     mass_r_squared: float
     mass_theory: float
-    mass_theory_terms: tuple[float, ...]
     mass_applicable: bool
     sup_slope: float
     sup_stderr: float
@@ -169,11 +166,93 @@ class DecayReport:
     reason: str = ""
 
 
-def _fit_or_nan(x: np.ndarray, y: np.ndarray):
+def _intrinsic_rates(prof: ExponentProfile) -> tuple[float, float, str]:
+    """Mass and sup over K_rho(t_star - tau) both decay like (t_star - tau)^(1/(2 - p_bar))."""
+    if not prof.strict_fast:
+        return math.nan, math.nan, "intrinsic geometry needs all p_i < 2"
+    rate = 1.0 / (2.0 - prof.p_bar)
+    if not prof.lam > 0.0:
+        return rate, math.nan, f"lam={prof.lam:.6g} <= 0"
+    return rate, rate, ""
+
+
+def _standard_rates(prof: ExponentProfile) -> tuple[float, float, str]:
+    """Over the fixed cube near extinction the largest exponent p_N governs.
+
+    The mass decays like (t_star - tau)^(1/(2 - p_N)), the sup like
+    (t_star - tau)^(lam_1 / ((2 - p_N) lam)).
+    """
+    if not prof.strict_fast:
+        return math.nan, math.nan, "decay exponents need all p_i < 2"
+    mass = 1.0 / (2.0 - prof.p[-1])
+    if not (prof.lam > 0.0 and min(prof.lam_i) > 0.0):
+        return mass, math.nan, (
+            f"needs lam > 0 and all lam_i > 0; lam={prof.lam:.6g}, "
+            f"min lam_i={min(prof.lam_i):.6g}"
+        )
+    return mass, prof.lam_i[0] / ((2.0 - prof.p[-1]) * prof.lam), ""
+
+
+#: the predicted decay exponents of each geometry: profile -> (mass rate, sup
+#: rate, not-applicable reason); a rate is applicable exactly when it is finite
+DECAY_THEORY = {"intrinsic": _intrinsic_rates, "standard": _standard_rates}
+
+
+def _fit_or_none(x: np.ndarray, y: np.ndarray) -> Optional[PowerLawFit]:
     keep = y > 0.0
     if int(keep.sum()) < MIN_FIT_POINTS:
         return None
     return fit_power_law(np.column_stack([x[keep], y[keep]]))
+
+
+def decay_reports(
+    traj: Trajectory, prof: ExponentProfile, rho: float, threshold: float
+) -> tuple[DecaySamples, tuple[DecayReport, ...]]:
+    """Detect t_star, take the decay samples once and fit both geometries.
+
+    The reports come in GEOMETRIES order.  The fit window keeps snapshots
+    with tau >= t_star/2 (widened to all pre-extinction snapshots when that
+    leaves fewer than MIN_FIT_POINTS) and always drops the
+    regularization-contaminated tail sup < 10 * threshold.
+    """
+    t_star = detect_extinction(traj, threshold)
+    if t_star is None:
+        raise DomainError(f"trajectory never crosses the extinction threshold {threshold!r}")
+    samples = decay_samples(traj, prof, rho, t_star, threshold)
+    window = samples.in_window & (samples.tau >= 0.5 * t_star)
+    if int(window.sum()) < MIN_FIT_POINTS:
+        window = samples.in_window
+    x = samples.remaining[window]
+    n_points = int(window.sum())
+    contained = float(samples.contained_4rho[window].mean()) if n_points else math.nan
+    reports = []
+    for geometry in GEOMETRIES:
+        *rates, reason = DECAY_THEORY[geometry](prof)
+        fits = {}
+        for quantity, rate in zip(("mass", "sup"), rates):
+            y = getattr(samples, f"{quantity}_{geometry}")[window]
+            fit = _fit_or_none(x, y) if math.isfinite(rate) else None
+            if math.isfinite(rate) and fit is None:
+                reason = (reason + "; " if reason else "") + f"insufficient {quantity} samples"
+            fits.update({
+                f"{quantity}_slope": fit.slope if fit else math.nan,
+                f"{quantity}_stderr": fit.slope_stderr if fit else math.nan,
+                f"{quantity}_r_squared": fit.r_squared if fit else math.nan,
+                f"{quantity}_theory": rate,
+                f"{quantity}_applicable": fit is not None,
+            })
+        reports.append(
+            DecayReport(
+                geometry=geometry,
+                t_star=t_star,
+                threshold=threshold,
+                n_points=n_points,
+                containment_fraction=contained,
+                reason=reason,
+                **fits,
+            )
+        )
+    return samples, tuple(reports)
 
 
 def decay_report(
@@ -183,107 +262,7 @@ def decay_report(
     threshold: float,
     geometry: str = "intrinsic",
 ) -> DecayReport:
-    """Fit the decay exponents of one geometry near extinction.
-
-    The fit window keeps snapshots with tau >= t_star/2 (widened to all
-    pre-extinction snapshots when that leaves fewer than MIN_FIT_POINTS) and
-    always drops the regularization-contaminated tail sup < 10 * threshold.
-    """
-    if geometry not in ("intrinsic", "standard"):
+    """The `decay_reports` fit of one geometry near extinction."""
+    if geometry not in GEOMETRIES:
         raise DomainError(f"geometry must be intrinsic or standard, got {geometry!r}")
-    t_star = detect_extinction(traj, threshold)
-    if t_star is None:
-        raise DomainError("trajectory never crosses the extinction threshold")
-    samples = decay_samples(traj, prof, rho, t_star, threshold)
-    return _fit_decay(samples, prof, t_star, threshold, geometry)
-
-
-def _fit_decay(
-    samples: DecaySamples,
-    prof: ExponentProfile,
-    t_star: float,
-    threshold: float,
-    geometry: str,
-) -> DecayReport:
-    """The fits of `decay_report` on samples already taken; one geometry."""
-    window = samples.in_window & (samples.tau >= 0.5 * t_star)
-    if int(window.sum()) < MIN_FIT_POINTS:
-        window = samples.in_window
-    x = samples.remaining[window]
-    tau_used = samples.tau[window]
-    n_points = int(window.sum())
-    fit_window = (
-        (float(tau_used.min()), float(tau_used.max())) if n_points else (math.nan, math.nan)
-    )
-    contained_frac = (
-        float(samples.contained[window].mean()) if n_points else math.nan
-    )
-
-    if geometry == "intrinsic":
-        mass_y = samples.mass_intrinsic[window]
-        sup_y = samples.sup_intrinsic[window]
-        mass_ok = prof.strict_fast
-        mass_theory = 1.0 / (2.0 - prof.p_bar) if prof.strict_fast else math.nan
-        mass_terms = (mass_theory,)
-        sup_ok = prof.strict_fast and prof.lam > 0.0
-        sup_theory = mass_theory if sup_ok else math.nan
-        if not prof.strict_fast:
-            reason = "intrinsic geometry needs all p_i < 2"
-        elif not sup_ok:
-            reason = f"lam={prof.lam:.6g} <= 0"
-        else:
-            reason = ""
-    else:
-        mass_y = samples.mass_standard[window]
-        sup_y = samples.sup_standard[window]
-        mass_ok = prof.strict_fast
-        # near extinction the stated mass rate is governed by the largest exponent
-        mass_theory = 1.0 / (2.0 - prof.p[-1]) if prof.strict_fast else math.nan
-        mass_terms = (
-            tuple(1.0 / (2.0 - pi) for pi in prof.p) if prof.strict_fast else ()
-        )
-        sup_ok = prof.strict_fast and prof.lam > 0.0 and min(prof.lam_i) > 0.0
-        sup_theory = (
-            prof.lam_i[0] / ((2.0 - prof.p[-1]) * prof.lam) if sup_ok else math.nan
-        )
-        if not prof.strict_fast:
-            reason = "decay exponents need all p_i < 2"
-        elif not sup_ok:
-            reason = (
-                f"needs lam > 0 and all lam_i > 0; lam={prof.lam:.6g}, "
-                f"min lam_i={min(prof.lam_i):.6g}"
-            )
-        else:
-            reason = ""
-
-    mass_fit = _fit_or_nan(x, mass_y) if mass_ok else None
-    sup_fit = _fit_or_nan(x, sup_y) if sup_ok else None
-    if mass_ok and mass_fit is None:
-        mass_ok = False
-        reason = (reason + "; " if reason else "") + "insufficient mass samples"
-    if sup_ok and sup_fit is None:
-        sup_ok = False
-        reason = (reason + "; " if reason else "") + "insufficient sup samples"
-
-    nan = math.nan
-    return DecayReport(
-        geometry=geometry,
-        t_star=t_star,
-        threshold=threshold,
-        floor=FLOOR_FACTOR * threshold,
-        fit_window=fit_window,
-        n_points=n_points,
-        mass_slope=mass_fit.slope if mass_fit else nan,
-        mass_stderr=mass_fit.slope_stderr if mass_fit else nan,
-        mass_r_squared=mass_fit.r_squared if mass_fit else nan,
-        mass_theory=mass_theory,
-        mass_theory_terms=mass_terms,
-        mass_applicable=mass_ok,
-        sup_slope=sup_fit.slope if sup_fit else nan,
-        sup_stderr=sup_fit.slope_stderr if sup_fit else nan,
-        sup_r_squared=sup_fit.r_squared if sup_fit else nan,
-        sup_theory=sup_theory,
-        sup_applicable=sup_ok,
-        containment_fraction=contained_frac,
-        reason=reason,
-    )
+    return decay_reports(traj, prof, rho, threshold)[1][GEOMETRIES.index(geometry)]

@@ -64,7 +64,8 @@ class InequalityReport:
 
     @property
     def rhs_total(self) -> float:
-        return float(sum(self.rhs_terms.values()))
+        """The sum of rhs_terms; NaN for a not-applicable report, which measured nothing."""
+        return float(sum(self.rhs_terms.values())) if self.applicable else math.nan
 
 
 def gamma_min(lhs: float, rhs_terms) -> float:

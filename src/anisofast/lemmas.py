@@ -73,7 +73,10 @@ def fast_convergence(
     for n in range(n_max):
         if y == 0.0:
             break
-        nxt = C * b**n * y**expo
+        try:
+            nxt = C * b**n * y**expo
+        except OverflowError:  # float ** raises where numpy would give inf
+            nxt = math.inf
         decreasing = decreasing and nxt < y
         if not nxt <= 1e100:  # above 1e100, inf or nan
             values.append(float(nxt) if math.isfinite(nxt) else math.inf)

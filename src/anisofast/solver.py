@@ -19,7 +19,6 @@ import bisect
 import json
 import math
 import os
-from array import array
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -274,10 +273,11 @@ class _FluxKernel:
     Since F_i = h_i^(1-p_i) Phi_i, that is dt * sum_i (F_i^+ - F_i^-) / h_i;
     the axis terms are summed in axis order before they are added to u.  A
     heat axis (p_i = 2) has Phi_i = G, so it skips the power and differences
-    G itself; which axes do is fixed when the kernel is built.  The
-    kernel owns every buffer a step needs and works in them with `out=` ufunc
-    calls on flat contiguous arrays, plus one boundary hyperplane per axis,
-    so `rate()` and `step()` allocate no arrays.
+    G itself, and its step-bound term is the constant 2 h_i^-2; which axes
+    do is fixed when the kernel is built.  The kernel owns every buffer a
+    step needs and works in them with `out=` ufunc calls on flat contiguous
+    arrays, plus one boundary hyperplane per axis, so `rate()` and `step()`
+    allocate no arrays.
     """
 
     def __init__(self, grid: Grid, prof: ExponentProfile, eps: float):
@@ -292,13 +292,14 @@ class _FluxKernel:
         for i, (pi, h, faces, s) in enumerate(
             zip(prof.p, grid.spacings, grad.faces, grad.strides)
         ):
-            flux = np.empty_like(faces)
             kappa, expo, scale = (h * eps) ** 2, (pi - 2.0) / 2.0, h**-pi
-            self._bounds.append((faces, flux, kappa, expo, 2.0 * (pi - 1.0) * scale))
-            if pi == 2.0:  # a heat axis: exp(0 log S) = 1, so Phi = G
-                flux, power = faces, ()
+            if pi == 2.0:  # a heat axis: exp(0 log S) = 1, so Phi = G and its rate is 2 h^-2
+                flux, power, bound = faces, (), ()
             else:  # a 0-d array operand costs less per call than a Python float
+                flux = np.empty_like(faces)
                 power = ((faces, flux, np.array(kappa), np.array(expo)),)
+                bound = ((faces, flux, kappa, expo),)
+            self._bounds.append((2.0 * (pi - 1.0) * scale, bound))
             d = self._div if i == 0 else scratch
             if not periodic and i == 0:  # flux = [faces before cell 0, faces after each cell]
                 pairs = ((d, flux[s:], flux[:-s]),)
@@ -313,14 +314,17 @@ class _FluxKernel:
         """sum_i 2 a_i_max / h_i^2 at `u`, the inverse of the unit-safety step.
 
         a_i_max = (p_i - 1)(min g^2 + eps^2)^e_i, as in `stable_dt`; with
-        g = G / h_i the sum is sum_i 2 (p_i - 1) h_i^-p_i (min G^2 + (h_i eps)^2)^e_i.
+        g = G / h_i the sum is sum_i 2 (p_i - 1) h_i^-p_i (min G^2 + (h_i eps)^2)^e_i,
+        whose heat-axis terms (e_i = 0) are 2 h_i^-2 without a reduction.
         Leaves G and G*G in place for `step`.
         """
         self._grad.differences()
         denom = 0.0
-        for faces, flux, kappa, expo, c in self._bounds:
-            np.multiply(faces, faces, out=flux)
-            denom += c * (float(np.minimum.reduce(flux, None)) + kappa) ** expo
+        for c, bound in self._bounds:
+            for faces, flux, kappa, expo in bound:  # none on a heat axis, whose term is c
+                np.multiply(faces, faces, out=flux)
+                c *= (float(np.minimum.reduce(flux, None)) + kappa) ** expo
+            denom += c
         return denom
 
     def step(self, dt: float) -> None:
@@ -425,7 +429,7 @@ class SimConfig:
 
 @dataclass
 class Trajectory:
-    """Snapshots of one run as one (S, n_cells) array, plus the (time, dt) step log.
+    """Snapshots of one run as one (S, n_cells) array, plus the run's step count.
 
     Row k of `values` is the flattened field at `times[k]`; times never
     decrease.  `snapshots`, `initial` and `sup_series` are views or
@@ -437,8 +441,7 @@ class Trajectory:
     eps: float
     values: np.ndarray
     times: tuple[float, ...]
-    step_times: np.ndarray = field(default_factory=lambda: np.empty(0))
-    step_dts: np.ndarray = field(default_factory=lambda: np.empty(0))
+    steps: int = 0
     mass_drift: Optional[float] = None
     min_value: float = 0.0
 
@@ -509,8 +512,7 @@ def run(config: SimConfig) -> Trajectory:
     values = np.empty((len(config.snapshot_times), grid.n_cells))
     values[0] = initial.values
     times = [initial.time]
-    times_log = array("d")
-    dts_log = array("d")
+    steps = 0
     periodic = grid.boundary == "periodic"
     mass0 = float(initial.values.sum()) if periodic else 0.0
     drift = 0.0
@@ -537,8 +539,7 @@ def run(config: SimConfig) -> Trajectory:
             total = add_reduce(U, None)
             if not math.isfinite(total) and not np.isfinite(U).all():
                 raise BlowupError(t_now)
-            times_log.append(t_now)
-            dts_log.append(dt)
+            steps += 1
             low = float(min_reduce(U, None))
             if low < min_value:
                 min_value = low
@@ -557,8 +558,7 @@ def run(config: SimConfig) -> Trajectory:
         eps=config.eps,
         values=values,
         times=tuple(times),
-        step_times=np.array(times_log, dtype=np.float64),
-        step_dts=np.array(dts_log, dtype=np.float64),
+        steps=steps,
         mass_drift=drift if periodic else None,
         min_value=min_value,
     )
@@ -596,7 +596,7 @@ def save_trajectory(traj: Trajectory, path: str) -> str:
         "p": list(traj.exponents.p),
         "eps": traj.eps,
         "times": list(traj.times),
-        "steps": int(traj.step_dts.size),
+        "steps": traj.steps,
         "mass_drift": traj.mass_drift,
         "min_value": traj.min_value,
         "initial_sup": traj.initial.sup(),
@@ -616,9 +616,9 @@ def load_trajectory(path: str) -> Trajectory:
     once.  Every fault of the directory raises `IngestionError`: a missing
     or undecodable manifest, a format other than 2, a missing key or a value
     the grid or the exponents reject, exponents whose count is not the
-    grid's dimension, a data file that does not hold exactly
-    len(times) x n_cells values, and an initial_sup that is not the max of
-    the first snapshot.
+    grid's dimension, a step count that is not a nonnegative integer, a
+    data file that does not hold exactly len(times) x n_cells values, and an
+    initial_sup that is not the max of the first snapshot.
     """
     mpath = os.path.join(path, "manifest.json")
     if not os.path.exists(mpath):
@@ -643,6 +643,9 @@ def load_trajectory(path: str) -> Trajectory:
         times = tuple(float(t) for t in manifest["times"])
         eps, initial_sup = float(manifest["eps"]), manifest["initial_sup"]
         mass_drift, min_value = manifest["mass_drift"], float(manifest["min_value"])
+        steps = int(manifest["steps"])
+        if steps != manifest["steps"] or steps < 0:
+            raise ValueError(f"steps must be a nonnegative integer, got {manifest['steps']!r}")
     except IngestionError:
         raise
     except KeyError as missing:
@@ -659,7 +662,7 @@ def load_trajectory(path: str) -> Trajectory:
         raise IngestionError(
             f"{SNAPSHOTS_FILE} in {path!r} does not hold {len(times)} x {grid.n_cells} values"
         )
-    traj = Trajectory(grid, prof, eps, values, times, mass_drift=mass_drift, min_value=min_value)
+    traj = Trajectory(grid, prof, eps, values, times, steps, mass_drift, min_value)
     if initial_sup != traj.initial.sup():
         raise IngestionError(f"initial_sup in {path!r} is not the max of the first snapshot")
     return traj

@@ -178,7 +178,7 @@ def test_criterion_04_conservation():
     )
     traj = af.run(cfg)
     elapsed = time.perf_counter() - start
-    steps = int(traj.step_dts.size)
+    steps = traj.steps
     _verdict(
         4,
         steps >= 10_000 and traj.mass_drift <= 1e-12 and elapsed < 60.0,

@@ -139,6 +139,26 @@ def test_standard_sup_fit_not_applicable():
     assert rep.mass_applicable  # the mass fit still runs
 
 
+def test_decay_reports_fit_both_geometries_on_one_sample_set():
+    # decay_report(geometry) is one entry of decay_reports, whose samples are
+    # decay_samples at the detected t_star; a rate the theory table leaves
+    # not finite is reported not-applicable
+    prof = af.derive_exponents([1.2, 1.8], 2)
+    grid = af.build_grid([0.5, 0.5], [32, 32], "dirichlet_zero")
+    traj = synthetic_power_trajectory(prof, grid, _bump_values(grid), t_star=0.5, n_snap=41)
+    samples, reports = af.decay_reports(traj, prof, 0.1, 1e-9)
+    expected = af.decay_samples(traj, prof, 0.1, af.detect_extinction(traj, 1e-9), 1e-9)
+    for name, values in vars(expected).items():
+        np.testing.assert_array_equal(getattr(samples, name), values)  # NaN equals NaN
+    assert [rep.geometry for rep in reports] == ["intrinsic", "standard"]
+    for rep in reports:
+        assert repr(rep) == repr(af.decay_report(traj, prof, 0.1, 1e-9, rep.geometry))
+        for quantity in ("mass", "sup"):
+            finite = math.isfinite(getattr(rep, f"{quantity}_theory"))
+            assert getattr(rep, f"{quantity}_applicable") == finite
+    assert reports[0].sup_applicable and not reports[1].sup_applicable
+
+
 def test_intrinsic_cube_volume_constant_across_samples():
     prof = af.derive_exponents([1.3, 1.7], 2)
     grid = af.build_grid([0.5, 0.5], [32, 32], "dirichlet_zero")
@@ -158,12 +178,14 @@ def test_containment_flag_matches_geometry():
     prof = af.derive_exponents([1.2, 1.8], 2)
     grid = af.build_grid([0.5, 0.5], [32, 32], "dirichlet_zero")
     traj = synthetic_power_trajectory(prof, grid, _bump_values(grid), t_star=1.0, n_snap=201)
-    samples = af.decay_samples(traj, prof, 0.05, 1.0, 1e-12)
-    for remaining, flag in zip(samples.remaining, samples.contained):
+    # at a large time parameter the K_rho cube is narrower than a cell along the small-p axis
+    with pytest.warns(UserWarning, match="no cell centers inside the cube"):
+        samples = af.decay_samples(traj, prof, 0.05, 1.0, 1e-12)
+    for remaining, flag in zip(samples.remaining, samples.contained_4rho):
         quad = af.scale_cube(af.intrinsic_cube(0.05, remaining, prof), 4.0)
         assert flag == cube_contained(quad, grid)
-    assert samples.contained.any()
-    assert not samples.contained.all()
+    assert samples.contained_4rho.any()
+    assert not samples.contained_4rho.all()
 
 
 def test_decay_report_requires_crossing(run_1d_fast):

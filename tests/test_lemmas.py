@@ -98,6 +98,13 @@ def test_fast_convergence_divergent_above_threshold():
     assert not result.converged
 
 
+def test_fast_convergence_overflowing_power_is_divergence():
+    # 1e90 ** 4 is out of float range: reported as a diverged sequence, not raised
+    result = fast_convergence(1.0, 1.5, 3.0, 1e90, n_max=5)
+    assert result.values == (1e90, math.inf)
+    assert not result.converged
+
+
 @given(
     C=st.floats(min_value=0.1, max_value=10.0),
     b=st.floats(min_value=1.1, max_value=8.0),

@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -220,6 +221,18 @@ def test_trajectory_roundtrip_bit_exact(tmp_path, run_1d_fast):
         assert np.array_equal(f1.values, f2.values)
 
 
+def test_step_count_survives_load_and_save(tmp_path, run_1d_fast):
+    # a trajectory read back and saved again keeps the step count of its run
+    first, second = str(tmp_path / "a"), str(tmp_path / "b")
+    assert run_1d_fast.steps > 100
+    af.save_trajectory(af.load_trajectory(af.save_trajectory(run_1d_fast, first)), second)
+    loaded = af.load_trajectory(second)
+    assert loaded.steps == run_1d_fast.steps
+    manifests = [(Path(d) / "manifest.json").read_bytes() for d in (first, second)]
+    assert manifests[0] == manifests[1]
+    assert json.loads(manifests[1])["steps"] == run_1d_fast.steps
+
+
 def _scaled(traj, factor, count):
     """The first `count` snapshots of traj times factor, on the same grid."""
     fields = [af.Field(traj.grid, factor * f.values, f.time) for f in traj.snapshots[:count]]
@@ -273,7 +286,13 @@ def test_rerun_that_dies_midway_does_not_load(tmp_path, monkeypatch, run_1d_fast
 
 @pytest.mark.parametrize(
     "key, value, message",
-    [("initial_sup", 1.5, "initial_sup"), ("format", 1, "format"), ("format", None, "format")],
+    [
+        ("initial_sup", 1.5, "initial_sup"),
+        ("format", 1, "format"),
+        ("format", None, "format"),
+        ("steps", -1, "steps must be a nonnegative integer, got -1"),
+        ("steps", 2.5, "steps must be a nonnegative integer, got 2.5"),
+    ],
 )
 def test_load_rejects_an_inconsistent_manifest(tmp_path, run_1d_fast, key, value, message):
     path = tmp_path / "traj"
@@ -401,7 +420,7 @@ def test_run_equals_composed_stable_dt_and_advance(case):
     cfg = _composition_config(case)
     prof, eps = cfg.exponents, cfg.eps
     field = af.init_field(cfg.grid, cfg.profile)
-    rows, dts, times = [field.values.copy()], [], []
+    rows, steps = [field.values.copy()], 0
     min_value = float(field.values.min())
     mass0 = float(field.values.sum())
     drift = 0.0
@@ -414,17 +433,15 @@ def test_run_equals_composed_stable_dt_and_advance(case):
             field = advance(field, prof, eps, dt)
             if clipped:
                 field.time = target
-            dts.append(dt)
-            times.append(field.time)
+            steps += 1
             min_value = min(min_value, float(field.values.min()))
             drift = max(drift, abs(float(field.values.sum()) - mass0) / abs(mass0))
         rows.append(field.values.copy())
 
     traj = af.run(cfg)
-    assert len(dts) > 10
+    assert steps > 10
     assert traj.values.tobytes() == np.array(rows).tobytes()
-    assert traj.step_dts.tobytes() == np.array(dts).tobytes()
-    assert traj.step_times.tobytes() == np.array(times).tobytes()
+    assert traj.steps == steps
     assert traj.min_value == min_value
     if cfg.grid.boundary == "periodic":
         assert traj.mass_drift == drift
@@ -460,7 +477,7 @@ def test_run_memory_is_snapshots_plus_fixed_workspace():
             snapshot_times=(0.0, t_end / 2, t_end),
         )
         traj, peak = _traced_peak(lambda: af.run(cfg))
-        steps.append(traj.step_dts.size)
+        steps.append(traj.steps)
         excess.append(peak - traj.values.nbytes)
     assert steps[1] >= 10 * steps[0]
     assert max(excess) <= 14 * field_bytes
@@ -542,8 +559,7 @@ def test_heat_axis_flux_is_the_face_difference(boundary, amplitude):
     u = amplitude * np.random.default_rng(5).uniform(0.0, 1.0, grid.shape)
     kernel = _FluxKernel(grid, prof, 3e-2)
     kernel.u[...] = u
-    with np.errstate(over="ignore"):  # G^2 in the step bound
-        kernel.rate()
+    assert kernel.rate() == 2.0 * sum(h**-2.0 for h in grid.spacings)  # no G^2 to overflow
     kernel.step(dt)
     div = None
     for i, h in enumerate(grid.spacings):
@@ -559,6 +575,25 @@ def test_heat_axis_flux_is_the_face_difference(boundary, amplitude):
     expected = u + div
     assert np.isfinite(expected).all()
     assert kernel.u.tobytes() == expected.tobytes()
+
+
+# _FluxKernel.rate() of a seeded random field, recorded when heat axes still
+# squared and min-reduced their differences; their term is exactly 2 h^-2
+HEAT_AXIS_RATES = {
+    ("dirichlet_zero", (1.5, 2.0)): "0x1.7434dd93eefaap+9",
+    ("dirichlet_zero", (2.0, 1.5, 2.0)): "0x1.0cf8b40da4ed0p+10",
+    ("periodic", (1.5, 2.0)): "0x1.83d57046d2e44p+9",
+    ("periodic", (2.0, 1.5, 2.0)): "0x1.0cf8b40da4ed0p+10",
+}
+
+
+@pytest.mark.parametrize("boundary, p", sorted(HEAT_AXIS_RATES))
+def test_heat_axis_rate_is_bit_identical(boundary, p):
+    n = len(p)
+    grid = af.build_grid([0.37, 0.41, 0.29][:n], [9, 7, 5][:n], boundary)
+    kernel = _FluxKernel(grid, af.derive_exponents(list(p), n), 3e-2)
+    kernel.u[...] = np.random.default_rng(4).uniform(0.0, 1.0, grid.shape)
+    assert kernel.rate().hex() == HEAT_AXIS_RATES[boundary, p]
 
 
 @pytest.mark.parametrize(
