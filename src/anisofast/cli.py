@@ -354,15 +354,17 @@ def cmd_run(config: CampaignConfig, outdir: str | None = None) -> str:
     return run_dir
 
 
+#: each check kind as a call of its harnack function; one analyze call passes
+#: all its checks one cache
 _CHECK_DISPATCH = {
-    "l1l1": lambda traj, s: harnack.check_l1l1(traj, s.rho, s.t, s.geometry, s.C),
-    "l1linf": lambda traj, s: harnack.check_l1linf(traj, s.rho, s.t, s.geometry, s.C),
-    "lr_sup": lambda traj, s: harnack.check_lr_sup(traj, s.rho, s.t, s.r, s.geometry, s.C),
-    "lr_backward": lambda traj, s: harnack.check_lr_backward(
-        traj, s.rho, s.t, s.r, s.geometry, s.C
+    "l1l1": lambda traj, s, c: harnack.check_l1l1(traj, s.rho, s.t, s.geometry, s.C, c),
+    "l1linf": lambda traj, s, c: harnack.check_l1linf(traj, s.rho, s.t, s.geometry, s.C, c),
+    "lr_sup": lambda traj, s, c: harnack.check_lr_sup(traj, s.rho, s.t, s.r, s.geometry, s.C, c),
+    "lr_backward": lambda traj, s, c: harnack.check_lr_backward(
+        traj, s.rho, s.t, s.r, s.geometry, s.C, c
     ),
-    "composite": lambda traj, s: harnack.check_backwards_composite(
-        traj, s.rho, s.t, s.r, s.geometry, s.C
+    "composite": lambda traj, s, c: harnack.check_backwards_composite(
+        traj, s.rho, s.t, s.r, s.geometry, s.C, c
     ),
 }
 
@@ -417,16 +419,17 @@ def cmd_analyze(run_dir: str, config: CampaignConfig) -> dict:
     traj = solver.load_trajectory(traj_dir)
     outputs = {}
 
-    reports = [_CHECK_DISPATCH[spec.kind](traj, spec) for spec in config.checks]
+    cache = harnack.Measurements()  # each distinct cube reduction is measured once
+    reports = [_CHECK_DISPATCH[spec.kind](traj, spec, cache) for spec in config.checks]
     run = {name: echo(traj) for name, echo in _RUN_ECHO.items()}
     checks_csv = os.path.join(run_dir, "checks.csv")
     _write_csv(checks_csv, _CHECK_HEADER, [_check_row(report, run) for report in reports])
     outputs["checks"] = checks_csv
     manifest_path = os.path.join(run_dir, "checks.json")
     manifests = [dict(vars(report)) for report in reports]  # every field of each report
+    text = json.dumps(_finite_or_null(manifests), indent=2, sort_keys=True, allow_nan=False)
     with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(_finite_or_null(manifests), fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(text + "\n")
     outputs["checks_manifest"] = manifest_path
 
     summary_rows = [["check:" + report.theorem, report.gamma_min] for report in reports]

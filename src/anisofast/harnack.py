@@ -17,7 +17,9 @@ Cube quadrature is a midpoint rule with tensor-product clipping: each cell
 contributes the product of its per-axis overlap fractions with the cube, so
 constant integrands are integrated exactly and the face error is O(h).  It
 runs on a whole window of snapshot rows at once: only the support box of the
-cube's weights is read, and it is contracted one axis at a time.
+cube's weights is read, and it is contracted one axis at a time.  A check may
+share a `Measurements` cache with the other checks of its caller, so that
+each distinct reduction of one trajectory is computed once.
 """
 
 from __future__ import annotations
@@ -123,7 +125,11 @@ def _cube_integrals(grid: Grid, rows: np.ndarray, cube: CubeSpec, r: float) -> n
 
     Only the support box (the cells of nonzero weight) is read; it is
     contracted one axis at a time against that axis's weights, innermost
-    axis first.
+    axis first.  Row k of the result depends on the number of rows, not only
+    on row k: the matmul's blocking follows the row count, so the first n
+    entries of a run over more rows can differ in the last bits from a run
+    over those n rows.  A cached reduction is therefore keyed on its exact
+    window, never sliced out of a longer one.
     """
     if r < 1.0:
         raise DomainError(f"integral order r must be >= 1, got {r!r}")
@@ -216,6 +222,28 @@ def time_extremal(
 # --- the checkers ------------------------------------------------------------
 
 
+class Measurements:
+    """The cube reductions of one trajectory, each measured once.
+
+    The caller owns it, passes it to the checks of one call and drops it.  A
+    value is kept under its exact inputs (quantity, cube, window or row 0,
+    order r), so a hit returns the bits a fresh measurement would.  A check
+    on another trajectory first empties it: no value crosses trajectories.
+    """
+
+    def __init__(self):
+        self._traj: Optional[Trajectory] = None
+        self._values: dict[tuple, float] = {}
+
+    def get(self, traj: Trajectory, key: tuple, measure: Callable[[], float]) -> float:
+        """The value stored under key for traj; measure() computes it once."""
+        if traj is not self._traj:
+            self._traj, self._values = traj, {}
+        if key not in self._values:
+            self._values[key] = measure()
+        return self._values[key]
+
+
 @dataclass
 class _Instance:
     """One (rho, t, r, geometry) point of a trajectory, with K_rho, K_{2rho}
@@ -230,9 +258,10 @@ class _Instance:
     cube: CubeSpec
     doubled: CubeSpec
     half: CubeSpec
+    cache: Optional[Measurements] = None
 
     @classmethod
-    def at(cls, traj: Trajectory, rho: float, t: float, r: float, geometry: str):
+    def at(cls, traj: Trajectory, rho: float, t: float, r: float, geometry: str, cache=None):
         """The point with its cubes built for the geometry at time level t."""
         prof = traj.exponents
         if geometry == "intrinsic":
@@ -240,7 +269,16 @@ class _Instance:
             cubes = (base, scale_cube(base, 2.0), scale_cube(base, 0.5))
         else:
             cubes = [standard_cube(a * rho, prof) for a in (1.0, 2.0, 0.5)]
-        return cls(traj, prof, rho, t, r, geometry, *cubes)
+        return cls(traj, prof, rho, t, r, geometry, *cubes, cache)
+
+    def _measured(self, key: tuple, measure: Callable[[], float]) -> float:
+        """measure(), or the value the cache holds under key."""
+        return measure() if self.cache is None else self.cache.get(self.traj, key, measure)
+
+    def _extremal(self, cube: CubeSpec, window: tuple, kind: str, r: float = 1.0) -> float:
+        return self._measured(
+            (kind, cube, window, r), lambda: time_extremal(self.traj, cube, window, kind, r)
+        )
 
     @property
     def base(self) -> float:
@@ -249,19 +287,22 @@ class _Instance:
 
     def sup_mass(self) -> float:
         """sup over 0 <= tau <= t of int_{K_rho} u^r."""
-        return time_extremal(self.traj, self.cube, (0.0, self.t), "sup_lr", self.r)
+        return self._extremal(self.cube, (0.0, self.t), "sup_lr", self.r)
 
     def sup_half(self) -> float:
         """sup of u over K_{rho/2} x [t/2, t]."""
-        return time_extremal(self.traj, self.half, (0.5 * self.t, self.t), "sup_linf")
+        return self._extremal(self.half, (0.5 * self.t, self.t), "sup_linf")
 
     def inf_doubled(self) -> float:
         """inf over 0 <= tau <= t of int_{K_{2rho}} u."""
-        return time_extremal(self.traj, self.doubled, (0.0, self.t), "inf_l1")
+        return self._extremal(self.doubled, (0.0, self.t), "inf_l1")
 
     def initial_doubled(self) -> float:
         """int_{K_{2rho}} u_0^r."""
-        return cube_integral(self.traj.initial, self.doubled, self.r)
+        return self._measured(
+            ("initial", self.doubled, 0, self.r),
+            lambda: cube_integral(self.traj.initial, self.doubled, self.r),
+        )
 
     def four_rho_intrinsic(self) -> CubeSpec:
         """K_{4rho} (intrinsic) or K_rho (standard): the cube lr_sup needs in the box."""
@@ -380,12 +421,13 @@ CHECKS = {
 }
 
 
-def _evaluate(kind, traj, rho, t, r, geometry, C) -> InequalityReport:
+def _evaluate(kind, traj, rho, t, r, geometry, C, cache=None) -> InequalityReport:
     """Measure the CHECKS[kind] inequality at (rho, t, r, C) in one geometry.
 
     r is None for the inequalities stated without an order.  Every row needs
     all p_i < 2 before its own applicability predicate; when either fails the
-    report is not-applicable (no exception).
+    report is not-applicable (no exception).  With a cache (`Measurements`)
+    each measured side is looked up there first.
     """
     row = CHECKS[kind]
     if geometry not in GEOMETRIES:
@@ -410,7 +452,7 @@ def _evaluate(kind, traj, rho, t, r, geometry, C) -> InequalityReport:
         return InequalityReport(
             theorem, nan, {}, nan, False, None, params, applicable=False, reason=reason
         )
-    x = _Instance.at(traj, rho, t, order, geometry)
+    x = _Instance.at(traj, rho, t, order, geometry, cache)
     lhs = row.lhs(x)
     terms = row.rhs(x)
     violated, index = smallness_violated(C, rho, t, x.prof, geometry)
@@ -429,17 +471,27 @@ def _evaluate(kind, traj, rho, t, r, geometry, C) -> InequalityReport:
 
 
 def check_l1l1(
-    traj: Trajectory, rho: float, t: float, geometry: str = "intrinsic", C: float = 0.0
+    traj: Trajectory,
+    rho: float,
+    t: float,
+    geometry: str = "intrinsic",
+    C: float = 0.0,
+    cache: Optional[Measurements] = None,
 ) -> InequalityReport:
     """sup_{0<=tau<=t} int_{K_rho} u  vs  inf over the doubled cube + scaling term."""
-    return _evaluate("l1l1", traj, rho, t, None, geometry, C)
+    return _evaluate("l1l1", traj, rho, t, None, geometry, C, cache)
 
 
 def check_l1linf(
-    traj: Trajectory, rho: float, t: float, geometry: str = "intrinsic", C: float = 0.0
+    traj: Trajectory,
+    rho: float,
+    t: float,
+    geometry: str = "intrinsic",
+    C: float = 0.0,
+    cache: Optional[Measurements] = None,
 ) -> InequalityReport:
     """sup over K_{rho/2} x [t/2, t]  vs  t^(-N/lam) (inf mass)^(p_bar/lam) + scaling."""
-    return _evaluate("l1linf", traj, rho, t, None, geometry, C)
+    return _evaluate("l1linf", traj, rho, t, None, geometry, C, cache)
 
 
 def check_lr_sup(
@@ -449,9 +501,10 @@ def check_lr_sup(
     r: float,
     geometry: str = "intrinsic",
     C: float = 0.0,
+    cache: Optional[Measurements] = None,
 ) -> InequalityReport:
     """sup over K_{rho/2} x [t/2, t]  vs  the time-sup of the mean of u^r."""
-    return _evaluate("lr_sup", traj, rho, t, r, geometry, C)
+    return _evaluate("lr_sup", traj, rho, t, r, geometry, C, cache)
 
 
 def check_lr_backward(
@@ -461,9 +514,10 @@ def check_lr_backward(
     r: float,
     geometry: str = "intrinsic",
     C: float = 0.0,
+    cache: Optional[Measurements] = None,
 ) -> InequalityReport:
     """sup_{0<=tau<=t} int_{K_rho} u^r  vs  the initial-datum integral + scaling."""
-    return _evaluate("lr_backward", traj, rho, t, r, geometry, C)
+    return _evaluate("lr_backward", traj, rho, t, r, geometry, C, cache)
 
 
 def check_backwards_composite(
@@ -473,6 +527,7 @@ def check_backwards_composite(
     r: float,
     geometry: str = "intrinsic",
     C: float = 0.0,
+    cache: Optional[Measurements] = None,
 ) -> InequalityReport:
     """sup over K_{rho/2} x [t/2, t]  vs  t^(-N/lam_r) (initial u^r mass)^(p_bar/lam_r)."""
-    return _evaluate("composite", traj, rho, t, r, geometry, C)
+    return _evaluate("composite", traj, rho, t, r, geometry, C, cache)

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DomainError
 from .geometry import CubeSpec, ExponentProfile
 from .harnack import InequalityReport, _axis_weights, _span, _tensor, cube_contained, gamma_min
-from .solver import Field, Trajectory, _FaceGradients
+from .solver import _FIRST, _LAST, Field, Trajectory, _along, _FaceGradients
 
 
 def young_gamma(eps: float, q: float) -> float:
@@ -141,8 +141,10 @@ def sobolev_ratio(
         RHS = T^(1-theta p*/p_bar) (sup_t int |phi|^sigma dx)^(1-theta)
               * prod_i (iint |d_i phi|^{p_i} dx dt)^(theta p* / (N p_i))
 
-    Axis derivatives are one-sided differences with a zero ghost layer, from
-    the solver's face-gradient helper.  The ratio is invariant under
+    Axis derivatives are one-sided differences with a zero ghost layer:
+    sum_i |G|^{p_i} is taken on the raw differences G = u[k+1] - u[k] and
+    scaled by h_i^-p_i afterwards, and every fractional power |x|^a is
+    exp(a log|x|) (0 where x = 0).  The ratio is invariant under
     phi -> c*phi, and defined as 0 for phi == 0.
     """
     p_star = sobolev_critical(prof)
@@ -159,19 +161,30 @@ def sobolev_ratio(
         raise DomainError(f"profile dimension {prof.N} != grid dimension {grid.N}")
     T = float(t_extent)
     q = theta * p_star + sigma * (1.0 - theta)
-    phi = np.abs(field.reshaped())
+    u = field.reshaped()
     vol = grid.cell_volume
-    lhs = T * float((phi**q).sum()) * vol
-    if lhs == 0.0:
-        return 0.0
-    sup_sigma = float((phi**sigma).sum()) * vol
-    rhs = T ** (1.0 - theta * p_star / prof.p_bar) * sup_sigma ** (1.0 - theta)
-    grads = _FaceGradients(grid.shape, grid.spacings, periodic=False)
-    grads.u[...] = field.reshaped()
-    for pi, g in zip(prof.p, grads.compute()):
-        grad_int = T * float((np.abs(g) ** pi).sum()) * vol
-        rhs *= grad_int ** (theta * p_star / (prof.N * pi))
+    with np.errstate(divide="ignore"):  # log 0 = -inf, and exp(a * -inf) = 0
+        log_phi = np.log(np.abs(u))
+        lhs = T * _exp_sum(q, log_phi) * vol
+        if lhs == 0.0:
+            return 0.0
+        sup_sigma = _exp_sum(sigma, log_phi) * vol
+        rhs = T ** (1.0 - theta * p_star / prof.p_bar) * sup_sigma ** (1.0 - theta)
+        for i, (pi, h) in enumerate(zip(prof.p, grid.spacings)):
+            log_g = np.diff(u, axis=i)  # the interior faces, G then log |G| in place
+            np.log(np.abs(log_g, out=log_g), out=log_g)
+            # the faces beside the zero ghosts: G = u of the first and -u of the last cell
+            ends = [log_phi[_along(i, s)] for s in (_FIRST, _LAST)]
+            face_sum = sum(_exp_sum(pi, x) for x in (log_g, *ends))
+            grad_int = T * face_sum * h**-pi * vol
+            rhs *= grad_int ** (theta * p_star / (prof.N * pi))
     return lhs / rhs
+
+
+def _exp_sum(a: float, log_x: np.ndarray) -> float:
+    """sum x^a given log x, as sum exp(a log x)."""
+    terms = a * log_x
+    return float(np.exp(terms, out=terms).sum())
 
 
 # --- cutoff functions and the truncation energy estimate ----------------------

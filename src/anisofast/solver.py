@@ -16,6 +16,7 @@ adaptive step from `stable_dt`, clipped so snapshot times are hit exactly.
 from __future__ import annotations
 
 import bisect
+import functools
 import json
 import math
 import os
@@ -51,7 +52,8 @@ class Grid:
     def N(self) -> int:
         return len(self.resolution)
 
-    @property
+    # computed once per grid: the instance is frozen, so its fields never change
+    @functools.cached_property
     def spacings(self) -> tuple[float, ...]:
         return tuple(2.0 * H / n for H, n in zip(self.half_domain, self.resolution))
 
@@ -63,7 +65,7 @@ class Grid:
     def n_cells(self) -> int:
         return int(np.prod(self.resolution))
 
-    @property
+    @functools.cached_property
     def cell_volume(self) -> float:
         return float(np.prod(self.spacings))
 

@@ -297,3 +297,85 @@ def test_analyze_reaches_each_check_through_the_harnack_module(tmp_path, monkeyp
     cfg = cli.parse_config(text)
     cli.cmd_analyze(cli.cmd_run(cfg, str(out)), cfg)
     assert calls == dict.fromkeys(functions, 1)
+
+
+# --- one analyze call measures each cube reduction once --------------------------
+
+CHECK_FUNCTIONS = {
+    "l1l1": af.check_l1l1,
+    "l1linf": af.check_l1linf,
+    "lr_sup": af.check_lr_sup,
+    "lr_backward": af.check_lr_backward,
+    "composite": af.check_backwards_composite,
+}
+
+# (kind, geometry, rho, t): every kind at one (rho, t) in both geometries, then
+# the standard geometry again at a second t
+ONE_POINT = [(kind, g, 0.1, 0.05) for kind in CHECK_FUNCTIONS for g in GEOMETRIES]
+SECOND_T = [(kind, "standard", 0.1, 0.07) for kind in CHECK_FUNCTIONS]
+
+
+def _small_trajectory(scale=1.0):
+    """A 2D 24x20 bump decaying over 21 snapshots, with seeded noise per row."""
+    prof = af.derive_exponents([1.4, 1.6], 2)
+    grid = af.build_grid([0.5, 0.5], [24, 20], "dirichlet_zero")
+    X, Y = np.meshgrid(grid.axis_centers(0), grid.axis_centers(1), indexing="ij")
+    bump = np.maximum(0.09 - X**2 - Y**2, 0.0).ravel()
+    times = np.linspace(0.0, 0.1, 21)
+    noise = np.random.default_rng(5).random((len(times), grid.n_cells))
+    values = scale * ((1.0 - 5.0 * times[:, None]) * bump + 1e-3 * noise)
+    return af.Trajectory(grid, prof, 0.02, values, tuple(times))
+
+
+def _check(traj, kind, geometry, rho, t, cache=None):
+    order = () if harnack.CHECKS[kind].r_min is None else (2.0,)
+    return CHECK_FUNCTIONS[kind](traj, rho, t, *order, geometry, cache=cache)
+
+
+def _assert_same_report(got, want):
+    """Field by field, bit for bit; repr makes NaN equal to NaN."""
+    for name in vars(want):
+        assert repr(getattr(got, name)) == repr(getattr(want, name)), (want.theorem, name)
+
+
+def _count_reductions(monkeypatch) -> list:
+    """Record every private cube reduction as (function, cube, first row, rows, r)."""
+    calls = []
+    for name in ("_cube_integrals", "_cube_sups"):
+        original = getattr(harnack, name)
+
+        def counting(grid, rows, cube, *r, _name=name, _original=original):
+            calls.append((_name, cube, rows.__array_interface__["data"][0], len(rows), *r))
+            return _original(grid, rows, cube, *r)
+
+        monkeypatch.setattr(harnack, name, counting)
+    return calls
+
+
+def test_shared_cache_measures_each_reduction_once(monkeypatch):
+    traj = _small_trajectory()
+    calls = _count_reductions(monkeypatch)
+    counts = {}
+    for label, cache in (("fresh", None), ("shared", harnack.Measurements())):
+        calls.clear()
+        reports = [_check(traj, *point, cache=cache) for point in ONE_POINT]
+        at_one_point = len(calls)
+        reports += [_check(traj, *point, cache=cache) for point in SECOND_T]
+        counts[label] = (at_one_point, len(calls), set(calls), reports)
+    fresh, shared = counts["fresh"], counts["shared"]
+    for got, want in zip(shared[3], fresh[3], strict=True):
+        assert got.applicable
+        _assert_same_report(got, want)
+    # the standard K_2rho does not depend on t: its u_0^r integral is shared too
+    assert fresh[:2] == (20, 30) and shared[:2] == (10, 14)
+    assert shared[2] == fresh[2] and len(shared[2]) == shared[1]
+
+
+def test_cache_never_serves_another_trajectory():
+    first, second = _small_trajectory(), _small_trajectory(scale=2.0)
+    cache = harnack.Measurements()
+    for traj, other in ((first, second), (second, first), (first, second)):
+        for point in ONE_POINT + SECOND_T:
+            got = _check(traj, *point, cache=cache)
+            _assert_same_report(got, _check(traj, *point))
+            assert got.lhs != _check(other, *point).lhs

@@ -1,6 +1,7 @@
 """Young constant, sequence lemmas, embedding ratio, and the energy estimate."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -222,6 +223,79 @@ def test_sobolev_ratio_stable_under_refinement():
         )
     assert math.isfinite(maxima[1])
     assert abs(maxima[1] - maxima[0]) <= 0.2 * maxima[0]
+
+
+def _sobolev_reference(field, prof, theta, sigma, t_extent):
+    """The ratio as it was first computed: quotients (difference / h) on faces
+    padded with a zero ghost layer, and every power taken by `**`."""
+    p_star = sobolev_critical(prof)
+    q = theta * p_star + sigma * (1.0 - theta)
+    u = field.reshaped()
+    phi, vol, T = np.abs(u), field.grid.cell_volume, t_extent
+    lhs = T * float((phi**q).sum()) * vol
+    rhs = T ** (1.0 - theta * p_star / prof.p_bar) * (float((phi**sigma).sum()) * vol) ** (
+        1.0 - theta
+    )
+    for i, (pi, h) in enumerate(zip(prof.p, field.grid.spacings)):
+        pad = [(0, 0)] * u.ndim
+        pad[i] = (1, 1)
+        g = np.diff(np.pad(u, pad), axis=i) / h
+        rhs *= (T * float((np.abs(g) ** pi).sum()) * vol) ** (theta * p_star / (prof.N * pi))
+    return lhs / rhs
+
+
+# dimension -> (exponents, resolution) of the fields compared with the reference
+SOBOLEV_CASES = {
+    2: ((1.4, 1.6), (48, 40)),
+    3: ((1.3, 1.5, 1.7), (12, 10, 8)),
+}
+
+
+@pytest.mark.parametrize("n_dim", sorted(SOBOLEV_CASES))
+def test_sobolev_ratio_matches_the_quotient_formula(n_dim):
+    p, res = SOBOLEV_CASES[n_dim]
+    prof = af.derive_exponents(p, n_dim)
+    grid = af.build_grid([0.5] * n_dim, res, "dirichlet_zero")
+    rng = np.random.default_rng(n_dim)
+    random = rng.uniform(-1.0, 1.0, grid.n_cells)
+    flat = random.copy()
+    flat[: grid.n_cells // 2] = 0.25  # a block of zero face differences
+    holes = np.where(rng.random(grid.n_cells) < 0.3, 0.0, random)  # zero cells
+    theta = 0.5 * prof.p_bar / sobolev_critical(prof)
+    for values in (random, flat, holes):
+        field = af.Field(grid, values, 0.0)
+        for sigma in (1.0, 2.0):
+            want = _sobolev_reference(field, prof, theta, sigma, 0.08)
+            assert sobolev_ratio(field, prof, theta, sigma, 0.08) == pytest.approx(
+                want, rel=1e-12, abs=0.0
+            )
+
+
+def test_sobolev_ratio_rejects_every_1d_field():
+    # p_bar >= 1 = N for every 1D profile: there is no 1D ratio to compare
+    grid = af.build_grid([0.5], [32], "dirichlet_zero")
+    field = af.Field(grid, np.random.default_rng(1).random(32), 0.0)
+    for p in (1.1, 1.5, 1.9):
+        with pytest.raises(DomainError, match="p_bar"):
+            sobolev_ratio(field, af.derive_exponents([p], 1), 0.1, 1.0, 1.0)
+
+
+# tracemalloc peak of one 96x96 call, in field sizes: 8.1 with the face
+# quotients, 4.8 measured on raw differences
+SOBOLEV_PEAK_FIELDS = 6
+
+
+def test_sobolev_ratio_peak_memory():
+    prof = af.derive_exponents([1.4, 1.6], 2)
+    field = _bump_field(96)
+    sobolev_ratio(field, prof, 0.2, 2.0, 0.08)  # warm-up
+    tracemalloc.start()
+    try:
+        sobolev_ratio(field, prof, 0.2, 2.0, 0.08)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= SOBOLEV_PEAK_FIELDS * field.values.nbytes
 
 
 # --- cutoff functions ------------------------------------------------------------------
