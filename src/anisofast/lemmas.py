@@ -143,9 +143,9 @@ def sobolev_ratio(
 
     Axis derivatives are one-sided differences with a zero ghost layer:
     sum_i |G|^{p_i} is taken on the raw differences G = u[k+1] - u[k] and
-    scaled by h_i^-p_i afterwards, and every fractional power |x|^a is
-    exp(a log|x|) (0 where x = 0).  The ratio is invariant under
-    phi -> c*phi, and defined as 0 for phi == 0.
+    scaled by h_i^-p_i afterwards.  Each power |x|^a of a cell value or a
+    difference is exp(a log|x|), 0 where x = 0.  The ratio is invariant
+    under phi -> c*phi, and defined as 0 for phi == 0.
     """
     p_star = sobolev_critical(prof)
     if not 0.0 <= theta <= prof.p_bar / p_star + 1e-15:
