@@ -252,8 +252,8 @@ def parse_config(text: str) -> CampaignConfig:
     if "t_end" not in sim:
         violations.append("missing required key 't_end' in [simulation]")
     t_end = number(sim, "t_end", 0.0)
-    if t_end is not None and t_end < 0.0:
-        violations.append(f"t_end must be nonnegative, got {t_end}")
+    if t_end is not None and not 0.0 <= t_end < math.inf:  # before uniform_snapshots sees it
+        violations.append(f"t_end must be nonnegative and finite, got {t_end}")
 
     profile = None
     amplitude = number(sim, "amplitude", 1.0)
@@ -274,11 +274,13 @@ def parse_config(text: str) -> CampaignConfig:
     snapshots = number(sim, "snapshots", 101, int)
 
     threshold_rel = number(ana, "extinction_threshold", 1e-6)
-    if threshold_rel is not None and threshold_rel <= 0.0:
-        violations.append("extinction_threshold must be positive")
+    if threshold_rel is not None and not 0.0 < threshold_rel < math.inf:
+        violations.append(
+            f"extinction_threshold must be positive and finite, got {threshold_rel}"
+        )
     decay_rho = number(ana, "decay_rho", None)
-    if decay_rho is not None and decay_rho <= 0.0:
-        violations.append("decay_rho must be positive")
+    if decay_rho is not None and not 0.0 < decay_rho < math.inf:
+        violations.append(f"decay_rho must be positive and finite, got {decay_rho}")
 
     checks = []
     for entry in ana.get("check", []) or []:

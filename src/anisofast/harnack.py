@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -223,19 +223,20 @@ def time_extremal(
 
 
 class Measurements:
-    """The cube reductions of one trajectory, each measured once.
+    """The cube reductions of one trajectory, and the cubes they run on, each made once.
 
     The caller owns it, passes it to the checks of one call and drops it.  A
     value is kept under its exact inputs (quantity, cube, window or row 0,
-    order r), so a hit returns the bits a fresh measurement would.  A check
-    on another trajectory first empties it: no value crosses trajectories.
+    order r; for cubes rho, t and geometry), so a hit returns the bits a
+    fresh measurement would.  A check on another trajectory first empties
+    it: no value crosses trajectories.
     """
 
     def __init__(self):
         self._traj: Optional[Trajectory] = None
-        self._values: dict[tuple, float] = {}
+        self._values: dict[tuple, Any] = {}
 
-    def get(self, traj: Trajectory, key: tuple, measure: Callable[[], float]) -> float:
+    def get(self, traj: Trajectory, key: tuple, measure: Callable[[], Any]) -> Any:
         """The value stored under key for traj; measure() computes it once."""
         if traj is not self._traj:
             self._traj, self._values = traj, {}
@@ -262,13 +263,21 @@ class _Instance:
 
     @classmethod
     def at(cls, traj: Trajectory, rho: float, t: float, r: float, geometry: str, cache=None):
-        """The point with its cubes built for the geometry at time level t."""
+        """The point with its cubes built for the geometry at time level t.
+
+        The cache holds the cubes of each (rho, t, geometry); standard cubes
+        do not depend on t, so theirs are kept under (rho, geometry) alone.
+        """
         prof = traj.exponents
-        if geometry == "intrinsic":
-            base = intrinsic_cube(rho, t, prof)
-            cubes = (base, scale_cube(base, 2.0), scale_cube(base, 0.5))
-        else:
-            cubes = [standard_cube(a * rho, prof) for a in (1.0, 2.0, 0.5)]
+
+        def build() -> tuple[CubeSpec, CubeSpec, CubeSpec]:
+            if geometry == "intrinsic":
+                base = intrinsic_cube(rho, t, prof)
+                return base, scale_cube(base, 2.0), scale_cube(base, 0.5)
+            return tuple(standard_cube(a * rho, prof) for a in (1.0, 2.0, 0.5))
+
+        key = ("cubes", rho, t if geometry == "intrinsic" else None, geometry)
+        cubes = build() if cache is None else cache.get(traj, key, build)
         return cls(traj, prof, rho, t, r, geometry, *cubes, cache)
 
     def _measured(self, key: tuple, measure: Callable[[], float]) -> float:

@@ -134,8 +134,8 @@ class InitialProfile:
     def __post_init__(self):
         if self.kind not in PROFILE_KINDS:
             raise ConfigError([f"unknown initial profile {self.kind!r}"])
-        if self.amplitude < 0.0:
-            raise ConfigError([f"amplitude must be nonnegative, got {self.amplitude}"])
+        if not 0.0 <= self.amplitude < math.inf:  # NaN fails every comparison
+            raise ConfigError([f"amplitude must be nonnegative and finite, got {self.amplitude}"])
         if self.kind in ("bump", "plateau") and not self.radius > 0.0:
             raise ConfigError([f"radius must be positive, got {self.radius}"])
         if self.kind == "from_file" and not self.path:
@@ -181,6 +181,9 @@ def _along(axis: int, s: slice) -> tuple[slice, ...]:
 
 
 _FIRST, _LAST = slice(None, 1), slice(-1, None)
+
+# bound once: the per-step calls on small grids cost numpy call overhead, not arithmetic
+_add, _subtract, _multiply, _log, _exp = np.add, np.subtract, np.multiply, np.log, np.exp
 
 
 class _FaceGradients:
@@ -244,7 +247,7 @@ class _FaceGradients:
 
     def differences(self) -> None:
         for out, hi, lo in self._ops:
-            np.subtract(hi, lo, out=out)
+            _subtract(hi, lo, out=out)
 
     def compute(self) -> list[np.ndarray]:
         """New arrays of the quotients (u[k+1] - u[k]) / h_i, faces in axis order.
@@ -324,8 +327,8 @@ class _FluxKernel:
         denom = 0.0
         for c, bound in self._bounds:
             for faces, flux, kappa, expo in bound:  # none on a heat axis, whose term is c
-                np.multiply(faces, faces, out=flux)
-                c *= (float(np.minimum.reduce(flux, None)) + kappa) ** expo
+                _multiply(faces, faces, out=flux)
+                c *= (float(flux[flux.argmin()]) + kappa) ** expo
             denom += c
         return denom
 
@@ -334,28 +337,41 @@ class _FluxKernel:
         div = self._div
         for power, pairs, d, scale in self._axes:
             for faces, flux, kappa, expo in power:  # none on a heat axis
-                np.add(flux, kappa, out=flux)
-                np.log(flux, out=flux)
-                np.multiply(flux, expo, out=flux)
-                np.exp(flux, out=flux)
-                np.multiply(flux, faces, out=flux)
+                _add(flux, kappa, out=flux)
+                _log(flux, out=flux)
+                _multiply(flux, expo, out=flux)
+                _exp(flux, out=flux)
+                _multiply(flux, faces, out=flux)
             for out, hi, lo in pairs:
-                np.subtract(hi, lo, out=out)
-            np.multiply(d, dt * scale, out=d)
+                _subtract(hi, lo, out=out)
+            _multiply(d, dt * scale, out=d)
             if d is not div:
-                np.add(div, d, out=div)
-        np.add(self._flat, div, out=self._flat)
+                _add(div, d, out=div)
+        _add(self._flat, div, out=self._flat)
 
 
 def _kernel_at(field: Field, prof: ExponentProfile, eps: float) -> _FluxKernel:
-    if not eps > 0.0:
-        raise DomainError(f"eps must be positive, got {eps!r}")
+    if not 0.0 < eps < math.inf:
+        raise DomainError(f"eps must be positive and finite, got {eps!r}")
     grid = field.grid
     if prof.N != grid.N:
         raise DomainError(f"profile dimension {prof.N} != grid dimension {grid.N}")
     kernel = _FluxKernel(grid, prof, eps)
     kernel.u[...] = field.reshaped()
     return kernel
+
+
+def _finite_min(u: np.ndarray, t: float, total: float = math.inf) -> float:
+    """min of the flat field u reached at time t; `BlowupError(t)` unless u is finite.
+
+    argmin and argmax return the first NaN, and a min or max of +-inf shows
+    the infinity, so the two index reads prove u finite exactly.  A finite
+    `total`, the sum of u, proves it already and skips the argmax.
+    """
+    low = float(u[u.argmin()])
+    if not (math.isfinite(total) or math.isfinite(low) and math.isfinite(u[u.argmax()])):
+        raise BlowupError(t)
+    return low
 
 
 def stable_dt(
@@ -379,8 +395,7 @@ def advance(field: Field, prof: ExponentProfile, eps: float, dt: float) -> Field
         kernel.rate()
         kernel.step(dt)
     t_new = field.time + dt
-    if not np.isfinite(kernel.u).all():
-        raise BlowupError(t_new)
+    _finite_min(kernel._flat, t_new)
     return Field(grid=field.grid, values=kernel.u.copy(), time=t_new)
 
 
@@ -407,10 +422,10 @@ class SimConfig:
 
     def __post_init__(self):
         violations = []
-        if self.t_end < 0.0:
-            violations.append(f"t_end must be nonnegative, got {self.t_end}")
-        if not self.eps > 0.0:
-            violations.append(f"eps must be positive, got {self.eps}")
+        if not 0.0 <= self.t_end < math.inf:  # NaN fails every comparison
+            violations.append(f"t_end must be nonnegative and finite, got {self.t_end}")
+        if not 0.0 < self.eps < math.inf:
+            violations.append(f"eps must be positive and finite, got {self.eps}")
         if not 0.0 < self.safety <= 1.0:
             violations.append(f"safety must lie in (0, 1], got {self.safety}")
         if self.exponents.N != self.grid.N:
@@ -507,7 +522,11 @@ def run(config: SimConfig) -> Trajectory:
     Each step is `stable_dt` followed by `advance` (the step clipped to the
     next snapshot time), evaluated through one `_FluxKernel`, so every bit of
     the result matches composing the two public operations.  A step whose
-    field is not finite raises `BlowupError` with its end time.
+    field is not finite raises `BlowupError` with its end time.  Each step
+    reads min U at its argmin, and a Dirichlet run proves U finite from that
+    min and the value at the argmax (`_finite_min`).  A periodic run keeps
+    the pairwise sum, whose exact bits the mass drift needs; a finite sum
+    already proves U finite.
     """
     grid = config.grid
     initial = init_field(grid, config.profile)
@@ -521,10 +540,9 @@ def run(config: SimConfig) -> Trajectory:
     min_value = float(initial.values.min())
 
     kernel = _FluxKernel(grid, config.exponents, config.eps)
-    U = kernel.u
+    U, flat = kernel.u, kernel._flat
     U[...] = initial.reshaped()
-    rate, step = kernel.rate, kernel.step
-    add_reduce, min_reduce = np.add.reduce, np.minimum.reduce
+    rate, step, add_reduce = kernel.rate, kernel.step, np.add.reduce
     safety = config.safety
     t_now = 0.0
     for k, target in enumerate(config.snapshot_times[1:], start=1):
@@ -537,20 +555,18 @@ def run(config: SimConfig) -> Trajectory:
                 dt = remaining
             step(dt)
             t_now = target if clipped else t_now + dt
-            # a finite sum proves every value finite; otherwise check exactly
-            total = add_reduce(U, None)
-            if not math.isfinite(total) and not np.isfinite(U).all():
-                raise BlowupError(t_now)
-            steps += 1
-            low = float(min_reduce(U, None))
-            if low < min_value:
-                min_value = low
-            if periodic:
-                mass = float(total)
+            if periodic:  # mass drift needs the pairwise sum, and a finite one proves U finite
+                mass = float(add_reduce(U, None))
+                low = _finite_min(flat, t_now, mass)
                 if mass0 != 0.0:
                     drift = max(drift, abs(mass - mass0) / abs(mass0))
                 else:
                     drift = max(drift, abs(mass))
+            else:
+                low = _finite_min(flat, t_now)
+            steps += 1
+            if low < min_value:
+                min_value = low
         values[k] = U.ravel()
         times.append(t_now)
 

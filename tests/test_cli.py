@@ -192,6 +192,39 @@ def test_parse_check_non_finite_value_is_a_violation(key, value):
     ), excinfo.value.violations
 
 
+# key: (its section, the words of its violation)
+NON_FINITE_NUMBERS = {
+    "eps": ("simulation", "eps must be positive and finite"),
+    "t_end": ("simulation", "t_end must be nonnegative and finite"),
+    "amplitude": ("simulation", "amplitude must be nonnegative and finite"),
+    "extinction_threshold": ("analysis", "extinction_threshold must be positive and finite"),
+    "decay_rho": ("analysis", "decay_rho must be positive and finite"),
+}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", sorted(NON_FINITE_NUMBERS))
+def test_parse_non_finite_number_is_a_violation(tmp_path, capsys, key, value):
+    # rejected when the config is parsed, so `run` exits 2 and writes nothing
+    section, words = NON_FINITE_NUMBERS[key]
+    if key == "t_end":
+        text = MINIMAL.replace("t_end = 0.02", f"t_end = {value}")
+    else:  # MINIMAL ends inside [simulation]
+        text = MINIMAL + ("" if section == "simulation" else "[analysis]\n")
+        text += f"{key} = {value}\n"
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(text)
+    assert any(words in v and f"got {value}" in v for v in excinfo.value.violations), (
+        excinfo.value.violations
+    )
+    out = tmp_path / "out"
+    config_path = tmp_path / "bad.cfg"
+    config_path.write_text(text + f"[output]\ndirectory = {out}\n", encoding="utf-8")
+    assert main(["run", "--config", str(config_path)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_t_end_zero_initial_snapshot_only(tmp_path):
     cfg = parse_config(MINIMAL.replace("t_end = 0.02", "t_end = 0"))
     run_dir = cmd_run(cfg, str(tmp_path / "run0"))

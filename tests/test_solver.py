@@ -113,6 +113,66 @@ def test_advance_blowup_raises_with_time():
     assert excinfo.value.time > 0.0
 
 
+def _probe_config(boundary):
+    grid = af.build_grid([0.5], [32], boundary)
+    return af.SimConfig(
+        grid=grid,
+        profile=af.InitialProfile("bump", 1.0, 0.3),
+        exponents=af.derive_exponents([1.5], 1),
+        eps=1e-2,
+        t_end=1e-3,
+        snapshot_times=af.uniform_snapshots(1e-3, 4),
+    )
+
+
+def _clock_after(cfg, steps):
+    """The time run(cfg) reaches after `steps` steps, from stable_dt + advance."""
+    field = af.init_field(cfg.grid, cfg.profile)
+    for target in cfg.snapshot_times[1:]:
+        while field.time < target * (1.0 - 1e-12):
+            dt = stable_dt(field, cfg.exponents, cfg.eps, cfg.safety)
+            clipped = dt >= target - field.time
+            field = advance(field, cfg.exponents, cfg.eps, target - field.time if clipped else dt)
+            if clipped:
+                field.time = target
+            steps -= 1
+            if steps == 0:
+                return field.time
+    raise AssertionError("the run takes fewer steps")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("boundary", ["dirichlet_zero", "periodic"])
+def test_run_blowup_names_the_step_that_wrote_a_non_finite_value(monkeypatch, boundary, bad):
+    # one non-finite cell written by step k stops the run at step k's end time
+    cfg, k = _probe_config(boundary), 7
+    expected = _clock_after(cfg, k)
+    calls = []
+    step = _FluxKernel.step
+
+    def faulty(kernel, dt):
+        step(kernel, dt)
+        calls.append(dt)
+        if len(calls) == k:
+            kernel.u[11] = bad
+
+    monkeypatch.setattr(_FluxKernel, "step", faulty)
+    with pytest.raises(BlowupError) as excinfo:
+        af.run(cfg)
+    assert excinfo.value.time == expected
+    assert len(calls) == k
+
+
+@pytest.mark.parametrize("boundary", ["dirichlet_zero", "periodic"])
+def test_rate_is_nan_on_a_field_holding_a_nan(boundary):
+    grid = af.build_grid([0.5, 0.5], [9, 7], boundary)
+    kernel = _FluxKernel(grid, af.derive_exponents([1.5, 2.0], 2), 3e-2)
+    kernel.u[...] = np.random.default_rng(4).uniform(0.0, 1.0, grid.shape)
+    assert np.isfinite(kernel.rate())
+    kernel.u[4, 3] = np.nan
+    assert np.isnan(kernel.rate())
+
+
 def test_comparison_monotonicity_under_strict_cfl():
     # u0_a >= u0_b pointwise stays ordered after one step at the strict
     # zero-gradient CFL bound dt <= h^2 / (2 eps^(p-2))
