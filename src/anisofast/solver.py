@@ -185,6 +185,24 @@ _FIRST, _LAST = slice(None, 1), slice(-1, None)
 # bound once: the per-step calls on small grids cost numpy call overhead, not arithmetic
 _add, _subtract, _multiply, _log, _exp = np.add, np.subtract, np.multiply, np.log, np.exp
 
+#: bytes between the offsets, mod 4096, at which the step buffers start
+_STAGGER = 384
+
+
+def _buffer(size: int, slot: int) -> np.ndarray:
+    """Zeroed float64 buffer of `size` whose data starts at slot * _STAGGER mod 4096.
+
+    Left to malloc, equal whole-field buffers start at one offset mod 4096
+    (each is its own chunk, a whole number of pages apart), so the streams
+    of one ufunc call fall on the same 4K-aliasing addresses and L1 sets.
+    The kernel gives u slot 0, the faces of axis i slot 1 + i, the
+    divergence and its scratch N + 1 and N + 2, and the flux of axis i
+    N + 3 + i.
+    """
+    raw = np.zeros(size + 4096 // 8)
+    skip = (slot * _STAGGER - raw.ctypes.data) % 4096 // 8
+    return raw[skip : skip + size]
+
 
 class _FaceGradients:
     """Differences u[k+1] - u[k] across every face, each axis in one flat buffer.
@@ -206,16 +224,16 @@ class _FaceGradients:
         n = math.prod(shape)
         self.strides = [n // math.prod(shape[: i + 1]) for i in range(len(shape))]
         if periodic:
-            self.u = u = np.zeros(shape)
+            self.u = u = _buffer(n, 0).reshape(shape)
         else:
-            padded = np.zeros(n + 2 * self.strides[0])
+            padded = _buffer(n + 2 * self.strides[0], 0)
             self.u = u = padded[self.strides[0] : -self.strides[0]].reshape(shape)
         flat = u.reshape(-1)
         zero = np.array(0.0)
         self._h = tuple(spacings)
         self.faces, self._parts, self._ops = [], [], []
         for i, s in enumerate(self.strides):
-            faces = np.empty(n if periodic else n + n // shape[i])
+            faces = _buffer(n if periodic else n + n // shape[i], 1 + i)
             before, after = self.split(faces, i)
             first, last = u[_along(i, _FIRST)], u[_along(i, _LAST)]
             if not periodic and i == 0:
@@ -291,8 +309,7 @@ class _FluxKernel:
         self.u = grad.u
         self._flat = grad.u.reshape(-1)
         n = grid.n_cells
-        self._div = np.empty(n)
-        scratch = np.empty(n)
+        self._div, scratch = _buffer(n, grid.N + 1), _buffer(n, grid.N + 2)
         self._bounds, self._axes = [], []
         for i, (pi, h, faces, s) in enumerate(
             zip(prof.p, grid.spacings, grad.faces, grad.strides)
@@ -301,7 +318,7 @@ class _FluxKernel:
             if pi == 2.0:  # a heat axis: exp(0 log S) = 1, so Phi = G and its rate is 2 h^-2
                 flux, power, bound = faces, (), ()
             else:  # a 0-d array operand costs less per call than a Python float
-                flux = np.empty_like(faces)
+                flux = _buffer(faces.size, grid.N + 3 + i)
                 power = ((faces, flux, np.array(kappa), np.array(expo)),)
                 bound = ((faces, flux, kappa, expo),)
             self._bounds.append((2.0 * (pi - 1.0) * scale, bound))
