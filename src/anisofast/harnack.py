@@ -263,11 +263,8 @@ class _Instance:
 
     @classmethod
     def at(cls, traj: Trajectory, rho: float, t: float, r: float, geometry: str, cache=None):
-        """The point with its cubes built for the geometry at time level t.
-
-        The cache holds the cubes of each (rho, t, geometry); standard cubes
-        do not depend on t, so theirs are kept under (rho, geometry) alone.
-        """
+        """The point with its cubes built for the geometry at time level t, or
+        cached under (rho, t, geometry), t left out for the standard cubes."""
         prof = traj.exponents
 
         def build() -> tuple[CubeSpec, CubeSpec, CubeSpec]:

@@ -539,11 +539,9 @@ def run(config: SimConfig) -> Trajectory:
     Each step is `stable_dt` followed by `advance` (the step clipped to the
     next snapshot time), evaluated through one `_FluxKernel`, so every bit of
     the result matches composing the two public operations.  A step whose
-    field is not finite raises `BlowupError` with its end time.  Each step
-    reads min U at its argmin, and a Dirichlet run proves U finite from that
-    min and the value at the argmax (`_finite_min`).  A periodic run keeps
-    the pairwise sum, whose exact bits the mass drift needs; a finite sum
-    already proves U finite.
+    field is not finite raises `BlowupError` with its end time, found by
+    `_finite_min`'s argmin/argmax reads; a periodic run keeps the pairwise
+    sum its mass drift needs, and a finite sum already proves U finite.
     """
     grid = config.grid
     initial = init_field(grid, config.profile)

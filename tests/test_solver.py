@@ -678,6 +678,17 @@ def test_flux_kernel_nd_steps_allocate_under_a_quarter_field(res, boundary):
     assert peak - current <= grid.n_cells * 8 // 4
 
 
+def test_flux_kernel_buffers_start_at_distinct_cache_line_slots():
+    # equal whole-field buffers at one offset mod 4096 collide in 4K aliasing
+    grid = af.build_grid([0.5] * 3, [16] * 3, "periodic")
+    kernel = _FluxKernel(grid, af.derive_exponents([1.3, 1.5, 1.7], 3), 2e-2)
+    fluxes = [power[0][1] for power, *_ in kernel._axes]
+    buffers = [kernel._flat, *kernel._grad.faces, kernel._div, *fluxes]
+    offsets = [b.ctypes.data % 4096 for b in buffers]
+    assert len(set(offsets)) == len(buffers), offsets
+    assert all(o % 64 == 0 for o in offsets), offsets
+
+
 # exp(e log S) in place of np.power(S, e): the largest error in units in the
 # last place of np.power over the kernel's range, measured at 22 (p = 1.05)
 # with numpy 2.4.6 on x86-64 with AVX-512; it grows with |e log S|
