@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -47,7 +48,7 @@ import numpy as np
 from . import extinction, harnack, lemmas, solver
 from .errors import BlowupError, ConfigError, DomainError, IngestionError
 from .geometry import GEOMETRIES, derive_exponents
-from .solver import InitialProfile, SimConfig, build_grid, uniform_snapshots
+from .solver import InitialProfile, SimConfig, _count, build_grid, uniform_snapshots
 
 CHECK_KINDS = tuple(harnack.CHECKS)
 
@@ -200,15 +201,18 @@ def parse_config(text: str) -> CampaignConfig:
     violations: list[str] = []
 
     def number(values: dict, key: str, default, kind=float):
-        """values[key] converted by `kind`, or `default` when absent; None if invalid."""
+        """values[key] as a float, or as an int when kind is int (32 and 32.0,
+        not 3.9, nan or inf); `default` when absent; None if invalid."""
         if key not in values:
             return default
         try:
-            return kind(values[key])
-        except (TypeError, ValueError):
+            value = float(values[key]) if kind is float else _count(values[key])
+        except (TypeError, ValueError, OverflowError):  # OverflowError: a JSON int past 1e308
+            value = None
+        if value is None:
             what = "an integer" if kind is int else "a number"
             violations.append(f"{key} must be {what}, got {values[key]!r}")
-            return None
+        return value
 
     for section in doc:
         if section not in ("simulation", "analysis", "output"):
@@ -240,7 +244,7 @@ def parse_config(text: str) -> CampaignConfig:
     if prof is not None:
         try:
             half = _floats(sim["half_domain"], prof.N, "half_domain")
-            res = [int(v) for v in _floats(sim["resolution"], prof.N, "resolution")]
+            res = _floats(sim["resolution"], prof.N, "resolution")  # build_grid rejects 32.7
             grid = build_grid(half, res, str(sim.get("boundary", "dirichlet_zero")))
         except KeyError as missing:
             violations.append(f"missing required key {missing} in [simulation]")
@@ -594,6 +598,7 @@ def _run_chunk(chunk: list[_Sequence], draws: np.ndarray) -> tuple[int, int, flo
 # --- argparse entry point ---------------------------------------------------------
 
 
+@functools.cache  # one parser per process: building it costs ten times a parse
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="anisofast",

@@ -126,11 +126,15 @@ def decay_samples(
     sup_int = np.full(before, math.nan)
     contained = np.zeros(before, dtype=bool)
     if prof.strict_fast:
+        contained_by = {}  # per (center, half-widths): in 1D every K_rho(t) is one cube
         for k in range(before):
             cube = intrinsic_cube(rho, float(remaining[k]), prof)
             mass_int[k] = _cube_integrals(traj.grid, rows[k : k + 1], cube, 1.0)[0]
             sup_int[k] = _cube_sups(traj.grid, rows[k : k + 1], cube)[0]
-            contained[k] = cube_contained(scale_cube(cube, 4.0), traj.grid)
+            key = (cube.center, cube.half_widths)
+            if key not in contained_by:
+                contained_by[key] = cube_contained(scale_cube(cube, 4.0), traj.grid)
+            contained[k] = contained_by[key]
     std = standard_cube(rho, prof)
     return DecaySamples(
         tau=tau,

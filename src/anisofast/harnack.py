@@ -17,13 +17,17 @@ Cube quadrature is a midpoint rule with tensor-product clipping: each cell
 contributes the product of its per-axis overlap fractions with the cube, so
 constant integrands are integrated exactly and the face error is O(h).  It
 runs on a whole window of snapshot rows at once: only the support box of the
-cube's weights is read, and it is contracted one axis at a time.  A check may
-share a `Measurements` cache with the other checks of its caller, so that
+cube's weights is read, and it is contracted one axis at a time.  A cube's
+footprint on a grid (its per-axis weights and spans, and the cells of the
+open cube) depends only on its center and half-widths; it is computed once
+per (grid, cube) per process and kept read-only in a bounded cache.  A check
+may share a `Measurements` cache with the other checks of its caller, so that
 each distinct reduction of one trajectory is computed once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -88,19 +92,36 @@ def gamma_min(lhs: float, rhs_terms) -> float:
 # --- cube quadrature ---------------------------------------------------------
 
 
-def _axis_weights(grid: Grid, cube: CubeSpec) -> list[np.ndarray]:
-    """Per-axis overlap fraction of each cell with the cube (0..1)."""
+def _axis_weights(grid: Grid, cube: CubeSpec) -> tuple[tuple, tuple]:
+    """Per-axis overlap fraction of each cell with the cube (0..1), read-only,
+    and each axis's span of nonzero weight (None where there is none)."""
     if cube.N != grid.N:
         raise DomainError(f"cube dimension {cube.N} != grid dimension {grid.N}")
+    return _weights_and_spans(grid, cube.center, cube.half_widths)
+
+
+@functools.lru_cache(maxsize=1024)  # footprints; a campaign reads a few hundred cubes
+def _weights_and_spans(grid: Grid, center: tuple, half_widths: tuple) -> tuple[tuple, tuple]:
+    """`_axis_weights` of every cube with this center and these half-widths (any kind, rho, t)."""
     weights = []
     for i in range(grid.N):
         h = grid.spacings[i]
         centers = grid.axis_centers(i)
-        lo = cube.center[i] - cube.half_widths[i]
-        hi = cube.center[i] + cube.half_widths[i]
+        lo = center[i] - half_widths[i]
+        hi = center[i] + half_widths[i]
         overlap = np.minimum(centers + 0.5 * h, hi) - np.maximum(centers - 0.5 * h, lo)
-        weights.append(np.clip(overlap, 0.0, h) / h)
-    return weights
+        w = np.clip(overlap, 0.0, h) / h
+        w.flags.writeable = False  # every caller shares it
+        weights.append(w)
+    return tuple(weights), tuple(_span(w > 0.0) for w in weights)
+
+
+@functools.lru_cache(maxsize=1024)
+def _open_spans(grid: Grid, center: tuple, half_widths: tuple) -> tuple:
+    """Per axis, the span of the cells whose centers lie in the open cube; None if none do."""
+    return tuple(
+        _span(np.abs(grid.axis_centers(i) - center[i]) < half_widths[i]) for i in range(grid.N)
+    )
 
 
 def _tensor(factors: list[np.ndarray]) -> np.ndarray:
@@ -133,8 +154,7 @@ def _cube_integrals(grid: Grid, rows: np.ndarray, cube: CubeSpec, r: float) -> n
     """
     if r < 1.0:
         raise DomainError(f"integral order r must be >= 1, got {r!r}")
-    weights = _axis_weights(grid, cube)
-    spans = [_span(w > 0.0) for w in weights]
+    weights, spans = _axis_weights(grid, cube)
     if None in spans:
         warnings.warn("cube does not intersect the grid domain; integral is 0", stacklevel=3)
         return np.zeros(len(rows))
@@ -151,10 +171,7 @@ def _cube_sups(grid: Grid, rows: np.ndarray, cube: CubeSpec) -> np.ndarray:
     """Maximum over the cells whose centers lie in the (open) cube, per row."""
     if cube.N != grid.N:
         raise DomainError(f"cube dimension {cube.N} != grid dimension {grid.N}")
-    spans = [
-        _span(np.abs(grid.axis_centers(i) - cube.center[i]) < cube.half_widths[i])
-        for i in range(grid.N)
-    ]
+    spans = _open_spans(grid, cube.center, cube.half_widths)
     if None in spans:
         warnings.warn("no cell centers inside the cube; sup is 0", stacklevel=3)
         return np.zeros(len(rows))

@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import DomainError
 from .geometry import CubeSpec, ExponentProfile
-from .harnack import InequalityReport, _axis_weights, _span, _tensor, cube_contained, gamma_min
-from .solver import _FIRST, _LAST, Field, Trajectory, _along, _FaceGradients
+from .harnack import InequalityReport, _axis_weights, _tensor, cube_contained, gamma_min
+from .solver import _FIRST, _LAST, Field, Trajectory, _along
 
 
 def young_gamma(eps: float, q: float) -> float:
@@ -171,12 +171,7 @@ def sobolev_ratio(
         sup_sigma = _exp_sum(sigma, log_phi) * vol
         rhs = T ** (1.0 - theta * p_star / prof.p_bar) * sup_sigma ** (1.0 - theta)
         for i, (pi, h) in enumerate(zip(prof.p, grid.spacings)):
-            log_g = np.diff(u, axis=i)  # the interior faces, G then log |G| in place
-            np.log(np.abs(log_g, out=log_g), out=log_g)
-            # the faces beside the zero ghosts: G = u of the first and -u of the last cell
-            ends = [log_phi[_along(i, s)] for s in (_FIRST, _LAST)]
-            face_sum = sum(_exp_sum(pi, x) for x in (log_g, *ends))
-            grad_int = T * face_sum * h**-pi * vol
+            grad_int = T * _face_power_sum(u, log_phi, i, pi) * h**-pi * vol
             rhs *= grad_int ** (theta * p_star / (prof.N * pi))
     return lhs / rhs
 
@@ -185,6 +180,16 @@ def _exp_sum(a: float, log_x: np.ndarray) -> float:
     """sum x^a given log x, as sum exp(a log x)."""
     terms = a * log_x
     return float(np.exp(terms, out=terms).sum())
+
+
+def _face_power_sum(u: np.ndarray, log_u: np.ndarray, i: int, p: float) -> float:
+    """sum |G|^p = sum exp(p log|G|) over the faces of axis i, G = u[k+1] - u[k] with
+    a zero ghost layer, given log_u = log|u|; the caller ignores divide warnings."""
+    log_g = np.diff(u, axis=i)  # the interior faces, G then log |G| in place
+    np.log(np.abs(log_g, out=log_g), out=log_g)
+    # the faces beside the zero ghosts: G = u of the first and -u of the last cell
+    ends = [log_u[_along(i, s)] for s in (_FIRST, _LAST)]
+    return sum(_exp_sum(p, x) for x in (log_g, *ends))
 
 
 # --- cutoff functions and the truncation energy estimate ----------------------
@@ -285,26 +290,26 @@ def caccioppoli_report(
 
     ramp_len = 0.25 * (t2 - t1)
     xi = np.clip((np.asarray(times) - t1) / ramp_len, 0.0, 1.0)
-    weights = _axis_weights(grid, cutoff.outer)
-    box = tuple(_span(w > 0.0) for w in weights)
+    weights, box = _axis_weights(grid, cutoff.outer)
     w_outer = _tensor([w[span] for w, span in zip(weights, box)])
     zeta = cutoff.values(grid)[box]
     blocks = traj.values[window].reshape(-1, *grid.shape)[(slice(None), *box)]
     vol = grid.cell_volume
 
-    grads = _FaceGradients(w_outer.shape, grid.spacings, periodic=False)
     n = prof.N
     # rows: the gradient integrands per axis, (u-k)_+^{p_i} per axis, chi_{[u>k]}
     series = np.empty((2 * n + 1, len(times)))
     sup_term = 0.0
-    for j, (u, x) in enumerate(zip(blocks, xi)):
-        trunc = np.maximum(u - k, 0.0)
-        sup_term = max(sup_term, float((trunc**2 * zeta).sum()) * vol * x)
-        grads.u[...] = trunc * zeta * x
-        for i, (pi, g) in enumerate(zip(prof.p, grads.compute())):
-            series[i, j] = float((np.abs(g) ** pi).sum()) * vol
-            series[n + i, j] = float((trunc**pi * w_outer).sum()) * vol
-        series[2 * n, j] = float(((u > k) * w_outer).sum()) * vol
+    with np.errstate(divide="ignore"):  # log 0 = -inf, and exp(a * -inf) = 0
+        for j, (u, x) in enumerate(zip(blocks, xi)):
+            trunc = np.maximum(u - k, 0.0)
+            sup_term = max(sup_term, float((trunc**2 * zeta).sum()) * vol * x)
+            v = trunc * zeta * x
+            log_v = np.log(np.abs(v))
+            for i, (pi, h) in enumerate(zip(prof.p, grid.spacings)):
+                series[i, j] = _face_power_sum(v, log_v, i, pi) * h**-pi * vol
+                series[n + i, j] = float((trunc**pi * w_outer).sum()) * vol
+            series[2 * n, j] = float(((u > k) * w_outer).sum()) * vol
     integrals = np.trapezoid(series, times).tolist()
 
     lhs = sup_term + C_o * sum(integrals[:n])

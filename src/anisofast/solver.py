@@ -74,6 +74,12 @@ class Grid:
         return -self.half_domain[i] + h * (np.arange(self.resolution[i]) + 0.5)
 
 
+def _count(n) -> Optional[int]:
+    """n as an int when it is integral (32, 32.0, "32"); None when it is not (32.7, nan, inf)."""
+    n = float(n)
+    return int(n) if n.is_integer() else None
+
+
 def build_grid(
     half_domain: Sequence[float],
     resolution: Sequence[int],
@@ -81,7 +87,7 @@ def build_grid(
 ) -> Grid:
     violations = []
     half = tuple(float(x) for x in half_domain)
-    res = tuple(int(n) for n in resolution)
+    res = tuple(_count(n) for n in resolution)
     if len(half) != len(res):
         violations.append(
             f"half_domain has {len(half)} entries but resolution has {len(res)}"
@@ -89,8 +95,10 @@ def build_grid(
     for x in half:
         if not (x > 0.0) or not math.isfinite(x):
             violations.append(f"half_domain entry must be positive, got {x!r}")
-    for n in res:
-        if n < 4:
+    for n, given in zip(res, resolution):
+        if n is None:
+            violations.append(f"resolution must be an integer per axis, got {given!r}")
+        elif n < 4:
             violations.append(f"resolution must be >= 4 per axis, got {n}")
     if boundary not in BOUNDARIES:
         violations.append(f"boundary must be one of {BOUNDARIES}, got {boundary!r}")
@@ -218,7 +226,7 @@ class _FaceGradients:
     axis-0 buffer is one subtraction.
     """
 
-    def __init__(self, shape: Sequence[int], spacings: Sequence[float], periodic: bool):
+    def __init__(self, shape: Sequence[int], periodic: bool):
         shape = tuple(shape)
         self.shape, self.periodic = shape, periodic
         n = math.prod(shape)
@@ -230,8 +238,7 @@ class _FaceGradients:
             self.u = u = padded[self.strides[0] : -self.strides[0]].reshape(shape)
         flat = u.reshape(-1)
         zero = np.array(0.0)
-        self._h = tuple(spacings)
-        self.faces, self._parts, self._ops = [], [], []
+        self.faces, self._ops = [], []
         for i, s in enumerate(self.strides):
             faces = _buffer(n if periodic else n + n // shape[i], 1 + i)
             before, after = self.split(faces, i)
@@ -250,7 +257,6 @@ class _FaceGradients:
                     (before, first, zero),
                 ]
             self.faces.append(faces)
-            self._parts.append((before, after))
 
     def split(self, buf: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
         """(faces before the first cell, faces after each cell) of an axis-i buffer.
@@ -266,24 +272,6 @@ class _FaceGradients:
     def differences(self) -> None:
         for out, hi, lo in self._ops:
             _subtract(hi, lo, out=out)
-
-    def compute(self) -> list[np.ndarray]:
-        """New arrays of the quotients (u[k+1] - u[k]) / h_i, faces in axis order.
-
-        Axis i has n_i + 1 faces with a zero ghost layer and n_i periodic ones,
-        face k sitting between cells k and k+1 (mod n_i).
-        """
-        self.differences()
-        grads = []
-        for i, ((before, after), h) in enumerate(zip(self._parts, self._h)):
-            if self.periodic:
-                grads.append(np.divide(after, h))
-                continue
-            g = np.empty(tuple(n + (k == i) for k, n in enumerate(self.shape)))
-            np.divide(before, h, out=g[_along(i, _FIRST)])
-            np.divide(after, h, out=g[_along(i, slice(1, None))])
-            grads.append(g)
-        return grads
 
 
 class _FluxKernel:
@@ -305,7 +293,7 @@ class _FluxKernel:
 
     def __init__(self, grid: Grid, prof: ExponentProfile, eps: float):
         periodic = grid.boundary == "periodic"
-        self._grad = grad = _FaceGradients(grid.shape, grid.spacings, periodic)
+        self._grad = grad = _FaceGradients(grid.shape, periodic)
         self.u = grad.u
         self._flat = grad.u.reshape(-1)
         n = grid.n_cells

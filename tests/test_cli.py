@@ -225,6 +225,61 @@ def test_parse_non_finite_number_is_a_violation(tmp_path, capsys, key, value):
     assert not out.exists()
 
 
+# (key, value): the start of its violation; such values were once truncated or overflowed
+NON_INTEGRAL_COUNTS = {
+    ("resolution", "32.7"): "resolution must be an integer per axis, got 32.7",
+    ("resolution", "inf"): "resolution must be an integer per axis, got inf",
+    ("resolution", "1e400"): "resolution must be an integer per axis, got inf",
+    ("resolution", "nan"): "resolution must be an integer per axis, got nan",
+    ("snapshots", "3.9"): "snapshots must be an integer, got ",
+    ("snapshots", "inf"): "snapshots must be an integer, got ",
+    ("snapshots", "nan"): "snapshots must be an integer, got ",
+    ("snapshots", "1" + "0" * 400): "snapshots must be an integer, got ",
+}
+
+
+@pytest.mark.parametrize("form", ["text", "json"])
+@pytest.mark.parametrize(
+    "key, value", sorted(NON_INTEGRAL_COUNTS), ids=lambda v: v if len(v) < 20 else "10**400"
+)
+def test_parse_non_integral_count_is_a_violation(tmp_path, capsys, form, key, value):
+    # rejected when the config is parsed, in both forms, so `run` exits 2 with no traceback
+    out = tmp_path / "out"
+    if form == "text":
+        text = MINIMAL.replace("resolution = 64", f"resolution = {value}")
+        text += "" if key == "resolution" else f"{key} = {value}\n"
+        text += f"[output]\ndirectory = {out}\n"
+    else:  # the value as a JSON literal: 1e400 reads as inf, 10^400 as an int
+        sim = {"p": 1.5, "half_domain": 0.5, "resolution": 64, "t_end": 0.02, key: "VALUE"}
+        text = json.dumps({"simulation": sim, "output": {"directory": str(out)}})
+        text = text.replace('"VALUE"', {"inf": "Infinity", "nan": "NaN"}.get(value, value))
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(text)
+    words = NON_INTEGRAL_COUNTS[key, value]
+    assert any(v.startswith(words) for v in excinfo.value.violations), excinfo.value.violations
+    config_path = tmp_path / "bad.cfg"
+    config_path.write_text(text, encoding="utf-8")
+    assert main(["run", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: " + words in err and "Traceback" not in err, err
+    assert not out.exists()
+    if key == "resolution":  # the Python API checks it too
+        with pytest.raises(ConfigError, match="must be an integer"):
+            af.build_grid([0.5], [float(value)])
+
+
+def test_parse_integral_float_counts_are_accepted():
+    text = MINIMAL.replace("resolution = 64", "resolution = 32.0") + "snapshots = 5.0\n"
+    sim = {"p": 1.5, "half_domain": 0.5, "resolution": 32.0, "t_end": 0.02, "snapshots": 5.0}
+    for cfg in (parse_config(text), parse_config(json.dumps({"simulation": sim}))):
+        assert cfg.sim.grid.resolution == (32,) and type(cfg.sim.grid.resolution[0]) is int
+        assert len(cfg.sim.snapshot_times) == 5
+
+
+def test_main_builds_its_parser_once():
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_run_t_end_zero_initial_snapshot_only(tmp_path):
     cfg = parse_config(MINIMAL.replace("t_end = 0.02", "t_end = 0"))
     run_dir = cmd_run(cfg, str(tmp_path / "run0"))

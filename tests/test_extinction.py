@@ -188,6 +188,35 @@ def test_containment_flag_matches_geometry():
     assert not samples.contained_4rho.all()
 
 
+def test_decay_samples_tests_each_distinct_cube_once(monkeypatch):
+    # in 1D every K_rho(t_star - tau) has half-width rho, so one K_{4rho} is tested
+    from anisofast import extinction
+    from anisofast.harnack import _cube_integrals, _cube_sups, cube_contained
+
+    prof = af.derive_exponents([1.5], 1)
+    grid = af.build_grid([0.5], [32], "dirichlet_zero")
+    traj = synthetic_power_trajectory(prof, grid, _bump_values(grid), t_star=0.5, n_snap=41)
+    scale_cube, scaled = af.scale_cube, []
+    monkeypatch.setattr(
+        extinction, "scale_cube", lambda cube, a: scaled.append(a) or scale_cube(cube, a)
+    )
+    samples = af.decay_samples(traj, prof, 0.1, 0.5, 1e-9)
+    assert scaled == [4.0]
+    # the per-row evaluation: one cube, reduction and containment test per snapshot
+    rows = range(len(samples.tau))
+    assert len(rows) == 40
+    cubes = [af.intrinsic_cube(0.1, float(samples.remaining[k]), prof) for k in rows]
+    one_row = [traj.values[k : k + 1] for k in rows]
+    expected = {
+        "mass_intrinsic": [_cube_integrals(grid, u, c, 1.0)[0] for u, c in zip(one_row, cubes)],
+        "sup_intrinsic": [_cube_sups(grid, u, c)[0] for u, c in zip(one_row, cubes)],
+        "contained_4rho": [cube_contained(scale_cube(c, 4.0), grid) for c in cubes],
+    }
+    for name, values in expected.items():
+        got = getattr(samples, name)
+        assert got.tobytes() == np.array(values, dtype=got.dtype).tobytes(), name
+
+
 def test_decay_report_requires_crossing(run_1d_fast):
     with pytest.raises(DomainError):
         af.decay_report(run_1d_fast, run_1d_fast.exponents, 0.1, 1e-30, "intrinsic")

@@ -1,12 +1,14 @@
 """The batched cube quadrature against a per-snapshot loop, and the snapshot array."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import anisofast as af
-from anisofast.harnack import _cube_integrals, _cube_sups
+from anisofast import harnack
+from anisofast.harnack import _axis_weights, _cube_integrals, _cube_sups
 
 # (half_domain, resolution, boundary) in one, two and three dimensions
 GRIDS = [
@@ -138,6 +140,78 @@ def test_round_off_negatives_are_clamped_only_above_order_one():
     cube = _cube((0.5,), "inside")
     assert (_cube_integrals(grid, values, cube, 1.0) < 0.0).all()
     assert _cube_integrals(grid, values, cube, 2.0).tolist() == [0.0, 0.0]
+
+
+# --- the cached footprint ------------------------------------------------------------
+
+# per placement: (lowest, highest) |center| and half width, as fractions of the half domain
+RANDOM_PLACEMENTS = {
+    "inside": ((0.0, 0.3), (0.1, 0.3)),
+    "straddling": ((0.8, 0.95), (0.25, 0.4)),
+    "outside": ((2.0, 3.0), (0.1, 0.5)),
+}
+
+
+def _random_cubes(half_domain, placement, count=4, seed=11):
+    (c_lo, c_hi), (w_lo, w_hi) = RANDOM_PLACEMENTS[placement]
+    rng = np.random.default_rng(seed)
+    H, n = np.asarray(half_domain), len(half_domain)
+    for _ in range(count):
+        center = rng.uniform(c_lo, c_hi, n) * H * rng.choice([-1.0, 1.0], n)
+        widths = tuple(rng.uniform(w_lo, w_hi, n) * H)
+        rho = math.prod(widths) ** (1.0 / n)
+        yield af.CubeSpec(tuple(center), widths, "standard", rho)
+
+
+def _reductions(traj, cube):
+    """The bytes of every private reduction of the cube, and the warnings they raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # a repeated warning is recorded again
+        values = [
+            _cube_integrals(traj.grid, traj.values, cube, 1.0).tobytes(),
+            _cube_integrals(traj.grid, traj.values, cube, 2.0).tobytes(),
+            _cube_sups(traj.grid, traj.values, cube).tobytes(),
+        ]
+    return values, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("spec", GRIDS, ids=lambda s: f"{len(s[1])}d-{s[2]}")
+@pytest.mark.parametrize("placement", sorted(RANDOM_PLACEMENTS))
+def test_cached_footprint_gives_the_bits_and_warnings_of_a_cold_one(spec, placement):
+    traj = _trajectory(*spec)
+    for cube in _random_cubes(spec[0], placement):
+        harnack._weights_and_spans.cache_clear()
+        harnack._open_spans.cache_clear()
+        cold = _reductions(traj, cube)
+        assert harnack._weights_and_spans.cache_info().misses == 1
+        assert harnack._open_spans.cache_info().misses == 1
+        warm = _reductions(traj, cube)
+        assert harnack._weights_and_spans.cache_info().misses == 1
+        assert harnack._open_spans.cache_info().misses == 1
+        assert warm == cold
+        if placement == "outside":
+            assert cold[1] == [
+                "cube does not intersect the grid domain; integral is 0",
+                "cube does not intersect the grid domain; integral is 0",
+                "no cell centers inside the cube; sup is 0",
+            ]
+        else:
+            assert cold[1] == []
+
+
+def test_cached_weights_are_read_only_and_shared_by_equal_footprints():
+    grid = af.build_grid([0.5, 0.4], [24, 18], "dirichlet_zero")
+    prof = af.derive_exponents([1.5, 1.5], 2)  # isotropic: every intrinsic K_rho has width rho
+    cubes = [af.intrinsic_cube(0.1, t, prof) for t in (0.01, 0.02)] + [af.standard_cube(0.1, prof)]
+    footprints = [_axis_weights(grid, cube) for cube in cubes]
+    assert all(f is footprints[0] for f in footprints)
+    weights, spans = footprints[0]
+    assert spans == (slice(9, 15), slice(6, 12))  # the cells that meet [-0.1, 0.1]^2
+    for w in weights:
+        with pytest.raises(ValueError, match="read-only"):
+            w[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            w *= 2.0
 
 
 # --- the snapshot array ------------------------------------------------------------
