@@ -28,7 +28,6 @@ from .geometry import (
 )
 from .harnack import (
     InequalityReport,
-    Measurements,
     check_backwards_composite,
     check_l1l1,
     check_l1linf,

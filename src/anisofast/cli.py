@@ -127,11 +127,13 @@ def _parse_kv_document(text: str) -> dict:
 
 def _floats(value, n=None, name=""):
     if isinstance(value, (int, float)):
-        out = [float(value)]
-    elif isinstance(value, (list, tuple)):
+        value = [value]
+    elif not isinstance(value, (list, tuple)):
+        value = str(value).split()
+    try:
         out = [float(v) for v in value]
-    else:
-        out = [float(tok) for tok in str(value).split()]
+    except (TypeError, OverflowError):  # [[1.5]]; a JSON int past 1e308
+        raise ValueError(f"{name} entries must be numbers, got {value!r}") from None
     if n is not None and len(out) != n:
         raise ValueError(f"{name} must have {n} entries, got {len(out)}")
     return out
@@ -166,7 +168,7 @@ def _parse_check(value, violations) -> CheckSpec | None:
     except KeyError as missing:
         violations.append(f"check {kind!r} is missing required option {missing}")
         return None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         violations.append(f"check {kind!r}: {exc}")
         return None
     if fields:
@@ -193,7 +195,7 @@ def parse_config(text: str) -> CampaignConfig:
     if stripped.startswith("{"):
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an int literal of over 4300 digits
             raise ConfigError([f"invalid JSON: {exc}"]) from exc
     else:
         doc = _parse_kv_document(text)
@@ -214,6 +216,9 @@ def parse_config(text: str) -> CampaignConfig:
             violations.append(f"{key} must be {what}, got {values[key]!r}")
         return value
 
+    for name in ("simulation", "analysis", "output"):
+        if not isinstance(doc.get(name, {}), dict):  # JSON: none of its keys can be read
+            raise ConfigError([f"[{name}] must hold key = value entries, got {doc[name]!r}"])
     for section in doc:
         if section not in ("simulation", "analysis", "output"):
             violations.append(f"unknown section [{section}]")
@@ -286,8 +291,11 @@ def parse_config(text: str) -> CampaignConfig:
     if decay_rho is not None and not 0.0 < decay_rho < math.inf:
         violations.append(f"decay_rho must be positive and finite, got {decay_rho}")
 
-    checks = []
-    for entry in ana.get("check", []) or []:
+    checks, entries = [], ana.get("check") or []
+    if not isinstance(entries, list):  # a JSON string would be read one character at a time
+        violations.append(f"check must be a list of checks, got {entries!r}")
+        entries = []
+    for entry in entries:
         spec = _parse_check(entry, violations)
         if spec is not None:
             checks.append(spec)
@@ -311,6 +319,9 @@ def parse_config(text: str) -> CampaignConfig:
         except ConfigError as exc:
             violations.extend(exc.violations)
 
+    outdir = out.get("directory", "out")
+    if not isinstance(outdir, str) or not outdir:
+        violations.append(f"directory must be a path, got {outdir!r}")
     if violations or sim_config is None:
         raise ConfigError(violations or ["incomplete configuration"])
     return CampaignConfig(
@@ -318,7 +329,7 @@ def parse_config(text: str) -> CampaignConfig:
         checks=tuple(checks),
         threshold_rel=threshold_rel,
         decay_rho=decay_rho,
-        outdir=str(out.get("directory", "out")),
+        outdir=outdir,
     )
 
 
@@ -360,17 +371,16 @@ def cmd_run(config: CampaignConfig, outdir: str | None = None) -> str:
     return run_dir
 
 
-#: each check kind as a call of its harnack function; one analyze call passes
-#: all its checks one cache
+#: each check kind as a call of its harnack function
 _CHECK_DISPATCH = {
-    "l1l1": lambda traj, s, c: harnack.check_l1l1(traj, s.rho, s.t, s.geometry, s.C, c),
-    "l1linf": lambda traj, s, c: harnack.check_l1linf(traj, s.rho, s.t, s.geometry, s.C, c),
-    "lr_sup": lambda traj, s, c: harnack.check_lr_sup(traj, s.rho, s.t, s.r, s.geometry, s.C, c),
-    "lr_backward": lambda traj, s, c: harnack.check_lr_backward(
-        traj, s.rho, s.t, s.r, s.geometry, s.C, c
+    "l1l1": lambda traj, s: harnack.check_l1l1(traj, s.rho, s.t, s.geometry, s.C),
+    "l1linf": lambda traj, s: harnack.check_l1linf(traj, s.rho, s.t, s.geometry, s.C),
+    "lr_sup": lambda traj, s: harnack.check_lr_sup(traj, s.rho, s.t, s.r, s.geometry, s.C),
+    "lr_backward": lambda traj, s: harnack.check_lr_backward(
+        traj, s.rho, s.t, s.r, s.geometry, s.C
     ),
-    "composite": lambda traj, s, c: harnack.check_backwards_composite(
-        traj, s.rho, s.t, s.r, s.geometry, s.C, c
+    "composite": lambda traj, s: harnack.check_backwards_composite(
+        traj, s.rho, s.t, s.r, s.geometry, s.C
     ),
 }
 
@@ -425,8 +435,7 @@ def cmd_analyze(run_dir: str, config: CampaignConfig) -> dict:
     traj = solver.load_trajectory(traj_dir)
     outputs = {}
 
-    cache = harnack.Measurements()  # each distinct cube reduction is measured once
-    reports = [_CHECK_DISPATCH[spec.kind](traj, spec, cache) for spec in config.checks]
+    reports = [_CHECK_DISPATCH[spec.kind](traj, spec) for spec in config.checks]
     run = {name: echo(traj) for name, echo in _RUN_ECHO.items()}
     checks_csv = os.path.join(run_dir, "checks.csv")
     _write_csv(checks_csv, _CHECK_HEADER, [_check_row(report, run) for report in reports])

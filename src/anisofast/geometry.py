@@ -153,19 +153,8 @@ class CubeSpec:
         return math.prod(2.0 * w for w in self.half_widths)
 
 
-def _origin(prof: ExponentProfile, center) -> tuple[float, ...]:
-    if center is None:
-        return (0.0,) * prof.N
-    center = tuple(float(c) for c in center)
-    if len(center) != prof.N:
-        raise DomainError(f"center must have {prof.N} entries, got {len(center)}")
-    return center
-
-
-def intrinsic_cube(
-    rho: float, t: float, prof: ExponentProfile, center: Sequence[float] | None = None
-) -> CubeSpec:
-    """Cube with half-widths rho^(p_bar/p_i) * nu^((p_i-p_bar)/p_i).
+def intrinsic_cube(rho: float, t: float, prof: ExponentProfile) -> CubeSpec:
+    """Origin-centered cube with half-widths rho^(p_bar/p_i) * nu^((p_i-p_bar)/p_i).
 
     Along axes with p_i > p_bar the cube shrinks as t decreases; along axes
     with p_i < p_bar it stretches.  The volume stays (2*rho)^N.
@@ -176,23 +165,15 @@ def intrinsic_cube(
         rho ** (prof.p_bar / pi) * v ** ((pi - prof.p_bar) / pi) for pi in prof.p
     )
     return CubeSpec(
-        center=_origin(prof, center),
-        half_widths=widths,
-        kind="intrinsic",
-        rho=rho,
-        t=float(t),
+        center=(0.0,) * prof.N, half_widths=widths, kind="intrinsic", rho=rho, t=float(t)
     )
 
 
-def standard_cube(
-    rho: float, prof: ExponentProfile, center: Sequence[float] | None = None
-) -> CubeSpec:
-    """Time-independent cube with half-widths rho^(p_bar/p_i)."""
+def standard_cube(rho: float, prof: ExponentProfile) -> CubeSpec:
+    """Time-independent origin-centered cube with half-widths rho^(p_bar/p_i)."""
     rho = _require_positive("rho", rho)
     widths = tuple(rho ** (prof.p_bar / pi) for pi in prof.p)
-    return CubeSpec(
-        center=_origin(prof, center), half_widths=widths, kind="standard", rho=rho
-    )
+    return CubeSpec(center=(0.0,) * prof.N, half_widths=widths, kind="standard", rho=rho)
 
 
 def scale_cube(cube: CubeSpec, a: float) -> CubeSpec:

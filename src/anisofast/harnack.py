@@ -20,9 +20,9 @@ runs on a whole window of snapshot rows at once: only the support box of the
 cube's weights is read, and it is contracted one axis at a time.  A cube's
 footprint on a grid (its per-axis weights and spans, and the cells of the
 open cube) depends only on its center and half-widths; it is computed once
-per (grid, cube) per process and kept read-only in a bounded cache.  A check
-may share a `Measurements` cache with the other checks of its caller, so that
-each distinct reduction of one trajectory is computed once.
+per (grid, cube) per process and kept read-only in a bounded cache.  Each
+distinct reduction of one trajectory, and each cube its checks build, is
+computed once and kept by the trajectory (`Trajectory.measured`).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -239,29 +239,6 @@ def time_extremal(
 # --- the checkers ------------------------------------------------------------
 
 
-class Measurements:
-    """The cube reductions of one trajectory, and the cubes they run on, each made once.
-
-    The caller owns it, passes it to the checks of one call and drops it.  A
-    value is kept under its exact inputs (quantity, cube, window or row 0,
-    order r; for cubes rho, t and geometry), so a hit returns the bits a
-    fresh measurement would.  A check on another trajectory first empties
-    it: no value crosses trajectories.
-    """
-
-    def __init__(self):
-        self._traj: Optional[Trajectory] = None
-        self._values: dict[tuple, Any] = {}
-
-    def get(self, traj: Trajectory, key: tuple, measure: Callable[[], Any]) -> Any:
-        """The value stored under key for traj; measure() computes it once."""
-        if traj is not self._traj:
-            self._traj, self._values = traj, {}
-        if key not in self._values:
-            self._values[key] = measure()
-        return self._values[key]
-
-
 @dataclass
 class _Instance:
     """One (rho, t, r, geometry) point of a trajectory, with K_rho, K_{2rho}
@@ -276,12 +253,11 @@ class _Instance:
     cube: CubeSpec
     doubled: CubeSpec
     half: CubeSpec
-    cache: Optional[Measurements] = None
 
     @classmethod
-    def at(cls, traj: Trajectory, rho: float, t: float, r: float, geometry: str, cache=None):
-        """The point with its cubes built for the geometry at time level t, or
-        cached under (rho, t, geometry), t left out for the standard cubes."""
+    def at(cls, traj: Trajectory, rho: float, t: float, r: float, geometry: str):
+        """The point with its cubes built for the geometry at time level t, kept
+        by the trajectory under (rho, t, geometry), t left out for the standard cubes."""
         prof = traj.exponents
 
         def build() -> tuple[CubeSpec, CubeSpec, CubeSpec]:
@@ -291,15 +267,10 @@ class _Instance:
             return tuple(standard_cube(a * rho, prof) for a in (1.0, 2.0, 0.5))
 
         key = ("cubes", rho, t if geometry == "intrinsic" else None, geometry)
-        cubes = build() if cache is None else cache.get(traj, key, build)
-        return cls(traj, prof, rho, t, r, geometry, *cubes, cache)
-
-    def _measured(self, key: tuple, measure: Callable[[], float]) -> float:
-        """measure(), or the value the cache holds under key."""
-        return measure() if self.cache is None else self.cache.get(self.traj, key, measure)
+        return cls(traj, prof, rho, t, r, geometry, *traj.measured(key, build))
 
     def _extremal(self, cube: CubeSpec, window: tuple, kind: str, r: float = 1.0) -> float:
-        return self._measured(
+        return self.traj.measured(
             (kind, cube, window, r), lambda: time_extremal(self.traj, cube, window, kind, r)
         )
 
@@ -322,7 +293,7 @@ class _Instance:
 
     def initial_doubled(self) -> float:
         """int_{K_{2rho}} u_0^r."""
-        return self._measured(
+        return self.traj.measured(
             ("initial", self.doubled, 0, self.r),
             lambda: cube_integral(self.traj.initial, self.doubled, self.r),
         )
@@ -444,13 +415,13 @@ CHECKS = {
 }
 
 
-def _evaluate(kind, traj, rho, t, r, geometry, C, cache=None) -> InequalityReport:
+def _evaluate(kind, traj, rho, t, r, geometry, C) -> InequalityReport:
     """Measure the CHECKS[kind] inequality at (rho, t, r, C) in one geometry.
 
     r is None for the inequalities stated without an order.  Every row needs
     all p_i < 2 before its own applicability predicate; when either fails the
-    report is not-applicable (no exception).  With a cache (`Measurements`)
-    each measured side is looked up there first.
+    report is not-applicable (no exception).  The trajectory keeps each
+    measured side (`Trajectory.measured`) for all the checks made on it.
     """
     row = CHECKS[kind]
     if geometry not in GEOMETRIES:
@@ -475,7 +446,7 @@ def _evaluate(kind, traj, rho, t, r, geometry, C, cache=None) -> InequalityRepor
         return InequalityReport(
             theorem, nan, {}, nan, False, None, params, applicable=False, reason=reason
         )
-    x = _Instance.at(traj, rho, t, order, geometry, cache)
+    x = _Instance.at(traj, rho, t, order, geometry)
     lhs = row.lhs(x)
     terms = row.rhs(x)
     violated, index = smallness_violated(C, rho, t, x.prof, geometry)
@@ -499,10 +470,9 @@ def check_l1l1(
     t: float,
     geometry: str = "intrinsic",
     C: float = 0.0,
-    cache: Optional[Measurements] = None,
 ) -> InequalityReport:
     """sup_{0<=tau<=t} int_{K_rho} u  vs  inf over the doubled cube + scaling term."""
-    return _evaluate("l1l1", traj, rho, t, None, geometry, C, cache)
+    return _evaluate("l1l1", traj, rho, t, None, geometry, C)
 
 
 def check_l1linf(
@@ -511,10 +481,9 @@ def check_l1linf(
     t: float,
     geometry: str = "intrinsic",
     C: float = 0.0,
-    cache: Optional[Measurements] = None,
 ) -> InequalityReport:
     """sup over K_{rho/2} x [t/2, t]  vs  t^(-N/lam) (inf mass)^(p_bar/lam) + scaling."""
-    return _evaluate("l1linf", traj, rho, t, None, geometry, C, cache)
+    return _evaluate("l1linf", traj, rho, t, None, geometry, C)
 
 
 def check_lr_sup(
@@ -524,10 +493,9 @@ def check_lr_sup(
     r: float,
     geometry: str = "intrinsic",
     C: float = 0.0,
-    cache: Optional[Measurements] = None,
 ) -> InequalityReport:
     """sup over K_{rho/2} x [t/2, t]  vs  the time-sup of the mean of u^r."""
-    return _evaluate("lr_sup", traj, rho, t, r, geometry, C, cache)
+    return _evaluate("lr_sup", traj, rho, t, r, geometry, C)
 
 
 def check_lr_backward(
@@ -537,10 +505,9 @@ def check_lr_backward(
     r: float,
     geometry: str = "intrinsic",
     C: float = 0.0,
-    cache: Optional[Measurements] = None,
 ) -> InequalityReport:
     """sup_{0<=tau<=t} int_{K_rho} u^r  vs  the initial-datum integral + scaling."""
-    return _evaluate("lr_backward", traj, rho, t, r, geometry, C, cache)
+    return _evaluate("lr_backward", traj, rho, t, r, geometry, C)
 
 
 def check_backwards_composite(
@@ -550,7 +517,6 @@ def check_backwards_composite(
     r: float,
     geometry: str = "intrinsic",
     C: float = 0.0,
-    cache: Optional[Measurements] = None,
 ) -> InequalityReport:
     """sup over K_{rho/2} x [t/2, t]  vs  t^(-N/lam_r) (initial u^r mass)^(p_bar/lam_r)."""
-    return _evaluate("composite", traj, rho, t, r, geometry, C, cache)
+    return _evaluate("composite", traj, rho, t, r, geometry, C)

@@ -21,7 +21,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -146,8 +146,8 @@ class InitialProfile:
             raise ConfigError([f"amplitude must be nonnegative and finite, got {self.amplitude}"])
         if self.kind in ("bump", "plateau") and not self.radius > 0.0:
             raise ConfigError([f"radius must be positive, got {self.radius}"])
-        if self.kind == "from_file" and not self.path:
-            raise ConfigError(["from_file profile requires a path"])
+        if self.kind == "from_file" and not isinstance(self.path or None, (str, os.PathLike)):
+            raise ConfigError([f"from_file profile requires a path, got {self.path!r}"])
 
 
 def init_field(grid: Grid, profile: InitialProfile) -> Field:
@@ -212,68 +212,6 @@ def _buffer(size: int, slot: int) -> np.ndarray:
     return raw[skip : skip + size]
 
 
-class _FaceGradients:
-    """Differences u[k+1] - u[k] across every face, each axis in one flat buffer.
-
-    Write the array into `u`, then `differences()` fills `faces[i]` for each
-    axis and allocates nothing; `split` names its parts.  The last n = u.size
-    entries are the faces after each cell along axis i, in cell order;
-    periodic axes wrap, so the face after cell n_i - 1 is the one before
-    cell 0.  With a zero ghost layer the buffer starts with the n / n_i faces
-    before the first cell.  Each axis is one flat subtraction at offset
-    stride_i plus a fix-up of one boundary hyperplane; the zero-ghost `u` is
-    the interior of an array padded along axis 0 only, so there the whole
-    axis-0 buffer is one subtraction.
-    """
-
-    def __init__(self, shape: Sequence[int], periodic: bool):
-        shape = tuple(shape)
-        self.shape, self.periodic = shape, periodic
-        n = math.prod(shape)
-        self.strides = [n // math.prod(shape[: i + 1]) for i in range(len(shape))]
-        if periodic:
-            self.u = u = _buffer(n, 0).reshape(shape)
-        else:
-            padded = _buffer(n + 2 * self.strides[0], 0)
-            self.u = u = padded[self.strides[0] : -self.strides[0]].reshape(shape)
-        flat = u.reshape(-1)
-        zero = np.array(0.0)
-        self.faces, self._ops = [], []
-        for i, s in enumerate(self.strides):
-            faces = _buffer(n if periodic else n + n // shape[i], 1 + i)
-            before, after = self.split(faces, i)
-            first, last = u[_along(i, _FIRST)], u[_along(i, _LAST)]
-            if not periodic and i == 0:
-                self._ops.append((faces, padded[s:], padded[:-s]))
-            elif periodic:
-                self._ops += [
-                    (faces[:-s], flat[s:], flat[:-s]),
-                    (after[_along(i, _LAST)], first, last),
-                ]
-            else:
-                self._ops += [
-                    (faces[-n:-s], flat[s:], flat[:-s]),
-                    (after[_along(i, _LAST)], zero, last),
-                    (before, first, zero),
-                ]
-            self.faces.append(faces)
-
-    def split(self, buf: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """(faces before the first cell, faces after each cell) of an axis-i buffer.
-
-        The first has the shape of `u` with 1 along axis i, the second that of `u`.
-        """
-        after = buf[buf.size - math.prod(self.shape) :].reshape(self.shape)
-        if self.periodic:
-            return after[_along(i, _LAST)], after
-        hyperplane = self.shape[:i] + (1,) + self.shape[i + 1 :]
-        return buf[: buf.size - after.size].reshape(hyperplane), after
-
-    def differences(self) -> None:
-        for out, hi, lo in self._ops:
-            _subtract(hi, lo, out=out)
-
-
 class _FluxKernel:
     """The one flux-form operator behind `stable_dt`, `advance` and `run`.
 
@@ -289,19 +227,47 @@ class _FluxKernel:
     step needs and works in them with `out=` ufunc calls on flat contiguous
     arrays, plus one boundary hyperplane per axis, so `rate()` and `step()`
     allocate no arrays.
+
+    `rate()` first writes G of axis i into the flat buffer `_faces[i]`,
+    named by `split`: its last u.size entries are the faces after each cell,
+    in cell order (periodic axes wrap), and with a zero ghost layer it starts
+    with the faces before the first cell.  An axis is one flat subtraction
+    at offset stride_i plus a boundary-hyperplane fix-up; the zero-ghost `u`
+    is the interior of an array padded along axis 0, whose faces are one
+    subtraction.
     """
 
     def __init__(self, grid: Grid, prof: ExponentProfile, eps: float):
-        periodic = grid.boundary == "periodic"
-        self._grad = grad = _FaceGradients(grid.shape, periodic)
-        self.u = grad.u
-        self._flat = grad.u.reshape(-1)
-        n = grid.n_cells
+        shape, n = grid.shape, grid.n_cells
+        self._periodic = periodic = grid.boundary == "periodic"
+        strides = [n // math.prod(shape[: i + 1]) for i in range(grid.N)]
+        if periodic:
+            self.u = u = _buffer(n, 0).reshape(shape)
+        else:
+            padded = _buffer(n + 2 * strides[0], 0)
+            self.u = u = padded[strides[0] : -strides[0]].reshape(shape)
+        self._flat = flat = u.reshape(-1)
+        zero = np.array(0.0)
         self._div, scratch = _buffer(n, grid.N + 1), _buffer(n, grid.N + 2)
-        self._bounds, self._axes = [], []
-        for i, (pi, h, faces, s) in enumerate(
-            zip(prof.p, grid.spacings, grad.faces, grad.strides)
-        ):
+        self._faces, self._differences, self._bounds, self._axes = [], [], [], []
+        for i, (pi, h, s) in enumerate(zip(prof.p, grid.spacings, strides)):
+            faces = _buffer(n if periodic else n + n // shape[i], 1 + i)
+            before, after = self.split(faces, i)
+            first, last = u[_along(i, _FIRST)], u[_along(i, _LAST)]
+            if not periodic and i == 0:
+                self._differences.append((faces, padded[s:], padded[:-s]))
+            elif periodic:
+                self._differences += [
+                    (faces[:-s], flat[s:], flat[:-s]),
+                    (after[_along(i, _LAST)], first, last),
+                ]
+            else:
+                self._differences += [
+                    (faces[-n:-s], flat[s:], flat[:-s]),
+                    (after[_along(i, _LAST)], zero, last),
+                    (before, first, zero),
+                ]
+            self._faces.append(faces)
             kappa, expo, scale = (h * eps) ** 2, (pi - 2.0) / 2.0, h**-pi
             if pi == 2.0:  # a heat axis: exp(0 log S) = 1, so Phi = G and its rate is 2 h^-2
                 flux, power, bound = faces, (), ()
@@ -314,11 +280,22 @@ class _FluxKernel:
             if not periodic and i == 0:  # flux = [faces before cell 0, faces after each cell]
                 pairs = ((d, flux[s:], flux[:-s]),)
             else:  # d[k] = Phi[k] - Phi[k-1], fixed up on the hyperplane k = 0
-                before, after = grad.split(flux, i)
+                before, after = self.split(flux, i)
                 cells = flux[flux.size - n :]
-                first = d.reshape(grid.shape)[_along(i, _FIRST)]
+                first = d.reshape(shape)[_along(i, _FIRST)]
                 pairs = ((d[s:], cells[s:], cells[:-s]), (first, after[_along(i, _FIRST)], before))
             self._axes.append((power, pairs, d, scale))
+
+    def split(self, buf: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """(faces before the first cell, faces after each cell) of an axis-i buffer.
+
+        The first has the shape of `u` with 1 along axis i, the second that of `u`.
+        """
+        shape = self.u.shape
+        after = buf[buf.size - self.u.size :].reshape(shape)
+        if self._periodic:
+            return after[_along(i, _LAST)], after
+        return buf[: buf.size - after.size].reshape(shape[:i] + (1,) + shape[i + 1 :]), after
 
     def rate(self) -> float:
         """sum_i 2 a_i_max / h_i^2 at `u`, the inverse of the unit-safety step.
@@ -328,7 +305,8 @@ class _FluxKernel:
         whose heat-axis terms (e_i = 0) are 2 h_i^-2 without a reduction.
         Leaves G and G*G in place for `step`.
         """
-        self._grad.differences()
+        for out, hi, lo in self._differences:
+            _subtract(hi, lo, out=out)
         denom = 0.0
         for c, bound in self._bounds:
             for faces, flux, kappa, expo in bound:  # none on a heat axis, whose term is c
@@ -449,13 +427,15 @@ class SimConfig:
         object.__setattr__(self, "snapshot_times", times)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Trajectory:
-    """Snapshots of one run as one (S, n_cells) array, plus the run's step count.
+    """Snapshots of one run as one read-only (S, n_cells) array, plus the run's step count.
 
     Row k of `values` is the flattened field at `times[k]`; times never
     decrease.  `snapshots`, `initial` and `sup_series` are views or
-    reductions of that one array, never copies of it.
+    reductions of that one array, never copies of it.  Fields cannot be
+    reassigned and `values` is a read-only view (of an array passed in,
+    whose owner must not write it), so what `measured` keeps stays true.
     """
 
     grid: Grid
@@ -466,12 +446,18 @@ class Trajectory:
     steps: int = 0
     mass_drift: Optional[float] = None
     min_value: float = 0.0
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.times = tuple(float(t) for t in self.times)
-        self.values = np.ascontiguousarray(self.values, dtype=np.float64)
+        object.__setattr__(self, "times", tuple(float(t) for t in self.times))
+        object.__setattr__(self, "values", np.ascontiguousarray(self.values, np.float64).view())
+        self.values.flags.writeable = False
         if not self.times:
             raise IngestionError("trajectory has no snapshots")
+        if not all(map(math.isfinite, self.times)):
+            raise IngestionError("snapshot times must be finite")
+        if not 0.0 < self.eps < math.inf:  # NaN fails every comparison
+            raise IngestionError(f"eps must be positive and finite, got {self.eps!r}")
         if self.exponents.N != self.grid.N:
             raise IngestionError(
                 f"{self.exponents.N} exponents for a {self.grid.N}-dimensional grid"
@@ -483,6 +469,15 @@ class Trajectory:
             )
         if any(b < a for a, b in zip(self.times, self.times[1:])):
             raise IngestionError("snapshot times must not decrease")
+
+    def measured(self, key: tuple, measure: Callable[[], Any]) -> Any:
+        """measure(), computed once per key on this trajectory; the key names every
+        input, so a hit gives the bits a fresh call would.  Concurrent checks stay
+        safe: each store is one dict write of a value that is bit-identical
+        whoever computes it."""
+        if key not in self._memo:
+            self._memo[key] = measure()
+        return self._memo[key]
 
     @classmethod
     def from_fields(
@@ -638,8 +633,9 @@ def load_trajectory(path: str) -> Trajectory:
     or undecodable manifest, a format other than 2, a missing key or a value
     the grid or the exponents reject, exponents whose count is not the
     grid's dimension, a step count that is not a nonnegative integer, a
-    data file that does not hold exactly len(times) x n_cells values, and an
-    initial_sup that is not the max of the first snapshot.
+    non-finite min_value or mass_drift, times or an eps the trajectory
+    rejects, a data file that does not hold exactly len(times) x n_cells
+    values, and an initial_sup that is not the max of the first snapshot.
     """
     mpath = os.path.join(path, "manifest.json")
     if not os.path.exists(mpath):
@@ -664,6 +660,12 @@ def load_trajectory(path: str) -> Trajectory:
         times = tuple(float(t) for t in manifest["times"])
         eps, initial_sup = float(manifest["eps"]), manifest["initial_sup"]
         mass_drift, min_value = manifest["mass_drift"], float(manifest["min_value"])
+        if not math.isfinite(min_value):
+            raise ValueError(f"min_value must be finite, got {min_value!r}")
+        if mass_drift is not None and not (
+            isinstance(mass_drift, (int, float)) and math.isfinite(mass_drift)
+        ):
+            raise ValueError(f"mass_drift must be null or a finite number, got {mass_drift!r}")
         steps = int(manifest["steps"])
         if steps != manifest["steps"] or steps < 0:
             raise ValueError(f"steps must be a nonnegative integer, got {manifest['steps']!r}")
@@ -683,7 +685,10 @@ def load_trajectory(path: str) -> Trajectory:
         raise IngestionError(
             f"{SNAPSHOTS_FILE} in {path!r} does not hold {len(times)} x {grid.n_cells} values"
         )
-    traj = Trajectory(grid, prof, eps, values, times, steps, mass_drift, min_value)
+    try:
+        traj = Trajectory(grid, prof, eps, values, times, steps, mass_drift, min_value)
+    except IngestionError as exc:  # times or eps
+        raise IngestionError(f"invalid manifest.json in {path!r}: {exc}") from None
     if initial_sup != traj.initial.sup():
         raise IngestionError(f"initial_sup in {path!r} is not the max of the first snapshot")
     return traj

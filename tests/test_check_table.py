@@ -327,9 +327,14 @@ def _small_trajectory(scale=1.0):
     return af.Trajectory(grid, prof, 0.02, values, tuple(times))
 
 
-def _check(traj, kind, geometry, rho, t, cache=None):
+def _check(traj, kind, geometry, rho, t):
     order = () if harnack.CHECKS[kind].r_min is None else (2.0,)
-    return CHECK_FUNCTIONS[kind](traj, rho, t, *order, geometry, cache=cache)
+    return CHECK_FUNCTIONS[kind](traj, rho, t, *order, geometry)
+
+
+def _fresh(traj):
+    """A new trajectory over the same array: the same rows, no kept measurements."""
+    return af.Trajectory(traj.grid, traj.exponents, traj.eps, traj.values, traj.times)
 
 
 def _assert_same_report(got, want):
@@ -356,11 +361,11 @@ def test_shared_cache_measures_each_reduction_once(monkeypatch):
     traj = _small_trajectory()
     calls = _count_reductions(monkeypatch)
     counts = {}
-    for label, cache in (("fresh", None), ("shared", harnack.Measurements())):
+    for label, checked in (("fresh", _fresh), ("shared", lambda t: t)):
         calls.clear()
-        reports = [_check(traj, *point, cache=cache) for point in ONE_POINT]
+        reports = [_check(checked(traj), *point) for point in ONE_POINT]
         at_one_point = len(calls)
-        reports += [_check(traj, *point, cache=cache) for point in SECOND_T]
+        reports += [_check(checked(traj), *point) for point in SECOND_T]
         counts[label] = (at_one_point, len(calls), set(calls), reports)
     fresh, shared = counts["fresh"], counts["shared"]
     for got, want in zip(shared[3], fresh[3], strict=True):
@@ -373,9 +378,8 @@ def test_shared_cache_measures_each_reduction_once(monkeypatch):
 
 def test_cache_never_serves_another_trajectory():
     first, second = _small_trajectory(), _small_trajectory(scale=2.0)
-    cache = harnack.Measurements()
     for traj, other in ((first, second), (second, first), (first, second)):
         for point in ONE_POINT + SECOND_T:
-            got = _check(traj, *point, cache=cache)
-            _assert_same_report(got, _check(traj, *point))
-            assert got.lhs != _check(other, *point).lhs
+            got = _check(traj, *point)
+            _assert_same_report(got, _check(_fresh(traj), *point))
+            assert got.lhs != _check(_fresh(other), *point).lhs

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import tracemalloc
 from pathlib import Path
@@ -266,6 +267,66 @@ def test_parse_non_integral_count_is_a_violation(tmp_path, capsys, form, key, va
     if key == "resolution":  # the Python API checks it too
         with pytest.raises(ConfigError, match="must be an integer"):
             af.build_grid([0.5], [float(value)])
+
+
+# JSON literals written over a valid document, {(section, key or None): literal},
+# and the start of the one violation they give; each once raised a traceback or
+# was accepted
+_BIG = "1" + "0" * 400
+MALFORMED_JSON = {
+    "simulation_number": ({("simulation", None): "5"}, "[simulation] must hold key = value"),
+    "analysis_null": ({("analysis", None): "null"}, "[analysis] must hold key = value"),
+    "nested_p": ({("simulation", "p"): "[[1.5]]"}, "p: p entries must be numbers"),
+    "huge_p": ({("simulation", "p"): _BIG}, "p: p entries must be numbers"),
+    "huge_half_domain": (
+        {("simulation", "half_domain"): _BIG},
+        "half_domain entries must be numbers",
+    ),
+    "huge_resolution": ({("simulation", "resolution"): _BIG}, "resolution entries must be numbers"),
+    "overlong_int": ({("simulation", "t_end"): "1" + "0" * 5000}, "invalid JSON: "),
+    "number_path": (
+        {("simulation", "profile"): '"from_file"', ("simulation", "path"): "7"},
+        "from_file profile requires a path, got 7",
+    ),
+    "check_string": (
+        {("analysis", "check"): '"l1l1 rho=0.1 t=0.01"'},
+        "check must be a list of checks",
+    ),
+    "huge_check_rho": (
+        {("analysis", "check"): '[{"kind": "l1l1", "rho": %s, "t": 0.01}]' % _BIG},
+        "check 'l1l1': int too large to convert to float",
+    ),
+    "directory_list": ({("output", "directory"): '["a"]'}, "directory must be a path"),
+    "directory_empty": ({("output", "directory"): '""'}, "directory must be a path, got ''"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_JSON))
+def test_malformed_json_config_is_one_violation(tmp_path, capsys, monkeypatch, case):
+    changes, words = MALFORMED_JSON[case]
+    doc = {
+        "simulation": {"p": 1.5, "half_domain": 0.5, "resolution": 16, "t_end": 0.02},
+        "analysis": {"check": ["l1l1 rho=0.1 t=0.01"]},
+        "output": {"directory": "out"},
+    }
+    for k, (section, key) in enumerate(changes):
+        if key is None:
+            doc[section] = f"LITERAL{k}"
+        else:
+            doc[section][key] = f"LITERAL{k}"
+    text = json.dumps(doc)
+    for k, literal in enumerate(changes.values()):
+        text = text.replace(f'"LITERAL{k}"', literal)
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(text)
+    violations = excinfo.value.violations
+    assert len(violations) == 1 and violations[0].startswith(words), violations
+    (tmp_path / "bad.cfg").write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--config", "bad.cfg"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: " + words) and err.count("\n") == 1, err
+    assert os.listdir(tmp_path) == ["bad.cfg"]
 
 
 def test_parse_integral_float_counts_are_accepted():
@@ -711,6 +772,24 @@ TRAJECTORY_FAULTS = {
         "boundary must be one of",
     ),
     "bad_exponent": (_rewrite_manifest(lambda m: m.update(p=[3.0])), "exponent out of (1, 2]"),
+    "nan_time": (
+        _rewrite_manifest(lambda m: m["times"].__setitem__(1, math.nan)),
+        "snapshot times must be finite",
+    ),
+    "inf_time": (
+        _rewrite_manifest(lambda m: m["times"].__setitem__(2, math.inf)),
+        "snapshot times must be finite",
+    ),
+    "nan_eps": (_rewrite_manifest(lambda m: m.update(eps=math.nan)), "eps must be positive"),
+    "negative_eps": (_rewrite_manifest(lambda m: m.update(eps=-1e-3)), "eps must be positive"),
+    "nan_min_value": (
+        _rewrite_manifest(lambda m: m.update(min_value=math.nan)),
+        "min_value must be finite",
+    ),
+    "text_mass_drift": (
+        _rewrite_manifest(lambda m: m.update(mass_drift="x")),
+        "mass_drift must be null or a finite number",
+    ),
 }
 
 

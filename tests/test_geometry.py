@@ -215,9 +215,3 @@ def test_smallness_zero_c_skips_heat_mode():
 def test_cube_spec_volume_validation():
     with pytest.raises(DomainError):
         af.CubeSpec(center=(0.0,), half_widths=(2.0,), kind="standard", rho=1.0)
-
-
-def test_cube_requires_matching_center():
-    prof = af.derive_exponents([1.5, 1.5], 2)
-    with pytest.raises(DomainError):
-        af.intrinsic_cube(1.0, 0.5, prof, center=(0.0,))

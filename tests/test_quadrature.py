@@ -254,3 +254,9 @@ def test_trajectory_rejects_inconsistent_arrays(zero_traj_1d):
         af.Trajectory(grid, prof, 1e-3, np.zeros((0, 64)), ())
     with pytest.raises(af.IngestionError, match="2 exponents for a 1-dimensional grid"):
         af.Trajectory(grid, af.derive_exponents([1.4, 1.6], 2), 1e-3, np.zeros((2, 64)), (0.0, 0.1))
+    for t in (np.nan, np.inf):
+        with pytest.raises(af.IngestionError, match="snapshot times must be finite"):
+            af.Trajectory(grid, prof, 1e-3, np.zeros((2, 64)), (0.0, t))
+    for eps in (np.nan, -1e-3, 0.0, np.inf):
+        with pytest.raises(af.IngestionError, match="eps must be positive and finite"):
+            af.Trajectory(grid, prof, eps, np.zeros((2, 64)), (0.0, 0.1))

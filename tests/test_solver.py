@@ -1,5 +1,6 @@
 """Grid construction, initial data, time stepping, and persistence."""
 
+import dataclasses
 import json
 import tracemalloc
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 
 import anisofast as af
 from anisofast.errors import BlowupError, ConfigError, IngestionError
-from anisofast.solver import _FaceGradients, _FluxKernel, advance, stable_dt
+from anisofast.solver import _FluxKernel, advance, stable_dt
 
 
 def test_build_grid_1d():
@@ -426,6 +427,22 @@ def test_load_rejects_a_format_1_directory(tmp_path, zero_traj_1d):
         af.load_trajectory(str(path))
 
 
+def test_trajectory_values_and_fields_are_read_only(tmp_path, run_1d_fast):
+    # a trajectory keeps its measurements (`Trajectory.measured`), so nothing
+    # may change what they were measured on
+    loaded = af.load_trajectory(af.save_trajectory(run_1d_fast, str(tmp_path / "traj")))
+    grid = af.build_grid([0.5], [64])
+    built = af.Trajectory(grid, run_1d_fast.exponents, 1e-3, np.ones((2, 64)), (0.0, 0.1))
+    for traj in (run_1d_fast, loaded, built):
+        for array in (traj.values, traj.initial.values, *(f.values for f in traj.snapshots)):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.5
+        for name, value in (("values", np.zeros_like(traj.values)), ("times", traj.times)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(traj, name, value)
+
+
 def test_heat_oracle_quick():
     # p = 2 validation mode against the exact separation-of-variables decay
     grid = af.build_grid([0.5], [100], "dirichlet_zero")
@@ -566,12 +583,14 @@ def test_face_gradients_match_padded_differences():
     shape = (5, 4, 6)
     u = rng.uniform(-1.0, 1.0, shape)
     u[0, 0, 0] = -0.0
+    prof = af.derive_exponents([1.3, 1.6, 2.0], 3)
     for periodic in (False, True):
-        grads = _FaceGradients(shape, periodic)
-        grads.u[...] = u
-        grads.differences()
-        for i, faces in enumerate(grads.faces):
-            before, after = grads.split(faces, i)
+        grid = af.build_grid([0.5] * 3, shape, "periodic" if periodic else "dirichlet_zero")
+        kernel = _FluxKernel(grid, prof, 3e-2)
+        kernel.u[...] = u
+        kernel.rate()  # fills the face buffers first
+        for i, faces in enumerate(kernel._faces):
+            before, after = kernel.split(faces, i)
             if periodic:
                 g = after
                 expected = np.roll(u, -1, axis=i) - u
@@ -687,7 +706,7 @@ def test_flux_kernel_buffers_start_at_distinct_cache_line_slots():
     grid = af.build_grid([0.5] * 3, [16] * 3, "periodic")
     kernel = _FluxKernel(grid, af.derive_exponents([1.3, 1.5, 1.7], 3), 2e-2)
     fluxes = [power[0][1] for power, *_ in kernel._axes]
-    buffers = [kernel._flat, *kernel._grad.faces, kernel._div, *fluxes]
+    buffers = [kernel._flat, *kernel._faces, kernel._div, *fluxes]
     offsets = [b.ctypes.data % 4096 for b in buffers]
     assert len(set(offsets)) == len(buffers), offsets
     assert all(o % 64 == 0 for o in offsets), offsets
