@@ -125,13 +125,20 @@ def _parse_kv_document(text: str) -> dict:
     return doc
 
 
+def _real(value, name: str) -> float:
+    """float(value); a JSON true or false is not a number, though float(True) is 1.0."""
+    if isinstance(value, bool):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _floats(value, n=None, name=""):
     if isinstance(value, (int, float)):
         value = [value]
     elif not isinstance(value, (list, tuple)):
         value = str(value).split()
     try:
-        out = [float(v) for v in value]
+        out = [_real(v, name) for v in value]
     except (TypeError, OverflowError):  # [[1.5]]; a JSON int past 1e308
         raise ValueError(f"{name} entries must be numbers, got {value!r}") from None
     if n is not None and len(out) != n:
@@ -161,10 +168,10 @@ def _parse_check(value, violations) -> CheckSpec | None:
         return None
     try:
         geometry = str(fields.pop("geometry", "intrinsic")).lower()
-        rho = float(fields.pop("rho"))
-        t = float(fields.pop("t"))
-        r = float(fields.pop("r")) if "r" in fields else None
-        C = float(fields.pop("c", 0.0))
+        rho = _real(fields.pop("rho"), "rho")
+        t = _real(fields.pop("t"), "t")
+        r = _real(fields.pop("r"), "r") if "r" in fields else None
+        C = _real(fields.pop("c", 0.0), "C")
     except KeyError as missing:
         violations.append(f"check {kind!r} is missing required option {missing}")
         return None
@@ -203,16 +210,16 @@ def parse_config(text: str) -> CampaignConfig:
     violations: list[str] = []
 
     def number(values: dict, key: str, default, kind=float):
-        """values[key] as a float, or as an int when kind is int (32 and 32.0,
+        """values[key] as a float, or as an int when kind is _count (32 and 32.0,
         not 3.9, nan or inf); `default` when absent; None if invalid."""
         if key not in values:
             return default
         try:
-            value = float(values[key]) if kind is float else _count(values[key])
+            value = kind(_real(values[key], key))
         except (TypeError, ValueError, OverflowError):  # OverflowError: a JSON int past 1e308
             value = None
         if value is None:
-            what = "an integer" if kind is int else "a number"
+            what = "an integer" if kind is _count else "a number"
             violations.append(f"{key} must be {what}, got {values[key]!r}")
         return value
 
@@ -280,7 +287,7 @@ def parse_config(text: str) -> CampaignConfig:
 
     eps = number(sim, "eps", min(grid.spacings) if grid else 0.0)
     safety = number(sim, "safety", 0.5)
-    snapshots = number(sim, "snapshots", 101, int)
+    snapshots = number(sim, "snapshots", 101, _count)
 
     threshold_rel = number(ana, "extinction_threshold", 1e-6)
     if threshold_rel is not None and not 0.0 < threshold_rel < math.inf:
@@ -450,9 +457,7 @@ def cmd_analyze(run_dir: str, config: CampaignConfig) -> dict:
     summary_rows = [["check:" + report.theorem, report.gamma_min] for report in reports]
     if config.decay_rho is not None:
         threshold = config.threshold_rel * traj.initial.sup()
-        samples, decay = extinction.decay_reports(
-            traj, traj.exponents, config.decay_rho, threshold
-        )
+        samples, decay = extinction.decay_reports(traj, config.decay_rho, threshold)
         # the header of each decay CSV is the field list of the dataclass it reports
         columns = [f.name for f in fields(samples)]
         outputs["decay_samples"] = os.path.join(run_dir, "decay_samples.csv")

@@ -105,13 +105,7 @@ class DecaySamples:
     in_window: np.ndarray  # sup >= FLOOR_FACTOR * threshold
 
 
-def decay_samples(
-    traj: Trajectory,
-    prof: ExponentProfile,
-    rho: float,
-    t_star: float,
-    threshold: float,
-) -> DecaySamples:
+def decay_samples(traj: Trajectory, rho: float, t_star: float, threshold: float) -> DecaySamples:
     """Evaluate mass and sup over K_rho(t_star - tau) and the fixed standard cube."""
     if not rho > 0.0:
         raise DomainError(f"rho must be positive, got {rho!r}")
@@ -119,7 +113,7 @@ def decay_samples(
     before = bisect.bisect_left(traj.times, t_star)
     if before == 0:
         raise DomainError("no snapshots strictly before t_star")
-    rows = traj.values[:before]
+    rows, prof = traj.values[:before], traj.exponents
     tau = np.array(traj.times[:before])
     remaining = t_star - tau
     mass_int = np.full(before, math.nan)
@@ -210,7 +204,7 @@ def _fit_or_none(x: np.ndarray, y: np.ndarray) -> Optional[PowerLawFit]:
 
 
 def decay_reports(
-    traj: Trajectory, prof: ExponentProfile, rho: float, threshold: float
+    traj: Trajectory, rho: float, threshold: float
 ) -> tuple[DecaySamples, tuple[DecayReport, ...]]:
     """Detect t_star, take the decay samples once and fit both geometries.
 
@@ -222,7 +216,7 @@ def decay_reports(
     t_star = detect_extinction(traj, threshold)
     if t_star is None:
         raise DomainError(f"trajectory never crosses the extinction threshold {threshold!r}")
-    samples = decay_samples(traj, prof, rho, t_star, threshold)
+    samples = decay_samples(traj, rho, t_star, threshold)
     window = samples.in_window & (samples.tau >= 0.5 * t_star)
     if int(window.sum()) < MIN_FIT_POINTS:
         window = samples.in_window
@@ -231,7 +225,7 @@ def decay_reports(
     contained = float(samples.contained_4rho[window].mean()) if n_points else math.nan
     reports = []
     for geometry in GEOMETRIES:
-        *rates, reason = DECAY_THEORY[geometry](prof)
+        *rates, reason = DECAY_THEORY[geometry](traj.exponents)
         fits = {}
         for quantity, rate in zip(("mass", "sup"), rates):
             y = getattr(samples, f"{quantity}_{geometry}")[window]
@@ -260,13 +254,9 @@ def decay_reports(
 
 
 def decay_report(
-    traj: Trajectory,
-    prof: ExponentProfile,
-    rho: float,
-    threshold: float,
-    geometry: str = "intrinsic",
+    traj: Trajectory, rho: float, threshold: float, geometry: str = "intrinsic"
 ) -> DecayReport:
     """The `decay_reports` fit of one geometry near extinction."""
     if geometry not in GEOMETRIES:
         raise DomainError(f"geometry must be intrinsic or standard, got {geometry!r}")
-    return decay_reports(traj, prof, rho, threshold)[1][GEOMETRIES.index(geometry)]
+    return decay_reports(traj, rho, threshold)[1][GEOMETRIES.index(geometry)]

@@ -20,9 +20,10 @@ runs on a whole window of snapshot rows at once: only the support box of the
 cube's weights is read, and it is contracted one axis at a time.  A cube's
 footprint on a grid (its per-axis weights and spans, and the cells of the
 open cube) depends only on its center and half-widths; it is computed once
-per (grid, cube) per process and kept read-only in a bounded cache.  Each
-distinct reduction of one trajectory, and each cube its checks build, is
-computed once and kept by the trajectory (`Trajectory.measured`).
+per (grid, center, half-widths) per process and kept read-only in one
+bounded cache.  Each distinct reduction of one trajectory, and each cube its
+checks build, is computed once and kept by the trajectory
+(`Trajectory.measured`).
 """
 
 from __future__ import annotations
@@ -92,18 +93,19 @@ def gamma_min(lhs: float, rhs_terms) -> float:
 # --- cube quadrature ---------------------------------------------------------
 
 
-def _axis_weights(grid: Grid, cube: CubeSpec) -> tuple[tuple, tuple]:
-    """Per-axis overlap fraction of each cell with the cube (0..1), read-only,
-    and each axis's span of nonzero weight (None where there is none)."""
+def _footprint(grid: Grid, cube: CubeSpec) -> tuple[tuple, tuple, tuple]:
+    """The cube's footprint on the grid, per axis: the read-only overlap fraction
+    of each cell with the cube (0..1), the span of nonzero weight, and the span
+    of the cells whose centers lie in the open cube (a span is None if empty)."""
     if cube.N != grid.N:
         raise DomainError(f"cube dimension {cube.N} != grid dimension {grid.N}")
-    return _weights_and_spans(grid, cube.center, cube.half_widths)
+    return _cached_footprint(grid, cube.center, cube.half_widths)
 
 
 @functools.lru_cache(maxsize=1024)  # footprints; a campaign reads a few hundred cubes
-def _weights_and_spans(grid: Grid, center: tuple, half_widths: tuple) -> tuple[tuple, tuple]:
-    """`_axis_weights` of every cube with this center and these half-widths (any kind, rho, t)."""
-    weights = []
+def _cached_footprint(grid: Grid, center: tuple, half_widths: tuple) -> tuple:
+    """`_footprint` of every cube with this center and these half-widths (any kind, rho, t)."""
+    weights, open_spans = [], []
     for i in range(grid.N):
         h = grid.spacings[i]
         centers = grid.axis_centers(i)
@@ -113,15 +115,8 @@ def _weights_and_spans(grid: Grid, center: tuple, half_widths: tuple) -> tuple[t
         w = np.clip(overlap, 0.0, h) / h
         w.flags.writeable = False  # every caller shares it
         weights.append(w)
-    return tuple(weights), tuple(_span(w > 0.0) for w in weights)
-
-
-@functools.lru_cache(maxsize=1024)
-def _open_spans(grid: Grid, center: tuple, half_widths: tuple) -> tuple:
-    """Per axis, the span of the cells whose centers lie in the open cube; None if none do."""
-    return tuple(
-        _span(np.abs(grid.axis_centers(i) - center[i]) < half_widths[i]) for i in range(grid.N)
-    )
+        open_spans.append(_span(np.abs(centers - center[i]) < half_widths[i]))
+    return tuple(weights), tuple(_span(w > 0.0) for w in weights), tuple(open_spans)
 
 
 def _tensor(factors: list[np.ndarray]) -> np.ndarray:
@@ -154,7 +149,7 @@ def _cube_integrals(grid: Grid, rows: np.ndarray, cube: CubeSpec, r: float) -> n
     """
     if r < 1.0:
         raise DomainError(f"integral order r must be >= 1, got {r!r}")
-    weights, spans = _axis_weights(grid, cube)
+    weights, spans, _ = _footprint(grid, cube)
     if None in spans:
         warnings.warn("cube does not intersect the grid domain; integral is 0", stacklevel=3)
         return np.zeros(len(rows))
@@ -169,9 +164,7 @@ def _cube_integrals(grid: Grid, rows: np.ndarray, cube: CubeSpec, r: float) -> n
 
 def _cube_sups(grid: Grid, rows: np.ndarray, cube: CubeSpec) -> np.ndarray:
     """Maximum over the cells whose centers lie in the (open) cube, per row."""
-    if cube.N != grid.N:
-        raise DomainError(f"cube dimension {cube.N} != grid dimension {grid.N}")
-    spans = _open_spans(grid, cube.center, cube.half_widths)
+    spans = _footprint(grid, cube)[2]
     if None in spans:
         warnings.warn("no cell centers inside the cube; sup is 0", stacklevel=3)
         return np.zeros(len(rows))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError
 from .geometry import CubeSpec, ExponentProfile
-from .harnack import InequalityReport, _axis_weights, _tensor, cube_contained, gamma_min
+from .harnack import InequalityReport, _footprint, _tensor, cube_contained, gamma_min
 from .solver import _FIRST, _LAST, Field, Trajectory, _along
 
 
@@ -290,7 +290,7 @@ def caccioppoli_report(
 
     ramp_len = 0.25 * (t2 - t1)
     xi = np.clip((np.asarray(times) - t1) / ramp_len, 0.0, 1.0)
-    weights, box = _axis_weights(grid, cutoff.outer)
+    weights, box, _ = _footprint(grid, cutoff.outer)
     w_outer = _tensor([w[span] for w, span in zip(weights, box)])
     zeta = cutoff.values(grid)[box]
     blocks = traj.values[window].reshape(-1, *grid.shape)[(slice(None), *box)]

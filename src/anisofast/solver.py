@@ -19,6 +19,7 @@ import bisect
 import functools
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
@@ -434,8 +435,9 @@ class Trajectory:
     Row k of `values` is the flattened field at `times[k]`; times never
     decrease.  `snapshots`, `initial` and `sup_series` are views or
     reductions of that one array, never copies of it.  Fields cannot be
-    reassigned and `values` is a read-only view (of an array passed in,
-    whose owner must not write it), so what `measured` keeps stays true.
+    reassigned and `values` is the trajectory's own read-only array (one
+    passed in is copied unless read-only and owning its data), so what
+    `measured` keeps stays true.
     """
 
     grid: Grid
@@ -450,8 +452,12 @@ class Trajectory:
 
     def __post_init__(self):
         object.__setattr__(self, "times", tuple(float(t) for t in self.times))
-        object.__setattr__(self, "values", np.ascontiguousarray(self.values, np.float64).view())
-        self.values.flags.writeable = False
+        v = self.values
+        owned = isinstance(v, np.ndarray) and v.flags.owndata and not v.flags.writeable
+        if not (owned and v.dtype == np.float64 and v.flags.c_contiguous):
+            v = np.array(v, np.float64, order="C")  # a copy: the caller keeps its array
+            v.flags.writeable = False
+            object.__setattr__(self, "values", v)
         if not self.times:
             raise IngestionError("trajectory has no snapshots")
         if not all(map(math.isfinite, self.times)):
@@ -469,6 +475,15 @@ class Trajectory:
             )
         if any(b < a for a, b in zip(self.times, self.times[1:])):
             raise IngestionError("snapshot times must not decrease")
+        if not (isinstance(self.steps, numbers.Real) and self.steps % 1 == 0 and self.steps >= 0):
+            raise IngestionError(f"steps must be a nonnegative integer, got {self.steps!r}")
+        object.__setattr__(self, "steps", int(self.steps))
+        if not (isinstance(self.min_value, numbers.Real) and math.isfinite(self.min_value)):
+            raise IngestionError(f"min_value must be finite, got {self.min_value!r}")
+        object.__setattr__(self, "min_value", float(self.min_value))
+        drift = self.mass_drift
+        if drift is not None and not (isinstance(drift, numbers.Real) and math.isfinite(drift)):
+            raise IngestionError(f"mass_drift must be null or a finite number, got {drift!r}")
 
     def measured(self, key: tuple, measure: Callable[[], Any]) -> Any:
         """measure(), computed once per key on this trajectory; the key names every
@@ -489,6 +504,7 @@ class Trajectory:
             if f.grid != grid:
                 raise IngestionError(f"snapshot {k} lives on a different grid")
             values[k] = f.values
+        values.flags.writeable = False
         return cls(grid, exponents, eps, values, tuple(f.time for f in fields))
 
     @property
@@ -568,6 +584,7 @@ def run(config: SimConfig) -> Trajectory:
         values[k] = U.ravel()
         times.append(t_now)
 
+    values.flags.writeable = False
     return Trajectory(
         grid=grid,
         exponents=config.exponents,
@@ -628,14 +645,13 @@ def load_trajectory(path: str) -> Trajectory:
     """Read back a trajectory directory; snapshot values round-trip bit-exactly.
 
     snapshots.f64 is read with one `readinto` into a preallocated
-    (len(times), n_cells) array, so loading holds the snapshots in memory
-    once.  Every fault of the directory raises `IngestionError`: a missing
-    or undecodable manifest, a format other than 2, a missing key or a value
-    the grid or the exponents reject, exponents whose count is not the
-    grid's dimension, a step count that is not a nonnegative integer, a
-    non-finite min_value or mass_drift, times or an eps the trajectory
-    rejects, a data file that does not hold exactly len(times) x n_cells
-    values, and an initial_sup that is not the max of the first snapshot.
+    (len(times), n_cells) array that the trajectory keeps, so loading holds
+    the snapshots in memory once.  Every fault of the directory raises
+    `IngestionError`: a missing or undecodable manifest, a format other than
+    2, a missing key or a value the grid, the exponents or the trajectory
+    reject, exponents whose count is not the grid's dimension, a data file
+    that does not hold exactly len(times) x n_cells values, and an
+    initial_sup that is not the max of the first snapshot.
     """
     mpath = os.path.join(path, "manifest.json")
     if not os.path.exists(mpath):
@@ -659,21 +675,12 @@ def load_trajectory(path: str) -> Trajectory:
             )
         times = tuple(float(t) for t in manifest["times"])
         eps, initial_sup = float(manifest["eps"]), manifest["initial_sup"]
-        mass_drift, min_value = manifest["mass_drift"], float(manifest["min_value"])
-        if not math.isfinite(min_value):
-            raise ValueError(f"min_value must be finite, got {min_value!r}")
-        if mass_drift is not None and not (
-            isinstance(mass_drift, (int, float)) and math.isfinite(mass_drift)
-        ):
-            raise ValueError(f"mass_drift must be null or a finite number, got {mass_drift!r}")
-        steps = int(manifest["steps"])
-        if steps != manifest["steps"] or steps < 0:
-            raise ValueError(f"steps must be a nonnegative integer, got {manifest['steps']!r}")
+        steps, mass_drift, min_value = (manifest[k] for k in ("steps", "mass_drift", "min_value"))
     except IngestionError:
         raise
     except KeyError as missing:
         raise IngestionError(f"manifest.json in {path!r} lacks key {missing}") from None
-    except (AttributeError, TypeError, ValueError) as exc:  # JSON, ConfigError, DomainError
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:  # bad JSON or values
         raise IngestionError(f"invalid manifest.json in {path!r}: {exc}") from exc
     dpath = os.path.join(path, SNAPSHOTS_FILE)
     if not os.path.exists(dpath):
@@ -685,9 +692,10 @@ def load_trajectory(path: str) -> Trajectory:
         raise IngestionError(
             f"{SNAPSHOTS_FILE} in {path!r} does not hold {len(times)} x {grid.n_cells} values"
         )
+    values.flags.writeable = False
     try:
         traj = Trajectory(grid, prof, eps, values, times, steps, mass_drift, min_value)
-    except IngestionError as exc:  # times or eps
+    except (IngestionError, OverflowError) as exc:  # times, eps, steps, mass_drift or min_value
         raise IngestionError(f"invalid manifest.json in {path!r}: {exc}") from None
     if initial_sup != traj.initial.sup():
         raise IngestionError(f"initial_sup in {path!r} is not the max of the first snapshot")

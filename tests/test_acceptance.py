@@ -189,11 +189,10 @@ def test_criterion_04_conservation():
 
 def test_criterion_05_extinction_sup_exponent(extinction_runs):
     start = time.perf_counter()
-    prof = af.derive_exponents([1.5], 1)
     slopes = {}
     for eps, (traj, _) in extinction_runs.items():
         threshold = 1e-5 * traj.initial.sup()
-        rep = af.decay_report(traj, prof, 0.1, threshold, "intrinsic")
+        rep = af.decay_report(traj, 0.1, threshold, "intrinsic")
         slopes[eps] = rep.sup_slope
     run_time = sum(elapsed for _, elapsed in extinction_runs.values())
     total = run_time + (time.perf_counter() - start)
@@ -209,10 +208,9 @@ def test_criterion_05_extinction_sup_exponent(extinction_runs):
 
 
 def test_criterion_06_extinction_mass_exponent(extinction_runs):
-    prof = af.derive_exponents([1.5], 1)
     traj, _ = extinction_runs[1e-4]
     threshold = 1e-5 * traj.initial.sup()
-    rep = af.decay_report(traj, prof, 0.1, threshold, "intrinsic")
+    rep = af.decay_report(traj, 0.1, threshold, "intrinsic")
     _verdict(
         6,
         abs(rep.mass_slope - 2.0) <= 0.2,
@@ -403,7 +401,7 @@ def test_criterion_11_not_applicable_routing():
     grid2 = af.build_grid([0.5, 0.5], [24, 24], "dirichlet_zero")
     shape = af.init_field(grid2, af.InitialProfile("bump", 1.0, 0.3)).values
     traj2 = synthetic_power_trajectory(prof_mix, grid2, shape, t_star=0.5, n_snap=41)
-    decay = af.decay_report(traj2, prof_mix, 0.1, 1e-9, "standard")
+    decay = af.decay_report(traj2, 0.1, 1e-9, "standard")
     elapsed = time.perf_counter() - start
     routed = (
         not na_intrinsic.applicable

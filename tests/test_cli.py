@@ -299,6 +299,35 @@ MALFORMED_JSON = {
     "directory_list": ({("output", "directory"): '["a"]'}, "directory must be a path"),
     "directory_empty": ({("output", "directory"): '""'}, "directory must be a path, got ''"),
 }
+# a JSON true or false is not a number, though float(True) is 1.0
+MALFORMED_JSON.update(
+    {
+        f"bool_{key}": ({(section, key): literal}, f"{key} must be {what}, got {literal.title()}")
+        for section, key, literal, what in (
+            ("simulation", "eps", "true", "a number"),
+            ("simulation", "t_end", "true", "a number"),
+            ("simulation", "snapshots", "true", "an integer"),
+            ("simulation", "amplitude", "true", "a number"),
+            ("simulation", "radius", "true", "a number"),
+            ("simulation", "safety", "false", "a number"),
+            ("analysis", "extinction_threshold", "true", "a number"),
+            ("analysis", "decay_rho", "true", "a number"),
+        )
+    },
+    bool_half_domain=({("simulation", "half_domain"): "true"}, "half_domain entries must be"),
+    bool_half_domain_list=(
+        {("simulation", "half_domain"): "[true]"},
+        "half_domain entries must be numbers, got [True]",
+    ),
+    bool_check_r=(
+        {("analysis", "check"): '[{"kind": "lr_sup", "rho": 0.1, "t": 0.01, "r": true}]'},
+        "check 'lr_sup': r must be a number, got True",
+    ),
+    bool_check_C=(
+        {("analysis", "check"): '[{"kind": "l1l1", "rho": 0.1, "t": 0.01, "C": false}]'},
+        "check 'l1l1': C must be a number, got False",
+    ),
+)
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_JSON))

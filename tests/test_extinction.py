@@ -109,7 +109,7 @@ def test_synthetic_recovery_isotropic():
     t_star = af.detect_extinction(traj, threshold)
     assert abs(t_star - 1.0) <= 1.0 / 50.0
     for geometry in ("intrinsic", "standard"):
-        rep = af.decay_report(traj, prof, 0.1, threshold, geometry)
+        rep = af.decay_report(traj, 0.1, threshold, geometry)
         assert abs(rep.mass_slope - 2.0) <= 1e-6
         assert abs(rep.sup_slope - 2.0) <= 1e-6
         assert rep.mass_theory == pytest.approx(2.0)
@@ -121,7 +121,7 @@ def test_synthetic_recovery_anisotropic_standard():
     prof = af.derive_exponents([1.3, 1.7], 2)
     grid = af.build_grid([0.5, 0.5], [48, 48], "dirichlet_zero")
     traj = synthetic_power_trajectory(prof, grid, _bump_values(grid), t_star=1.0, n_snap=41)
-    rep = af.decay_report(traj, prof, 0.1, 1e-9, "standard")
+    rep = af.decay_report(traj, 0.1, 1e-9, "standard")
     expected = 1.0 / (2.0 - prof.p_bar)
     assert abs(rep.mass_slope - expected) <= 1e-6
     assert rep.mass_theory == pytest.approx(1.0 / (2.0 - 1.7))
@@ -132,7 +132,7 @@ def test_standard_sup_fit_not_applicable():
     prof = af.derive_exponents([1.2, 1.8], 2)
     grid = af.build_grid([0.5, 0.5], [32, 32], "dirichlet_zero")
     traj = synthetic_power_trajectory(prof, grid, _bump_values(grid), t_star=0.5, n_snap=41)
-    rep = af.decay_report(traj, prof, 0.1, 1e-9, "standard")
+    rep = af.decay_report(traj, 0.1, 1e-9, "standard")
     assert not rep.sup_applicable
     assert math.isnan(rep.sup_slope)
     assert "lam_i" in rep.reason
@@ -146,13 +146,13 @@ def test_decay_reports_fit_both_geometries_on_one_sample_set():
     prof = af.derive_exponents([1.2, 1.8], 2)
     grid = af.build_grid([0.5, 0.5], [32, 32], "dirichlet_zero")
     traj = synthetic_power_trajectory(prof, grid, _bump_values(grid), t_star=0.5, n_snap=41)
-    samples, reports = af.decay_reports(traj, prof, 0.1, 1e-9)
-    expected = af.decay_samples(traj, prof, 0.1, af.detect_extinction(traj, 1e-9), 1e-9)
+    samples, reports = af.decay_reports(traj, 0.1, 1e-9)
+    expected = af.decay_samples(traj, 0.1, af.detect_extinction(traj, 1e-9), 1e-9)
     for name, values in vars(expected).items():
         np.testing.assert_array_equal(getattr(samples, name), values)  # NaN equals NaN
     assert [rep.geometry for rep in reports] == ["intrinsic", "standard"]
     for rep in reports:
-        assert repr(rep) == repr(af.decay_report(traj, prof, 0.1, 1e-9, rep.geometry))
+        assert repr(rep) == repr(af.decay_report(traj, 0.1, 1e-9, rep.geometry))
         for quantity in ("mass", "sup"):
             finite = math.isfinite(getattr(rep, f"{quantity}_theory"))
             assert getattr(rep, f"{quantity}_applicable") == finite
@@ -163,7 +163,7 @@ def test_intrinsic_cube_volume_constant_across_samples():
     prof = af.derive_exponents([1.3, 1.7], 2)
     grid = af.build_grid([0.5, 0.5], [32, 32], "dirichlet_zero")
     traj = synthetic_power_trajectory(prof, grid, _bump_values(grid), t_star=0.5, n_snap=21)
-    samples = af.decay_samples(traj, prof, 0.1, 0.5, 1e-9)
+    samples = af.decay_samples(traj, 0.1, 0.5, 1e-9)
     for remaining in samples.remaining:
         cube = af.intrinsic_cube(0.1, remaining, prof)
         assert cube.volume() == pytest.approx(0.2**2, rel=1e-12)
@@ -180,7 +180,7 @@ def test_containment_flag_matches_geometry():
     traj = synthetic_power_trajectory(prof, grid, _bump_values(grid), t_star=1.0, n_snap=201)
     # at a large time parameter the K_rho cube is narrower than a cell along the small-p axis
     with pytest.warns(UserWarning, match="no cell centers inside the cube"):
-        samples = af.decay_samples(traj, prof, 0.05, 1.0, 1e-12)
+        samples = af.decay_samples(traj, 0.05, 1.0, 1e-12)
     for remaining, flag in zip(samples.remaining, samples.contained_4rho):
         quad = af.scale_cube(af.intrinsic_cube(0.05, remaining, prof), 4.0)
         assert flag == cube_contained(quad, grid)
@@ -200,7 +200,7 @@ def test_decay_samples_tests_each_distinct_cube_once(monkeypatch):
     monkeypatch.setattr(
         extinction, "scale_cube", lambda cube, a: scaled.append(a) or scale_cube(cube, a)
     )
-    samples = af.decay_samples(traj, prof, 0.1, 0.5, 1e-9)
+    samples = af.decay_samples(traj, 0.1, 0.5, 1e-9)
     assert scaled == [4.0]
     # the per-row evaluation: one cube, reduction and containment test per snapshot
     rows = range(len(samples.tau))
@@ -219,14 +219,13 @@ def test_decay_samples_tests_each_distinct_cube_once(monkeypatch):
 
 def test_decay_report_requires_crossing(run_1d_fast):
     with pytest.raises(DomainError):
-        af.decay_report(run_1d_fast, run_1d_fast.exponents, 0.1, 1e-30, "intrinsic")
+        af.decay_report(run_1d_fast, 0.1, 1e-30, "intrinsic")
 
 
 def test_decay_report_solver_run_isotropic(run_1d_fast):
     # coarse-regularization run still lands near the predicted exponent 2.0
-    prof = run_1d_fast.exponents
     threshold = 1e-4 * run_1d_fast.initial.sup()
-    rep = af.decay_report(run_1d_fast, prof, 0.1, threshold, "intrinsic")
+    rep = af.decay_report(run_1d_fast, 0.1, threshold, "intrinsic")
     assert rep.sup_applicable
     assert rep.sup_theory == pytest.approx(2.0)
     assert abs(rep.sup_slope - 2.0) <= 0.8  # coarse eps biases the tail

@@ -8,7 +8,7 @@ import pytest
 
 import anisofast as af
 from anisofast import harnack
-from anisofast.harnack import _axis_weights, _cube_integrals, _cube_sups
+from anisofast.harnack import _cube_integrals, _cube_sups, _footprint
 
 # (half_domain, resolution, boundary) in one, two and three dimensions
 GRIDS = [
@@ -180,14 +180,11 @@ def _reductions(traj, cube):
 def test_cached_footprint_gives_the_bits_and_warnings_of_a_cold_one(spec, placement):
     traj = _trajectory(*spec)
     for cube in _random_cubes(spec[0], placement):
-        harnack._weights_and_spans.cache_clear()
-        harnack._open_spans.cache_clear()
+        harnack._cached_footprint.cache_clear()
         cold = _reductions(traj, cube)
-        assert harnack._weights_and_spans.cache_info().misses == 1
-        assert harnack._open_spans.cache_info().misses == 1
+        assert harnack._cached_footprint.cache_info().misses == 1
         warm = _reductions(traj, cube)
-        assert harnack._weights_and_spans.cache_info().misses == 1
-        assert harnack._open_spans.cache_info().misses == 1
+        assert harnack._cached_footprint.cache_info().misses == 1
         assert warm == cold
         if placement == "outside":
             assert cold[1] == [
@@ -203,10 +200,11 @@ def test_cached_weights_are_read_only_and_shared_by_equal_footprints():
     grid = af.build_grid([0.5, 0.4], [24, 18], "dirichlet_zero")
     prof = af.derive_exponents([1.5, 1.5], 2)  # isotropic: every intrinsic K_rho has width rho
     cubes = [af.intrinsic_cube(0.1, t, prof) for t in (0.01, 0.02)] + [af.standard_cube(0.1, prof)]
-    footprints = [_axis_weights(grid, cube) for cube in cubes]
+    footprints = [_footprint(grid, cube) for cube in cubes]
     assert all(f is footprints[0] for f in footprints)
-    weights, spans = footprints[0]
+    weights, spans, open_spans = footprints[0]
     assert spans == (slice(9, 15), slice(6, 12))  # the cells that meet [-0.1, 0.1]^2
+    assert open_spans == (slice(10, 14), slice(7, 11))  # the cells centered in (-0.1, 0.1)^2
     for w in weights:
         with pytest.raises(ValueError, match="read-only"):
             w[0] = 1.0
@@ -260,3 +258,15 @@ def test_trajectory_rejects_inconsistent_arrays(zero_traj_1d):
     for eps in (np.nan, -1e-3, 0.0, np.inf):
         with pytest.raises(af.IngestionError, match="eps must be positive and finite"):
             af.Trajectory(grid, prof, eps, np.zeros((2, 64)), (0.0, 0.1))
+    # the run record: what `load_trajectory` rejects in a manifest
+    for field, value, message in (
+        ("steps", -1, "steps must be a nonnegative integer, got -1"),
+        ("steps", 2.5, "steps must be a nonnegative integer, got 2.5"),
+        ("steps", "3", "steps must be a nonnegative integer, got '3'"),
+        ("min_value", np.nan, "min_value must be finite, got nan"),
+        ("min_value", -np.inf, "min_value must be finite, got -inf"),
+        ("mass_drift", np.inf, "mass_drift must be null or a finite number, got inf"),
+        ("mass_drift", "x", "mass_drift must be null or a finite number, got 'x'"),
+    ):
+        with pytest.raises(af.IngestionError, match=message):
+            af.Trajectory(grid, prof, 1e-3, np.ones((2, 64)), (0.0, 0.1), **{field: value})

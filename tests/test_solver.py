@@ -365,6 +365,22 @@ def test_load_rejects_an_inconsistent_manifest(tmp_path, run_1d_fast, key, value
         af.load_trajectory(str(path))
 
 
+@pytest.mark.parametrize("key", ["eps", "times", "min_value", "mass_drift"])
+def test_load_rejects_a_manifest_number_beyond_the_float_range(tmp_path, run_1d_fast, key):
+    # a JSON integer of 401 digits, which float() and math.isfinite() cannot convert
+    path = tmp_path / "traj"
+    af.save_trajectory(run_1d_fast, str(path))
+    manifest = json.loads((path / "manifest.json").read_text(encoding="utf-8"))
+    if key == "times":
+        manifest["times"][1] = "HUGE"
+    else:
+        manifest[key] = "HUGE"
+    text = json.dumps(manifest).replace('"HUGE"', "1" + "0" * 400)
+    (path / "manifest.json").write_text(text, encoding="utf-8")
+    with pytest.raises(IngestionError, match="invalid manifest.json .* int too large"):
+        af.load_trajectory(str(path))
+
+
 @pytest.mark.parametrize("boundary", ["dirichlet_zero", "periodic"])
 @pytest.mark.parametrize("p", [[1.5], [1.4, 1.6], [1.3, 1.5, 1.7]])
 def test_save_load_round_trip_is_bit_exact(tmp_path, p, boundary):
@@ -441,6 +457,29 @@ def test_trajectory_values_and_fields_are_read_only(tmp_path, run_1d_fast):
         for name, value in (("values", np.zeros_like(traj.values)), ("times", traj.times)):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(traj, name, value)
+
+
+def test_trajectory_owns_its_rows(tmp_path, run_1d_fast, zero_traj_1d):
+    # a caller's writable array is copied, so writing into it later changes
+    # neither the rows nor what the trajectory measured on them
+    grid, prof, times = af.build_grid([0.5], [32]), run_1d_fast.exponents, (0.0, 0.01, 0.02)
+    bump = af.init_field(grid, af.InitialProfile("bump", 1.0, 0.25)).values
+    vals = np.tile(bump, (3, 1))
+    traj = af.Trajectory(grid, prof, 1e-3, vals, times)
+    before = af.check_l1l1(traj, 0.1, 0.02)
+    vals *= 2.0
+    assert traj.values.tobytes() == np.tile(bump, (3, 1)).tobytes()
+    assert af.check_l1l1(traj, 0.1, 0.02) == before
+    fresh = af.Trajectory(grid, prof, 1e-3, vals, times)
+    assert af.check_l1l1(fresh, 0.1, 0.02).lhs == 2.0 * before.lhs
+    # a read-only array that owns its data is kept as it is, and the producers
+    # hand over such arrays, so none of them copies
+    frozen = np.ones((3, 32))
+    frozen.flags.writeable = False
+    assert af.Trajectory(grid, prof, 1e-3, frozen, times).values is frozen
+    loaded = af.load_trajectory(af.save_trajectory(run_1d_fast, str(tmp_path / "traj")))
+    for produced in (run_1d_fast, loaded, zero_traj_1d):
+        assert produced.values.base is None and not produced.values.flags.writeable
 
 
 def test_heat_oracle_quick():
