@@ -2,26 +2,27 @@
 
 Config files are flat key=value text with [section] headers ('#' starts a
 comment); a JSON document with the same schema is accepted interchangeably.
-Sections and keys:
+Sections and keys; a key marked "required" must be given, and any other key
+takes the value shown here when it is absent (<none>: no value):
 
     [simulation]
-      p            = 1.5            # N exponents in (1, 2], space separated
-      half_domain  = 0.5            # N positive extents
-      resolution   = 200            # N cell counts (>= 4)
+      p            = 1.5            # required: N exponents in (1, 2], space separated
+      half_domain  = 0.5            # required: N positive extents
+      resolution   = 200            # required: N cell counts (>= 4)
       boundary     = dirichlet_zero # or periodic
       t_end        = 0.5            # required
-      eps          = 1e-3           # default: smallest grid spacing
+      eps          = <none>         # then the smallest grid spacing
       safety       = 0.5            # CFL safety factor in (0, 1]
       snapshots    = 101            # snapshot count including t=0
       profile      = bump           # sine_product | bump | plateau | from_file
       amplitude    = 1.0
       radius       = 0.25
-      path         = u0.f64         # from_file only
+      path         = <none>         # the datum file of from_file
 
     [analysis]
       extinction_threshold = 1e-6   # relative to the initial sup
-      decay_rho            = 0.1    # enables the decay reports
-      check = l1l1 geometry=intrinsic rho=0.1 t=0.3 C=0      # repeatable
+      decay_rho            = <none> # enables the decay reports
+      check = l1l1 geometry=intrinsic rho=0.1 t=0.3 C=0      # repeatable; none by default
       check = lr_backward geometry=standard rho=0.1 t=0.3 r=2
 
     [output]
@@ -52,22 +53,30 @@ from .solver import InitialProfile, SimConfig, _count, build_grid, uniform_snaps
 
 CHECK_KINDS = tuple(harnack.CHECKS)
 
-_SIM_KEYS = {
-    "p",
-    "half_domain",
-    "resolution",
-    "boundary",
-    "t_end",
-    "eps",
-    "safety",
-    "snapshots",
-    "profile",
-    "amplitude",
-    "radius",
-    "path",
+_REQUIRED = object()
+
+#: each config section's keys and their defaults, as the docstring lists them;
+#: _REQUIRED marks a key that must be given, None one without a default, and a
+#: tuple a key that may repeat
+_CONFIG = {
+    "simulation": {
+        "p": _REQUIRED,
+        "half_domain": _REQUIRED,
+        "resolution": _REQUIRED,
+        "boundary": "dirichlet_zero",
+        "t_end": _REQUIRED,
+        "eps": None,
+        "safety": 0.5,
+        "snapshots": 101,
+        "profile": "bump",
+        "amplitude": 1.0,
+        "radius": 0.25,
+        "path": None,
+    },
+    "analysis": {"extinction_threshold": 1e-6, "decay_rho": None, "check": ()},
+    "output": {"directory": "out"},
 }
-_ANALYSIS_KEYS = {"extinction_threshold", "decay_rho", "check"}
-_OUTPUT_KEYS = {"directory"}
+_REPEATED = {key for keys in _CONFIG.values() for key, d in keys.items() if isinstance(d, tuple)}
 
 
 @dataclass(frozen=True)
@@ -113,9 +122,8 @@ def _parse_kv_document(text: str) -> dict:
             continue
         key, value = (part.strip() for part in line.split("=", 1))
         key = key.lower()
-        if key == "check":
-            doc[section].setdefault("check", [])
-            doc[section]["check"].append(value)
+        if key in _REPEATED:
+            doc[section].setdefault(key, []).append(value)
         elif key in doc[section]:
             errors.append(f"line {lineno}: duplicate key {key!r} in [{section}]")
         else:
@@ -166,14 +174,16 @@ def _parse_check(value, violations) -> CheckSpec | None:
     if kind not in CHECK_KINDS:
         violations.append(f"unknown check kind {kind!r}; expected one of {CHECK_KINDS}")
         return None
+    for key in ("rho", "t"):
+        if key not in fields:
+            violations.append(f"check {kind!r} is missing required option {key!r}")
     try:
         geometry = str(fields.pop("geometry", "intrinsic")).lower()
         rho = _real(fields.pop("rho"), "rho")
         t = _real(fields.pop("t"), "t")
         r = _real(fields.pop("r"), "r") if "r" in fields else None
         C = _real(fields.pop("c", 0.0), "C")
-    except KeyError as missing:
-        violations.append(f"check {kind!r} is missing required option {missing}")
+    except KeyError:  # a missing option, named above
         return None
     except (TypeError, ValueError, OverflowError) as exc:
         violations.append(f"check {kind!r}: {exc}")
@@ -198,8 +208,7 @@ def _parse_check(value, violations) -> CheckSpec | None:
 
 def parse_config(text: str) -> CampaignConfig:
     """Parse and validate a campaign config; collects every violation found."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if text.lstrip().startswith("{"):
         try:
             doc = json.loads(text)
         except ValueError as exc:  # JSONDecodeError, or an int literal of over 4300 digits
@@ -207,13 +216,25 @@ def parse_config(text: str) -> CampaignConfig:
     else:
         doc = _parse_kv_document(text)
 
-    violations: list[str] = []
+    violations = [f"unknown section [{name}]" for name in doc if name not in _CONFIG]
+    sections = []
+    for name, keys in _CONFIG.items():
+        given = doc.get(name, {})
+        if not isinstance(given, dict):  # JSON: none of its keys can be read
+            raise ConfigError([f"[{name}] must hold key = value entries, got {given!r}"])
+        violations += [f"unknown key {key!r} in [{name}]" for key in given if key not in keys]
+        for key, default in keys.items():
+            if default is _REQUIRED and key not in given:
+                violations.append(f"missing required key {key!r} in [{name}]")
+        defaults = {key: d for key, d in keys.items() if d not in (None, _REQUIRED)}
+        sections.append(defaults | given)  # a key without a default stays absent
+    sim, ana, out = sections
 
-    def number(values: dict, key: str, default, kind=float):
+    def number(values: dict, key: str, kind=float):
         """values[key] as a float, or as an int when kind is _count (32 and 32.0,
-        not 3.9, nan or inf); `default` when absent; None if invalid."""
+        not 3.9, nan or inf); None if absent or invalid."""
         if key not in values:
-            return default
+            return None
         try:
             value = kind(_real(values[key], key))
         except (TypeError, ValueError, OverflowError):  # OverflowError: a JSON int past 1e308
@@ -223,102 +244,65 @@ def parse_config(text: str) -> CampaignConfig:
             violations.append(f"{key} must be {what}, got {values[key]!r}")
         return value
 
-    for name in ("simulation", "analysis", "output"):
-        if not isinstance(doc.get(name, {}), dict):  # JSON: none of its keys can be read
-            raise ConfigError([f"[{name}] must hold key = value entries, got {doc[name]!r}"])
-    for section in doc:
-        if section not in ("simulation", "analysis", "output"):
-            violations.append(f"unknown section [{section}]")
-    sim = dict(doc.get("simulation", {}))
-    ana = dict(doc.get("analysis", {}))
-    out = dict(doc.get("output", {}))
-    for key in sim:
-        if key not in _SIM_KEYS:
-            violations.append(f"unknown key {key!r} in [simulation]")
-    for key in ana:
-        if key not in _ANALYSIS_KEYS:
-            violations.append(f"unknown key {key!r} in [analysis]")
-    for key in out:
-        if key not in _OUTPUT_KEYS:
-            violations.append(f"unknown key {key!r} in [output]")
-
-    # exponents determine the dimension
-    prof = None
-    try:
+    prof = grid = None
+    try:  # the exponents determine the dimension
         p_list = _floats(sim["p"], name="p")
         prof = derive_exponents(p_list, len(p_list))
-    except KeyError:
-        violations.append("missing required key 'p' in [simulation]")
-    except (DomainError, ValueError) as exc:
-        violations.append(f"p: {exc}")
+        half = _floats(sim["half_domain"], prof.N, "half_domain")
+        res = _floats(sim["resolution"], prof.N, "resolution")  # build_grid rejects 32.7
+        grid = build_grid(half, res, str(sim["boundary"]))
+    except KeyError:  # a missing key, named above
+        pass
+    except ConfigError as exc:
+        violations.extend(exc.violations)
+    except ValueError as exc:  # DomainError too
+        violations.append(f"p: {exc}" if prof is None else str(exc))
 
-    grid = None
-    if prof is not None:
-        try:
-            half = _floats(sim["half_domain"], prof.N, "half_domain")
-            res = _floats(sim["resolution"], prof.N, "resolution")  # build_grid rejects 32.7
-            grid = build_grid(half, res, str(sim.get("boundary", "dirichlet_zero")))
-        except KeyError as missing:
-            violations.append(f"missing required key {missing} in [simulation]")
-        except ConfigError as exc:
-            violations.extend(exc.violations)
-        except ValueError as exc:
-            violations.append(str(exc))
-
-    if "t_end" not in sim:
-        violations.append("missing required key 't_end' in [simulation]")
-    t_end = number(sim, "t_end", 0.0)
+    t_end = number(sim, "t_end")
     if t_end is not None and not 0.0 <= t_end < math.inf:  # before uniform_snapshots sees it
         violations.append(f"t_end must be nonnegative and finite, got {t_end}")
 
     profile = None
-    amplitude = number(sim, "amplitude", 1.0)
-    radius = number(sim, "radius", 0.25)
+    amplitude = number(sim, "amplitude")
+    radius = number(sim, "radius")
     if amplitude is not None and radius is not None:
         try:
             profile = InitialProfile(
-                kind=str(sim.get("profile", "bump")),
-                amplitude=amplitude,
-                radius=radius,
-                path=sim.get("path"),
+                kind=str(sim["profile"]), amplitude=amplitude, radius=radius, path=sim.get("path")
             )
         except ConfigError as exc:
             violations.extend(exc.violations)
 
-    eps = number(sim, "eps", min(grid.spacings) if grid else 0.0)
-    safety = number(sim, "safety", 0.5)
-    snapshots = number(sim, "snapshots", 101, _count)
+    eps = number(sim, "eps")
+    safety = number(sim, "safety")
+    snapshots = number(sim, "snapshots", _count)
 
-    threshold_rel = number(ana, "extinction_threshold", 1e-6)
+    threshold_rel = number(ana, "extinction_threshold")
     if threshold_rel is not None and not 0.0 < threshold_rel < math.inf:
-        violations.append(
-            f"extinction_threshold must be positive and finite, got {threshold_rel}"
-        )
-    decay_rho = number(ana, "decay_rho", None)
+        violations.append(f"extinction_threshold must be positive and finite, got {threshold_rel}")
+    decay_rho = number(ana, "decay_rho")
     if decay_rho is not None and not 0.0 < decay_rho < math.inf:
         violations.append(f"decay_rho must be positive and finite, got {decay_rho}")
 
-    checks, entries = [], ana.get("check") or []
-    if not isinstance(entries, list):  # a JSON string would be read one character at a time
+    checks, entries = [], ana["check"] or ()
+    if not isinstance(entries, (list, tuple)):  # a JSON string would be read per character
         violations.append(f"check must be a list of checks, got {entries!r}")
-        entries = []
+        entries = ()
     for entry in entries:
         spec = _parse_check(entry, violations)
         if spec is not None:
             checks.append(spec)
             if t_end is not None and spec.t > t_end:
-                violations.append(
-                    f"check {spec.kind!r}: t={spec.t} exceeds t_end={t_end}"
-                )
+                violations.append(f"check {spec.kind!r}: t={spec.t} exceeds t_end={t_end}")
 
     sim_config = None
-    if grid is not None and prof is not None and profile is not None and not violations:
+    if grid is not None and profile is not None and not violations:
         try:
             sim_config = SimConfig(
                 grid=grid,
                 profile=profile,
                 exponents=prof,
-                eps=eps,
+                eps=min(grid.spacings) if eps is None else eps,
                 t_end=t_end,
                 safety=safety,
                 snapshot_times=uniform_snapshots(t_end, snapshots),
@@ -326,18 +310,12 @@ def parse_config(text: str) -> CampaignConfig:
         except ConfigError as exc:
             violations.extend(exc.violations)
 
-    outdir = out.get("directory", "out")
+    outdir = out["directory"]
     if not isinstance(outdir, str) or not outdir:
         violations.append(f"directory must be a path, got {outdir!r}")
     if violations or sim_config is None:
         raise ConfigError(violations or ["incomplete configuration"])
-    return CampaignConfig(
-        sim=sim_config,
-        checks=tuple(checks),
-        threshold_rel=threshold_rel,
-        decay_rho=decay_rho,
-        outdir=outdir,
-    )
+    return CampaignConfig(sim_config, tuple(checks), threshold_rel, decay_rho, outdir)
 
 
 def load_config(path: str) -> CampaignConfig:

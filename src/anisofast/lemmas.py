@@ -254,7 +254,6 @@ def caccioppoli_report(
     k: float,
     window: tuple[float, float],
     C: float = 0.0,
-    C_o: float = 1.0,
 ) -> InequalityReport:
     """Evaluate the truncation energy estimate term by term over a time window.
 
@@ -267,7 +266,7 @@ def caccioppoli_report(
         T_time = ||d_tau zeta|| * iint dx dtau        (the bare measure of Q)
         T_inhom = sum_i C^{p_i} * iint chi_{[u>k]}
 
-    and the left side is sup_tau int (u-k)_+^2 zeta + C_o sum_i iint
+    and the left side is sup_tau int (u-k)_+^2 zeta + sum_i iint
     |d_i[(u-k)_+ zeta]|^{p_i}.  Time integrals use the trapezoid rule over
     the snapshots inside the window.  Only the support box of the outer
     cube's weights is read: zeta vanishes outside it, so zero-ghost face
@@ -275,8 +274,8 @@ def caccioppoli_report(
     """
     if k < 0.0 or not math.isfinite(k):
         raise DomainError(f"truncation level k must be nonnegative, got {k!r}")
-    if C < 0.0 or C_o <= 0.0:
-        raise DomainError("need C >= 0, C_o > 0")
+    if not 0.0 <= C < math.inf:  # NaN fails every comparison
+        raise DomainError(f"C must be nonnegative and finite, got {C!r}")
     t1, t2 = float(window[0]), float(window[1])
     if not t2 > t1:
         raise DomainError(f"empty time window [{t1}, {t2}]")
@@ -312,7 +311,7 @@ def caccioppoli_report(
             series[2 * n, j] = float(((u > k) * w_outer).sum()) * vol
     integrals = np.trapezoid(series, times).tolist()
 
-    lhs = sup_term + C_o * sum(integrals[:n])
+    lhs = sup_term + sum(integrals[:n])
     t_grad = 0.0
     for i, pi in enumerate(prof.p):
         dzi = cutoff.derivative_bound(i)
@@ -334,7 +333,6 @@ def caccioppoli_report(
             "t1": t1,
             "t2": t2,
             "C": float(C),
-            "C_o": float(C_o),
         },
         hypothesis_ok=True,
         snapshots_in_window=len(times),

@@ -428,7 +428,7 @@ class SimConfig:
         object.__setattr__(self, "snapshot_times", times)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared and hashed by identity, as `measured` assumes
 class Trajectory:
     """Snapshots of one run as one read-only (S, n_cells) array, plus the run's step count.
 
@@ -448,7 +448,7 @@ class Trajectory:
     steps: int = 0
     mass_drift: Optional[float] = None
     min_value: float = 0.0
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "times", tuple(float(t) for t in self.times))

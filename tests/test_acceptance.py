@@ -187,6 +187,7 @@ def test_criterion_04_conservation():
     )
 
 
+@pytest.mark.slow
 def test_criterion_05_extinction_sup_exponent(extinction_runs):
     start = time.perf_counter()
     slopes = {}
@@ -207,6 +208,7 @@ def test_criterion_05_extinction_sup_exponent(extinction_runs):
     )
 
 
+@pytest.mark.slow
 def test_criterion_06_extinction_mass_exponent(extinction_runs):
     traj, _ = extinction_runs[1e-4]
     threshold = 1e-5 * traj.initial.sup()

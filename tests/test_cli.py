@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -92,6 +93,61 @@ def test_parse_missing_t_end_named():
     assert any("t_end" in v for v in excinfo.value.violations)
 
 
+# a config with keys missing: the exact violations it gives, each missing key named once
+_MISSING = "missing required key {!r} in [simulation]".format
+MISSING_KEYS = {
+    "check_without_t_end": (
+        MINIMAL.replace("t_end = 0.02\n", "") + "[analysis]\ncheck = l1l1 rho=0.1 t=0.01\n",
+        [_MISSING("t_end")],
+    ),
+    "only_t_end": (
+        "[simulation]\nt_end = 0.1\n",
+        [_MISSING("p"), _MISSING("half_domain"), _MISSING("resolution")],
+    ),
+    "no_grid": (
+        "[simulation]\np = 1.5\nt_end = 0.1\n",
+        [_MISSING("half_domain"), _MISSING("resolution")],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISSING_KEYS))
+def test_parse_names_every_missing_key(case):
+    text, want = MISSING_KEYS[case]
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(text)
+    assert excinfo.value.violations == want
+
+
+def _documented_keys():
+    """{section: {key: (value, comment)}} as the cli module docstring lists them."""
+    documented, section = {}, None
+    for line in cli.__doc__.splitlines():
+        header = re.fullmatch(r"\s+\[(\w+)\]", line)
+        entry = re.fullmatch(r"\s+(\w+)\s*=\s*(\S+)[^#]*(.*)", line)
+        if header:
+            section = documented.setdefault(header[1], {})
+        elif entry and section is not None:
+            section.setdefault(entry[1], (entry[2], entry[3]))
+    return documented
+
+
+def test_docstring_lists_the_parsed_keys_and_defaults():
+    # the documented schema cannot drift from the table the parser reads
+    documented = _documented_keys()
+    assert {name: set(keys) for name, keys in documented.items()} == {
+        name: set(keys) for name, keys in cli._CONFIG.items()
+    }
+    for name, keys in cli._CONFIG.items():
+        for key, default in keys.items():
+            value, comment = documented[name][key]
+            assert (default is cli._REQUIRED) == comment.startswith("# required"), key
+            if default is None:
+                assert value == "<none>", key
+            elif isinstance(default, (str, int, float)):  # the value shown is the default
+                assert type(default)(value) == default, key
+
+
 def test_parse_collects_all_violations():
     bad = MINIMAL.replace("p = 1.5", "p = 2.5") + "mystery = 1\n"
     with pytest.raises(ConfigError) as excinfo:
@@ -171,6 +227,8 @@ def test_parse_check_specs():
         ("lr_sup rho=0.1 t=0.01 r=inf", "check 'lr_sup': r must be finite, got inf"),
         ("lr_backward rho=0.1 t=0.01 r=inf", "check 'lr_backward': r must be finite, got inf"),
         ("composite rho=0.1 t=0.01 r=nan", "check 'composite': r must be finite, got nan"),
+        ("l1l1", "check 'l1l1' is missing required option 'rho'"),
+        ("l1l1", "check 'l1l1' is missing required option 't'"),
     ],
 )
 def test_parse_check_order_follows_the_table(check, violation):

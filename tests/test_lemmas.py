@@ -391,6 +391,13 @@ def test_caccioppoli_nonzero_inhomogeneity_terms(run_1d_fast):
     assert rep.rhs_terms["inhomogeneity"] > 0.0
 
 
+@pytest.mark.parametrize("C", [math.nan, math.inf, -0.5])
+def test_caccioppoli_rejects_a_negative_or_non_finite_C(run_1d_fast, C):
+    cut, prof = _cutoff_1d()
+    with pytest.raises(DomainError, match=f"C must be nonnegative and finite, got {C!r}"):
+        caccioppoli_report(run_1d_fast, prof, cut, 0.1, (0.02, 0.2), C=C)
+
+
 def test_caccioppoli_geometry_errors(run_1d_fast):
     prof = run_1d_fast.exponents
     too_big = CutoffSpec(

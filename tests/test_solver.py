@@ -482,6 +482,15 @@ def test_trajectory_owns_its_rows(tmp_path, run_1d_fast, zero_traj_1d):
         assert produced.values.base is None and not produced.values.flags.writeable
 
 
+def test_trajectories_compare_and_hash_by_identity():
+    # what a trajectory keeps (`measured`) belongs to that one object, so two
+    # trajectories over equal arrays are two keys, not one
+    grid, prof = af.build_grid([0.5], [8]), af.derive_exponents([1.5], 1)
+    a, b = (af.Trajectory(grid, prof, 1e-3, np.ones((2, 8)), (0.0, 0.1)) for _ in range(2))
+    assert a == a and a != b
+    assert {a: 1, b: 2}[a] == 1 and len({a, b, a}) == 2
+
+
 def test_heat_oracle_quick():
     # p = 2 validation mode against the exact separation-of-variables decay
     grid = af.build_grid([0.5], [100], "dirichlet_zero")
