@@ -49,7 +49,9 @@ import numpy as np
 from . import extinction, harnack, lemmas, solver
 from .errors import BlowupError, ConfigError, DomainError, IngestionError
 from .geometry import GEOMETRIES, derive_exponents
-from .solver import InitialProfile, SimConfig, _count, build_grid, uniform_snapshots
+from .solver import (
+    InitialProfile, SimConfig, _count, _range_violations, build_grid, uniform_snapshots
+)
 
 CHECK_KINDS = tuple(harnack.CHECKS)
 
@@ -134,10 +136,14 @@ def _parse_kv_document(text: str) -> dict:
 
 
 def _real(value, name: str) -> float:
-    """float(value); a JSON true or false is not a number, though float(True) is 1.0."""
-    if isinstance(value, bool):
-        raise TypeError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    """float(value), else a TypeError that names the value; a JSON true or false
+    is not a number, though float(True) is 1.0."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):  # OverflowError: a JSON int past 1e308
+            pass
+    raise TypeError(f"{name} must be a number, got {value!r}")
 
 
 def _floats(value, n=None, name=""):
@@ -147,7 +153,7 @@ def _floats(value, n=None, name=""):
         value = str(value).split()
     try:
         out = [_real(v, name) for v in value]
-    except (TypeError, OverflowError):  # [[1.5]]; a JSON int past 1e308
+    except TypeError:  # [[1.5]], 'abc'; a JSON int past 1e308
         raise ValueError(f"{name} entries must be numbers, got {value!r}") from None
     if n is not None and len(out) != n:
         raise ValueError(f"{name} must have {n} entries, got {len(out)}")
@@ -185,7 +191,7 @@ def _parse_check(value, violations) -> CheckSpec | None:
         C = _real(fields.pop("c", 0.0), "C")
     except KeyError:  # a missing option, named above
         return None
-    except (TypeError, ValueError, OverflowError) as exc:
+    except TypeError as exc:
         violations.append(f"check {kind!r}: {exc}")
         return None
     if fields:
@@ -237,7 +243,7 @@ def parse_config(text: str) -> CampaignConfig:
             return None
         try:
             value = kind(_real(values[key], key))
-        except (TypeError, ValueError, OverflowError):  # OverflowError: a JSON int past 1e308
+        except TypeError:
             value = None
         if value is None:
             what = "an integer" if kind is _count else "a number"
@@ -259,9 +265,6 @@ def parse_config(text: str) -> CampaignConfig:
         violations.append(f"p: {exc}" if prof is None else str(exc))
 
     t_end = number(sim, "t_end")
-    if t_end is not None and not 0.0 <= t_end < math.inf:  # before uniform_snapshots sees it
-        violations.append(f"t_end must be nonnegative and finite, got {t_end}")
-
     profile = None
     amplitude = number(sim, "amplitude")
     radius = number(sim, "radius")
@@ -276,6 +279,8 @@ def parse_config(text: str) -> CampaignConfig:
     eps = number(sim, "eps")
     safety = number(sim, "safety")
     snapshots = number(sim, "snapshots", _count)
+    scalars = {"t_end": t_end, "eps": eps, "safety": safety}  # before uniform_snapshots sees t_end
+    violations += _range_violations(**{k: v for k, v in scalars.items() if v is not None})
 
     threshold_rel = number(ana, "extinction_threshold")
     if threshold_rel is not None and not 0.0 < threshold_rel < math.inf:

@@ -5,12 +5,15 @@ eps-dominated scale instead of hitting exact zero, so "extinction" here means
 the global sup crossing a small threshold, and the log-log fits exclude the
 contaminated tail below 10x that threshold.  Decay samples are taken in both
 geometries at once: the intrinsic cube is rebuilt at time parameter
-(t_star - tau) for every sample, the standard cube is fixed.
+(t_star - tau) for every sample, the standard cube is fixed.  Rows are reduced
+per run on one cube footprint, so an isotropic profile, whose every K_rho(t) is
+the standard cube, has intrinsic samples equal to its standard ones.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -74,8 +77,8 @@ def detect_extinction(traj: Trajectory, threshold: float) -> Optional[float]:
     zero (or the trajectory starts below the threshold) its own time is
     returned.
     """
-    if not threshold > 0.0:
-        raise DomainError(f"threshold must be positive, got {threshold!r}")
+    if not 0.0 < threshold < math.inf:  # NaN fails every comparison
+        raise DomainError(f"threshold must be positive and finite, got {threshold!r}")
     sups = traj.sup_series()
     times = np.asarray(traj.times)
     below = sups < threshold
@@ -85,9 +88,7 @@ def detect_extinction(traj: Trajectory, threshold: float) -> Optional[float]:
     if k == 0 or sups[k] <= 0.0:
         return float(times[k])
     s_prev, s_next = sups[k - 1], sups[k]
-    frac = (math.log(s_prev) - math.log(threshold)) / (
-        math.log(s_prev) - math.log(s_next)
-    )
+    frac = (math.log(s_prev) - math.log(threshold)) / (math.log(s_prev) - math.log(s_next))
     return float(times[k - 1] + frac * (times[k] - times[k - 1]))
 
 
@@ -106,9 +107,14 @@ class DecaySamples:
 
 
 def decay_samples(traj: Trajectory, rho: float, t_star: float, threshold: float) -> DecaySamples:
-    """Evaluate mass and sup over K_rho(t_star - tau) and the fixed standard cube."""
-    if not rho > 0.0:
-        raise DomainError(f"rho must be positive, got {rho!r}")
+    """Evaluate mass and sup over K_rho(t_star - tau) and the fixed standard cube.
+
+    Each run of consecutive rows whose cubes share one footprint (center and
+    half-widths) is one reduction, so isotropic intrinsic samples are the standard ones.
+    """
+    std = standard_cube(rho, traj.exponents)  # rejects a rho not positive and finite
+    if not 0.0 < threshold < math.inf:
+        raise DomainError(f"threshold must be positive and finite, got {threshold!r}")
     # t_star - tau > 0 exactly when tau < t_star, and times never decrease
     before = bisect.bisect_left(traj.times, t_star)
     if before == 0:
@@ -116,20 +122,17 @@ def decay_samples(traj: Trajectory, rho: float, t_star: float, threshold: float)
     rows, prof = traj.values[:before], traj.exponents
     tau = np.array(traj.times[:before])
     remaining = t_star - tau
-    mass_int = np.full(before, math.nan)
-    sup_int = np.full(before, math.nan)
+    mass_int, sup_int = np.full((2, before), math.nan)
     contained = np.zeros(before, dtype=bool)
     if prof.strict_fast:
-        contained_by = {}  # per (center, half-widths): in 1D every K_rho(t) is one cube
-        for k in range(before):
-            cube = intrinsic_cube(rho, float(remaining[k]), prof)
-            mass_int[k] = _cube_integrals(traj.grid, rows[k : k + 1], cube, 1.0)[0]
-            sup_int[k] = _cube_sups(traj.grid, rows[k : k + 1], cube)[0]
-            key = (cube.center, cube.half_widths)
-            if key not in contained_by:
-                contained_by[key] = cube_contained(scale_cube(cube, 4.0), traj.grid)
-            contained[k] = contained_by[key]
-    std = standard_cube(rho, prof)
+        cubes = [intrinsic_cube(rho, float(s), prof) for s in remaining]
+        stop = 0
+        for _, run in itertools.groupby(cubes, lambda c: (c.center, c.half_widths)):
+            cube, start = next(run), stop
+            stop += 1 + sum(1 for _ in run)
+            mass_int[start:stop] = _cube_integrals(traj.grid, rows[start:stop], cube, 1.0)
+            sup_int[start:stop] = _cube_sups(traj.grid, rows[start:stop], cube)
+            contained[start:stop] = cube_contained(scale_cube(cube, 4.0), traj.grid)
     return DecaySamples(
         tau=tau,
         remaining=remaining,
@@ -239,17 +242,10 @@ def decay_reports(
                 f"{quantity}_theory": rate,
                 f"{quantity}_applicable": fit is not None,
             })
-        reports.append(
-            DecayReport(
-                geometry=geometry,
-                t_star=t_star,
-                threshold=threshold,
-                n_points=n_points,
-                containment_fraction=contained,
-                reason=reason,
-                **fits,
-            )
-        )
+        reports.append(DecayReport(
+            geometry=geometry, t_star=t_star, threshold=threshold, n_points=n_points,
+            containment_fraction=contained, reason=reason, **fits,
+        ))
     return samples, tuple(reports)
 
 

@@ -141,14 +141,17 @@ class InitialProfile:
     path: Optional[str] = None
 
     def __post_init__(self):
+        violations = []
         if self.kind not in PROFILE_KINDS:
-            raise ConfigError([f"unknown initial profile {self.kind!r}"])
+            violations.append(f"unknown initial profile {self.kind!r}")
         if not 0.0 <= self.amplitude < math.inf:  # NaN fails every comparison
-            raise ConfigError([f"amplitude must be nonnegative and finite, got {self.amplitude}"])
+            violations.append(f"amplitude must be nonnegative and finite, got {self.amplitude}")
         if self.kind in ("bump", "plateau") and not self.radius > 0.0:
-            raise ConfigError([f"radius must be positive, got {self.radius}"])
+            violations.append(f"radius must be positive, got {self.radius}")
         if self.kind == "from_file" and not isinstance(self.path or None, (str, os.PathLike)):
-            raise ConfigError([f"from_file profile requires a path, got {self.path!r}"])
+            violations.append(f"from_file profile requires a path, got {self.path!r}")
+        if violations:
+            raise ConfigError(violations)
 
 
 def init_field(grid: Grid, profile: InitialProfile) -> Field:
@@ -392,6 +395,18 @@ def uniform_snapshots(t_end: float, count: int) -> tuple[float, ...]:
     return tuple(np.linspace(0.0, t_end, count))
 
 
+def _range_violations(t_end=0.0, eps=1.0, safety=0.5) -> list[str]:
+    """The violations of SimConfig's scalar ranges; each default lies in its range."""
+    violations = []
+    if not 0.0 <= t_end < math.inf:  # NaN fails every comparison
+        violations.append(f"t_end must be nonnegative and finite, got {t_end}")
+    if not 0.0 < eps < math.inf:
+        violations.append(f"eps must be positive and finite, got {eps}")
+    if not 0.0 < safety <= 1.0:
+        violations.append(f"safety must lie in (0, 1], got {safety}")
+    return violations
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Everything `run` needs: grid, datum, exponents, regularization, schedule."""
@@ -405,13 +420,7 @@ class SimConfig:
     snapshot_times: tuple[float, ...] = field(default=None)
 
     def __post_init__(self):
-        violations = []
-        if not 0.0 <= self.t_end < math.inf:  # NaN fails every comparison
-            violations.append(f"t_end must be nonnegative and finite, got {self.t_end}")
-        if not 0.0 < self.eps < math.inf:
-            violations.append(f"eps must be positive and finite, got {self.eps}")
-        if not 0.0 < self.safety <= 1.0:
-            violations.append(f"safety must lie in (0, 1], got {self.safety}")
+        violations = _range_violations(self.t_end, self.eps, self.safety)
         if self.exponents.N != self.grid.N:
             violations.append(
                 f"{self.exponents.N} exponents for a {self.grid.N}-dimensional grid"

@@ -251,6 +251,50 @@ def test_parse_check_non_finite_value_is_a_violation(key, value):
     ), excinfo.value.violations
 
 
+@pytest.mark.parametrize("form", ["text", "json"])
+@pytest.mark.parametrize("key", ["rho", "t", "r", "C"])
+def test_parse_check_bad_value_names_its_option(key, form):
+    # a value that is not a number is named as a section key's would be
+    options = {"rho": 0.1, "t": 0.01, "r": 2, "C": 0}
+    options[key] = "abc" if form == "text" else None
+    if form == "text":
+        text = MINIMAL + "[analysis]\ncheck = lr_sup " + " ".join(
+            f"{k}={v}" for k, v in options.items()
+        )
+    else:
+        text = json.dumps({
+            "simulation": {"p": 1.5, "half_domain": 0.5, "resolution": 64, "t_end": 0.02},
+            "analysis": {"check": [{"kind": "lr_sup", **options}]},
+        })
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(text)
+    assert excinfo.value.violations == [
+        f"check 'lr_sup': {key} must be a number, got {options[key]!r}"
+    ]
+
+
+@pytest.mark.parametrize("key", ["p", "half_domain", "resolution"])
+def test_parse_list_entry_that_is_not_a_number_is_named(key):
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(re.sub(f"^{key} = .*$", f"{key} = abc", MINIMAL, flags=re.M))
+    prefix = "p: " if key == "p" else ""
+    assert excinfo.value.violations == [f"{prefix}{key} entries must be numbers, got ['abc']"]
+
+
+def test_parse_reports_profile_and_run_scalar_violations_together():
+    # the datum's faults are all named, and the run's scalar ranges are
+    # checked alongside them, not only once everything else is valid
+    text = MINIMAL + "amplitude = -1\nradius = -1\nsafety = 2\neps = -1\n"
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(text)
+    assert excinfo.value.violations == [
+        "amplitude must be nonnegative and finite, got -1.0",
+        "radius must be positive, got -1.0",
+        "eps must be positive and finite, got -1.0",
+        "safety must lie in (0, 1], got 2.0",
+    ]
+
+
 # key: (its section, the words of its violation)
 NON_FINITE_NUMBERS = {
     "eps": ("simulation", "eps must be positive and finite"),
@@ -352,7 +396,7 @@ MALFORMED_JSON = {
     ),
     "huge_check_rho": (
         {("analysis", "check"): '[{"kind": "l1l1", "rho": %s, "t": 0.01}]' % _BIG},
-        "check 'l1l1': int too large to convert to float",
+        "check 'l1l1': rho must be a number, got 1000",
     ),
     "directory_list": ({("output", "directory"): '["a"]'}, "directory must be a path"),
     "directory_empty": ({("output", "directory"): '""'}, "directory must be a path, got ''"),
@@ -641,7 +685,8 @@ _ALL_KINDS_2D = "".join(
 )
 
 # sha256 of every analyze output, recorded before `analyze` was routed through
-# extinction.decay_reports and the dataclass-declared CSV columns
+# extinction.decay_reports and the dataclass-declared CSV columns; decay_1d's
+# decay files since its intrinsic samples are reduced as its standard ones are
 ANALYZE_PINS = {
     "decay_1d": (
         "[simulation]\np = 1.5\nhalf_domain = 0.5\nresolution = 64\nt_end = 0.45\n"
@@ -652,8 +697,8 @@ ANALYZE_PINS = {
         {
             "checks.csv": "5fb4bb2e91e0f20f86d947ef0013f14a1bb5bed92d0470b4c71bd3b4c1cde9c0",
             "checks.json": "f81bbea9225895e52d3d17e50fed50921330e456a3884d1a57afe713fee23b68",
-            "decay_samples.csv": "e66cdd5bf79319cdcd9ccea7244b6b77413ca80b25b1fca6fb136f0c06f1f9d6",
-            "decay_report.csv": "458bbbaf7ef8dbaec86668ae5942dfb17f216d427ca80be6e36512f8a5be42e2",
+            "decay_samples.csv": "4f96d2400e1bc6d9756f93a5be649fcf0670b07765630c4c86931c5723f69a0d",
+            "decay_report.csv": "d667d5b394ef6e21d3edb6fb65119b66063703fc7e3a1a6c4248efa69cd4e552",
             "summary.csv": "46f5721f4982a93a188514c1d0e62e1e002ba6077433b312b5b26c1cb09c5c2e",
         },
     ),

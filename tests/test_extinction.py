@@ -188,33 +188,110 @@ def test_containment_flag_matches_geometry():
     assert not samples.contained_4rho.all()
 
 
+def _counting(monkeypatch, module, name, log):
+    """Replace module.name by a wrapper that logs (cube kind, rows) of each call."""
+    original = getattr(module, name)
+
+    def wrapper(*args):
+        cube = next(a for a in args if isinstance(a, af.CubeSpec))
+        rows = next((a for a in args if isinstance(a, np.ndarray)), None)
+        log.append((cube.kind, None if rows is None else len(rows)))
+        return original(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
 def test_decay_samples_tests_each_distinct_cube_once(monkeypatch):
-    # in 1D every K_rho(t_star - tau) has half-width rho, so one K_{4rho} is tested
+    # one integral, one sup and one K_{4 rho} containment test per run of rows
+    # on one footprint: in 1D every K_rho(t_star - tau) has half-width rho, so
+    # the intrinsic rows are one run; an anisotropic cube changes every row
     from anisofast import extinction
+
+    logs = {name: [] for name in ("_cube_integrals", "_cube_sups", "cube_contained")}
+    for name, log in logs.items():
+        _counting(monkeypatch, extinction, name, log)
+    for p, resolution, runs in (([1.5], [32], [40]), ([1.4, 1.6], [24, 24], [1] * 40)):
+        prof = af.derive_exponents(p, len(p))
+        grid = af.build_grid([0.5] * len(p), resolution, "dirichlet_zero")
+        traj = synthetic_power_trajectory(prof, grid, _bump_values(grid), t_star=0.5, n_snap=41)
+        for log in logs.values():
+            log.clear()
+        samples = af.decay_samples(traj, 0.2, 0.5, 1e-9)
+        assert len(samples.tau) == sum(runs) == 40
+        for name in ("_cube_integrals", "_cube_sups"):
+            assert logs[name] == [("intrinsic", n) for n in runs] + [("standard", 40)], name
+        assert logs["cube_contained"] == [("intrinsic", None)] * len(runs)
+
+
+def _per_row_samples(traj, rho, t_star, threshold):
+    """Decay samples with one single-row reduction per intrinsic cube (the
+    standard rows in one call), each row's containment tested on its own."""
     from anisofast.harnack import _cube_integrals, _cube_sups, cube_contained
 
-    prof = af.derive_exponents([1.5], 1)
-    grid = af.build_grid([0.5], [32], "dirichlet_zero")
-    traj = synthetic_power_trajectory(prof, grid, _bump_values(grid), t_star=0.5, n_snap=41)
-    scale_cube, scaled = af.scale_cube, []
-    monkeypatch.setattr(
-        extinction, "scale_cube", lambda cube, a: scaled.append(a) or scale_cube(cube, a)
-    )
-    samples = af.decay_samples(traj, 0.1, 0.5, 1e-9)
-    assert scaled == [4.0]
-    # the per-row evaluation: one cube, reduction and containment test per snapshot
-    rows = range(len(samples.tau))
-    assert len(rows) == 40
-    cubes = [af.intrinsic_cube(0.1, float(samples.remaining[k]), prof) for k in rows]
-    one_row = [traj.values[k : k + 1] for k in rows]
-    expected = {
-        "mass_intrinsic": [_cube_integrals(grid, u, c, 1.0)[0] for u, c in zip(one_row, cubes)],
-        "sup_intrinsic": [_cube_sups(grid, u, c)[0] for u, c in zip(one_row, cubes)],
-        "contained_4rho": [cube_contained(scale_cube(c, 4.0), grid) for c in cubes],
+    grid, prof = traj.grid, traj.exponents
+    before = int(np.sum(np.asarray(traj.times) < t_star))
+    rows = traj.values[:before]
+    tau = np.array(traj.times[:before])
+    cubes = [af.intrinsic_cube(rho, float(t_star - t), prof) for t in tau]
+    std = af.standard_cube(rho, prof)
+    return {
+        "tau": tau,
+        "remaining": t_star - tau,
+        "mass_intrinsic": [_cube_integrals(grid, u[None], c, 1.0)[0] for u, c in zip(rows, cubes)],
+        "sup_intrinsic": [_cube_sups(grid, u[None], c)[0] for u, c in zip(rows, cubes)],
+        "mass_standard": _cube_integrals(grid, rows, std, 1.0),
+        "sup_standard": _cube_sups(grid, rows, std),
+        "contained_4rho": [cube_contained(af.scale_cube(c, 4.0), grid) for c in cubes],
+        "in_window": rows.max(axis=1) >= 10.0 * threshold,
     }
+
+
+@pytest.mark.parametrize(
+    "p, resolution, rho",
+    [([1.4, 1.6], [32, 32], 0.15), ([1.3, 1.5, 1.7], [12, 12, 12], 0.2)],
+)
+def test_anisotropic_decay_samples_are_the_per_row_reductions(p, resolution, rho):
+    # every row of an anisotropic profile is its own footprint run, so each
+    # array is bit for bit the per-row evaluation
+    prof = af.derive_exponents(p, len(p))
+    grid = af.build_grid([0.5] * len(p), resolution, "dirichlet_zero")
+    traj = synthetic_power_trajectory(prof, grid, _bump_values(grid), t_star=0.5, n_snap=31)
+    samples = af.decay_samples(traj, rho, 0.5, 1e-9)
+    expected = _per_row_samples(traj, rho, 0.5, 1e-9)
+    assert set(expected) == set(vars(samples))
     for name, values in expected.items():
         got = getattr(samples, name)
-        assert got.tobytes() == np.array(values, dtype=got.dtype).tobytes(), name
+        assert got.tobytes() == np.asarray(values, dtype=got.dtype).tobytes(), name
+
+
+@pytest.mark.parametrize("p", [[1.5], [1.5, 1.5]])
+def test_isotropic_intrinsic_samples_are_the_standard_ones(p):
+    # every K_rho(t) of an isotropic profile is the standard cube, and its
+    # rows are reduced by the very call the standard rows are
+    prof = af.derive_exponents(p, len(p))
+    grid = af.build_grid([0.5] * len(p), [64] if len(p) == 1 else [24, 24], "dirichlet_zero")
+    traj = synthetic_power_trajectory(prof, grid, _bump_values(grid), t_star=0.5, n_snap=61)
+    samples, (intrinsic, standard) = af.decay_reports(traj, 0.1, 1e-9)
+    for quantity in ("mass", "sup"):
+        got, std = (getattr(samples, f"{quantity}_{g}") for g in ("intrinsic", "standard"))
+        assert got.tobytes() == std.tobytes(), quantity
+        for field in ("slope", "stderr", "r_squared"):
+            name = f"{quantity}_{field}"
+            assert getattr(intrinsic, name) == getattr(standard, name), name
+
+
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, -1.0, 0.0])
+def test_threshold_must_be_positive_and_finite(threshold):
+    prof = af.derive_exponents([1.5], 1)
+    grid = af.build_grid([0.5], [16], "dirichlet_zero")
+    traj = synthetic_power_trajectory(prof, grid, _bump_values(grid), t_star=0.5, n_snap=11)
+    for measure in (
+        lambda: af.detect_extinction(traj, threshold),
+        lambda: af.decay_samples(traj, 0.1, 0.5, threshold),
+        lambda: af.decay_reports(traj, 0.1, threshold),
+    ):
+        with pytest.raises(DomainError, match="threshold must be positive and finite"):
+            measure()
 
 
 def test_decay_report_requires_crossing(run_1d_fast):
