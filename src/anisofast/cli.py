@@ -183,32 +183,34 @@ def _parse_check(value, violations) -> CheckSpec | None:
     for key in ("rho", "t"):
         if key not in fields:
             violations.append(f"check {kind!r} is missing required option {key!r}")
-    try:
-        geometry = str(fields.pop("geometry", "intrinsic")).lower()
-        rho = _real(fields.pop("rho"), "rho")
-        t = _real(fields.pop("t"), "t")
-        r = _real(fields.pop("r"), "r") if "r" in fields else None
-        C = _real(fields.pop("c", 0.0), "C")
-    except KeyError:  # a missing option, named above
-        return None
-    except TypeError as exc:
-        violations.append(f"check {kind!r}: {exc}")
-        return None
+    geometry = str(fields.pop("geometry", "intrinsic")).lower()
+    given, bad = {}, []  # each option that parsed; each one that did not
+    for name in ("rho", "t", "r", "C"):
+        if name.lower() in fields:
+            try:
+                given[name] = _real(fields.pop(name.lower()), name)
+            except TypeError as exc:
+                violations.append(f"check {kind!r}: {exc}")
+                bad.append(name)
+    rho, t, r, C = given.get("rho"), given.get("t"), given.get("r"), given.get("C", 0.0)
     if fields:
         violations.append(f"check {kind!r} has unknown options {sorted(fields)}")
         return None
     if geometry not in GEOMETRIES:
         violations.append(f"check {kind!r}: geometry must be one of {GEOMETRIES}")
         return None
-    if not 0.0 < rho < math.inf:  # NaN fails every comparison
+    # the range of an option that is missing or did not parse is not checked
+    if rho is not None and not 0.0 < rho < math.inf:  # NaN fails every comparison
         violations.append(f"check {kind!r}: rho must be positive and finite, got {rho!r}")
-    if not 0.0 < t < math.inf:
+    if t is not None and not 0.0 < t < math.inf:
         violations.append(f"check {kind!r}: t must be positive and finite, got {t!r}")
-    r_problem = harnack.CHECKS[kind].r_violation(r)
+    r_problem = "" if "r" in bad else harnack.CHECKS[kind].r_violation(r)
     if r_problem:
         violations.append(f"check {kind!r}: {r_problem}")
     if not 0.0 <= C < math.inf:
         violations.append(f"check {kind!r}: C must be nonnegative and finite, got {C!r}")
+    if bad or rho is None or t is None:
+        return None
     return CheckSpec(kind=kind, geometry=geometry, rho=rho, t=t, r=r, C=C)
 
 
@@ -279,6 +281,8 @@ def parse_config(text: str) -> CampaignConfig:
     eps = number(sim, "eps")
     safety = number(sim, "safety")
     snapshots = number(sim, "snapshots", _count)
+    if snapshots is not None and snapshots < 1:
+        violations.append(f"snapshot count must be >= 1, got {snapshots}")
     scalars = {"t_end": t_end, "eps": eps, "safety": safety}  # before uniform_snapshots sees t_end
     violations += _range_violations(**{k: v for k, v in scalars.items() if v is not None})
 

@@ -338,6 +338,7 @@ class _FluxKernel:
 
 
 def _kernel_at(field: Field, prof: ExponentProfile, eps: float) -> _FluxKernel:
+    """The kernel holding `field`, with the run record that `_euler` keeps from it."""
     if not 0.0 < eps < math.inf:
         raise DomainError(f"eps must be positive and finite, got {eps!r}")
     grid = field.grid
@@ -345,20 +346,35 @@ def _kernel_at(field: Field, prof: ExponentProfile, eps: float) -> _FluxKernel:
         raise DomainError(f"profile dimension {prof.N} != grid dimension {grid.N}")
     kernel = _FluxKernel(grid, prof, eps)
     kernel.u[...] = field.reshaped()
+    kernel.steps, kernel.min_value = 0, float(field.values.min())
+    kernel.mass0 = float(field.values.sum()) if kernel._periodic else None
+    kernel.mass_drift = None if kernel.mass0 is None else 0.0
     return kernel
 
 
-def _finite_min(u: np.ndarray, t: float, total: float = math.inf) -> float:
-    """min of the flat field u reached at time t; `BlowupError(t)` unless u is finite.
+def _euler(kernel: _FluxKernel, dt: float, t_new: float) -> None:
+    """`kernel.step(dt)` from the last `rate()`, then the run record at time t_new.
 
+    Raises `BlowupError(t_new)` unless u is finite; else counts the step,
+    lowers `min_value` to the min of u and, on a periodic grid, raises
+    `mass_drift` to |mass - mass0| / |mass0| (|mass| if mass0 is 0).
     argmin and argmax return the first NaN, and a min or max of +-inf shows
-    the infinity, so the two index reads prove u finite exactly.  A finite
-    `total`, the sum of u, proves it already and skips the argmax.
+    the infinity, so the two index reads prove u finite exactly.  A periodic
+    run keeps the pairwise sum its mass drift needs, and a finite sum already
+    proves u finite and skips the argmax.
     """
+    kernel.step(dt)
+    u, mass0 = kernel._flat, kernel.mass0
+    mass = math.inf if mass0 is None else float(_add.reduce(kernel.u, None))
     low = float(u[u.argmin()])
-    if not (math.isfinite(total) or math.isfinite(low) and math.isfinite(u[u.argmax()])):
-        raise BlowupError(t)
-    return low
+    if not (math.isfinite(mass) or math.isfinite(low) and math.isfinite(u[u.argmax()])):
+        raise BlowupError(t_new)
+    if mass0 is not None:
+        drift = abs(mass - mass0) / abs(mass0) if mass0 != 0.0 else abs(mass)
+        kernel.mass_drift = max(kernel.mass_drift, drift)
+    kernel.steps += 1
+    if low < kernel.min_value:
+        kernel.min_value = low
 
 
 def stable_dt(
@@ -377,12 +393,13 @@ def stable_dt(
 
 def advance(field: Field, prof: ExponentProfile, eps: float, dt: float) -> Field:
     """One conservative explicit Euler step of size dt."""
-    kernel = _kernel_at(field, prof, eps)
-    with np.errstate(over="ignore", invalid="ignore"):  # reported as BlowupError below
-        kernel.rate()
-        kernel.step(dt)
+    if not 0.0 < dt < math.inf:
+        raise DomainError(f"dt must be positive and finite, got {dt!r}")
     t_new = field.time + dt
-    _finite_min(kernel._flat, t_new)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported as BlowupError
+        kernel = _kernel_at(field, prof, eps)
+        kernel.rate()
+        _euler(kernel, dt, t_new)
     return Field(grid=field.grid, values=kernel.u.copy(), time=t_new)
 
 
@@ -544,29 +561,19 @@ class Trajectory:
 def run(config: SimConfig) -> Trajectory:
     """Integrate to t_end, hitting every snapshot time exactly; deterministic.
 
-    Each step is `stable_dt` followed by `advance` (the step clipped to the
-    next snapshot time), evaluated through one `_FluxKernel`, so every bit of
-    the result matches composing the two public operations.  A step whose
-    field is not finite raises `BlowupError` with its end time, found by
-    `_finite_min`'s argmin/argmax reads; a periodic run keeps the pairwise
-    sum its mass drift needs, and a finite sum already proves U finite.
+    `stable_dt`, `advance` and `run` build their kernel through `_kernel_at`,
+    and `advance` and `run` make each step through `_euler`.  `run` adds
+    only the step choice, safety / `rate()` clipped to the next snapshot
+    time, and the snapshot rows, so every bit of the result matches
+    composing `stable_dt` and `advance`.
     """
     grid = config.grid
     initial = init_field(grid, config.profile)
+    kernel = _kernel_at(initial, config.exponents, config.eps)
     values = np.empty((len(config.snapshot_times), grid.n_cells))
     values[0] = initial.values
     times = [initial.time]
-    steps = 0
-    periodic = grid.boundary == "periodic"
-    mass0 = float(initial.values.sum()) if periodic else 0.0
-    drift = 0.0
-    min_value = float(initial.values.min())
-
-    kernel = _FluxKernel(grid, config.exponents, config.eps)
-    U, flat = kernel.u, kernel._flat
-    U[...] = initial.reshaped()
-    rate, step, add_reduce = kernel.rate, kernel.step, np.add.reduce
-    safety = config.safety
+    U, rate, safety = kernel.u, kernel.rate, config.safety
     t_now = 0.0
     for k, target in enumerate(config.snapshot_times[1:], start=1):
         stop = target * (1.0 - _TIME_RTOL)
@@ -576,20 +583,8 @@ def run(config: SimConfig) -> Trajectory:
             clipped = dt >= remaining
             if clipped:
                 dt = remaining
-            step(dt)
             t_now = target if clipped else t_now + dt
-            if periodic:  # mass drift needs the pairwise sum, and a finite one proves U finite
-                mass = float(add_reduce(U, None))
-                low = _finite_min(flat, t_now, mass)
-                if mass0 != 0.0:
-                    drift = max(drift, abs(mass - mass0) / abs(mass0))
-                else:
-                    drift = max(drift, abs(mass))
-            else:
-                low = _finite_min(flat, t_now)
-            steps += 1
-            if low < min_value:
-                min_value = low
+            _euler(kernel, dt, t_now)
         values[k] = U.ravel()
         times.append(t_now)
 
@@ -600,9 +595,9 @@ def run(config: SimConfig) -> Trajectory:
         eps=config.eps,
         values=values,
         times=tuple(times),
-        steps=steps,
-        mass_drift=drift if periodic else None,
-        min_value=min_value,
+        steps=kernel.steps,
+        mass_drift=kernel.mass_drift,
+        min_value=kernel.min_value,
     )
 
 

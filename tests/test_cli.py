@@ -273,6 +273,28 @@ def test_parse_check_bad_value_names_its_option(key, form):
     ]
 
 
+def test_parse_check_names_every_bad_value():
+    # one bad option does not hide the next: each is named, in option order
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(MINIMAL + "[analysis]\ncheck = l1l1 rho=abc t=xyz\n")
+    assert excinfo.value.violations == [
+        "check 'l1l1': rho must be a number, got 'abc'",
+        "check 'l1l1': t must be a number, got 'xyz'",
+    ]
+    text = json.dumps({
+        "simulation": {"p": 1.5, "half_domain": 0.5, "resolution": 64, "t_end": 0.02},
+        "analysis": {"check": [{"kind": "lr_sup", "rho": None, "t": "x", "r": "y", "C": "z"}]},
+    })
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(text)
+    assert excinfo.value.violations == [
+        "check 'lr_sup': rho must be a number, got None",
+        "check 'lr_sup': t must be a number, got 'x'",
+        "check 'lr_sup': r must be a number, got 'y'",
+        "check 'lr_sup': C must be a number, got 'z'",
+    ]
+
+
 @pytest.mark.parametrize("key", ["p", "half_domain", "resolution"])
 def test_parse_list_entry_that_is_not_a_number_is_named(key):
     with pytest.raises(ConfigError) as excinfo:
@@ -293,6 +315,20 @@ def test_parse_reports_profile_and_run_scalar_violations_together():
         "eps must be positive and finite, got -1.0",
         "safety must lie in (0, 1], got 2.0",
     ]
+
+
+def test_parse_reports_snapshot_count_with_other_violations():
+    # the count is range-checked with the other scalars, not only once the
+    # rest of the config is valid, and it is named once
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(MINIMAL + "snapshots = 0\namplitude = -1\n")
+    assert excinfo.value.violations == [
+        "amplitude must be nonnegative and finite, got -1.0",
+        "snapshot count must be >= 1, got 0",
+    ]
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(MINIMAL + "snapshots = 0\n")
+    assert excinfo.value.violations == ["snapshot count must be >= 1, got 0"]
 
 
 # key: (its section, the words of its violation)

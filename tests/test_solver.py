@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import anisofast as af
-from anisofast.errors import BlowupError, ConfigError, IngestionError
+from anisofast.errors import BlowupError, ConfigError, DomainError, IngestionError
 from anisofast.solver import _FluxKernel, advance, stable_dt
 
 
@@ -105,13 +105,55 @@ def test_advance_zero_dirichlet_stays_zero():
 
 
 @pytest.mark.filterwarnings("error")
-def test_advance_blowup_raises_with_time():
-    grid = af.build_grid([0.5], [32], "dirichlet_zero")
+@pytest.mark.parametrize("boundary", ["dirichlet_zero", "periodic"])
+def test_advance_blowup_raises_with_time(boundary):
+    grid = af.build_grid([0.5], [32], boundary)
     prof = af.derive_exponents([1.5], 1)
     field = af.init_field(grid, af.InitialProfile("bump", 1.0, 0.25))
     with pytest.raises(BlowupError) as excinfo:
         advance(field, prof, 1e-2, 1e308)  # overflow-sized step
     assert excinfo.value.time > 0.0
+
+
+# (public step, the argument a valid call changes, its bad value, the DomainError's words)
+_BAD_STEP_INPUTS = [
+    *(
+        (step, "eps", eps, f"eps must be positive and finite, got {eps!r}")
+        for step in ("stable_dt", "advance")
+        for eps in (0.0, -1e-3, np.nan, np.inf)
+    ),
+    *(
+        ("stable_dt", "safety", s, f"safety must lie in (0, 1], got {s!r}")
+        for s in (0.0, 1.5, np.nan)
+    ),
+    *(
+        (step, "prof", af.derive_exponents([1.5] * 2, 2), "profile dimension 2 != grid dimension 1")
+        for step in ("stable_dt", "advance")
+    ),
+    *(
+        ("advance", "dt", dt, f"dt must be positive and finite, got {dt!r}")
+        for dt in (-1e-6, 0.0, np.nan, np.inf)
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "step, name, value, message",
+    _BAD_STEP_INPUTS,
+    ids=[
+        f"{step}-{name}" + ("" if name == "prof" else f"={v!r}")
+        for step, name, v, _ in _BAD_STEP_INPUTS
+    ],
+)
+def test_public_steps_reject_bad_inputs(step, name, value, message):
+    grid = af.build_grid([0.5], [32], "dirichlet_zero")
+    field = af.init_field(grid, af.InitialProfile("bump", 1.0, 0.25))
+    args = {"field": field, "prof": af.derive_exponents([1.5], 1), "eps": 1e-2}
+    args |= {"safety": 0.5} if step == "stable_dt" else {"dt": 1e-6}
+    args[name] = value
+    with pytest.raises(DomainError) as excinfo:
+        {"stable_dt": stable_dt, "advance": advance}[step](**args)
+    assert str(excinfo.value) == message
 
 
 def _probe_config(boundary):
