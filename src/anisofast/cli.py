@@ -22,11 +22,21 @@ takes the value shown here when it is absent (<none>: no value):
     [analysis]
       extinction_threshold = 1e-6   # relative to the initial sup
       decay_rho            = <none> # enables the decay reports
-      check = l1l1 geometry=intrinsic rho=0.1 t=0.3 C=0      # repeatable; none by default
-      check = lr_backward geometry=standard rho=0.1 t=0.3 r=2
+      check = lr_backward geometry=standard rho=0.1 t=0.3 r=2 # repeatable; none by default
 
     [output]
       directory = out
+
+A check is its kind (l1l1, l1linf, lr_sup, lr_backward or composite) and
+key=value options (harnack.CHECK_OPTIONS), each at most once; json.loads keeps
+only the last of a repeated key in a JSON check.  l1l1 and l1linf take no r:
+
+    check options
+      geometry = intrinsic          # or standard
+      rho      = 0.1                # required: positive and finite
+      t        = 0.3                # required: positive and finite, <= t_end
+      r        = <none>             # lr_sup: r >= 1; lr_backward, composite: r > 1
+      C        = 0                  # nonnegative and finite
 
 CSV output is RFC-4180 style with '.' decimal separator and LF line endings;
 reruns of the same config produce byte-identical files.
@@ -48,14 +58,14 @@ import numpy as np
 
 from . import extinction, harnack, lemmas, solver
 from .errors import BlowupError, ConfigError, DomainError, IngestionError
-from .geometry import GEOMETRIES, derive_exponents
+from .geometry import derive_exponents
 from .solver import (
     InitialProfile, SimConfig, _count, _range_violations, build_grid, uniform_snapshots
 )
 
 CHECK_KINDS = tuple(harnack.CHECKS)
 
-_REQUIRED = object()
+_REQUIRED = harnack._REQUIRED  # one mark for a required key and a required check option
 
 #: each config section's keys and their defaults, as the docstring lists them;
 #: _REQUIRED marks a key that must be given, None one without a default, and a
@@ -79,16 +89,17 @@ _CONFIG = {
     "output": {"directory": "out"},
 }
 _REPEATED = {key for keys in _CONFIG.values() for key, d in keys.items() if isinstance(d, tuple)}
+_OPTION_NAMES = {name.lower(): name for name in harnack.CHECK_OPTIONS}  # options read case-blind
 
 
 @dataclass(frozen=True)
 class CheckSpec:
     kind: str
-    geometry: str
     rho: float
     t: float
-    r: float | None = None
-    C: float = 0.0
+    geometry: str = harnack.CHECK_OPTIONS["geometry"]
+    r: float | None = harnack.CHECK_OPTIONS["r"]
+    C: float = harnack.CHECK_OPTIONS["C"]
 
 
 @dataclass(frozen=True)
@@ -160,58 +171,50 @@ def _floats(value, n=None, name=""):
     return out
 
 
-def _parse_check(value, violations) -> CheckSpec | None:
-    if isinstance(value, dict):
-        fields = {str(k).lower(): v for k, v in value.items()}
-        kind = str(fields.pop("kind", "")).lower()
+def _parse_check(value, violations, t_end) -> CheckSpec | None:
+    """One check entry as a CheckSpec, or None once its violations are added; the
+    options, their defaults and their rules are harnack's (CHECK_OPTIONS)."""
+    if isinstance(value, dict):  # json.loads kept the last of a repeated key
+        pairs = [(str(k).lower(), v) for k, v in value.items()]
+        kind = str(dict(pairs).get("kind", "")).lower()
+        pairs = [(k, v) for k, v in pairs if k != "kind"]
     else:
         tokens = str(value).split()
-        if not tokens:
-            violations.append("empty check entry")
+        bad = [f"check option {tok!r} is not key=value" for tok in tokens[1:] if "=" not in tok]
+        if bad or not tokens:
+            violations += bad or ["empty check entry"]
             return None
         kind = tokens[0].lower()
-        fields = {}
-        for tok in tokens[1:]:
-            if "=" not in tok:
-                violations.append(f"check option {tok!r} is not key=value")
-                return None
-            k, v = tok.split("=", 1)
-            fields[k.lower()] = v
+        pairs = [(k.lower(), v) for k, v in (tok.split("=", 1) for tok in tokens[1:])]
     if kind not in CHECK_KINDS:
         violations.append(f"unknown check kind {kind!r}; expected one of {CHECK_KINDS}")
         return None
-    for key in ("rho", "t"):
-        if key not in fields:
-            violations.append(f"check {kind!r} is missing required option {key!r}")
-    geometry = str(fields.pop("geometry", "intrinsic")).lower()
-    given, bad = {}, []  # each option that parsed; each one that did not
-    for name in ("rho", "t", "r", "C"):
-        if name.lower() in fields:
+    where, given, found = f"check {kind!r}", {}, []
+    for key, v in pairs:
+        name = _OPTION_NAMES.get(key, key)
+        if name in given:
+            found.append(f"{where}: duplicate option {name!r}")
+        given[name] = v
+    values = {}  # the options to judge: one that is missing or did not parse is not
+    for name, default in harnack.CHECK_OPTIONS.items():
+        if name in given:
+            raw = given.pop(name)
             try:
-                given[name] = _real(fields.pop(name.lower()), name)
+                values[name] = str(raw).lower() if isinstance(default, str) else _real(raw, name)
             except TypeError as exc:
-                violations.append(f"check {kind!r}: {exc}")
-                bad.append(name)
-    rho, t, r, C = given.get("rho"), given.get("t"), given.get("r"), given.get("C", 0.0)
-    if fields:
-        violations.append(f"check {kind!r} has unknown options {sorted(fields)}")
-        return None
-    if geometry not in GEOMETRIES:
-        violations.append(f"check {kind!r}: geometry must be one of {GEOMETRIES}")
-        return None
-    # the range of an option that is missing or did not parse is not checked
-    if rho is not None and not 0.0 < rho < math.inf:  # NaN fails every comparison
-        violations.append(f"check {kind!r}: rho must be positive and finite, got {rho!r}")
-    if t is not None and not 0.0 < t < math.inf:
-        violations.append(f"check {kind!r}: t must be positive and finite, got {t!r}")
-    r_problem = "" if "r" in bad else harnack.CHECKS[kind].r_violation(r)
-    if r_problem:
-        violations.append(f"check {kind!r}: {r_problem}")
-    if not 0.0 <= C < math.inf:
-        violations.append(f"check {kind!r}: C must be nonnegative and finite, got {C!r}")
-    if bad or rho is None or t is None:
-        return None
-    return CheckSpec(kind=kind, geometry=geometry, rho=rho, t=t, r=r, C=C)
+                found.append(f"{where}: {exc}")
+        elif default is _REQUIRED:
+            found.append(f"{where} is missing required option {name!r}")
+        else:
+            values[name] = default
+    if given:
+        found.append(f"{where} has unknown options {sorted(given)}")
+    found += [f"{where}: {rule}" for rule in harnack.option_violations(kind, values)]
+    t = values.get("t", math.nan)
+    if t_end is not None and t_end < t < math.inf:  # a t that breaks no rule of its own
+        found.append(f"{where}: t={t} exceeds t_end={t_end}")
+    violations += found
+    return None if found else CheckSpec(kind, **values)
 
 
 def parse_config(text: str) -> CampaignConfig:
@@ -286,23 +289,19 @@ def parse_config(text: str) -> CampaignConfig:
     scalars = {"t_end": t_end, "eps": eps, "safety": safety}  # before uniform_snapshots sees t_end
     violations += _range_violations(**{k: v for k, v in scalars.items() if v is not None})
 
-    threshold_rel = number(ana, "extinction_threshold")
-    if threshold_rel is not None and not 0.0 < threshold_rel < math.inf:
-        violations.append(f"extinction_threshold must be positive and finite, got {threshold_rel}")
-    decay_rho = number(ana, "decay_rho")
-    if decay_rho is not None and not 0.0 < decay_rho < math.inf:
-        violations.append(f"decay_rho must be positive and finite, got {decay_rho}")
+    threshold_rel, decay_rho = number(ana, "extinction_threshold"), number(ana, "decay_rho")
+    for key, value in (("extinction_threshold", threshold_rel), ("decay_rho", decay_rho)):
+        if value is not None and not 0.0 < value < math.inf:  # NaN fails every comparison
+            violations.append(f"{key} must be positive and finite, got {value}")
 
     checks, entries = [], ana["check"] or ()
     if not isinstance(entries, (list, tuple)):  # a JSON string would be read per character
         violations.append(f"check must be a list of checks, got {entries!r}")
         entries = ()
     for entry in entries:
-        spec = _parse_check(entry, violations)
+        spec = _parse_check(entry, violations, t_end)
         if spec is not None:
             checks.append(spec)
-            if t_end is not None and spec.t > t_end:
-                violations.append(f"check {spec.kind!r}: t={spec.t} exceeds t_end={t_end}")
 
     sim_config = None
     if grid is not None and profile is not None and not violations:

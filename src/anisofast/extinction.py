@@ -141,7 +141,7 @@ def decay_samples(traj: Trajectory, rho: float, t_star: float, threshold: float)
         mass_standard=_cube_integrals(traj.grid, rows, std, 1.0),
         sup_standard=_cube_sups(traj.grid, rows, std),
         contained_4rho=contained,
-        in_window=rows.max(axis=1) >= FLOOR_FACTOR * threshold,
+        in_window=traj.sup_series()[:before] >= FLOOR_FACTOR * threshold,
     )
 
 

@@ -407,31 +407,47 @@ CHECKS = {
     ),
 }
 
+_REQUIRED = object()  # marks an option that must be given
+
+#: the options of every check and their defaults; r, absent by default, is
+#: required or refused by the row (`Inequality.r_violation`)
+CHECK_OPTIONS = {"geometry": "intrinsic", "rho": _REQUIRED, "t": _REQUIRED, "r": None, "C": 0.0}
+
+
+def option_violations(kind: str, options: dict) -> list[str]:
+    """Every rule that the options of a CHECKS[kind] instance break, in
+    CHECK_OPTIONS order; an option left out of `options` is not judged."""
+    found = []
+    if "geometry" in options and options["geometry"] not in GEOMETRIES:
+        found.append(f"geometry must be one of {GEOMETRIES}, got {options['geometry']!r}")
+    for name in ("rho", "t"):
+        if name in options and not 0.0 < options[name] < math.inf:  # NaN fails every comparison
+            found.append(f"{name} must be positive and finite, got {float(options[name])!r}")
+    if "r" in options:
+        found.append(CHECKS[kind].r_violation(options["r"]))
+    if "C" in options and not 0.0 <= options["C"] < math.inf:
+        found.append(f"C must be nonnegative and finite, got {float(options['C'])!r}")
+    return [problem for problem in found if problem]
+
 
 def _evaluate(kind, traj, rho, t, r, geometry, C) -> InequalityReport:
     """Measure the CHECKS[kind] inequality at (rho, t, r, C) in one geometry.
 
-    r is None for the inequalities stated without an order.  Every row needs
-    all p_i < 2 before its own applicability predicate; when either fails the
-    report is not-applicable (no exception).  The trajectory keeps each
-    measured side (`Trajectory.measured`) for all the checks made on it.
+    r is None for the inequalities stated without an order.  Options that
+    break a rule of `option_violations` raise one DomainError naming every
+    rule, on any trajectory.  Every row needs all p_i < 2 before its own
+    applicability predicate; when either fails the report is not-applicable
+    (no exception).  The trajectory keeps each measured side
+    (`Trajectory.measured`) for all the checks made on it.
     """
-    row = CHECKS[kind]
-    if geometry not in GEOMETRIES:
-        raise DomainError(f"geometry must be one of {GEOMETRIES}, got {geometry!r}")
-    if not t > 0.0:
-        raise DomainError(f"t must be positive, got {t!r}")
+    row, options = CHECKS[kind], {"geometry": geometry, "rho": rho, "t": t, "r": r, "C": C}
+    problems = option_violations(kind, options)
+    if problems:
+        raise DomainError("; ".join(problems))
     if t > traj.end_time * (1.0 + WINDOW_RTOL):
-        raise DomainError(
-            f"window [0, {t}] exceeds the trajectory horizon {traj.end_time}"
-        )
-    problem = row.r_violation(r)
-    if problem:
-        raise DomainError(problem)
+        raise DomainError(f"window [0, {t}] exceeds the trajectory horizon {traj.end_time}")
     theorem = row.theorems[GEOMETRIES.index(geometry)]
-    params = {"rho": float(rho), "t": float(t), "C": float(C), "geometry": geometry}
-    if r is not None:
-        params["r"] = float(r)
+    params = {k: v if k == "geometry" else float(v) for k, v in options.items() if v is not None}
     order = 1.0 if r is None else r
     reason = _needs_fast(traj.exponents) or row.applicable(traj.exponents, order)
     if reason:
@@ -457,59 +473,40 @@ def _evaluate(kind, traj, rho, t, r, geometry, C) -> InequalityReport:
     )
 
 
+#: the defaults of the options every check takes
+_GEOMETRY, _C = CHECK_OPTIONS["geometry"], CHECK_OPTIONS["C"]
+
+
 def check_l1l1(
-    traj: Trajectory,
-    rho: float,
-    t: float,
-    geometry: str = "intrinsic",
-    C: float = 0.0,
+    traj: Trajectory, rho: float, t: float, geometry: str = _GEOMETRY, C: float = _C
 ) -> InequalityReport:
     """sup_{0<=tau<=t} int_{K_rho} u  vs  inf over the doubled cube + scaling term."""
     return _evaluate("l1l1", traj, rho, t, None, geometry, C)
 
 
 def check_l1linf(
-    traj: Trajectory,
-    rho: float,
-    t: float,
-    geometry: str = "intrinsic",
-    C: float = 0.0,
+    traj: Trajectory, rho: float, t: float, geometry: str = _GEOMETRY, C: float = _C
 ) -> InequalityReport:
     """sup over K_{rho/2} x [t/2, t]  vs  t^(-N/lam) (inf mass)^(p_bar/lam) + scaling."""
     return _evaluate("l1linf", traj, rho, t, None, geometry, C)
 
 
 def check_lr_sup(
-    traj: Trajectory,
-    rho: float,
-    t: float,
-    r: float,
-    geometry: str = "intrinsic",
-    C: float = 0.0,
+    traj: Trajectory, rho: float, t: float, r: float, geometry: str = _GEOMETRY, C: float = _C
 ) -> InequalityReport:
     """sup over K_{rho/2} x [t/2, t]  vs  the time-sup of the mean of u^r."""
     return _evaluate("lr_sup", traj, rho, t, r, geometry, C)
 
 
 def check_lr_backward(
-    traj: Trajectory,
-    rho: float,
-    t: float,
-    r: float,
-    geometry: str = "intrinsic",
-    C: float = 0.0,
+    traj: Trajectory, rho: float, t: float, r: float, geometry: str = _GEOMETRY, C: float = _C
 ) -> InequalityReport:
     """sup_{0<=tau<=t} int_{K_rho} u^r  vs  the initial-datum integral + scaling."""
     return _evaluate("lr_backward", traj, rho, t, r, geometry, C)
 
 
 def check_backwards_composite(
-    traj: Trajectory,
-    rho: float,
-    t: float,
-    r: float,
-    geometry: str = "intrinsic",
-    C: float = 0.0,
+    traj: Trajectory, rho: float, t: float, r: float, geometry: str = _GEOMETRY, C: float = _C
 ) -> InequalityReport:
     """sup over K_{rho/2} x [t/2, t]  vs  t^(-N/lam_r) (initial u^r mass)^(p_bar/lam_r)."""
     return _evaluate("composite", traj, rho, t, r, geometry, C)

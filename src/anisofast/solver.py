@@ -459,8 +459,8 @@ class Trajectory:
     """Snapshots of one run as one read-only (S, n_cells) array, plus the run's step count.
 
     Row k of `values` is the flattened field at `times[k]`; times never
-    decrease.  `snapshots`, `initial` and `sup_series` are views or
-    reductions of that one array, never copies of it.  Fields cannot be
+    decrease.  `snapshots`, `initial` and `sup_series` (reduced once, read-only)
+    are views or reductions of that one array, never copies.  Fields cannot be
     reassigned and `values` is the trajectory's own read-only array (one
     passed in is copied unless read-only and owning its data), so what
     `measured` keeps stays true.
@@ -547,7 +547,9 @@ class Trajectory:
         return Field(self.grid, self.values[0], self.times[0])
 
     def sup_series(self) -> np.ndarray:
-        return self.values.max(axis=1)
+        sups = self.measured(("sup_series",), lambda: self.values.max(axis=1))
+        sups.flags.writeable = False
+        return sups
 
     def window(self, t_a: float, t_b: float) -> slice:
         """Rows with t_a - tol <= time <= t_b + tol, tol = 1e-9 max(1, |t_b|)."""

@@ -383,3 +383,90 @@ def test_cache_never_serves_another_trajectory():
             got = _check(traj, *point)
             _assert_same_report(got, _check(_fresh(traj), *point))
             assert got.lhs != _check(_fresh(other), *point).lhs
+
+
+# --- one statement of the options' rules, for the parser and the checkers --------
+
+# (option, value as a config writes it, the rule that value breaks)
+BAD_OPTIONS = [
+    *[
+        (name, value, f"{name} must be positive and finite, got {float(value)!r}")
+        for name in ("rho", "t")
+        for value in ("0", "-1", "nan", "inf")
+    ],
+    *[
+        ("C", value, f"C must be nonnegative and finite, got {float(value)!r}")
+        for value in ("-1", "nan", "inf")
+    ],
+    ("geometry", "bogus", "geometry must be one of ('intrinsic', 'standard'), got 'bogus'"),
+]
+
+# each kind's bad orders r, and the rule each breaks
+BAD_ORDERS = {
+    "l1l1": [("2", "r is not an option (r = 1 is implied), got 2.0")],
+    "l1linf": [("1", "r is not an option (r = 1 is implied), got 1.0")],
+    "lr_sup": [("0.5", "r must be >= 1, got 0.5"), ("inf", "r must be finite, got inf")],
+    "lr_backward": [("1", "r must exceed 1, got 1.0"), ("nan", "r must be finite, got nan")],
+    "composite": [("0.9", "r must exceed 1, got 0.9"), ("inf", "r must be finite, got inf")],
+}
+
+
+def _bump_trajectory_1d(p: float):
+    """A 1D bump on 16 cells that decays linearly over t = 0, 0.05 and 0.1."""
+    grid = af.build_grid([0.5], [16], "dirichlet_zero")
+    bump = af.init_field(grid, af.InitialProfile("bump", 1.0, 0.3)).values
+    snaps = [af.Field(grid, (1.0 - t) * bump, t) for t in (0.0, 0.05, 0.1)]
+    return af.Trajectory.from_fields(grid, af.derive_exponents([p], 1), 1e-3, snaps)
+
+
+def _parse_violations(p: float, kind: str, options: dict) -> list:
+    text = "\n".join([
+        "[simulation]", f"p = {p}", "half_domain = 0.5", "resolution = 16", "t_end = 0.1",
+        "[analysis]", f"check = {kind} " + " ".join(f"{k}={v}" for k, v in options.items()),
+    ])
+    with pytest.raises(cli.ConfigError) as excinfo:
+        cli.parse_config(text)
+    return excinfo.value.violations
+
+
+@pytest.mark.parametrize("kind", sorted(CHECKERS))
+@pytest.mark.parametrize("p", [1.5, 2.0])
+def test_parser_and_checkers_reject_the_same_values_with_the_same_rule(p, kind):
+    # the rules hold on every trajectory, also where p = 2 makes the check
+    # not applicable, and parse_config states each as the checker does
+    traj = _bump_trajectory_1d(p)
+    valid = {"geometry": "intrinsic", "rho": "0.1", "t": "0.05", "C": "0"}
+    if harnack.CHECKS[kind].r_min is not None:
+        valid["r"] = "2"
+
+    def call(options):
+        args = {k: v if k == "geometry" else float(v) for k, v in options.items()}
+        return CHECK_FUNCTIONS[kind](traj, **args)
+
+    report = call(valid)
+    assert report.applicable == (p < 2.0)
+    assert report.reason == ("" if p < 2.0 else "Harnack inequalities need all p_i < 2")
+    cases = list(BAD_OPTIONS)
+    cases += [("r", value, rule) for value, rule in BAD_ORDERS[kind]]
+    for name, value, rule in cases:
+        options = valid | {name: value}
+        assert _parse_violations(p, kind, options) == [f"check {kind!r}: {rule}"], (name, value)
+        if name in valid:  # l1l1 and l1linf take no r: only a config can give one
+            with pytest.raises(DomainError) as excinfo:
+                call(options)
+            assert str(excinfo.value) == rule, (name, value)
+    # every broken rule at once, in the table's order, in one error
+    worst = {"geometry": "bogus", "rho": "-1", "t": "nan", "r": "0.5", "C": "inf"}
+    rules = [
+        "geometry must be one of ('intrinsic', 'standard'), got 'bogus'",
+        "rho must be positive and finite, got -1.0",
+        "t must be positive and finite, got nan",
+        harnack.CHECKS[kind].r_violation(0.5),
+        "C must be nonnegative and finite, got inf",
+    ]
+    assert _parse_violations(p, kind, worst) == [f"check {kind!r}: {rule}" for rule in rules]
+    if "r" not in valid:
+        del worst["r"], rules[3]
+    with pytest.raises(DomainError) as excinfo:
+        call(worst)
+    assert str(excinfo.value) == "; ".join(rules)

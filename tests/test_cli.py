@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import anisofast as af
-from anisofast import cli
+from anisofast import cli, harnack
 from anisofast.cli import (
     cmd_analyze,
     cmd_lemmas,
@@ -120,32 +120,42 @@ def test_parse_names_every_missing_key(case):
 
 
 def _documented_keys():
-    """{section: {key: (value, comment)}} as the cli module docstring lists them."""
+    """{section: {key: (value, comment)}} as the cli module docstring lists them;
+    the check options are listed as the section 'check options'."""
     documented, section = {}, None
     for line in cli.__doc__.splitlines():
-        header = re.fullmatch(r"\s+\[(\w+)\]", line)
+        header = re.fullmatch(r"\s+\[(\w+)\]|\s+(check options)", line)
         entry = re.fullmatch(r"\s+(\w+)\s*=\s*(\S+)[^#]*(.*)", line)
         if header:
-            section = documented.setdefault(header[1], {})
+            section = documented.setdefault(header[1] or header[2], {})
         elif entry and section is not None:
             section.setdefault(entry[1], (entry[2], entry[3]))
     return documented
 
 
+def _assert_documented(documented: dict, table: dict) -> None:
+    """Each key of the table is documented with its default, and no other key is."""
+    assert set(documented) == set(table)
+    for key, default in table.items():
+        value, comment = documented[key]
+        assert (default is cli._REQUIRED) == comment.startswith("# required"), key
+        if default is None:
+            assert value == "<none>", key
+        elif isinstance(default, (str, int, float)):  # the value shown is the default
+            assert type(default)(value) == default, key
+
+
 def test_docstring_lists_the_parsed_keys_and_defaults():
     # the documented schema cannot drift from the table the parser reads
     documented = _documented_keys()
-    assert {name: set(keys) for name, keys in documented.items()} == {
-        name: set(keys) for name, keys in cli._CONFIG.items()
-    }
+    assert set(documented) == set(cli._CONFIG) | {"check options"}
     for name, keys in cli._CONFIG.items():
-        for key, default in keys.items():
-            value, comment = documented[name][key]
-            assert (default is cli._REQUIRED) == comment.startswith("# required"), key
-            if default is None:
-                assert value == "<none>", key
-            elif isinstance(default, (str, int, float)):  # the value shown is the default
-                assert type(default)(value) == default, key
+        _assert_documented(documented[name], keys)
+
+
+def test_docstring_lists_the_check_options_and_defaults():
+    # the documented check options cannot drift from the table harnack and the parser read
+    _assert_documented(_documented_keys()["check options"], harnack.CHECK_OPTIONS)
 
 
 def test_parse_collects_all_violations():
@@ -292,6 +302,27 @@ def test_parse_check_names_every_bad_value():
         "check 'lr_sup': t must be a number, got 'x'",
         "check 'lr_sup': r must be a number, got 'y'",
         "check 'lr_sup': C must be a number, got 'z'",
+    ]
+
+
+def test_parse_check_duplicate_option_is_a_violation():
+    # as a repeated section key is; option names are read case-blind
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(MINIMAL + "[analysis]\ncheck = l1l1 rho=0.1 rho=0.2 t=0.01 T=0.015\n")
+    assert excinfo.value.violations == [
+        "check 'l1l1': duplicate option 'rho'",
+        "check 'l1l1': duplicate option 't'",
+    ]
+
+
+def test_parse_check_t_beyond_t_end_is_named_with_other_faults():
+    # MINIMAL's t_end is 0.02; a bad rho does not hide it
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(MINIMAL + "[analysis]\ncheck = l1l1 rho=abc t=0.5 geometry=bogus\n")
+    assert excinfo.value.violations == [
+        "check 'l1l1': rho must be a number, got 'abc'",
+        "check 'l1l1': geometry must be one of ('intrinsic', 'standard'), got 'bogus'",
+        "check 'l1l1': t=0.5 exceeds t_end=0.02",
     ]
 
 

@@ -223,6 +223,14 @@ def test_run_fills_one_contiguous_array(run_1d_fast):
     assert run_1d_fast.sup_series().tolist() == [f.sup() for f in run_1d_fast.snapshots]
 
 
+def test_sup_series_is_one_read_only_array(run_1d_fast):
+    # detect_extinction and decay_samples read one reduction of the rows
+    sups = run_1d_fast.sup_series()
+    assert run_1d_fast.sup_series() is sups and not sups.flags.writeable
+    with pytest.raises(ValueError):
+        sups[0] = 0.0
+
+
 def test_load_trajectory_reads_one_contiguous_array(tmp_path, run_1d_fast):
     path = af.save_trajectory(run_1d_fast, str(tmp_path / "traj"))
     loaded = af.load_trajectory(path)
