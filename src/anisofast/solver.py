@@ -11,6 +11,8 @@ Boundary handling: homogeneous Dirichlet uses a zero ghost layer; periodic
 wraps, in which case the flux sum telescopes and the discrete mass is
 conserved to machine precision.  Time stepping is explicit Euler with an
 adaptive step from `stable_dt`, clipped so snapshot times are hit exactly.
+One kernel (`_FluxKernel`) lays out each step's ufunc calls once, as flat
+tables; `run` keeps the run record in its loop's locals and nowhere else.
 """
 
 from __future__ import annotations
@@ -194,9 +196,6 @@ def _along(axis: int, s: slice) -> tuple[slice, ...]:
 
 _FIRST, _LAST = slice(None, 1), slice(-1, None)
 
-# bound once: the per-step calls on small grids cost numpy call overhead, not arithmetic
-_add, _subtract, _multiply, _log, _exp = np.add, np.subtract, np.multiply, np.log, np.exp
-
 #: bytes between the offsets, mod 4096, at which the step buffers start
 _STAGGER = 384
 
@@ -228,7 +227,7 @@ class _FluxKernel:
     heat axis (p_i = 2) has Phi_i = G, so it skips the power and differences
     G itself, and its step-bound term is the constant 2 h_i^-2; which axes
     do is fixed when the kernel is built.  The kernel owns every buffer a
-    step needs and works in them with `out=` ufunc calls on flat contiguous
+    step needs and works in them with `out` ufunc calls on flat contiguous
     arrays, plus one boundary hyperplane per axis, so `rate()` and `step()`
     allocate no arrays.
 
@@ -239,6 +238,13 @@ class _FluxKernel:
     at offset stride_i plus a boundary-hyperplane fix-up; the zero-ghost `u`
     is the interior of an array padded along axis 0, whose faces are one
     subtraction.
+
+    A small grid's step costs call overhead, so every call is laid out once
+    in flat tables that `rate()` and `step()` each run as one loop: (ufunc,
+    operands) pairs in `_rate_calls` and `_step_calls`, `out` positional and
+    every operand an array; per axis, (2 (p_i-1) h_i^-p_i, argmin, flux,
+    (h_i eps)^2, e_i) in `_bounds` (argmin None on a heat axis) and the
+    `fill` of the 0-d array for dt h_i^-p_i in `_scales`.
     """
 
     def __init__(self, grid: Grid, prof: ExponentProfile, eps: float):
@@ -253,42 +259,60 @@ class _FluxKernel:
         self._flat = flat = u.reshape(-1)
         zero = np.array(0.0)
         self._div, scratch = _buffer(n, grid.N + 1), _buffer(n, grid.N + 2)
-        self._faces, self._differences, self._bounds, self._axes = [], [], [], []
+        add, sub, mul, div = np.add, np.subtract, np.multiply, self._div
+        self._faces, differences, squares, bounds, scales, calls = [], [], [], [], [], []
         for i, (pi, h, s) in enumerate(zip(prof.p, grid.spacings, strides)):
             faces = _buffer(n if periodic else n + n // shape[i], 1 + i)
             before, after = self.split(faces, i)
             first, last = u[_along(i, _FIRST)], u[_along(i, _LAST)]
             if not periodic and i == 0:
-                self._differences.append((faces, padded[s:], padded[:-s]))
+                differences.append((sub, (padded[s:], padded[:-s], faces)))
             elif periodic:
-                self._differences += [
-                    (faces[:-s], flat[s:], flat[:-s]),
-                    (after[_along(i, _LAST)], first, last),
+                differences += [
+                    (sub, (flat[s:], flat[:-s], faces[:-s])),
+                    (sub, (first, last, after[_along(i, _LAST)])),
                 ]
             else:
-                self._differences += [
-                    (faces[-n:-s], flat[s:], flat[:-s]),
-                    (after[_along(i, _LAST)], zero, last),
-                    (before, first, zero),
+                differences += [
+                    (sub, (flat[s:], flat[:-s], faces[-n:-s])),
+                    (sub, (zero, last, after[_along(i, _LAST)])),
+                    (sub, (first, zero, before)),
                 ]
             self._faces.append(faces)
             kappa, expo, scale = (h * eps) ** 2, (pi - 2.0) / 2.0, h**-pi
+            factor, c = np.array(scale), 2.0 * (pi - 1.0) * scale
+            scales.append((factor.fill, scale))
             if pi == 2.0:  # a heat axis: exp(0 log S) = 1, so Phi = G and its rate is 2 h^-2
-                flux, power, bound = faces, (), ()
-            else:  # a 0-d array operand costs less per call than a Python float
+                flux = faces
+                bounds.append((c, None, None, None, None))
+            else:
                 flux = _buffer(faces.size, grid.N + 3 + i)
-                power = ((faces, flux, np.array(kappa), np.array(expo)),)
-                bound = ((faces, flux, kappa, expo),)
-            self._bounds.append((2.0 * (pi - 1.0) * scale, bound))
-            d = self._div if i == 0 else scratch
+                squares.append((mul, (faces, faces, flux)))
+                bounds.append((c, flux.argmin, flux, kappa, expo))
+                calls += [
+                    (add, (flux, np.array(kappa), flux)),
+                    (np.log, (flux, flux)),
+                    (mul, (flux, np.array(expo), flux)),
+                    (np.exp, (flux, flux)),
+                    (mul, (flux, faces, flux)),
+                ]
+            d = div if i == 0 else scratch
             if not periodic and i == 0:  # flux = [faces before cell 0, faces after each cell]
-                pairs = ((d, flux[s:], flux[:-s]),)
+                calls.append((sub, (flux[s:], flux[:-s], d)))
             else:  # d[k] = Phi[k] - Phi[k-1], fixed up on the hyperplane k = 0
                 before, after = self.split(flux, i)
                 cells = flux[flux.size - n :]
                 first = d.reshape(shape)[_along(i, _FIRST)]
-                pairs = ((d[s:], cells[s:], cells[:-s]), (first, after[_along(i, _FIRST)], before))
-            self._axes.append((power, pairs, d, scale))
+                calls += [
+                    (sub, (cells[s:], cells[:-s], d[s:])),
+                    (sub, (after[_along(i, _FIRST)], before, first)),
+                ]
+            calls.append((mul, (d, factor, d)))
+            if d is not div:
+                calls.append((add, (div, d, div)))
+        calls.append((add, (flat, div, flat)))
+        self._rate_calls, self._bounds = tuple(differences + squares), tuple(bounds)
+        self._scales, self._step_calls = tuple(scales), tuple(calls)
 
     def split(self, buf: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
         """(faces before the first cell, faces after each cell) of an axis-i buffer.
@@ -309,36 +333,25 @@ class _FluxKernel:
         whose heat-axis terms (e_i = 0) are 2 h_i^-2 without a reduction.
         Leaves G and G*G in place for `step`.
         """
-        for out, hi, lo in self._differences:
-            _subtract(hi, lo, out=out)
+        for ufunc, operands in self._rate_calls:
+            ufunc(*operands)
         denom = 0.0
-        for c, bound in self._bounds:
-            for faces, flux, kappa, expo in bound:  # none on a heat axis, whose term is c
-                _multiply(faces, faces, out=flux)
-                c *= (float(flux[flux.argmin()]) + kappa) ** expo
+        for c, argmin, flux, kappa, expo in self._bounds:
+            if argmin is not None:  # a heat axis's term is c
+                c *= (flux.item(argmin()) + kappa) ** expo
             denom += c
         return denom
 
     def step(self, dt: float) -> None:
         """u += sum_i (dt h_i^-p_i)(Phi_i[k] - Phi_i[k-1]) from the last `rate()`."""
-        div = self._div
-        for power, pairs, d, scale in self._axes:
-            for faces, flux, kappa, expo in power:  # none on a heat axis
-                _add(flux, kappa, out=flux)
-                _log(flux, out=flux)
-                _multiply(flux, expo, out=flux)
-                _exp(flux, out=flux)
-                _multiply(flux, faces, out=flux)
-            for out, hi, lo in pairs:
-                _subtract(hi, lo, out=out)
-            _multiply(d, dt * scale, out=d)
-            if d is not div:
-                _add(div, d, out=div)
-        _add(self._flat, div, out=self._flat)
+        for fill, scale in self._scales:
+            fill(dt * scale)
+        for ufunc, operands in self._step_calls:
+            ufunc(*operands)
 
 
 def _kernel_at(field: Field, prof: ExponentProfile, eps: float) -> _FluxKernel:
-    """The kernel holding `field`, with the run record that `_euler` keeps from it."""
+    """The kernel holding `field`, after the checks the public steps share."""
     if not 0.0 < eps < math.inf:
         raise DomainError(f"eps must be positive and finite, got {eps!r}")
     grid = field.grid
@@ -346,35 +359,7 @@ def _kernel_at(field: Field, prof: ExponentProfile, eps: float) -> _FluxKernel:
         raise DomainError(f"profile dimension {prof.N} != grid dimension {grid.N}")
     kernel = _FluxKernel(grid, prof, eps)
     kernel.u[...] = field.reshaped()
-    kernel.steps, kernel.min_value = 0, float(field.values.min())
-    kernel.mass0 = float(field.values.sum()) if kernel._periodic else None
-    kernel.mass_drift = None if kernel.mass0 is None else 0.0
     return kernel
-
-
-def _euler(kernel: _FluxKernel, dt: float, t_new: float) -> None:
-    """`kernel.step(dt)` from the last `rate()`, then the run record at time t_new.
-
-    Raises `BlowupError(t_new)` unless u is finite; else counts the step,
-    lowers `min_value` to the min of u and, on a periodic grid, raises
-    `mass_drift` to |mass - mass0| / |mass0| (|mass| if mass0 is 0).
-    argmin and argmax return the first NaN, and a min or max of +-inf shows
-    the infinity, so the two index reads prove u finite exactly.  A periodic
-    run keeps the pairwise sum its mass drift needs, and a finite sum already
-    proves u finite and skips the argmax.
-    """
-    kernel.step(dt)
-    u, mass0 = kernel._flat, kernel.mass0
-    mass = math.inf if mass0 is None else float(_add.reduce(kernel.u, None))
-    low = float(u[u.argmin()])
-    if not (math.isfinite(mass) or math.isfinite(low) and math.isfinite(u[u.argmax()])):
-        raise BlowupError(t_new)
-    if mass0 is not None:
-        drift = abs(mass - mass0) / abs(mass0) if mass0 != 0.0 else abs(mass)
-        kernel.mass_drift = max(kernel.mass_drift, drift)
-    kernel.steps += 1
-    if low < kernel.min_value:
-        kernel.min_value = low
 
 
 def stable_dt(
@@ -392,24 +377,29 @@ def stable_dt(
 
 
 def advance(field: Field, prof: ExponentProfile, eps: float, dt: float) -> Field:
-    """One conservative explicit Euler step of size dt."""
+    """One conservative explicit Euler step of size dt; `BlowupError` unless it is finite."""
     if not 0.0 < dt < math.inf:
         raise DomainError(f"dt must be positive and finite, got {dt!r}")
     t_new = field.time + dt
     with np.errstate(over="ignore", invalid="ignore"):  # reported as BlowupError
         kernel = _kernel_at(field, prof, eps)
         kernel.rate()
-        _euler(kernel, dt, t_new)
+        kernel.step(dt)
+    if not np.isfinite(kernel.u).all():
+        raise BlowupError(t_new)
     return Field(grid=field.grid, values=kernel.u.copy(), time=t_new)
 
 
 def uniform_snapshots(t_end: float, count: int) -> tuple[float, ...]:
     """Uniform snapshot schedule over [0, t_end] with `count` snapshots incl. t=0."""
-    if count < 1:
+    n = _count(count) if isinstance(count, numbers.Real) else None
+    if n is None:
+        raise ConfigError([f"snapshot count must be an integer, got {count!r}"])
+    if n < 1:
         raise ConfigError([f"snapshot count must be >= 1, got {count}"])
-    if t_end == 0.0 or count == 1:
+    if t_end == 0.0 or n == 1:
         return (0.0,)
-    return tuple(np.linspace(0.0, t_end, count))
+    return tuple(np.linspace(0.0, t_end, n))
 
 
 def _range_violations(t_end=0.0, eps=1.0, safety=0.5) -> list[str]:
@@ -442,15 +432,19 @@ class SimConfig:
             violations.append(
                 f"{self.exponents.N} exponents for a {self.grid.N}-dimensional grid"
             )
+        if self.snapshot_times is not None:
+            times = tuple(float(t) for t in self.snapshot_times)
+        else:  # the default schedule, once t_end is known to be valid
+            times = (0.0,) if violations else uniform_snapshots(self.t_end, 101)
+        not_finite = [t for t in times if not math.isfinite(t)]
+        if not_finite:
+            violations.append(f"snapshot times must be finite, got {not_finite[0]}")
+        elif not times or times[0] != 0.0 or any(b <= a for a, b in zip(times, times[1:])):
+            violations.append("snapshot times must start at 0 and increase strictly")
+        elif times[-1] > self.t_end * (1.0 + _TIME_RTOL):
+            violations.append("snapshot times must not exceed t_end")
         if violations:
             raise ConfigError(violations)
-        if self.snapshot_times is None:
-            object.__setattr__(self, "snapshot_times", uniform_snapshots(self.t_end, 101))
-        times = tuple(float(t) for t in self.snapshot_times)
-        if times[0] != 0.0 or any(b <= a for a, b in zip(times, times[1:])):
-            raise ConfigError(["snapshot times must start at 0 and increase strictly"])
-        if times[-1] > self.t_end * (1.0 + _TIME_RTOL):
-            raise ConfigError(["snapshot times must not exceed t_end"])
         object.__setattr__(self, "snapshot_times", times)
 
 
@@ -563,11 +557,16 @@ class Trajectory:
 def run(config: SimConfig) -> Trajectory:
     """Integrate to t_end, hitting every snapshot time exactly; deterministic.
 
-    `stable_dt`, `advance` and `run` build their kernel through `_kernel_at`,
-    and `advance` and `run` make each step through `_euler`.  `run` adds
-    only the step choice, safety / `rate()` clipped to the next snapshot
-    time, and the snapshot rows, so every bit of the result matches
-    composing `stable_dt` and `advance`.
+    `stable_dt`, `advance` and `run` build their kernel through `_kernel_at`
+    and step it with `rate()` and `step(dt)`.  `run` adds the step choice,
+    safety / `rate()` clipped to the next snapshot time, the snapshot rows
+    and the run record, kept in this loop's locals: the step count, the
+    running min, the proof that u is finite (else `BlowupError` at the
+    step's end time) and, periodic, the drift |mass - mass0| / |mass0|
+    (|mass| if mass0 is 0), so every bit matches composing `stable_dt` and
+    `advance`.  argmin and argmax return the first NaN, and a min or max of
+    +-inf shows the infinity, so two index reads prove u finite; a periodic
+    run's finite mass sum already proves it and skips the argmax.
     """
     grid = config.grid
     initial = init_field(grid, config.profile)
@@ -575,8 +574,11 @@ def run(config: SimConfig) -> Trajectory:
     values = np.empty((len(config.snapshot_times), grid.n_cells))
     values[0] = initial.values
     times = [initial.time]
-    U, rate, safety = kernel.u, kernel.rate, config.safety
-    t_now = 0.0
+    U, u, rate, step, safety = kernel.u, kernel._flat, kernel.rate, kernel.step, config.safety
+    argmin, argmax, total, isfinite = u.argmin, u.argmax, np.add.reduce, math.isfinite
+    steps, min_value, t_now = 0, float(initial.values.min()), 0.0
+    mass0 = float(initial.values.sum()) if kernel._periodic else None
+    drift = None if mass0 is None else 0.0
     for k, target in enumerate(config.snapshot_times[1:], start=1):
         stop = target * (1.0 - _TIME_RTOL)
         while t_now < stop:
@@ -586,7 +588,16 @@ def run(config: SimConfig) -> Trajectory:
             if clipped:
                 dt = remaining
             t_now = target if clipped else t_now + dt
-            _euler(kernel, dt, t_now)
+            step(dt)
+            mass = math.inf if mass0 is None else float(total(U, None))
+            low = u.item(argmin())
+            if not (isfinite(mass) or isfinite(low) and isfinite(u.item(argmax()))):
+                raise BlowupError(t_now)
+            if mass0 is not None:
+                drift = max(drift, abs(mass - mass0) / abs(mass0) if mass0 != 0.0 else abs(mass))
+            steps += 1
+            if low < min_value:
+                min_value = low
         values[k] = U.ravel()
         times.append(t_now)
 
@@ -597,9 +608,9 @@ def run(config: SimConfig) -> Trajectory:
         eps=config.eps,
         values=values,
         times=tuple(times),
-        steps=kernel.steps,
-        mass_drift=kernel.mass_drift,
-        min_value=kernel.min_value,
+        steps=steps,
+        mass_drift=drift,
+        min_value=min_value,
     )
 
 

@@ -248,6 +248,58 @@ def test_run_t_end_zero_returns_initial_only():
     assert traj.snapshots[0].time == 0.0
 
 
+@pytest.mark.parametrize(
+    "times, violation",
+    [
+        ((), "snapshot times must start at 0 and increase strictly"),
+        ((0.0, np.nan), "snapshot times must be finite, got nan"),
+        ((0.0, 0.05, np.nan), "snapshot times must be finite, got nan"),
+        ((0.0, np.inf), "snapshot times must be finite, got inf"),
+        ((0.0, 0.2), "snapshot times must not exceed t_end"),
+    ],
+)
+def test_sim_config_collects_a_bad_snapshot_schedule(times, violation):
+    # a NaN time used to pass the order test, and run stamped its row with the
+    # time before it; each fault is one violation, reported with the others
+    args = dict(
+        grid=af.build_grid([0.5], [32]),
+        profile=af.InitialProfile("bump", 1.0, 0.25),
+        exponents=af.derive_exponents([1.5], 1),
+        t_end=0.1,
+        snapshot_times=times,
+    )
+    for eps, others in ((1e-2, []), (-1.0, ["eps must be positive and finite, got -1.0"])):
+        with pytest.raises(ConfigError) as excinfo:
+            af.SimConfig(eps=eps, **args)
+        assert excinfo.value.violations == [*others, violation]
+
+
+@pytest.mark.parametrize(
+    "count, violation",
+    [
+        (2.5, "snapshot count must be an integer, got 2.5"),
+        (np.nan, "snapshot count must be an integer, got nan"),
+        ("3", "snapshot count must be an integer, got '3'"),
+        (0, "snapshot count must be >= 1, got 0"),
+    ],
+)
+def test_uniform_snapshots_rejects_a_bad_count(count, violation):
+    with pytest.raises(ConfigError) as excinfo:
+        af.uniform_snapshots(0.1, count)
+    assert excinfo.value.violations == [violation]
+    assert af.uniform_snapshots(0.1, 3.0) == af.uniform_snapshots(0.1, 3) == (0.0, 0.05, 0.1)
+
+
+@pytest.mark.filterwarnings("error")
+def test_stable_dt_of_a_huge_periodic_field_sums_nothing():
+    # the bound reads face differences only; the sum of these 32 cells is
+    # 3.2e308, beyond the float range, and no run record is started
+    grid = af.build_grid([0.5], [32], "periodic")
+    prof = af.derive_exponents([1.5], 1)
+    huge, one = (af.Field(grid, np.full(32, v), 0.0) for v in (1e307, 1.0))
+    assert stable_dt(huge, prof, 1e-2) == stable_dt(one, prof, 1e-2)
+
+
 def test_run_hits_snapshot_times_exactly(run_1d_fast):
     times = np.array(run_1d_fast.times)
     assert np.array_equal(times, np.linspace(0.0, 0.4, 201))
@@ -628,27 +680,45 @@ def _traced_peak(fn):
 
 def test_run_memory_is_snapshots_plus_fixed_workspace():
     # the step loop works in the kernel's preallocated buffers: the peak is the
-    # snapshot array plus a fixed number of fields, whatever the step count
-    grid = af.build_grid([0.5] * 3, [16] * 3, "periodic")
-    prof = af.derive_exponents([1.3, 1.5, 1.7], 3)
-    field_bytes = grid.n_cells * 8
-    steps, excess = [], []
-    for t_end in (2e-4, 1e-2):
-        cfg = af.SimConfig(
-            grid=grid,
-            profile=af.InitialProfile("bump", 1.0, 0.3),
-            exponents=prof,
-            eps=0.05,
-            t_end=t_end,
-            safety=0.3,
-            snapshot_times=(0.0, t_end / 2, t_end),
-        )
-        traj, peak = _traced_peak(lambda: af.run(cfg))
-        steps.append(traj.steps)
-        excess.append(peak - traj.values.nbytes)
-    assert steps[1] >= 10 * steps[0]
-    assert max(excess) <= 14 * field_bytes
-    assert abs(excess[1] - excess[0]) <= field_bytes // 4
+    # snapshot array plus a fixed workspace, whatever the step count.  On 16^3
+    # that is a fixed number of fields.  On 32 cells, where a step costs call
+    # overhead and the record lives in run's locals, it is the kernel's own
+    # buffers (each padded to its cache-line slot) plus a few fields
+    cases = [
+        ("periodic", [16] * 3, [1.3, 1.5, 1.7], 0.05, 0.3),
+        ("dirichlet_zero", [32], [1.5], 1e-3, 0.45),
+    ]
+    for boundary, res, p, eps, safety in cases:
+        grid = af.build_grid([0.5] * len(res), res, boundary)
+        prof = af.derive_exponents(p, len(p))
+        field_bytes = grid.n_cells * 8
+        steps, excess = [], []
+        configs = [
+            af.SimConfig(
+                grid=grid,
+                profile=af.InitialProfile("bump", 1.0, 0.3),
+                exponents=prof,
+                eps=eps,
+                t_end=t_end,
+                safety=safety,
+                snapshot_times=(0.0, t_end / 2, t_end),
+            )
+            for t_end in (2e-4, 1e-2)
+        ]
+        if grid.N == 1:
+            af.run(configs[0])  # numpy's first calls on these operands fill its caches
+        for cfg in configs:
+            traj, peak = _traced_peak(lambda: af.run(cfg))
+            steps.append(traj.steps)
+            excess.append(peak - traj.values.nbytes)
+        assert steps[1] >= 10 * steps[0]
+        if grid.N == 1:
+            workspace = _traced_peak(lambda: _FluxKernel(grid, prof, eps))[1]
+            assert max(excess) <= workspace + 4 * field_bytes
+            assert abs(excess[1] - excess[0]) <= field_bytes
+        else:
+            assert max(excess) <= 14 * field_bytes
+            assert abs(excess[1] - excess[0]) <= field_bytes // 4
 
 
 def test_flux_kernel_steps_allocate_nothing():
@@ -795,7 +865,7 @@ def test_flux_kernel_buffers_start_at_distinct_cache_line_slots():
     # equal whole-field buffers at one offset mod 4096 collide in 4K aliasing
     grid = af.build_grid([0.5] * 3, [16] * 3, "periodic")
     kernel = _FluxKernel(grid, af.derive_exponents([1.3, 1.5, 1.7], 3), 2e-2)
-    fluxes = [power[0][1] for power, *_ in kernel._axes]
+    fluxes = [flux for _, argmin, flux, *_ in kernel._bounds if argmin is not None]
     buffers = [kernel._flat, *kernel._faces, kernel._div, *fluxes]
     offsets = [b.ctypes.data % 4096 for b in buffers]
     assert len(set(offsets)) == len(buffers), offsets
