@@ -344,12 +344,18 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: str, header: list[str], rows: Iterable[Sequence]) -> None:
+def _fmt_column(column: np.ndarray) -> list[str]:
+    """_fmt of each value of a float or boolean column, chosen once by its dtype."""
+    fmt = ("false", "true").__getitem__ if column.dtype == bool else repr
+    return list(map(fmt, column.tolist()))
+
+
+def _write_csv(path: str, header: list[str], rows: Iterable[Sequence], formatted=False) -> None:
+    """Write the header and the rows, each value through _fmt unless already `formatted`."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows if formatted else ([_fmt(v) for v in row] for row in rows))
 
 
 # --- commands --------------------------------------------------------------------
@@ -447,11 +453,8 @@ def cmd_analyze(run_dir: str, config: CampaignConfig) -> dict:
         # the header of each decay CSV is the field list of the dataclass it reports
         columns = [f.name for f in fields(samples)]
         outputs["decay_samples"] = os.path.join(run_dir, "decay_samples.csv")
-        _write_csv(
-            outputs["decay_samples"],
-            columns,
-            zip(*(getattr(samples, name).tolist() for name in columns)),
-        )
+        text = zip(*(_fmt_column(getattr(samples, name)) for name in columns))
+        _write_csv(outputs["decay_samples"], columns, text, formatted=True)
         columns = [f.name for f in fields(extinction.DecayReport)]
         outputs["decay_report"] = os.path.join(run_dir, "decay_report.csv")
         _write_csv(outputs["decay_report"], columns, [astuple(r) for r in decay])

@@ -4,10 +4,11 @@ With eps > 0 the regularized equation decays exponentially below the
 eps-dominated scale instead of hitting exact zero, so "extinction" here means
 the global sup crossing a small threshold, and the log-log fits exclude the
 contaminated tail below 10x that threshold.  Decay samples are taken in both
-geometries at once: the intrinsic cube is rebuilt at time parameter
-(t_star - tau) for every sample, the standard cube is fixed.  Rows are reduced
-per run on one cube footprint, so an isotropic profile, whose every K_rho(t) is
-the standard cube, has intrinsic samples equal to its standard ones.
+geometries at once: the intrinsic cube K_rho(t_star - tau) follows each
+sample, the standard cube is fixed.  Each row's intrinsic half-widths are
+plain floats; one cube is built per run of rows on one footprint, and the run
+is reduced in one call, so an isotropic profile, whose every K_rho(t) is the
+standard cube, has intrinsic samples equal to its standard ones.
 """
 
 from __future__ import annotations
@@ -21,7 +22,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .geometry import GEOMETRIES, ExponentProfile, intrinsic_cube, scale_cube, standard_cube
+from .geometry import (
+    GEOMETRIES, ExponentProfile, _intrinsic_widths, intrinsic_cube, scale_cube, standard_cube
+)
 from .harnack import _cube_integrals, _cube_sups, cube_contained
 from .solver import Trajectory
 
@@ -109,8 +112,9 @@ class DecaySamples:
 def decay_samples(traj: Trajectory, rho: float, t_star: float, threshold: float) -> DecaySamples:
     """Evaluate mass and sup over K_rho(t_star - tau) and the fixed standard cube.
 
-    Each run of consecutive rows whose cubes share one footprint (center and
-    half-widths) is one reduction, so isotropic intrinsic samples are the standard ones.
+    Consecutive rows with equal intrinsic half-widths share a footprint (each K_rho(t) is
+    origin-centered).  Each such run builds, validates and containment-tests one cube at
+    its first t_star - tau and is one reduction, so isotropic intrinsic samples are standard.
     """
     std = standard_cube(rho, traj.exponents)  # rejects a rho not positive and finite
     if not 0.0 < threshold < math.inf:
@@ -125,11 +129,11 @@ def decay_samples(traj: Trajectory, rho: float, t_star: float, threshold: float)
     mass_int, sup_int = np.full((2, before), math.nan)
     contained = np.zeros(before, dtype=bool)
     if prof.strict_fast:
-        cubes = [intrinsic_cube(rho, float(s), prof) for s in remaining]
+        widths = [_intrinsic_widths(std.rho, s, prof) for s in remaining.tolist()]
         stop = 0
-        for _, run in itertools.groupby(cubes, lambda c: (c.center, c.half_widths)):
-            cube, start = next(run), stop
-            stop += 1 + sum(1 for _ in run)
+        for _, run in itertools.groupby(widths):
+            start, stop = stop, stop + sum(1 for _ in run)
+            cube = intrinsic_cube(std.rho, remaining.item(start), prof)
             mass_int[start:stop] = _cube_integrals(traj.grid, rows[start:stop], cube, 1.0)
             sup_int[start:stop] = _cube_sups(traj.grid, rows[start:stop], cube)
             contained[start:stop] = cube_contained(scale_cube(cube, 4.0), traj.grid)

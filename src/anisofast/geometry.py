@@ -159,14 +159,16 @@ def intrinsic_cube(rho: float, t: float, prof: ExponentProfile) -> CubeSpec:
     Along axes with p_i > p_bar the cube shrinks as t decreases; along axes
     with p_i < p_bar it stretches.  The volume stays (2*rho)^N.
     """
-    rho = _require_positive("rho", rho)
-    v = nu(t, rho, prof)
-    widths = tuple(
-        rho ** (prof.p_bar / pi) * v ** ((pi - prof.p_bar) / pi) for pi in prof.p
-    )
-    return CubeSpec(
-        center=(0.0,) * prof.N, half_widths=widths, kind="intrinsic", rho=rho, t=float(t)
-    )
+    rho, t = _require_positive("rho", rho), _require_positive("t", t)
+    _require_fast(prof, "intrinsic_cube")
+    widths = _intrinsic_widths(rho, t, prof)
+    return CubeSpec(center=(0.0,) * prof.N, half_widths=widths, kind="intrinsic", rho=rho, t=t)
+
+
+def _intrinsic_widths(rho: float, t: float, prof: ExponentProfile) -> tuple[float, ...]:
+    """The half-widths of `intrinsic_cube`, unchecked: rho and t positive floats, prof fast."""
+    v = (t / rho**prof.p_bar) ** (1.0 / (2.0 - prof.p_bar))  # nu(t, rho, prof)
+    return tuple(rho ** (prof.p_bar / pi) * v ** ((pi - prof.p_bar) / pi) for pi in prof.p)
 
 
 def standard_cube(rho: float, prof: ExponentProfile) -> CubeSpec:

@@ -432,10 +432,14 @@ class SimConfig:
             violations.append(
                 f"{self.exponents.N} exponents for a {self.grid.N}-dimensional grid"
             )
-        if self.snapshot_times is not None:
-            times = tuple(float(t) for t in self.snapshot_times)
-        else:  # the default schedule, once t_end is known to be valid
+        if self.snapshot_times is None:  # the default schedule, once t_end is known to be valid
             times = (0.0,) if violations else uniform_snapshots(self.t_end, 101)
+        else:
+            try:
+                times = tuple(float(t) for t in self.snapshot_times)
+            except (TypeError, ValueError):
+                violations.append(f"snapshot times must be numbers, got {self.snapshot_times!r}")
+                times = (0.0,)  # a schedule that passes the checks below
         not_finite = [t for t in times if not math.isfinite(t)]
         if not_finite:
             violations.append(f"snapshot times must be finite, got {not_finite[0]}")
@@ -566,7 +570,9 @@ def run(config: SimConfig) -> Trajectory:
     (|mass| if mass0 is 0), so every bit matches composing `stable_dt` and
     `advance`.  argmin and argmax return the first NaN, and a min or max of
     +-inf shows the infinity, so two index reads prove u finite; a periodic
-    run's finite mass sum already proves it and skips the argmax.
+    run's finite mass sum already proves it and skips the argmax.  A periodic
+    datum whose sum overflows, so that no drift could be measured, is a
+    `DomainError` before the first step.
     """
     grid = config.grid
     initial = init_field(grid, config.profile)
@@ -577,7 +583,10 @@ def run(config: SimConfig) -> Trajectory:
     U, u, rate, step, safety = kernel.u, kernel._flat, kernel.rate, kernel.step, config.safety
     argmin, argmax, total, isfinite = u.argmin, u.argmax, np.add.reduce, math.isfinite
     steps, min_value, t_now = 0, float(initial.values.min()), 0.0
-    mass0 = float(initial.values.sum()) if kernel._periodic else None
+    with np.errstate(over="ignore"):  # an overflowing periodic mass is rejected below
+        mass0 = float(initial.values.sum()) if kernel._periodic else None
+    if mass0 is not None and not isfinite(mass0):
+        raise DomainError(f"the periodic datum's mass overflows float64 (its sum is {mass0})")
     drift = None if mass0 is None else 0.0
     for k, target in enumerate(config.snapshot_times[1:], start=1):
         stop = target * (1.0 - _TIME_RTOL)

@@ -1027,6 +1027,24 @@ def test_main_rejects_a_manifest_whose_exponents_miss_the_grid(tmp_path, capsys)
     assert not (out / "checks.csv").exists()  # stopped at load, before the check
 
 
+@pytest.mark.filterwarnings("error")
+def test_main_reports_an_overflowing_periodic_mass_as_an_error(tmp_path, capsys):
+    datum = tmp_path / "u0.f64"
+    np.full(32, 1e307).astype("<f8").tofile(datum)
+    config_path = tmp_path / "campaign.cfg"
+    config_path.write_text(
+        "[simulation]\np = 1.5\nhalf_domain = 0.5\nresolution = 32\nboundary = periodic\n"
+        f"eps = 1e-2\nt_end = 1e-4\nprofile = from_file\npath = {datum}\n"
+        f"[output]\ndirectory = {tmp_path}\n",
+        encoding="utf-8",
+    )
+    assert main(["run", "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "mass overflows float64" in err, err
+    assert not (tmp_path / "trajectory").exists()
+
+
 def test_main_reports_a_wrong_size_datum_as_an_error(tmp_path, capsys):
     datum = tmp_path / "u0.f64"
     datum.write_bytes(bytes(8 * 63))

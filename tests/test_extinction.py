@@ -189,25 +189,29 @@ def test_containment_flag_matches_geometry():
 
 
 def _counting(monkeypatch, module, name, log):
-    """Replace module.name by a wrapper that logs (cube kind, rows) of each call."""
+    """Replace module.name by a wrapper that logs (cube kind, rows) of each call;
+    the cube is the one passed in, or else the one returned."""
     original = getattr(module, name)
 
     def wrapper(*args):
-        cube = next(a for a in args if isinstance(a, af.CubeSpec))
+        result = original(*args)
+        cube = next(a for a in (*args, result) if isinstance(a, af.CubeSpec))
         rows = next((a for a in args if isinstance(a, np.ndarray)), None)
         log.append((cube.kind, None if rows is None else len(rows)))
-        return original(*args)
+        return result
 
     monkeypatch.setattr(module, name, wrapper)
 
 
 def test_decay_samples_tests_each_distinct_cube_once(monkeypatch):
-    # one integral, one sup and one K_{4 rho} containment test per run of rows
-    # on one footprint: in 1D every K_rho(t_star - tau) has half-width rho, so
-    # the intrinsic rows are one run; an anisotropic cube changes every row
+    # one cube built, one integral, one sup and one K_{4 rho} containment test
+    # per run of rows on one footprint: in 1D every K_rho(t_star - tau) has
+    # half-width rho, so the intrinsic rows are one run; an anisotropic cube
+    # changes every row
     from anisofast import extinction
 
-    logs = {name: [] for name in ("_cube_integrals", "_cube_sups", "cube_contained")}
+    names = ("intrinsic_cube", "_cube_integrals", "_cube_sups", "cube_contained")
+    logs = {name: [] for name in names}
     for name, log in logs.items():
         _counting(monkeypatch, extinction, name, log)
     for p, resolution, runs in (([1.5], [32], [40]), ([1.4, 1.6], [24, 24], [1] * 40)):
@@ -220,7 +224,8 @@ def test_decay_samples_tests_each_distinct_cube_once(monkeypatch):
         assert len(samples.tau) == sum(runs) == 40
         for name in ("_cube_integrals", "_cube_sups"):
             assert logs[name] == [("intrinsic", n) for n in runs] + [("standard", 40)], name
-        assert logs["cube_contained"] == [("intrinsic", None)] * len(runs)
+        for name in ("intrinsic_cube", "cube_contained"):
+            assert logs[name] == [("intrinsic", None)] * len(runs), name
 
 
 def _per_row_samples(traj, rho, t_star, threshold):

@@ -256,6 +256,9 @@ def test_run_t_end_zero_returns_initial_only():
         ((0.0, 0.05, np.nan), "snapshot times must be finite, got nan"),
         ((0.0, np.inf), "snapshot times must be finite, got inf"),
         ((0.0, 0.2), "snapshot times must not exceed t_end"),
+        ((0.0, "x"), "snapshot times must be numbers, got (0.0, 'x')"),
+        ((0.0, None), "snapshot times must be numbers, got (0.0, None)"),
+        (0.1, "snapshot times must be numbers, got 0.1"),
     ],
 )
 def test_sim_config_collects_a_bad_snapshot_schedule(times, violation):
@@ -288,6 +291,23 @@ def test_uniform_snapshots_rejects_a_bad_count(count, violation):
         af.uniform_snapshots(0.1, count)
     assert excinfo.value.violations == [violation]
     assert af.uniform_snapshots(0.1, 3.0) == af.uniform_snapshots(0.1, 3) == (0.0, 0.05, 0.1)
+
+
+@pytest.mark.filterwarnings("error")
+def test_run_rejects_a_periodic_datum_whose_mass_overflows(tmp_path):
+    # the 32 cells of 1e307 sum to inf, so no drift |mass - inf| / inf could
+    # be measured: a nan drift would read as a perfect 0.0 under max()
+    path = tmp_path / "u0.f64"
+    np.full(32, 1e307).astype("<f8").tofile(path)
+    cfg = af.SimConfig(
+        grid=af.build_grid([0.5], [32], "periodic"),
+        profile=af.InitialProfile("from_file", path=str(path)),
+        exponents=af.derive_exponents([1.5], 1),
+        eps=1e-2,
+        t_end=1e-4,
+    )
+    with pytest.raises(DomainError, match="mass overflows float64"):
+        af.run(cfg)
 
 
 @pytest.mark.filterwarnings("error")
