@@ -17,13 +17,13 @@ Cube quadrature is a midpoint rule with tensor-product clipping: each cell
 contributes the product of its per-axis overlap fractions with the cube, so
 constant integrands are integrated exactly and the face error is O(h).  It
 runs on a whole window of snapshot rows at once: only the support box of the
-cube's weights is read, and it is contracted one axis at a time.  A cube's
-footprint on a grid (its per-axis weights and spans, and the cells of the
-open cube) depends only on its center and half-widths; it is computed once
-per (grid, center, half-widths) per process and kept read-only in one
-bounded cache.  Each distinct reduction of one trajectory, and each cube its
-checks build, is computed once and kept by the trajectory
-(`Trajectory.measured`).
+cube's weights is read (`_box`) and contracted one axis at a time
+(`_contract`), here and in the Caccioppoli report.  A cube's footprint on
+a grid (its per-axis weights and spans, and the cells of the open cube)
+depends only on its center and half-widths; it is computed once per (grid,
+center, half-widths) per process and kept read-only in one bounded cache.
+Each distinct reduction of one trajectory, and each cube its checks build,
+is computed once and kept by the trajectory (`Trajectory.measured`).
 """
 
 from __future__ import annotations
@@ -119,20 +119,22 @@ def _cached_footprint(grid: Grid, center: tuple, half_widths: tuple) -> tuple:
     return tuple(weights), tuple(_span(w > 0.0) for w in weights), tuple(open_spans)
 
 
-def _tensor(factors: list[np.ndarray]) -> np.ndarray:
-    """Outer product of per-axis factors on the grid they span."""
-    out = np.ones(tuple(f.size for f in factors))
-    for i, f in enumerate(factors):
-        shape = [1] * len(factors)
-        shape[i] = -1
-        out = out * f.reshape(shape)
-    return out
-
-
 def _span(mask: np.ndarray) -> Optional[slice]:
     """Slice from the first to the last marked cell of one axis; None if none is."""
     idx = np.flatnonzero(mask)
     return slice(int(idx[0]), int(idx[-1]) + 1) if idx.size else None
+
+
+def _box(grid: Grid, rows: np.ndarray, spans: tuple) -> np.ndarray:
+    """The (S, *box) view of an (S, n_cells) row array cut to one span per axis."""
+    return rows.reshape(-1, *grid.shape)[(slice(None), *spans)]
+
+
+def _contract(block: np.ndarray, weights: list) -> np.ndarray:
+    """Contract a block's trailing axes with one weight vector each, innermost first."""
+    for w in reversed(weights):
+        block = block @ w
+    return block
 
 
 def _cube_integrals(grid: Grid, rows: np.ndarray, cube: CubeSpec, r: float) -> np.ndarray:
@@ -153,13 +155,11 @@ def _cube_integrals(grid: Grid, rows: np.ndarray, cube: CubeSpec, r: float) -> n
     if None in spans:
         warnings.warn("cube does not intersect the grid domain; integral is 0", stacklevel=3)
         return np.zeros(len(rows))
-    block = rows.reshape(-1, *grid.shape)[(slice(None), *spans)]
+    block = _box(grid, rows, spans)
     if r != 1.0:
         block = np.maximum(block, 0.0)
         block **= r
-    for w, span in zip(reversed(weights), reversed(spans)):
-        block = block @ w[span]
-    return block * grid.cell_volume
+    return _contract(block, [w[span] for w, span in zip(weights, spans)]) * grid.cell_volume
 
 
 def _cube_sups(grid: Grid, rows: np.ndarray, cube: CubeSpec) -> np.ndarray:
@@ -168,8 +168,7 @@ def _cube_sups(grid: Grid, rows: np.ndarray, cube: CubeSpec) -> np.ndarray:
     if None in spans:
         warnings.warn("no cell centers inside the cube; sup is 0", stacklevel=3)
         return np.zeros(len(rows))
-    block = rows.reshape(-1, *grid.shape)[(slice(None), *spans)]
-    return block.max(axis=tuple(range(1, grid.N + 1)))
+    return _box(grid, rows, spans).max(axis=tuple(range(1, grid.N + 1)))
 
 
 def cube_integral(field: Field, cube: CubeSpec, r: float = 1.0) -> float:

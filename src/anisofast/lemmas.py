@@ -9,6 +9,7 @@ trajectory with separate-variables cutoffs zeta(x) = prod_i zeta_i(x_i)^{p_i}.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -17,7 +18,7 @@ import numpy as np
 
 from .errors import DomainError
 from .geometry import CubeSpec, ExponentProfile
-from .harnack import InequalityReport, _footprint, _tensor, cube_contained, gamma_min
+from .harnack import InequalityReport, _box, _contract, _footprint, cube_contained, gamma_min
 from .solver import _FIRST, _LAST, Field, Trajectory, _along
 
 
@@ -221,10 +222,6 @@ class CutoffSpec:
                     "outer cube must strictly contain the inner cube per axis"
                 )
 
-    @property
-    def N(self) -> int:
-        return self.inner.N
-
     def derivative_bound(self, i: int) -> float:
         """sup |d zeta_i / dx_i| = 1/(outer_i - inner_i)."""
         return 1.0 / (self.outer.half_widths[i] - self.inner.half_widths[i])
@@ -239,11 +236,9 @@ class CutoffSpec:
 
     def values(self, grid) -> np.ndarray:
         """zeta = prod_i zeta_i^{p_i} at every cell center of the grid."""
-        return _tensor(
-            [
-                self.axis_ramp(i, grid.axis_centers(i)) ** pi
-                for i, pi in enumerate(self.exponents)
-            ]
+        return functools.reduce(
+            np.multiply.outer,
+            [self.axis_ramp(i, grid.axis_centers(i)) ** pi for i, pi in enumerate(self.exponents)],
         )
 
 
@@ -270,7 +265,9 @@ def caccioppoli_report(
     |d_i[(u-k)_+ zeta]|^{p_i}.  Time integrals use the trapezoid rule over
     the snapshots inside the window.  Only the support box of the outer
     cube's weights is read: zeta vanishes outside it, so zero-ghost face
-    gradients on the box give the face sums of the whole grid.
+    gradients on the box give the face sums of the whole grid.  Its cube
+    integrals go through the checks' contraction (`harnack._contract`), and
+    the measure of Q is the product of the per-axis box weights' sums.
     """
     if k < 0.0 or not math.isfinite(k):
         raise DomainError(f"truncation level k must be nonnegative, got {k!r}")
@@ -290,9 +287,9 @@ def caccioppoli_report(
     ramp_len = 0.25 * (t2 - t1)
     xi = np.clip((np.asarray(times) - t1) / ramp_len, 0.0, 1.0)
     weights, box, _ = _footprint(grid, cutoff.outer)
-    w_outer = _tensor([w[span] for w, span in zip(weights, box)])
+    w_box = [w[span] for w, span in zip(weights, box)]
     zeta = cutoff.values(grid)[box]
-    blocks = traj.values[window].reshape(-1, *grid.shape)[(slice(None), *box)]
+    blocks = _box(grid, traj.values[window], box)
     vol = grid.cell_volume
 
     n = prof.N
@@ -307,8 +304,8 @@ def caccioppoli_report(
             log_v = np.log(np.abs(v))
             for i, (pi, h) in enumerate(zip(prof.p, grid.spacings)):
                 series[i, j] = _face_power_sum(v, log_v, i, pi) * h**-pi * vol
-                series[n + i, j] = float((trunc**pi * w_outer).sum()) * vol
-            series[2 * n, j] = float(((u > k) * w_outer).sum()) * vol
+                series[n + i, j] = _contract(trunc**pi, w_box) * vol
+            series[2 * n, j] = _contract(u > k, w_box) * vol
     integrals = np.trapezoid(series, times).tolist()
 
     lhs = sup_term + sum(integrals[:n])
@@ -316,7 +313,7 @@ def caccioppoli_report(
     for i, pi in enumerate(prof.p):
         dzi = cutoff.derivative_bound(i)
         t_grad += dzi**pi * (1.0 + (C / dzi) ** pi) * integrals[n + i]
-    q_measure = float(w_outer.sum()) * vol * (t2 - t1)
+    q_measure = math.prod(float(w.sum()) for w in w_box) * vol * (t2 - t1)
     t_time = (1.0 / ramp_len) * q_measure
     t_inhom = sum(C**pi for pi in prof.p) * integrals[2 * n]
 

@@ -326,7 +326,7 @@ class _FluxKernel:
         return buf[: buf.size - after.size].reshape(shape[:i] + (1,) + shape[i + 1 :]), after
 
     def rate(self) -> float:
-        """sum_i 2 a_i_max / h_i^2 at `u`, the inverse of the unit-safety step.
+        """sum_i 2 a_i_max / h_i^2 at `u`; `stable_dt` divides its clamped safety by it.
 
         a_i_max = (p_i - 1)(min g^2 + eps^2)^e_i, as in `stable_dt`; with
         g = G / h_i the sum is sum_i 2 (p_i - 1) h_i^-p_i (min G^2 + (h_i eps)^2)^e_i,
@@ -365,15 +365,17 @@ def _kernel_at(field: Field, prof: ExponentProfile, eps: float) -> _FluxKernel:
 def stable_dt(
     field: Field, prof: ExponentProfile, eps: float, safety: float = 0.5
 ) -> float:
-    """Adaptive explicit step: safety / sum_i (2 * a_i_max / h_i^2).
+    """Adaptive explicit step: min(safety, p_1 - 1) / sum_i (2 * a_i_max / h_i^2).
 
     a_i_max = max over faces of (p_i - 1)(g^2 + eps^2)^((p_i-2)/2).  Since the
     exponent is nonpositive for p_i <= 2, the face maximum is attained at the
-    smallest g^2, so only min(g^2) is needed per axis.
+    smallest g^2, so only min(g^2) is needed per axis.  The face flux's
+    derivative exceeds a_i_max by at most 1/(p_i - 1), so safety is clamped
+    at p_1 - 1 (p_1 the smallest exponent): every step is monotone.
     """
     if not 0.0 < safety <= 1.0:
         raise DomainError(f"safety must lie in (0, 1], got {safety!r}")
-    return safety / _kernel_at(field, prof, eps).rate()
+    return min(safety, prof.p[0] - 1.0) / _kernel_at(field, prof, eps).rate()
 
 
 def advance(field: Field, prof: ExponentProfile, eps: float, dt: float) -> Field:
@@ -563,16 +565,16 @@ def run(config: SimConfig) -> Trajectory:
 
     `stable_dt`, `advance` and `run` build their kernel through `_kernel_at`
     and step it with `rate()` and `step(dt)`.  `run` adds the step choice,
-    safety / `rate()` clipped to the next snapshot time, the snapshot rows
-    and the run record, kept in this loop's locals: the step count, the
-    running min, the proof that u is finite (else `BlowupError` at the
-    step's end time) and, periodic, the drift |mass - mass0| / |mass0|
-    (|mass| if mass0 is 0), so every bit matches composing `stable_dt` and
-    `advance`.  argmin and argmax return the first NaN, and a min or max of
-    +-inf shows the infinity, so two index reads prove u finite; a periodic
-    run's finite mass sum already proves it and skips the argmax.  A periodic
-    datum whose sum overflows, so that no drift could be measured, is a
-    `DomainError` before the first step.
+    `stable_dt`'s clamped safety / `rate()` clipped to the next snapshot
+    time, the snapshot rows and the run record, kept in this loop's locals:
+    the step count, the running min, the proof that u is finite (else
+    `BlowupError` at the step's end time) and, periodic, the drift
+    |mass - mass0| / |mass0| (|mass| if mass0 is 0), so every bit matches
+    composing `stable_dt` and `advance`.  argmin and argmax return the first
+    NaN, and a min or max of +-inf shows the infinity, so two index reads
+    prove u finite; a periodic run's finite mass sum already proves it and
+    skips the argmax.  A periodic datum whose sum overflows, so that no drift
+    could be measured, is a `DomainError` before the first step.
     """
     grid = config.grid
     initial = init_field(grid, config.profile)
@@ -580,7 +582,8 @@ def run(config: SimConfig) -> Trajectory:
     values = np.empty((len(config.snapshot_times), grid.n_cells))
     values[0] = initial.values
     times = [initial.time]
-    U, u, rate, step, safety = kernel.u, kernel._flat, kernel.rate, kernel.step, config.safety
+    U, u, rate, step = kernel.u, kernel._flat, kernel.rate, kernel.step
+    safety = min(config.safety, config.exponents.p[0] - 1.0)  # as in `stable_dt`
     argmin, argmax, total, isfinite = u.argmin, u.argmax, np.add.reduce, math.isfinite
     steps, min_value, t_now = 0, float(initial.values.min()), 0.0
     with np.errstate(over="ignore"):  # an overflowing periodic mass is rejected below

@@ -940,6 +940,58 @@ def test_readme_demo_config_runs(tmp_path):
     assert (out / "summary.csv").is_file()
 
 
+# a config and the exact violations it gives: the document's own faults, a
+# list of the wrong length and check entries that cannot be read
+_KINDS = "('l1l1', 'l1linf', 'lr_sup', 'lr_backward', 'composite')"
+PARSER_VIOLATIONS = {
+    "not_key_value": (MINIMAL + "wobble\n", ["line 7: expected 'key = value', got 'wobble'"]),
+    "outside_section": ("p = 1.5\n[simulation]\n", ["line 1: key outside any [section]"]),
+    "duplicate_key": (MINIMAL + "p = 1.6\n", ["line 7: duplicate key 'p' in [simulation]"]),
+    "entry_count": (
+        MINIMAL.replace("p = 1.5", "p = 1.5 1.6"),
+        ["half_domain must have 2 entries, got 1"],
+    ),
+    "check_token": (
+        MINIMAL + "[analysis]\ncheck = l1l1 rho=0.1 t\n",
+        ["check option 't' is not key=value"],
+    ),
+    "check_empty": (MINIMAL + "[analysis]\ncheck =\n", ["empty check entry"]),
+    "check_kind": (
+        MINIMAL + "[analysis]\ncheck = bogus rho=0.1\n",
+        [f"unknown check kind 'bogus'; expected one of {_KINDS}"],
+    ),
+    "check_options": (
+        MINIMAL + "[analysis]\ncheck = l1l1 rho=0.1 t=0.01 s=1 q=2\n",
+        ["check 'l1l1' has unknown options ['q', 's']"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARSER_VIOLATIONS))
+def test_parse_names_each_unreadable_entry(case):
+    text, want = PARSER_VIOLATIONS[case]
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(text)
+    assert excinfo.value.violations == want
+
+
+def test_run_prints_one_config_error_per_unreadable_check(tmp_path, capsys):
+    # every check entry is judged, and `run` exits 2 before it writes anything
+    out = tmp_path / "out"
+    checks = ["l1l1 rho=0.1 t", "", "bogus rho=0.1", "l1l1 rho=0.1 t=0.01 s=1 q=2"]
+    config = tmp_path / "bad.cfg"
+    config.write_text(
+        MINIMAL + "[analysis]\n" + "".join(f"check = {c}\n" for c in checks)
+        + f"[output]\ndirectory = {out}\n",
+        encoding="utf-8",
+    )
+    assert main(["run", "--config", str(config)]) == 2
+    cases = ("check_token", "check_empty", "check_kind", "check_options")
+    want = [PARSER_VIOLATIONS[case][1][0] for case in cases]
+    assert capsys.readouterr().err.splitlines() == [f"config error: {v}" for v in want]
+    assert not out.exists()
+
+
 def test_main_reports_config_errors(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text(MINIMAL.replace("p = 1.5", "p = 3.0"), encoding="utf-8")

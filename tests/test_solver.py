@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import anisofast as af
 from anisofast.errors import BlowupError, ConfigError, DomainError, IngestionError
@@ -943,9 +945,56 @@ def test_advance_at_unit_safety_is_the_reference_step_to_round_off(p, res, bound
     field = af.Field(grid, u.ravel(), 0.0)
     rate, div = _reference_rate_and_divergence(u, grid, prof, eps)
     dt = stable_dt(field, prof, eps, 1.0)
-    assert dt == pytest.approx(1.0 / rate, rel=1e-14)
+    # safety 1 is clamped at p_1 - 1, the factor that makes the step monotone
+    assert dt == pytest.approx(min(1.0, prof.p[0] - 1.0) / rate, rel=1e-14)
     out = advance(field, prof, eps, dt)
     assert np.abs(out.values - (u + dt * div).ravel()).max() <= 1e-14 * np.abs(u).max()
+
+
+# 2D 48² Dirichlet, eps 0.02, safety 0.5, t_end 0.01: (p, steps); before the
+# step was clamped at safety p_1 - 1 these runs took 850 / 860 / 720 steps and
+# reached min_value -6.5e-4 / -3.8e-4 / -1.3e-4
+CLAMPED_STEPS = {1.2: 2110, 1.3: 1430, 1.45: 800}
+
+
+@pytest.mark.parametrize("kind", ["plateau", "bump"])
+@pytest.mark.parametrize("p", sorted(CLAMPED_STEPS))
+def test_clamped_step_keeps_a_fast_run_nonnegative(p, kind):
+    cfg = af.SimConfig(
+        grid=af.build_grid([0.5, 0.5], [48, 48], "dirichlet_zero"),
+        profile=af.InitialProfile(kind, 1.0, 0.25),
+        exponents=af.derive_exponents([p, p], 2),
+        eps=0.02,
+        t_end=0.01,
+        safety=0.5,
+        snapshot_times=af.uniform_snapshots(0.01, 11),
+    )
+    traj = af.run(cfg)
+    assert traj.min_value == 0.0
+    assert traj.steps == CLAMPED_STEPS[p]
+    assert traj.values.max() == traj.values[0].max()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.lists(st.floats(1.0, 2.0, exclude_min=True, exclude_max=True), min_size=1, max_size=2),
+    seed=st.integers(0, 2**32 - 1),
+    safety=st.floats(1e-6, 1.0),  # a smaller safety can round the step to 0
+    boundary=st.sampled_from(["dirichlet_zero", "periodic"]),
+)
+def test_clamped_steps_keep_the_discrete_max_principle(p, seed, safety, boundary):
+    n = len(p)
+    grid = af.build_grid([0.5] * n, [12] * n, boundary)
+    prof = af.derive_exponents(p, n)
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(0.0, 1.0, grid.n_cells) * (rng.uniform(0.0, 1.0, grid.n_cells) > 0.3)
+    field, sup = af.Field(grid, u, 0.0), u.max()
+    for _ in range(5):
+        new = advance(field, prof, 1e-2, stable_dt(field, prof, 1e-2, safety))
+        assert new.values.min() >= -1e-14 * sup
+        if boundary == "dirichlet_zero":
+            assert new.values.max() <= field.values.max()
+        field = new
 
 
 def test_shorter_rerun_leaves_only_its_own_snapshot_files(tmp_path, run_1d_fast):
