@@ -45,6 +45,7 @@ reruns of the same config produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
@@ -157,18 +158,30 @@ def _real(value, name: str) -> float:
     raise TypeError(f"{name} must be a number, got {value!r}")
 
 
-def _floats(value, n=None, name=""):
+def _floats(value, name: str) -> list[float]:
+    """One float per axis: a number, a list of numbers or space-separated text."""
     if isinstance(value, (int, float)):
         value = [value]
     elif not isinstance(value, (list, tuple)):
         value = str(value).split()
     try:
-        out = [_real(v, name) for v in value]
+        return [_real(v, name) for v in value]
     except TypeError:  # [[1.5]], 'abc'; a JSON int past 1e308
-        raise ValueError(f"{name} entries must be numbers, got {value!r}") from None
-    if n is not None and len(out) != n:
-        raise ValueError(f"{name} must have {n} entries, got {len(out)}")
-    return out
+        raise TypeError(f"{name} entries must be numbers, got {value!r}") from None
+
+
+def _integer(value, name: str) -> int:
+    """value as an int when it is integral (32 and 32.0, not 3.9, nan or inf)."""
+    with contextlib.suppress(TypeError):  # not a number at all
+        if (n := _count(_real(value, name))) is not None:
+            return n
+    raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
+#: each numeric config key and its reader, in the order their violations are named
+_NUMBERS = dict.fromkeys(["p", "half_domain", "resolution"], _floats)  # build_grid rejects 32.7
+_NUMBERS |= dict.fromkeys(["t_end", "amplitude", "radius", "eps", "safety"], _real)
+_NUMBERS |= {"snapshots": _integer, "extinction_threshold": _real, "decay_rho": _real}
 
 
 def _parse_check(value, violations, t_end) -> CheckSpec | None:
@@ -241,65 +254,53 @@ def parse_config(text: str) -> CampaignConfig:
         sections.append(defaults | given)  # a key without a default stays absent
     sim, ana, out = sections
 
-    def number(values: dict, key: str, kind=float):
-        """values[key] as a float, or as an int when kind is _count (32 and 32.0,
-        not 3.9, nan or inf); None if absent or invalid."""
-        if key not in values:
-            return None
-        try:
-            value = kind(_real(values[key], key))
-        except TypeError:
-            value = None
-        if value is None:
-            what = "an integer" if kind is _count else "a number"
-            violations.append(f"{key} must be {what}, got {values[key]!r}")
-        return value
+    values, num = sim | ana, {}  # num: each numeric key that is given and reads
+    for key, read in _NUMBERS.items():
+        if key in values:
+            try:
+                num[key] = read(values[key], key)
+            except TypeError as exc:
+                violations.append(f"p: {exc}" if key == "p" else str(exc))
 
     prof = grid = None
-    try:  # the exponents determine the dimension
-        p_list = _floats(sim["p"], name="p")
-        prof = derive_exponents(p_list, len(p_list))
-        half = _floats(sim["half_domain"], prof.N, "half_domain")
-        res = _floats(sim["resolution"], prof.N, "resolution")  # build_grid rejects 32.7
-        grid = build_grid(half, res, str(sim["boundary"]))
-    except KeyError:  # a missing key, named above
-        pass
-    except ConfigError as exc:
-        violations.extend(exc.violations)
-    except ValueError as exc:  # DomainError too
-        violations.append(f"p: {exc}" if prof is None else str(exc))
+    if "p" in num:  # the exponents determine the dimension
+        try:
+            prof = derive_exponents(num["p"], len(num["p"]))
+        except DomainError as exc:
+            violations.append(f"p: {exc}")
+    if prof is not None:  # each list is judged on its own
+        n, noun = prof.N, "entry" if prof.N == 1 else "entries"
+        wrong = [key for key in ("half_domain", "resolution") if len(num.get(key, ())) != n]
+        violations += [f"{k} must have {n} {noun}, got {len(num[k])}" for k in wrong if k in num]
+        if not wrong:
+            try:
+                grid = build_grid(num["half_domain"], num["resolution"], str(sim["boundary"]))
+            except ConfigError as exc:
+                violations.extend(exc.violations)
 
-    t_end = number(sim, "t_end")
     profile = None
-    amplitude = number(sim, "amplitude")
-    radius = number(sim, "radius")
-    if amplitude is not None and radius is not None:
+    if "amplitude" in num and "radius" in num:
         try:
             profile = InitialProfile(
-                kind=str(sim["profile"]), amplitude=amplitude, radius=radius, path=sim.get("path")
+                str(sim["profile"]), num["amplitude"], num["radius"], sim.get("path")
             )
         except ConfigError as exc:
             violations.extend(exc.violations)
 
-    eps = number(sim, "eps")
-    safety = number(sim, "safety")
-    snapshots = number(sim, "snapshots", _count)
-    if snapshots is not None and snapshots < 1:
-        violations.append(f"snapshot count must be >= 1, got {snapshots}")
-    scalars = {"t_end": t_end, "eps": eps, "safety": safety}  # before uniform_snapshots sees t_end
-    violations += _range_violations(**{k: v for k, v in scalars.items() if v is not None})
-
-    threshold_rel, decay_rho = number(ana, "extinction_threshold"), number(ana, "decay_rho")
-    for key, value in (("extinction_threshold", threshold_rel), ("decay_rho", decay_rho)):
-        if value is not None and not 0.0 < value < math.inf:  # NaN fails every comparison
-            violations.append(f"{key} must be positive and finite, got {value}")
+    if num.get("snapshots", 1) < 1:
+        violations.append(f"snapshot count must be >= 1, got {num['snapshots']}")
+    scalars = ("t_end", "eps", "safety")  # before uniform_snapshots sees t_end
+    violations += _range_violations(**{k: num[k] for k in scalars if k in num})
+    for key in ("extinction_threshold", "decay_rho"):
+        if key in num and not 0.0 < num[key] < math.inf:  # NaN fails every comparison
+            violations.append(f"{key} must be positive and finite, got {num[key]}")
 
     checks, entries = [], ana["check"] or ()
     if not isinstance(entries, (list, tuple)):  # a JSON string would be read per character
         violations.append(f"check must be a list of checks, got {entries!r}")
         entries = ()
     for entry in entries:
-        spec = _parse_check(entry, violations, t_end)
+        spec = _parse_check(entry, violations, num.get("t_end"))
         if spec is not None:
             checks.append(spec)
 
@@ -310,10 +311,10 @@ def parse_config(text: str) -> CampaignConfig:
                 grid=grid,
                 profile=profile,
                 exponents=prof,
-                eps=min(grid.spacings) if eps is None else eps,
-                t_end=t_end,
-                safety=safety,
-                snapshot_times=uniform_snapshots(t_end, snapshots),
+                eps=num.get("eps", min(grid.spacings)),
+                t_end=num["t_end"],
+                safety=num["safety"],
+                snapshot_times=uniform_snapshots(num["t_end"], num["snapshots"]),
             )
         except ConfigError as exc:
             violations.extend(exc.violations)
@@ -323,6 +324,7 @@ def parse_config(text: str) -> CampaignConfig:
         violations.append(f"directory must be a path, got {outdir!r}")
     if violations or sim_config is None:
         raise ConfigError(violations or ["incomplete configuration"])
+    threshold_rel, decay_rho = num["extinction_threshold"], num.get("decay_rho")
     return CampaignConfig(sim_config, tuple(checks), threshold_rel, decay_rho, outdir)
 
 
@@ -370,51 +372,36 @@ def cmd_run(config: CampaignConfig, outdir: str | None = None) -> str:
     return run_dir
 
 
-#: each check kind as a call of its harnack function
-_CHECK_DISPATCH = {
-    "l1l1": lambda traj, s: harnack.check_l1l1(traj, s.rho, s.t, s.geometry, s.C),
-    "l1linf": lambda traj, s: harnack.check_l1linf(traj, s.rho, s.t, s.geometry, s.C),
-    "lr_sup": lambda traj, s: harnack.check_lr_sup(traj, s.rho, s.t, s.r, s.geometry, s.C),
-    "lr_backward": lambda traj, s: harnack.check_lr_backward(
-        traj, s.rho, s.t, s.r, s.geometry, s.C
-    ),
-    "composite": lambda traj, s: harnack.check_backwards_composite(
-        traj, s.rho, s.t, s.r, s.geometry, s.C
-    ),
+#: the public harnack function of each check kind, looked up at each call
+_CHECK_FUNCTIONS = {
+    "l1l1": "check_l1l1",
+    "l1linf": "check_l1linf",
+    "lr_sup": "check_lr_sup",
+    "lr_backward": "check_lr_backward",
+    "composite": "check_backwards_composite",
 }
 
-#: the run a check measured, echoed in every row of checks.csv
-_RUN_ECHO = {
-    "p": lambda traj: " ".join(repr(x) for x in traj.exponents.p),
-    "eps": lambda traj: traj.eps,
-    "resolution": lambda traj: " ".join(str(n) for n in traj.grid.resolution),
-    "boundary": lambda traj: traj.grid.boundary,
-}
 
-#: the columns of checks.csv in order, each group read from one source: the
-#: report's attributes, its params (blank where a check has none) or the run
-_CHECK_COLUMNS = (
-    ("report", "theorem"),
-    ("params", "geometry rho t r C"),
-    (
-        "report",
-        "applicable lhs rhs_total gamma_min smallness_triggered smallness_index "
-        "hypothesis_ok snapshots_in_window",
-    ),
-    ("run", " ".join(_RUN_ECHO)),
-    ("report", "reason"),
-)
-_CHECK_HEADER = [name for _, names in _CHECK_COLUMNS for name in names.split()]
+def _check(traj: solver.Trajectory, spec: CheckSpec) -> harnack.InequalityReport:
+    """Run one check; its options go by keyword, r only when the kind takes one."""
+    options = {k: getattr(spec, k) for k in harnack.CHECK_OPTIONS if k != "r" or spec.r is not None}
+    return getattr(harnack, _CHECK_FUNCTIONS[spec.kind])(traj, **options)
 
 
-def _check_row(report: harnack.InequalityReport, run: dict) -> list:
-    """The _CHECK_COLUMNS of one report; `run` holds the _RUN_ECHO values."""
-    read = {
-        "report": lambda name: getattr(report, name),
-        "params": lambda name: report.params.get(name, ""),
-        "run": run.__getitem__,
-    }
-    return [read[source](name) for source, names in _CHECK_COLUMNS for name in names.split()]
+#: the fields of a report that a row of checks.csv gives after the check's options
+_MEASURED = (
+    "applicable lhs rhs_total gamma_min smallness_triggered smallness_index "
+    "hypothesis_ok snapshots_in_window"
+).split()
+_RUN = ["p", "eps", "resolution", "boundary"]  # the run each row echoes
+_CHECK_HEADER = ["theorem", *harnack.CHECK_OPTIONS, *_MEASURED, *_RUN, "reason"]
+
+
+def _check_row(report: harnack.InequalityReport, run: list) -> list:
+    """One row of checks.csv; `run` holds the values of _RUN, and an unset option is blank."""
+    options = [report.params.get(name, "") for name in harnack.CHECK_OPTIONS]
+    measured = [getattr(report, name) for name in _MEASURED]
+    return [report.theorem, *options, *measured, *run, report.reason]
 
 
 def _finite_or_null(value):
@@ -434,8 +421,9 @@ def cmd_analyze(run_dir: str, config: CampaignConfig) -> dict:
     traj = solver.load_trajectory(traj_dir)
     outputs = {}
 
-    reports = [_CHECK_DISPATCH[spec.kind](traj, spec) for spec in config.checks]
-    run = {name: echo(traj) for name, echo in _RUN_ECHO.items()}
+    reports = [_check(traj, spec) for spec in config.checks]
+    p = " ".join(map(repr, traj.exponents.p))
+    run = [p, traj.eps, " ".join(map(str, traj.grid.resolution)), traj.grid.boundary]  # _RUN
     checks_csv = os.path.join(run_dir, "checks.csv")
     _write_csv(checks_csv, _CHECK_HEADER, [_check_row(report, run) for report in reports])
     outputs["checks"] = checks_csv

@@ -155,8 +155,8 @@ def sobolev_ratio(
         )
     if not 1.0 <= sigma <= p_star + 1e-15:
         raise DomainError(f"sigma must lie in [1, p*] = [1, {p_star:.6g}]")
-    if not t_extent > 0.0:
-        raise DomainError(f"t_extent must be positive, got {t_extent!r}")
+    if not 0.0 < t_extent < math.inf:  # NaN fails every comparison
+        raise DomainError(f"t_extent must be positive and finite, got {t_extent!r}")
     grid = field.grid
     if prof.N != grid.N:
         raise DomainError(f"profile dimension {prof.N} != grid dimension {grid.N}")
@@ -268,11 +268,15 @@ def caccioppoli_report(
     gradients on the box give the face sums of the whole grid.  Its cube
     integrals go through the checks' contraction (`harnack._contract`), and
     the measure of Q is the product of the per-axis box weights' sums.
+    `prof.p` and `cutoff.exponents` must be the trajectory's exponents.
     """
     if k < 0.0 or not math.isfinite(k):
         raise DomainError(f"truncation level k must be nonnegative, got {k!r}")
     if not 0.0 <= C < math.inf:  # NaN fails every comparison
         raise DomainError(f"C must be nonnegative and finite, got {C!r}")
+    if not prof.p == tuple(cutoff.exponents) == traj.exponents.p:
+        want, got = traj.exponents.p, (prof.p, tuple(cutoff.exponents))
+        raise DomainError(f"prof and cutoff exponents must be the trajectory's {want}, got {got}")
     t1, t2 = float(window[0]), float(window[1])
     if not t2 > t1:
         raise DomainError(f"empty time window [{t1}, {t2}]")

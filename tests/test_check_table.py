@@ -265,6 +265,12 @@ def test_bench_traced_names_are_public_harnack_functions():
     assert sorted(functions.values()) == sorted(cli.CHECK_KINDS)
 
 
+def test_analyze_calls_by_name_the_functions_the_bench_traces():
+    functions = _bench_check_functions()
+    assert cli._CHECK_FUNCTIONS == {kind: name for name, kind in functions.items()}
+    assert list(cli._CHECK_FUNCTIONS) == list(harnack.CHECKS)
+
+
 def test_analyze_reaches_each_check_through_the_harnack_module(tmp_path, monkeypatch):
     functions = _bench_check_functions()
     calls = dict.fromkeys(functions, 0)

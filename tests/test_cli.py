@@ -68,6 +68,13 @@ def test_parse_minimal_with_defaults():
     assert cfg.outdir == "out"
 
 
+def test_numeric_readers_cover_the_numeric_config_keys():
+    keys = {key for section in cli._CONFIG.values() for key in section}
+    assert set(cli._NUMBERS) <= keys
+    # every other key is read as text, or as a list of checks
+    assert keys - set(cli._NUMBERS) == {"boundary", "profile", "path", "check", "directory"}
+
+
 def test_parse_unknown_key_is_named():
     with pytest.raises(ConfigError) as excinfo:
         parse_config(MINIMAL + "\nwobble = 3\n")
@@ -949,7 +956,15 @@ PARSER_VIOLATIONS = {
     "duplicate_key": (MINIMAL + "p = 1.6\n", ["line 7: duplicate key 'p' in [simulation]"]),
     "entry_count": (
         MINIMAL.replace("p = 1.5", "p = 1.5 1.6"),
-        ["half_domain must have 2 entries, got 1"],
+        ["half_domain must have 2 entries, got 1", "resolution must have 2 entries, got 1"],
+    ),
+    "entry_count_1d": (
+        MINIMAL.replace("resolution = 64", "resolution = 64 64 64"),
+        ["resolution must have 1 entry, got 3"],
+    ),
+    "entry_count_each_list": (
+        MINIMAL.replace("p = 1.5", "p = 1.5 1.6").replace("= 0.5", "= 0.5 0.5 0.5"),
+        ["half_domain must have 2 entries, got 3", "resolution must have 2 entries, got 1"],
     ),
     "check_token": (
         MINIMAL + "[analysis]\ncheck = l1l1 rho=0.1 t\n",

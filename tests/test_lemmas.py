@@ -1,5 +1,6 @@
 """Young constant, sequence lemmas, embedding ratio, and the energy estimate."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -205,6 +206,14 @@ def test_sobolev_domain_errors():
         sobolev_ratio(field2, prof, 0.1, 0.5, 1.0)  # sigma below 1
 
 
+@pytest.mark.parametrize("t_extent", [math.inf, math.nan, 0.0, -1.0])
+def test_sobolev_rejects_a_t_extent_that_is_not_positive_and_finite(t_extent):
+    # an infinite extent once passed and made the ratio nan
+    prof = af.derive_exponents([1.2, 1.8], 2)
+    with pytest.raises(DomainError, match="t_extent must be positive and finite"):
+        sobolev_ratio(_bump_field(16), prof, 0.1, 2.0, t_extent)
+
+
 def test_sobolev_ratio_stable_under_refinement():
     prof = af.derive_exponents([1.2, 1.8], 2)
     theta = prof.p_bar / sobolev_critical(prof)
@@ -396,6 +405,18 @@ def test_caccioppoli_rejects_a_negative_or_non_finite_C(run_1d_fast, C):
     cut, prof = _cutoff_1d()
     with pytest.raises(DomainError, match=f"C must be nonnegative and finite, got {C!r}"):
         caccioppoli_report(run_1d_fast, prof, cut, 0.1, (0.02, 0.2), C=C)
+
+
+def test_caccioppoli_rejects_exponents_other_than_the_trajectorys(run_1d_fast):
+    # the run's p is 1.5; a report once mixed another p into its terms silently
+    cut, prof = _cutoff_1d()
+    other = af.derive_exponents([1.6], 1)
+    other_cut = dataclasses.replace(cut, exponents=other.p)
+    for given_prof, given_cut in ((other, cut), (prof, other_cut), (other, other_cut)):
+        with pytest.raises(DomainError, match="must be the trajectory's"):
+            caccioppoli_report(run_1d_fast, given_prof, given_cut, 0.1, (0.02, 0.2))
+    listed = dataclasses.replace(cut, exponents=[1.5])  # the same exponents as a list
+    assert caccioppoli_report(run_1d_fast, prof, listed, 0.1, (0.02, 0.2)).applicable
 
 
 def test_caccioppoli_geometry_errors(run_1d_fast):
