@@ -52,7 +52,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, dataclass, fields, make_dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -61,7 +61,7 @@ from . import extinction, harnack, lemmas, solver
 from .errors import BlowupError, ConfigError, DomainError, IngestionError
 from .geometry import derive_exponents
 from .solver import (
-    InitialProfile, SimConfig, _count, _range_violations, build_grid, uniform_snapshots
+    InitialProfile, SimConfig, _integer, _range_violations, _real, build_grid, uniform_snapshots
 )
 
 CHECK_KINDS = tuple(harnack.CHECKS)
@@ -93,14 +93,9 @@ _REPEATED = {key for keys in _CONFIG.values() for key, d in keys.items() if isin
 _OPTION_NAMES = {name.lower(): name for name in harnack.CHECK_OPTIONS}  # options read case-blind
 
 
-@dataclass(frozen=True)
-class CheckSpec:
-    kind: str
-    rho: float
-    t: float
-    geometry: str = harnack.CHECK_OPTIONS["geometry"]
-    r: float | None = harnack.CHECK_OPTIONS["r"]
-    C: float = harnack.CHECK_OPTIONS["C"]
+CheckSpec = make_dataclass(  # one configured check: its kind and each harnack.CHECK_OPTIONS value
+    "CheckSpec", ["kind", *harnack.CHECK_OPTIONS], frozen=True, namespace={"__module__": __name__}
+)
 
 
 @dataclass(frozen=True)
@@ -147,17 +142,6 @@ def _parse_kv_document(text: str) -> dict:
     return doc
 
 
-def _real(value, name: str) -> float:
-    """float(value), else a TypeError that names the value; a JSON true or false
-    is not a number, though float(True) is 1.0."""
-    if not isinstance(value, bool):
-        try:
-            return float(value)
-        except (TypeError, ValueError, OverflowError):  # OverflowError: a JSON int past 1e308
-            pass
-    raise TypeError(f"{name} must be a number, got {value!r}")
-
-
 def _floats(value, name: str) -> list[float]:
     """One float per axis: a number, a list of numbers or space-separated text."""
     if isinstance(value, (int, float)):
@@ -168,14 +152,6 @@ def _floats(value, name: str) -> list[float]:
         return [_real(v, name) for v in value]
     except TypeError:  # [[1.5]], 'abc'; a JSON int past 1e308
         raise TypeError(f"{name} entries must be numbers, got {value!r}") from None
-
-
-def _integer(value, name: str) -> int:
-    """value as an int when it is integral (32 and 32.0, not 3.9, nan or inf)."""
-    with contextlib.suppress(TypeError):  # not a number at all
-        if (n := _count(_real(value, name))) is not None:
-            return n
-    raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 #: each numeric config key and its reader, in the order their violations are named
@@ -416,35 +392,36 @@ def _finite_or_null(value):
 
 
 def cmd_analyze(run_dir: str, config: CampaignConfig) -> dict:
-    """Execute the configured checks on a persisted run; returns output paths."""
-    traj_dir = os.path.join(run_dir, "trajectory")
-    traj = solver.load_trajectory(traj_dir)
-    outputs = {}
-
+    """Execute the configured checks on a persisted run; returns output paths.  Every
+    report and fit is computed before the first write, so the outputs form one set."""
+    traj = solver.load_trajectory(os.path.join(run_dir, "trajectory"))
     reports = [_check(traj, spec) for spec in config.checks]
-    p = " ".join(map(repr, traj.exponents.p))
-    run = [p, traj.eps, " ".join(map(str, traj.grid.resolution)), traj.grid.boundary]  # _RUN
-    checks_csv = os.path.join(run_dir, "checks.csv")
-    _write_csv(checks_csv, _CHECK_HEADER, [_check_row(report, run) for report in reports])
-    outputs["checks"] = checks_csv
-    manifest_path = os.path.join(run_dir, "checks.json")
-    manifests = [dict(vars(report)) for report in reports]  # every field of each report
-    text = json.dumps(_finite_or_null(manifests), indent=2, sort_keys=True, allow_nan=False)
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
-    outputs["checks_manifest"] = manifest_path
-
-    summary_rows = [["check:" + report.theorem, report.gamma_min] for report in reports]
     if config.decay_rho is not None:
         threshold = config.threshold_rel * traj.initial.sup()
         samples, decay = extinction.decay_reports(traj, config.decay_rho, threshold)
+    decay_csvs = {k: os.path.join(run_dir, f"{k}.csv") for k in ("decay_samples", "decay_report")}
+    for path in decay_csvs.values():  # an earlier analysis's, unless written again below
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(path)
+
+    p = " ".join(map(repr, traj.exponents.p))
+    run = [p, traj.eps, " ".join(map(str, traj.grid.resolution)), traj.grid.boundary]  # _RUN
+    outputs = {"checks": os.path.join(run_dir, "checks.csv")}
+    _write_csv(outputs["checks"], _CHECK_HEADER, [_check_row(report, run) for report in reports])
+    outputs["checks_manifest"] = os.path.join(run_dir, "checks.json")
+    manifests = [dict(vars(report)) for report in reports]  # every field of each report
+    text = json.dumps(_finite_or_null(manifests), indent=2, sort_keys=True, allow_nan=False)
+    with open(outputs["checks_manifest"], "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")
+
+    summary_rows = [["check:" + report.theorem, report.gamma_min] for report in reports]
+    if config.decay_rho is not None:
+        outputs |= decay_csvs
         # the header of each decay CSV is the field list of the dataclass it reports
         columns = [f.name for f in fields(samples)]
-        outputs["decay_samples"] = os.path.join(run_dir, "decay_samples.csv")
         text = zip(*(_fmt_column(getattr(samples, name)) for name in columns))
         _write_csv(outputs["decay_samples"], columns, text, formatted=True)
         columns = [f.name for f in fields(extinction.DecayReport)]
-        outputs["decay_report"] = os.path.join(run_dir, "decay_report.csv")
         _write_csv(outputs["decay_report"], columns, [astuple(r) for r in decay])
         for report in decay:
             for quantity in ("mass", "sup"):
@@ -453,9 +430,8 @@ def cmd_analyze(run_dir: str, config: CampaignConfig) -> dict:
                 item = f"decay:{report.geometry}:{quantity}"
                 summary_rows.append([item, _fmt(slope) + " vs " + _fmt(theory)])
 
-    summary_csv = os.path.join(run_dir, "summary.csv")
-    _write_csv(summary_csv, ["item", "value"], summary_rows)
-    outputs["summary"] = summary_csv
+    outputs["summary"] = os.path.join(run_dir, "summary.csv")
+    _write_csv(outputs["summary"], ["item", "value"], summary_rows)
     return outputs
 
 
@@ -519,8 +495,8 @@ class _Sequence(NamedTuple):
 
 
 #: rows of 100 uniforms one chunk of sequences may draw (900 KiB; no sequence
-#: needs more than log(1e-14) / log(0.9) < 307), and its most sequences
-_CHUNK_ROWS, _CHUNK_SEQUENCES = 1152, 32
+#: needs more than log(1e-14) / log(0.9) < 307)
+_CHUNK_ROWS = 1152
 
 
 def _iteration_bound_campaign(rng: np.random.Generator) -> list:
@@ -539,7 +515,7 @@ def _iteration_bound_campaign(rng: np.random.Generator) -> list:
         inhom = float(rng.uniform(0.5, 10.0))
         bound = lemmas.iteration_bound(eps, b, inhom, M=1.0)
         horizon = max(8, int(np.ceil(np.log(1e-14) / np.log(eps))))
-        if used + horizon > _CHUNK_ROWS or len(chunk) == _CHUNK_SEQUENCES:
+        if used + horizon > _CHUNK_ROWS:
             outcomes.append(_run_chunk(chunk, draws))
             chunk, used = [], 0
         m_cap = 100.0 * bound
@@ -556,25 +532,23 @@ def _run_chunk(chunk: list[_Sequence], draws: np.ndarray) -> tuple[int, int, flo
     """Run a chunk of sequences to n = 0; (paths, paths above the slack, max y/bound).
 
     The sequences are aligned at their first step and sorted by horizon, so
-    those still running are a prefix.  The entries of a step, one per running
-    sequence (its row of `draws` and its I b^n), are contiguous, so a step is
+    those still running are a prefix.  `rows` (each sequence's row of `draws`)
+    and `terms` (its I b^n) are laid out by (step, sequence), so a step is
     five numpy calls on views made before the loop.
     """
     chunk = sorted(chunk, key=lambda s: -s.horizon)  # stable: ties keep stream order
     h = np.array([s.horizon for s in chunk])
     running = np.searchsorted(-h, -np.arange(h[0])).tolist()  # sequences with horizon > k
-    first = np.cumsum(running) - running
-    k = np.arange(h.sum()) - np.repeat(np.cumsum(h) - h, h)  # each sequence's steps
-    at = first[k] + np.repeat(np.arange(len(chunk)), h)  # their entries
-    rows, terms = np.empty(at.size, dtype=np.intp), np.empty((at.size, 1))
-    rows[at] = np.repeat([s.row for s in chunk], h) + k
-    terms[at, 0] = [s.inhom * s.b**n for s in chunk for n in range(s.horizon - 1, -1, -1)]
+    rows = np.array([s.row for s in chunk]) + np.arange(h[0])[:, None]
+    terms = np.empty((h[0], len(chunk), 1))  # a sequence's entries past its horizon stay unread
+    for j, s in enumerate(chunk):
+        terms[: s.horizon, j, 0] = [s.inhom * s.b**n for n in range(s.horizon - 1, -1, -1)]
     y = np.array([s.y for s in chunk])
     eps = np.repeat([[s.eps] for s in chunk], 100, axis=1)  # full rows: no broadcasting
     m_cap = np.repeat([[s.m_cap] for s in chunk], 100, axis=1)
     cap, u = np.empty_like(y), np.empty_like(y)
     lead = {n: (y[:n], eps[:n], cap[:n], m_cap[:n], u[:n]) for n in set(running)}
-    steps = [lead[n] + (terms[e : e + n], rows[e : e + n]) for e, n in zip(first.tolist(), running)]
+    steps = [lead[n] + (terms[k, :n], rows[k, :n]) for k, n in enumerate(running)]
     for ys, e, c, m, v, t, r in steps:
         np.multiply(ys, e, out=c)
         np.add(c, t, out=c)
@@ -618,20 +592,15 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            config = load_config(args.config)
-            run_dir = cmd_run(config, args.out)
-            if args.verbose:
-                print(f"run complete: {run_dir}")
+            lines = [f"run complete: {cmd_run(load_config(args.config), args.out)}"]
         elif args.command == "analyze":
             config = load_config(args.config)
             outputs = cmd_analyze(args.out or config.outdir, config)
-            if args.verbose:
-                for name, path in outputs.items():
-                    print(f"{name}: {path}")
-        elif args.command == "lemmas":
-            path = cmd_lemmas(args.seed, args.out)
-            if args.verbose:
-                print(f"lemma campaign: {path}")
+            lines = [f"{name}: {path}" for name, path in outputs.items()]
+        else:
+            lines = [f"lemma campaign: {cmd_lemmas(args.seed, args.out)}"]
+        if args.verbose:
+            print(*lines, sep="\n")
     except ConfigError as exc:
         for violation in exc.violations:
             print(f"config error: {violation}", file=sys.stderr)

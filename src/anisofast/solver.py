@@ -18,6 +18,7 @@ tables; `run` keeps the run record in its loop's locals and nowhere else.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import functools
 import json
 import math
@@ -81,6 +82,32 @@ def _count(n) -> Optional[int]:
     """n as an int when it is integral (32, 32.0, "32"); None when it is not (32.7, nan, inf)."""
     n = float(n)
     return int(n) if n.is_integer() else None
+
+
+def _real(value, name: str) -> float:
+    """float(value), else a TypeError that names the value; a JSON true or false is
+    not a number, though float(True) is 1.0.  Config and manifest numbers go through it."""
+    reason = ""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+        except OverflowError as exc:  # a JSON int past 1e308
+            reason = f": {exc}"
+    raise TypeError(f"{name} must be a number, got {value!r}{reason}")
+
+
+def _integer(value, name: str) -> int:
+    """value as an int when it is integral (32 and 32.0, not 3.9, nan or inf)."""
+    with contextlib.suppress(TypeError):  # not a number at all
+        if (n := _count(_real(value, name))) is not None:
+            return n
+    raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
+def _is_real(value) -> bool:  # a JSON true or false is not a number, as for `_real`
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def build_grid(
@@ -501,15 +528,16 @@ class Trajectory:
             )
         if any(b < a for a, b in zip(self.times, self.times[1:])):
             raise IngestionError("snapshot times must not decrease")
-        if not (isinstance(self.steps, numbers.Real) and self.steps % 1 == 0 and self.steps >= 0):
+        if not (_is_real(self.steps) and self.steps % 1 == 0 and self.steps >= 0):
             raise IngestionError(f"steps must be a nonnegative integer, got {self.steps!r}")
         object.__setattr__(self, "steps", int(self.steps))
-        if not (isinstance(self.min_value, numbers.Real) and math.isfinite(self.min_value)):
+        if not (_is_real(self.min_value) and math.isfinite(self.min_value)):
             raise IngestionError(f"min_value must be finite, got {self.min_value!r}")
         object.__setattr__(self, "min_value", float(self.min_value))
         drift = self.mass_drift
-        if drift is not None and not (isinstance(drift, numbers.Real) and math.isfinite(drift)):
+        if drift is not None and not (_is_real(drift) and math.isfinite(drift)):
             raise IngestionError(f"mass_drift must be null or a finite number, got {drift!r}")
+        object.__setattr__(self, "mass_drift", None if drift is None else float(drift))
 
     def measured(self, key: tuple, measure: Callable[[], Any]) -> Any:
         """measure(), computed once per key on this trajectory; the key names every
@@ -677,10 +705,10 @@ def load_trajectory(path: str) -> Trajectory:
     (len(times), n_cells) array that the trajectory keeps, so loading holds
     the snapshots in memory once.  Every fault of the directory raises
     `IngestionError`: a missing or undecodable manifest, a format other than
-    2, a missing key or a value the grid, the exponents or the trajectory
-    reject, exponents whose count is not the grid's dimension, a data file
-    that does not hold exactly len(times) x n_cells values, and an
-    initial_sup that is not the max of the first snapshot.
+    2, a missing key, a true or false for a number, a value the grid, the
+    exponents or the trajectory reject, exponents whose count is not the
+    grid's dimension, a data file that does not hold exactly len(times) x
+    n_cells values, and an initial_sup that is not the max of the first snapshot.
     """
     mpath = os.path.join(path, "manifest.json")
     if not os.path.exists(mpath):
@@ -694,16 +722,19 @@ def load_trajectory(path: str) -> Trajectory:
                 f"{TRAJECTORY_FORMAT}; rerun `anisofast run` to rewrite it"
             )
         grid = build_grid(
-            manifest["half_domain"], manifest["resolution"], manifest["boundary"]
+            [_real(x, "half_domain") for x in manifest["half_domain"]],
+            [_integer(n, "resolution") for n in manifest["resolution"]],
+            manifest["boundary"],
         )
-        prof = derive_exponents(manifest["p"], manifest["dimension"])
+        p = [_real(x, "p") for x in manifest["p"]]
+        prof = derive_exponents(p, _integer(manifest["dimension"], "dimension"))
         if prof.N != grid.N:
             raise IngestionError(
                 f"manifest.json in {path!r} gives {prof.N} exponents for a "
                 f"{grid.N}-dimensional grid"
             )
-        times = tuple(float(t) for t in manifest["times"])
-        eps, initial_sup = float(manifest["eps"]), manifest["initial_sup"]
+        times = tuple(_real(t, "times") for t in manifest["times"])
+        eps, initial_sup = (_real(manifest[k], k) for k in ("eps", "initial_sup"))
         steps, mass_drift, min_value = (manifest[k] for k in ("steps", "mass_drift", "min_value"))
     except IngestionError:
         raise

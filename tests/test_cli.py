@@ -730,6 +730,81 @@ directory = {out}
     assert "decay:intrinsic:mass" in summary
 
 
+# a 1D run that crosses an extinction threshold of 1e-5 before t_end
+DECAY = """
+[simulation]
+p = 1.5
+half_domain = 0.5
+resolution = 32
+t_end = 0.45
+eps = 2e-2
+safety = 0.45
+snapshots = 46
+
+[analysis]
+{analysis}
+check = l1l1 rho=0.1 t={t}
+
+[output]
+directory = {out}
+"""
+
+
+def _decay_config(tmp_path, analysis: str, t: float = 0.1) -> list[str]:
+    """Write DECAY with these [analysis] lines to tmp_path; returns ["--config", path]."""
+    path = tmp_path / "campaign.cfg"
+    path.write_text(DECAY.format(analysis=analysis, t=t, out=tmp_path / "run"), encoding="utf-8")
+    return ["--config", str(path)]
+
+
+def _analysis_outputs(run_dir: Path) -> dict:
+    """Every file that `analyze` wrote to run_dir, by name: its bytes."""
+    return {f.name: f.read_bytes() for f in sorted(run_dir.iterdir()) if f.is_file()}
+
+
+def test_failed_analyze_leaves_the_last_set_of_outputs(tmp_path, capsys):
+    config = _decay_config(tmp_path, "extinction_threshold = 1e-5\ndecay_rho = 0.1")
+    assert main(["run", *config]) == 0
+    assert main(["analyze", *config]) == 0
+    first = _analysis_outputs(tmp_path / "run")
+    assert len(first) == 5
+    # another check, and a threshold the run never crosses, so the decay fit fails
+    config = _decay_config(tmp_path, "extinction_threshold = 1e-30\ndecay_rho = 0.1", t=0.2)
+    capsys.readouterr()
+    assert main(["analyze", *config]) == 1
+    assert "never crosses the extinction threshold" in capsys.readouterr().err
+    assert _analysis_outputs(tmp_path / "run") == first
+
+
+def test_analyze_without_decay_rho_removes_earlier_decay_csvs(tmp_path):
+    out = tmp_path / "run"
+    config = _decay_config(tmp_path, "decay_rho = 0.1")
+    assert main(["run", *config]) == 0
+    assert main(["analyze", *config]) == 0
+    assert {"decay_samples.csv", "decay_report.csv"} <= set(_analysis_outputs(out))
+    outputs = cmd_analyze(str(out), cli.load_config(_decay_config(tmp_path, "")[1]))
+    assert list(outputs) == ["checks", "checks_manifest", "summary"]
+    assert sorted(_analysis_outputs(out)) == ["checks.csv", "checks.json", "summary.csv"]
+    assert "decay:" not in (out / "summary.csv").read_text(encoding="utf-8")
+
+
+def test_verbose_prints_what_each_command_wrote(tmp_path, capsys):
+    out, lemma_dir = tmp_path / "run", tmp_path / "lem"
+    config = _decay_config(tmp_path, "decay_rho = 0.1")
+    names = ["checks.csv", "checks.json", "decay_samples.csv", "decay_report.csv", "summary.csv"]
+    keys = ["checks", "checks_manifest", "decay_samples", "decay_report", "summary"]
+    commands = {
+        ("run", *config): [f"run complete: {out}"],
+        ("analyze", *config): [f"{key}: {out / name}" for key, name in zip(keys, names)],
+        ("lemmas", "--out", str(lemma_dir)): [f"lemma campaign: {lemma_dir / 'lemmas.csv'}"],
+    }
+    for argv, lines in commands.items():
+        assert main(list(argv)) == 0
+        assert capsys.readouterr().out == "", argv
+        assert main([*argv, "--verbose"]) == 0
+        assert capsys.readouterr().out.splitlines() == lines, argv
+
+
 def test_decay_samples_cells_are_plain_numbers(tmp_path):
     # numpy scalars must be written as numbers, not as "np.float64(...)"
     out = str(tmp_path / "decay")
@@ -893,13 +968,10 @@ def _lemma_rows_by_loops(seed):
     return rows
 
 
-# chunk sizes: one sequence per chunk, the default, the whole campaign in one chunk
-@pytest.mark.parametrize("chunk_rows, chunk_sequences", [(307, 1), (1152, 32), (10**4, 100)])
-def test_cmd_lemmas_matches_the_loops_for_any_chunking(
-    tmp_path, monkeypatch, chunk_rows, chunk_sequences
-):
+# chunk sizes: a few sequences per chunk, the default, the whole campaign in one chunk
+@pytest.mark.parametrize("chunk_rows", [307, 1152, 10**4])
+def test_cmd_lemmas_matches_the_loops_for_any_chunking(tmp_path, monkeypatch, chunk_rows):
     monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk_rows)
-    monkeypatch.setattr(cli, "_CHUNK_SEQUENCES", chunk_sequences)
     header = ["campaign", "trials", "failures", "extreme"]
     for seed in (1, 11, 99):
         expected = str(tmp_path / f"loops{seed}.csv")
@@ -1092,6 +1164,25 @@ def test_main_rejects_a_manifest_whose_exponents_miss_the_grid(tmp_path, capsys)
     assert err.startswith("error: manifest.json in "), err
     assert "2 exponents for a 1-dimensional grid" in err, err
     assert not (out / "checks.csv").exists()  # stopped at load, before the check
+
+
+def test_main_reports_a_boolean_manifest_number_as_one_error(tmp_path, capsys):
+    out = tmp_path / "run"
+    config_path = tmp_path / "campaign.cfg"
+    config_path.write_text(
+        MINIMAL
+        + "snapshots = 3\n[analysis]\ncheck = l1l1 rho=0.1 t=0.01\n"
+        + f"[output]\ndirectory = {out}\n",
+        encoding="utf-8",
+    )
+    assert main(["run", "--config", str(config_path)]) == 0
+    _rewrite_manifest(lambda m: m.update(steps=True))(out / "trajectory")
+    capsys.readouterr()
+    assert main(["analyze", "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid manifest.json in ") and err.count("\n") == 1, err
+    assert err.endswith(": steps must be a nonnegative integer, got True\n"), err
+    assert not (out / "checks.csv").exists()
 
 
 @pytest.mark.filterwarnings("error")
