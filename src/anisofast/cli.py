@@ -298,8 +298,8 @@ def parse_config(text: str) -> CampaignConfig:
     outdir = out["directory"]
     if not isinstance(outdir, str) or not outdir:
         violations.append(f"directory must be a path, got {outdir!r}")
-    if violations or sim_config is None:
-        raise ConfigError(violations or ["incomplete configuration"])
+    if violations:
+        raise ConfigError(violations)
     threshold_rel, decay_rho = num["extinction_threshold"], num.get("decay_rho")
     return CampaignConfig(sim_config, tuple(checks), threshold_rel, decay_rho, outdir)
 

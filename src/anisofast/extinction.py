@@ -23,7 +23,8 @@ import numpy as np
 
 from .errors import DomainError
 from .geometry import (
-    GEOMETRIES, ExponentProfile, _intrinsic_widths, intrinsic_cube, scale_cube, standard_cube
+    GEOMETRIES, ExponentProfile, _intrinsic_widths, _require_positive, intrinsic_cube, scale_cube,
+    standard_cube,
 )
 from .harnack import _cube_integrals, _cube_sups, cube_contained
 from .solver import Trajectory
@@ -80,8 +81,7 @@ def detect_extinction(traj: Trajectory, threshold: float) -> Optional[float]:
     zero (or the trajectory starts below the threshold) its own time is
     returned.
     """
-    if not 0.0 < threshold < math.inf:  # NaN fails every comparison
-        raise DomainError(f"threshold must be positive and finite, got {threshold!r}")
+    threshold = _require_positive("threshold", threshold)
     sups = traj.sup_series()
     times = np.asarray(traj.times)
     below = sups < threshold
@@ -117,8 +117,7 @@ def decay_samples(traj: Trajectory, rho: float, t_star: float, threshold: float)
     its first t_star - tau and is one reduction, so isotropic intrinsic samples are standard.
     """
     std = standard_cube(rho, traj.exponents)  # rejects a rho not positive and finite
-    if not 0.0 < threshold < math.inf:
-        raise DomainError(f"threshold must be positive and finite, got {threshold!r}")
+    threshold = _require_positive("threshold", threshold)
     # t_star - tau > 0 exactly when tau < t_star, and times never decrease
     before = bisect.bisect_left(traj.times, t_star)
     if before == 0:

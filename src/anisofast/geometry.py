@@ -87,10 +87,10 @@ def _require_fast(prof: ExponentProfile, what: str) -> None:
 
 
 def _require_positive(name: str, value: float) -> float:
-    value = float(value)
-    if not (value > 0.0) or not math.isfinite(value):
-        raise DomainError(f"{name} must be positive and finite, got {value!r}")
-    return value
+    """float(value) if it is positive and finite; a string is a TypeError, not a number."""
+    if not 0.0 < value < math.inf:  # NaN fails every comparison
+        raise DomainError(f"{name} must be positive and finite, got {float(value)!r}")
+    return float(value)
 
 
 def nu(t: float, rho: float, prof: ExponentProfile) -> float:
@@ -137,9 +137,7 @@ class CubeSpec:
             if self.t is None:
                 raise DomainError("intrinsic cube requires a time level t")
             _require_positive("t", self.t)
-        n = len(self.half_widths)
-        volume = math.prod(2.0 * w for w in self.half_widths)
-        reference = (2.0 * self.rho) ** n
+        volume, reference = self.volume(), (2.0 * self.rho) ** self.N
         if abs(volume - reference) > VOLUME_RTOL * reference:
             raise DomainError(
                 f"cube volume {volume!r} deviates from (2*rho)^N = {reference!r}"
@@ -219,14 +217,11 @@ def smallness_violated(
     rp = rho**prof.p_bar
     if mode == "intrinsic":
         v = nu(t, rho, prof)
-        for i, pi in enumerate(prof.p):
-            bound = min(1.0, v ** (prof.p_bar - pi), v**prof.p_bar)
-            if C**pi * rp > bound:
-                return True, i
+        bounds = (min(1.0, v ** (prof.p_bar - pi), v**prof.p_bar) for pi in prof.p)
     else:
         vs = nu_sigma(t, rho, prof)
-        for i, pi in enumerate(prof.p):
-            bound = min(1.0, vs**pi)
-            if C**pi * rp > bound:
-                return True, i
+        bounds = (min(1.0, vs**pi) for pi in prof.p)
+    for i, (pi, bound) in enumerate(zip(prof.p, bounds)):
+        if C**pi * rp > bound:
+            return True, i
     return False, None

@@ -50,8 +50,6 @@ from .geometry import (
 )
 from .solver import WINDOW_RTOL, Field, Grid, Trajectory
 
-GAMMA_INFINITE = float("inf")
-
 
 @dataclass(frozen=True)
 class InequalityReport:
@@ -86,7 +84,7 @@ def gamma_min(lhs: float, rhs_terms) -> float:
         return 0.0
     total = sum(terms)
     if total == 0.0:
-        return GAMMA_INFINITE
+        return math.inf
     return lhs / total
 
 

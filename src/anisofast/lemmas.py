@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError
-from .geometry import CubeSpec, ExponentProfile
+from .geometry import CubeSpec, ExponentProfile, _require_positive
 from .harnack import InequalityReport, _box, _contract, _footprint, cube_contained, gamma_min
 from .solver import _FIRST, _LAST, Field, Trajectory, _along
 
@@ -155,12 +155,9 @@ def sobolev_ratio(
         )
     if not 1.0 <= sigma <= p_star + 1e-15:
         raise DomainError(f"sigma must lie in [1, p*] = [1, {p_star:.6g}]")
-    if not 0.0 < t_extent < math.inf:  # NaN fails every comparison
-        raise DomainError(f"t_extent must be positive and finite, got {t_extent!r}")
-    grid = field.grid
+    T, grid = _require_positive("t_extent", t_extent), field.grid
     if prof.N != grid.N:
         raise DomainError(f"profile dimension {prof.N} != grid dimension {grid.N}")
-    T = float(t_extent)
     q = theta * p_star + sigma * (1.0 - theta)
     u = field.reshaped()
     vol = grid.cell_volume

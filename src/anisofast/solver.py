@@ -30,7 +30,7 @@ from typing import Any, Callable, Optional, Sequence
 import numpy as np
 
 from .errors import BlowupError, ConfigError, DomainError, IngestionError
-from .geometry import ExponentProfile, derive_exponents
+from .geometry import ExponentProfile, _require_positive, derive_exponents
 
 BOUNDARIES = ("dirichlet_zero", "periodic")
 
@@ -79,8 +79,9 @@ class Grid:
 
 
 def _count(n) -> Optional[int]:
-    """n as an int when it is integral (32, 32.0, "32"); None when it is not (32.7, nan, inf)."""
-    n = float(n)
+    """n as an int when it is integral (32, 32.0, "32"); None when it is not (32.7, nan,
+    inf, True: a bool is not a count, though float(True) is 1.0)."""
+    n = math.nan if isinstance(n, bool) else float(n)
     return int(n) if n.is_integer() else None
 
 
@@ -122,8 +123,10 @@ def build_grid(
         violations.append(
             f"half_domain has {len(half)} entries but resolution has {len(res)}"
         )
-    for x in half:
-        if not (x > 0.0) or not math.isfinite(x):
+    for x, given in zip(half, half_domain):
+        if isinstance(given, bool):  # float(True) is 1.0
+            violations.append(f"half_domain entry must be a number, got {given!r}")
+        elif not (x > 0.0) or not math.isfinite(x):
             violations.append(f"half_domain entry must be positive, got {x!r}")
     for n, given in zip(res, resolution):
         if n is None:
@@ -294,17 +297,13 @@ class _FluxKernel:
             first, last = u[_along(i, _FIRST)], u[_along(i, _LAST)]
             if not periodic and i == 0:
                 differences.append((sub, (padded[s:], padded[:-s], faces)))
-            elif periodic:
+            else:  # periodic axes wrap the last hyperplane; the others meet a zero ghost layer
                 differences += [
-                    (sub, (flat[s:], flat[:-s], faces[:-s])),
-                    (sub, (first, last, after[_along(i, _LAST)])),
+                    (sub, (flat[s:], flat[:-s], faces[faces.size - n : -s])),
+                    (sub, (first if periodic else zero, last, after[_along(i, _LAST)])),
                 ]
-            else:
-                differences += [
-                    (sub, (flat[s:], flat[:-s], faces[-n:-s])),
-                    (sub, (zero, last, after[_along(i, _LAST)])),
-                    (sub, (first, zero, before)),
-                ]
+                if not periodic:
+                    differences.append((sub, (first, zero, before)))
             self._faces.append(faces)
             kappa, expo, scale = (h * eps) ** 2, (pi - 2.0) / 2.0, h**-pi
             factor, c = np.array(scale), 2.0 * (pi - 1.0) * scale
@@ -379,9 +378,7 @@ class _FluxKernel:
 
 def _kernel_at(field: Field, prof: ExponentProfile, eps: float) -> _FluxKernel:
     """The kernel holding `field`, after the checks the public steps share."""
-    if not 0.0 < eps < math.inf:
-        raise DomainError(f"eps must be positive and finite, got {eps!r}")
-    grid = field.grid
+    eps, grid = _require_positive("eps", eps), field.grid
     if prof.N != grid.N:
         raise DomainError(f"profile dimension {prof.N} != grid dimension {grid.N}")
     kernel = _FluxKernel(grid, prof, eps)
@@ -407,8 +404,7 @@ def stable_dt(
 
 def advance(field: Field, prof: ExponentProfile, eps: float, dt: float) -> Field:
     """One conservative explicit Euler step of size dt; `BlowupError` unless it is finite."""
-    if not 0.0 < dt < math.inf:
-        raise DomainError(f"dt must be positive and finite, got {dt!r}")
+    dt = _require_positive("dt", dt)
     t_new = field.time + dt
     with np.errstate(over="ignore", invalid="ignore"):  # reported as BlowupError
         kernel = _kernel_at(field, prof, eps)
@@ -504,6 +500,9 @@ class Trajectory:
     _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
+        for name, x in [("eps", self.eps), *(("snapshot time", t) for t in self.times)]:
+            if not _is_real(x):  # float(True) is 1.0, but a bool is not a number here
+                raise IngestionError(f"{name} must be a number, got {x!r}")
         object.__setattr__(self, "times", tuple(float(t) for t in self.times))
         v = self.values
         owned = isinstance(v, np.ndarray) and v.flags.owndata and not v.flags.writeable
@@ -588,6 +587,7 @@ class Trajectory:
         )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # reported as BlowupError, as in `advance`
 def run(config: SimConfig) -> Trajectory:
     """Integrate to t_end, hitting every snapshot time exactly; deterministic.
 
@@ -614,8 +614,7 @@ def run(config: SimConfig) -> Trajectory:
     safety = min(config.safety, config.exponents.p[0] - 1.0)  # as in `stable_dt`
     argmin, argmax, total, isfinite = u.argmin, u.argmax, np.add.reduce, math.isfinite
     steps, min_value, t_now = 0, float(initial.values.min()), 0.0
-    with np.errstate(over="ignore"):  # an overflowing periodic mass is rejected below
-        mass0 = float(initial.values.sum()) if kernel._periodic else None
+    mass0 = float(initial.values.sum()) if kernel._periodic else None
     if mass0 is not None and not isfinite(mass0):
         raise DomainError(f"the periodic datum's mass overflows float64 (its sum is {mass0})")
     drift = None if mass0 is None else 0.0

@@ -1214,3 +1214,46 @@ def test_main_reports_a_wrong_size_datum_as_an_error(tmp_path, capsys):
     assert main(["run", "--config", str(config_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "holds 63 values, grid needs 64" in err, err
+
+
+@pytest.mark.filterwarnings("error")
+def test_main_reports_a_run_overflow_as_one_blowup_line(tmp_path, capsys):
+    # a heat datum alternating 0 and 1.7e308: the first flux difference overflows
+    datum = tmp_path / "u0.f64"
+    np.tile([0.0, 1.7e308], 8).astype("<f8").tofile(datum)
+    config_path = tmp_path / "campaign.cfg"
+    config_path.write_text(
+        "[simulation]\np = 2.0\nhalf_domain = 0.5\nresolution = 16\nt_end = 1e-4\n"
+        f"snapshots = 2\nprofile = from_file\npath = {datum}\n[output]\ndirectory = {tmp_path}\n",
+        encoding="utf-8",
+    )
+    assert main(["run", "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("blowup: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "trajectory").exists()
+
+
+def test_main_reports_an_unknown_profile_as_a_config_error(tmp_path, capsys):
+    config_path = tmp_path / "campaign.cfg"
+    config_path.write_text(
+        MINIMAL + f"profile = blob\n[output]\ndirectory = {tmp_path}\n", encoding="utf-8"
+    )
+    assert main(["run", "--config", str(config_path)]) == 2
+    assert capsys.readouterr().err == "config error: unknown initial profile 'blob'\n"
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.nan], ids=["negative", "nan"])
+def test_main_reports_a_negative_or_nan_datum_as_an_error(tmp_path, capsys, bad):
+    datum = tmp_path / "u0.f64"
+    values = np.ones(64)
+    values[5] = bad
+    values.astype("<f8").tofile(datum)
+    config_path = tmp_path / "campaign.cfg"
+    config_path.write_text(
+        MINIMAL + f"profile = from_file\npath = {datum}\n[output]\ndirectory = {tmp_path}\n",
+        encoding="utf-8",
+    )
+    assert main(["run", "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: file {str(datum)!r} must hold finite nonnegative values\n", err
+    assert not (tmp_path / "trajectory").exists()

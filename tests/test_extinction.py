@@ -139,6 +139,31 @@ def test_standard_sup_fit_not_applicable():
     assert rep.mass_applicable  # the mass fit still runs
 
 
+def test_decay_fit_with_too_few_rows_is_not_applicable():
+    # seven snapshots of (1 - tau)^2 phi: six before t_star, under MIN_FIT_POINTS
+    prof = af.derive_exponents([1.5], 1)
+    grid = af.build_grid([0.5], [64], "dirichlet_zero")
+    traj = synthetic_power_trajectory(prof, grid, _bump_values(grid), t_star=1.0, n_snap=7)
+    _, reports = af.decay_reports(traj, 0.1, 1e-9)
+    for rep in reports:
+        assert rep.n_points < af.extinction.MIN_FIT_POINTS
+        assert not rep.mass_applicable and not rep.sup_applicable
+        assert math.isnan(rep.mass_slope) and math.isnan(rep.sup_slope)
+        assert rep.reason == "insufficient mass samples; insufficient sup samples"
+
+
+def test_intrinsic_sup_fit_not_applicable_when_lam_is_not_positive():
+    # p = (1.2, 1.3): lam = 2 (p_bar - 2) + p_bar < 0, so only the mass rate is predicted
+    prof = af.derive_exponents([1.2, 1.3], 2)
+    assert prof.lam == pytest.approx(-0.256, abs=1e-3)
+    grid = af.build_grid([0.5, 0.5], [32, 32], "dirichlet_zero")
+    traj = synthetic_power_trajectory(prof, grid, _bump_values(grid), t_star=0.5, n_snap=41)
+    rep = af.decay_report(traj, 0.1, 1e-9, "intrinsic")
+    assert math.isnan(rep.sup_theory) and not rep.sup_applicable
+    assert rep.reason == "lam=-0.256 <= 0"
+    assert rep.mass_applicable and rep.mass_theory == pytest.approx(1.0 / (2.0 - prof.p_bar))
+
+
 def test_decay_reports_fit_both_geometries_on_one_sample_set():
     # decay_report(geometry) is one entry of decay_reports, whose samples are
     # decay_samples at the detected t_star; a rate the theory table leaves

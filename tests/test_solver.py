@@ -295,6 +295,34 @@ def test_uniform_snapshots_rejects_a_bad_count(count, violation):
     assert af.uniform_snapshots(0.1, 3.0) == af.uniform_snapshots(0.1, 3) == (0.0, 0.05, 0.1)
 
 
+@pytest.mark.parametrize(
+    "build, violation",
+    [
+        (lambda: af.build_grid([True], [64]), "half_domain entry must be a number, got True"),
+        (lambda: af.build_grid([0.5], [True]), "resolution must be an integer per axis, got True"),
+        (lambda: af.uniform_snapshots(0.1, True), "snapshot count must be an integer, got True"),
+    ],
+    ids=["half_domain", "resolution", "snapshot_count"],
+)
+def test_python_api_rejects_a_boolean_number(build, violation):
+    # float(True) is 1.0, but a bool is not a number, as in a config or a manifest
+    with pytest.raises(ConfigError) as excinfo:
+        build()
+    assert excinfo.value.violations == [violation]
+
+
+@pytest.mark.parametrize(
+    "eps, times, message",
+    [(True, (0.0, 0.1), "eps must be a number, got True"),
+     (1e-3, (False, 0.1), "snapshot time must be a number, got False")],
+    ids=["eps", "time"],
+)
+def test_trajectory_rejects_a_boolean_number(eps, times, message):
+    grid = af.build_grid([0.5], [64])
+    with pytest.raises(IngestionError, match=f"^{message}$"):
+        af.Trajectory(grid, af.derive_exponents([1.5], 1), eps, np.ones((2, 64)), times)
+
+
 @pytest.mark.filterwarnings("error")
 def test_run_rejects_a_periodic_datum_whose_mass_overflows(tmp_path):
     # the 32 cells of 1e307 sum to inf, so no drift |mass - inf| / inf could
