@@ -53,6 +53,7 @@ import math
 import os
 import sys
 from dataclasses import astuple, dataclass, fields, make_dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -380,15 +381,30 @@ def _check_row(report: harnack.InequalityReport, run: list) -> list:
     return [report.theorem, *options, *measured, *run, report.reason]
 
 
-def _finite_or_null(value):
-    """Replace every non-finite float in nested lists and dicts by None."""
+def _json_value(value, pad: str) -> str:
+    """value as json.dumps(..., indent=2, sort_keys=True) writes it at the indentation
+    `pad` (a newline, two spaces a level), with null for a non-finite float.  A type
+    checks.json does not hold, such as a list, is a TypeError instead of wrong JSON."""
     if isinstance(value, float):
-        return value if math.isfinite(value) else None
-    if isinstance(value, dict):
-        return {k: _finite_or_null(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_finite_or_null(v) for v in value]
-    return value
+        return float.__repr__(value) if math.isfinite(value) else "null"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if not isinstance(value, dict):
+        raise TypeError(f"checks.json holds no {type(value).__name__}, got {value!r}")
+    inner, items = pad + "  ", sorted(value.items())
+    lines = [f"{inner}{encode_basestring_ascii(k)}: {_json_value(v, inner)}" for k, v in items]
+    return "{" + ",".join(lines) + pad + "}" if lines else "{}"
+
+
+def _json_text(manifests: list[dict]) -> str:
+    """json.dumps(manifests, indent=2, sort_keys=True, allow_nan=False) once each non-finite
+    float is None, in one pass: with an indent, json runs its pure-Python encoder."""
+    items = [_json_value(m, "\n  ") for m in manifests]
+    return "[\n  " + ",\n  ".join(items) + "\n]" if items else "[]"
 
 
 def cmd_analyze(run_dir: str, config: CampaignConfig) -> dict:
@@ -409,8 +425,7 @@ def cmd_analyze(run_dir: str, config: CampaignConfig) -> dict:
     outputs = {"checks": os.path.join(run_dir, "checks.csv")}
     _write_csv(outputs["checks"], _CHECK_HEADER, [_check_row(report, run) for report in reports])
     outputs["checks_manifest"] = os.path.join(run_dir, "checks.json")
-    manifests = [dict(vars(report)) for report in reports]  # every field of each report
-    text = json.dumps(_finite_or_null(manifests), indent=2, sort_keys=True, allow_nan=False)
+    text = _json_text([vars(report) for report in reports])  # every field of each report
     with open(outputs["checks_manifest"], "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
 
@@ -472,13 +487,11 @@ def _young_campaign(rng: np.random.Generator) -> list:
 
 
 def _fast_convergence_campaign(rng: np.random.Generator) -> list:
-    """Fast geometric convergence at 0.99x the smallness threshold."""
-    failures = 0
-    draws = rng.uniform((0.1, 1.1, 0.1), (10.0, 8.0, 2.0), size=(1000, 3)).tolist()
-    for C, b, alpha in draws:
-        y0 = 0.99 * C ** (-1.0 / alpha) * b ** (-1.0 / alpha**2)
-        failures += not lemmas.fast_convergence(C, b, alpha, y0, n_max=200).converged
-    return ["fast_convergence_threshold", len(draws), failures, 0.0]
+    """Fast geometric convergence at 0.99x the smallness threshold, the draws in lock step."""
+    C, b, alpha = rng.uniform((0.1, 1.1, 0.1), (10.0, 8.0, 2.0), size=(1000, 3)).T
+    y0 = 0.99 * C ** (-1.0 / alpha) * b ** (-1.0 / alpha**2)
+    converged = lemmas._fast_convergence_lanes(C, b, alpha, y0, n_max=200)
+    return ["fast_convergence_threshold", C.size, C.size - int(converged.sum()), 0.0]
 
 
 class _Sequence(NamedTuple):

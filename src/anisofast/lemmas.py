@@ -84,13 +84,43 @@ def fast_convergence(
             break
         values.append(nxt)
         y = nxt
-    if values[-1] == 0.0 or values[-1] < 1e-300:
-        converged = True
-    elif not math.isfinite(values[-1]):
-        converged = False
-    else:
-        converged = len(values) > 1 and decreasing and values[-1] / values[-2] < 0.5
+    prev = values[-2] if len(values) > 1 else math.inf  # Y0 = 0 converged at once
+    converged = _converged(values[-1], prev, decreasing)
     return SequenceLemmaResult(values=tuple(values), converged=converged, bound=bound)
+
+
+def _converged(last, prev, decreasing):
+    """The verdict on runs that stopped at `last` after `prev` > 0, as floats or lanes:
+    below 1e-300, or decreasing with a final ratio below 1/2 (never so for inf or nan)."""
+    return (last < 1e-300) | (decreasing & (last / prev < 0.5))
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a lane past 1e100 may overflow to inf or nan
+def _fast_convergence_lanes(C, b, alpha, Y0, n_max: int) -> np.ndarray:
+    """fast_convergence(...).converged of each lane of the arrays, in lock step: a lane
+    retires at its first step to 0, above 1e100 or at n_max, found once per 16 steps.
+    numpy's ** may differ from Python's in the last bit; the tests check no verdict does."""
+    last = np.array(Y0, dtype=np.float64)
+    prev, decreasing = np.ones_like(last), np.ones(last.shape, bool)
+    live = np.flatnonzero(last)  # a lane from 0 has converged
+    c, base, expo, y, dec = C[live], b[live], 1.0 + alpha[live], last[live], decreasing[live]
+    for n0 in range(0, n_max, 16):
+        if not live.size:
+            break
+        h = np.empty((min(16, n_max - n0) + 1, live.size))  # h[k + 1] = y after step n0 + k
+        h[0] = y
+        for k in range(len(h) - 1):
+            np.multiply(base ** (n0 + k) * c, h[k] ** expo, out=h[k + 1])
+        fell = np.logical_and.accumulate(h[1:] < h[:-1]) & dec
+        out = (h[1:] == 0.0) | ~(h[1:] <= 1e100)
+        out[-1] |= n0 + len(h) - 1 == n_max
+        lane = np.arange(live.size)
+        first = out.argmax(0)  # each lane's first retiring step, if out[first, lane]
+        done = out[first, lane]
+        first, at, ln, keep = first[done], live[done], lane[done], ~done
+        last[at], prev[at], decreasing[at] = h[first + 1, ln], h[first, ln], fell[first, ln]
+        live, c, base, expo, y, dec = (a[keep] for a in (live, c, base, expo, h[-1], fell[-1]))
+    return _converged(last, prev, decreasing)
 
 
 def iteration_bound(eps: float, b: float, I: float, M: float) -> Optional[float]:

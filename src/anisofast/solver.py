@@ -108,7 +108,8 @@ def _integer(value, name: str) -> int:
 
 
 def _is_real(value) -> bool:  # a JSON true or false is not a number, as for `_real`
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    # a float first: the numbers.Real check costs ~1 us, once per snapshot time
+    return type(value) is float or isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def build_grid(

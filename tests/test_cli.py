@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import anisofast as af
 from anisofast import cli, harnack
@@ -890,6 +892,43 @@ def test_analyze_bytes_are_pinned(tmp_path, case):
     assert main(["analyze", "--config", str(config_path)]) == 0
     actual = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in digests}
     assert actual == digests
+
+
+# text with what JSON must escape: quotes, backslashes, control characters, non-ASCII
+_ESCAPED = st.sampled_from('"\\\n\t\x00\x1f\x7fe\u00e9\u2028\U0001f600')
+_TEXT = st.text(_ESCAPED | st.characters(), max_size=6)
+_SCALARS = (
+    st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e-310])
+    | st.floats().map(np.float64) | st.integers() | st.booleans() | st.none() | _TEXT
+)
+# a report's fields: scalars and flat dicts of scalars (rhs_terms, params), empty ones too
+_FIELDS = _SCALARS | st.dictionaries(_TEXT, _SCALARS, max_size=4)
+_MANIFESTS = st.lists(st.dictionaries(_TEXT, _FIELDS, max_size=8), max_size=3)
+
+
+def _null_non_finite(value):
+    if isinstance(value, dict):
+        return {k: _null_non_finite(v) for k, v in value.items()}
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
+@given(_MANIFESTS)
+@settings(max_examples=200, deadline=None)
+def test_checks_json_text_is_what_json_dumps_writes(manifests):
+    nulled = [_null_non_finite(m) for m in manifests]
+    expected = json.dumps(nulled, indent=2, sort_keys=True, allow_nan=False)
+    assert cli._json_text(manifests) == expected
+
+
+@pytest.mark.parametrize(
+    "manifest",
+    [{"lhs": [1.0]}, {"params": {"r": (2.0,)}}, {"lhs": np.float32(1.0)}, {"steps": np.int64(3)},
+     {"applicable": np.True_}, {"params": {1: 0.0}}],
+    ids=["list", "nested_tuple", "float32", "int64", "numpy_bool", "int_key"],
+)
+def test_checks_json_text_rejects_a_type_it_does_not_hold(manifest):
+    with pytest.raises(TypeError):
+        cli._json_text([manifest])
 
 
 def test_cmd_lemmas_deterministic(tmp_path):

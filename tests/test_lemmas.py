@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 import anisofast as af
 from anisofast.errors import DomainError
 from anisofast.lemmas import (
+    _fast_convergence_lanes,
     CutoffSpec,
     caccioppoli_report,
     fast_convergence,
@@ -116,6 +118,37 @@ def test_fast_convergence_overflowing_power_is_divergence():
 def test_fast_convergence_below_threshold_always_converges(C, b, alpha):
     y0 = 0.99 * C ** (-1.0 / alpha) * b ** (-1.0 / alpha**2)
     assert fast_convergence(C, b, alpha, y0, n_max=200).converged
+
+
+@pytest.mark.parametrize("factor", [0.99, 2.0])
+def test_fast_convergence_lanes_give_the_reference_verdicts(factor):
+    # the lemma campaign's draws at a factor of the smallness threshold; numpy's **
+    # differs from Python's in the last bit on about 5% of these calls, so the lanes'
+    # values may differ from the reference's, but no verdict may
+    diverged = 0
+    for seed in range(300):
+        draws = np.random.default_rng(seed).uniform((0.1, 1.1, 0.1), (10.0, 8.0, 2.0), (1000, 3))
+        C, b, alpha = draws.T
+        y0 = factor * C ** (-1.0 / alpha) * b ** (-1.0 / alpha**2)
+        lanes = _fast_convergence_lanes(C, b, alpha, y0, 200).tolist()
+        runs = [fast_convergence(*d, y, 200) for d, y in zip(draws.tolist(), y0.tolist())]
+        assert lanes == [run.converged for run in runs], seed
+        diverged += sum(run.values[-1] > 1e100 for run in runs)
+    assert (diverged > 0) == (factor > 1.0)  # above the threshold some lanes pass 1e100
+
+
+def test_fast_convergence_lanes_retire_as_the_reference_stops():
+    # from 0; to 0 in one step, where a later b^n would overflow; through inf at once
+    # (1e150 ** 3); three steps with ratios below 1/2 and above it; past 1e100 but finite
+    C, b = [1.0, 1.0, 1.0, 0.5, 0.9, 1.0], [2.0, 1e300, 2.0, 1.01, 1.01, 2.0]
+    alpha, y0 = [1.0, 1.0, 2.0, 1.0, 1e-3, 1.0], [0.0, 1e-200, 1e150, 0.9, 0.5, 1e60]
+    runs = [fast_convergence(*args, 3) for args in zip(C, b, alpha, y0)]
+    assert [run.values[-1] for run in runs][:3] == [0.0, 0.0, math.inf]
+    assert [run.converged for run in runs] == [True, True, False, True, False, False]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the lane through inf warns nothing
+        lanes = _fast_convergence_lanes(*map(np.array, (C, b, alpha, y0)), 3)
+    assert lanes.tolist() == [run.converged for run in runs]
 
 
 # --- iteration bound ----------------------------------------------------------------

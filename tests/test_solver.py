@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -314,12 +315,16 @@ def test_python_api_rejects_a_boolean_number(build, violation):
 @pytest.mark.parametrize(
     "eps, times, message",
     [(True, (0.0, 0.1), "eps must be a number, got True"),
-     (1e-3, (False, 0.1), "snapshot time must be a number, got False")],
-    ids=["eps", "time"],
+     (1e-3, (False, 0.1), "snapshot time must be a number, got False"),
+     (np.True_, (0.0, 0.1), "eps must be a number, got np.True_"),
+     (1e-3, (np.False_, 0.1), "snapshot time must be a number, got np.False_"),
+     ("0.1", (0.0, 0.1), "eps must be a number, got '0.1'"),
+     (1e-3, (0.0, "0.1"), "snapshot time must be a number, got '0.1'")],
+    ids=["eps", "time", "eps-numpy_bool", "time-numpy_bool", "eps-string", "time-string"],
 )
 def test_trajectory_rejects_a_boolean_number(eps, times, message):
     grid = af.build_grid([0.5], [64])
-    with pytest.raises(IngestionError, match=f"^{message}$"):
+    with pytest.raises(IngestionError, match=f"^{re.escape(message)}$"):
         af.Trajectory(grid, af.derive_exponents([1.5], 1), eps, np.ones((2, 64)), times)
 
 
