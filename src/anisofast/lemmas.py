@@ -165,8 +165,8 @@ def sobolev_ratio(
 ) -> float:
     """LHS/RHS of the space-time embedding with the constant omitted.
 
-    The field (zero boundary trace) is extended constantly in time over
-    [0, t_extent].  With q = theta*p* + sigma*(1-theta):
+    The field (zero boundary trace, so not periodic) is extended constantly in
+    time over [0, t_extent].  With q = theta*p* + sigma*(1-theta):
 
         LHS = iint |phi|^q dx dt
         RHS = T^(1-theta p*/p_bar) (sup_t int |phi|^sigma dx)^(1-theta)
@@ -188,6 +188,8 @@ def sobolev_ratio(
     T, grid = _require_positive("t_extent", t_extent), field.grid
     if prof.N != grid.N:
         raise DomainError(f"profile dimension {prof.N} != grid dimension {grid.N}")
+    if grid.boundary == "periodic":
+        raise DomainError("the embedding needs a zero boundary trace; a periodic field has none")
     q = theta * p_star + sigma * (1.0 - theta)
     u = field.reshaped()
     vol = grid.cell_volume

@@ -322,6 +322,19 @@ def test_sobolev_ratio_rejects_every_1d_field():
             sobolev_ratio(field, af.derive_exponents([p], 1), 0.1, 1.0, 1.0)
 
 
+def test_sobolev_ratio_rejects_a_periodic_field():
+    # the embedding needs a zero boundary trace.  Zero-ghost faces once read the
+    # ones of a periodic grid, whose gradient is 0, as the Dirichlet grid's ratio
+    prof = af.derive_exponents([1.5, 1.6], 2)
+    ones = {
+        b: af.Field(af.build_grid([0.5, 0.5], [32, 32], b), np.ones(1024), 0.0)
+        for b in ("dirichlet_zero", "periodic")
+    }
+    assert sobolev_ratio(ones["dirichlet_zero"], prof, 0.2, 1.0, 1.0) == 0.10053113500393605
+    with pytest.raises(DomainError, match="zero boundary trace"):
+        sobolev_ratio(ones["periodic"], prof, 0.2, 1.0, 1.0)
+
+
 # tracemalloc peak of one 96x96 call, in field sizes: 8.1 with the face
 # quotients, 4.8 measured on raw differences
 SOBOLEV_PEAK_FIELDS = 6

@@ -706,6 +706,10 @@ COMPOSITION_CASES = {
         [1.3, 1.6, 2.0], [6, 8, 5], "dirichlet_zero", "sine_product", 5e-2, 0.01
     ),
     "3d_periodic_aniso": ([1.3, 1.5, 1.7], [8, 6, 7], "periodic", "bump", 5e-2, 0.01),
+    # run integrates these on the lower half of each mirror axis (see the next test)
+    "2d_dirichlet_mirrored_heat_axis": ([1.5, 2.0], [8, 8], "dirichlet_zero", "bump", 2e-2, 0.01),
+    "3d_periodic_mirrored": ([1.3, 1.5, 1.7], [8, 8, 8], "periodic", "bump", 5e-2, 0.01),
+    "2d_periodic_two_cell_half": ([1.4, 1.6], [10, 4], "periodic", "sine_product", 2e-2, 0.01),
 }
 
 
@@ -757,6 +761,46 @@ def test_run_equals_composed_stable_dt_and_advance(case):
         assert traj.mass_drift == drift
     else:
         assert traj.mass_drift is None
+
+
+def test_run_mirrors_each_even_axis_along_which_the_datum_is_bitwise_even(monkeypatch, tmp_path):
+    # run integrates on the lower half of every even axis along which the datum's
+    # bytes equal those of its flip (a plateau's are on 6 and 7 cells; 7 is odd).
+    # On 96 cells the centres are not exact negatives of each other, so a bump
+    # there is not even; neither is a datum one ulp off, which must still match
+    # stable_dt + advance
+    shapes, init = [], _FluxKernel.__init__
+
+    def spy(kernel, *args):
+        init(kernel, *args)
+        shapes.append(kernel.u.shape)
+
+    monkeypatch.setattr(_FluxKernel, "__init__", spy)
+    cases = [
+        ([32] * 3, "bump", (16,) * 3),
+        ([96, 96], "bump", (96, 96)),
+        ([8, 6, 7], "bump", (4, 6, 7)),
+        ([6, 7], "plateau", (3, 7)),
+    ]
+    for res, kind, half in cases:
+        grid = af.build_grid([0.5] * len(res), res, "periodic")
+        prof = af.derive_exponents([1.3, 1.5, 1.7][: len(res)], len(res))
+        af.run(af.SimConfig(grid, af.InitialProfile(kind, 1.0, 0.3), prof, 5e-2, 0.0))
+        assert shapes.pop() == half
+    grid, prof = af.build_grid([0.5], [16]), af.derive_exponents([1.5], 1)
+    datum = af.init_field(grid, af.InitialProfile("bump", 1.0, 0.3)).values
+    assert datum[5] == datum[10] > 0.0
+    datum[5] = np.nextafter(datum[5], 2.0)
+    datum.astype("<f8").tofile(tmp_path / "u0.f64")
+    profile = af.InitialProfile("from_file", path=str(tmp_path / "u0.f64"))
+    traj = af.run(af.SimConfig(grid, profile, prof, 1e-2, 0.004, 0.4, (0.0, 0.004)))
+    assert shapes.pop() == (16,)
+    field, steps = af.init_field(grid, profile), 0
+    while field.time < 0.004 * (1.0 - 1e-12):
+        dt = min(stable_dt(field, prof, 1e-2, 0.4), 0.004 - field.time)
+        field, steps = advance(field, prof, 1e-2, dt), steps + 1
+    assert traj.values[-1].tobytes() == field.values.tobytes()
+    assert traj.steps == steps > 10
 
 
 def _traced_peak(fn):
