@@ -217,12 +217,16 @@ def decay_reports(
     The reports come in GEOMETRIES order.  The fit window keeps snapshots
     with tau >= t_star/2 (widened to all pre-extinction snapshots when that
     leaves fewer than MIN_FIT_POINTS) and always drops the
-    regularization-contaminated tail sup < 10 * threshold.
+    regularization-contaminated tail sup < 10 * threshold.  Arithmetic out of
+    float range in the cubes of rho (an ArithmeticError) is a DomainError.
     """
     t_star = detect_extinction(traj, threshold)
     if t_star is None:
         raise DomainError(f"trajectory never crosses the extinction threshold {threshold!r}")
-    samples = decay_samples(traj, rho, t_star, threshold)
+    try:
+        samples = decay_samples(traj, rho, t_star, threshold)
+    except ArithmeticError as exc:  # a float ** or / past float64, in any cube formula
+        raise DomainError(f"decay_rho={rho!r}: arithmetic out of float range: {exc!r}") from exc
     window = samples.in_window & (samples.tau >= 0.5 * t_star)
     if int(window.sum()) < MIN_FIT_POINTS:
         window = samples.in_window

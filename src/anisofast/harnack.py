@@ -435,7 +435,8 @@ def _evaluate(kind, traj, rho, t, r, geometry, C) -> InequalityReport:
     rule, on any trajectory.  Every row needs all p_i < 2 before its own
     applicability predicate; when either fails the report is not-applicable
     (no exception).  The trajectory keeps each measured side
-    (`Trajectory.measured`) for all the checks made on it.
+    (`Trajectory.measured`) for all the checks made on it.  Arithmetic out of
+    float range (an ArithmeticError) is a DomainError naming the check.
     """
     row, options = CHECKS[kind], {"geometry": geometry, "rho": rho, "t": t, "r": r, "C": C}
     problems = option_violations(kind, options)
@@ -452,10 +453,15 @@ def _evaluate(kind, traj, rho, t, r, geometry, C) -> InequalityReport:
         return InequalityReport(
             theorem, nan, {}, nan, False, None, params, applicable=False, reason=reason
         )
-    x = _Instance.at(traj, rho, t, order, geometry)
-    lhs = row.lhs(x)
-    terms = row.rhs(x)
-    violated, index = smallness_violated(C, rho, t, x.prof, geometry)
+    try:
+        x = _Instance.at(traj, rho, t, order, geometry)
+        lhs = row.lhs(x)
+        terms = row.rhs(x)
+        violated, index = smallness_violated(C, rho, t, x.prof, geometry)
+        hypothesis_ok = cube_contained(row.hypothesis(x), traj.grid)
+    except ArithmeticError as exc:  # a float ** or / past float64, in any formula
+        spec = " ".join(f"{k}={v}" for k, v in params.items())
+        raise DomainError(f"check {kind} {spec}: arithmetic out of float range: {exc!r}") from exc
     window = traj.window(0.0, t)
     return InequalityReport(
         theorem=theorem,
@@ -465,7 +471,7 @@ def _evaluate(kind, traj, rho, t, r, geometry, C) -> InequalityReport:
         smallness_triggered=violated,
         smallness_index=index,
         params=params,
-        hypothesis_ok=cube_contained(row.hypothesis(x), traj.grid),
+        hypothesis_ok=hypothesis_ok,
         snapshots_in_window=window.stop - window.start,
     )
 

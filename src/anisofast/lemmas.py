@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DomainError
 from .geometry import CubeSpec, ExponentProfile, _require_positive
 from .harnack import InequalityReport, _box, _contract, _footprint, cube_contained, gamma_min
-from .solver import _FIRST, _LAST, Field, Trajectory, _along
+from .solver import Field, Trajectory, _face_differences
 
 
 def young_gamma(eps: float, q: float) -> float:
@@ -173,8 +173,8 @@ def sobolev_ratio(
               * prod_i (iint |d_i phi|^{p_i} dx dt)^(theta p* / (N p_i))
 
     Axis derivatives are one-sided differences with a zero ghost layer:
-    sum_i |G|^{p_i} is taken on the raw differences G = u[k+1] - u[k] and
-    scaled by h_i^-p_i afterwards.  Each power |x|^a of a cell value or a
+    sum_i |G|^{p_i} is taken on the raw differences G = u[k+1] - u[k]
+    (`_face_power_sum`) and scaled by h_i^-p_i afterwards.  Each power |x|^a of a cell value or a
     difference is exp(a log|x|), 0 where x = 0.  The ratio is invariant
     under phi -> c*phi, and defined as 0 for phi == 0.
     """
@@ -201,7 +201,7 @@ def sobolev_ratio(
         sup_sigma = _exp_sum(sigma, log_phi) * vol
         rhs = T ** (1.0 - theta * p_star / prof.p_bar) * sup_sigma ** (1.0 - theta)
         for i, (pi, h) in enumerate(zip(prof.p, grid.spacings)):
-            grad_int = T * _face_power_sum(u, log_phi, i, pi) * h**-pi * vol
+            grad_int = T * _face_power_sum(u, i, pi) * h**-pi * vol
             rhs *= grad_int ** (theta * p_star / (prof.N * pi))
     return lhs / rhs
 
@@ -212,14 +212,13 @@ def _exp_sum(a: float, log_x: np.ndarray) -> float:
     return float(np.exp(terms, out=terms).sum())
 
 
-def _face_power_sum(u: np.ndarray, log_u: np.ndarray, i: int, p: float) -> float:
+def _face_power_sum(u: np.ndarray, i: int, p: float) -> float:
     """sum |G|^p = sum exp(p log|G|) over the faces of axis i, G = u[k+1] - u[k] with
-    a zero ghost layer, given log_u = log|u|; the caller ignores divide warnings."""
-    log_g = np.diff(u, axis=i)  # the interior faces, G then log |G| in place
-    np.log(np.abs(log_g, out=log_g), out=log_g)
-    # the faces beside the zero ghosts: G = u of the first and -u of the last cell
-    ends = [log_u[_along(i, s)] for s in (_FIRST, _LAST)]
-    return sum(_exp_sum(p, x) for x in (log_g, *ends))
+    a zero ghost layer (`_face_differences`); the caller ignores divide warnings."""
+    log_g = np.empty(u.size + u.size // u.shape[i])  # G then log |G| in place
+    for minuend, subtrahend, out in _face_differences(u, i, log_g, periodic=False):
+        np.subtract(minuend, subtrahend, out=out)
+    return _exp_sum(p, np.log(np.abs(log_g, out=log_g), out=log_g))
 
 
 # --- cutoff functions and the truncation energy estimate ----------------------
@@ -293,10 +292,10 @@ def caccioppoli_report(
     and the left side is sup_tau int (u-k)_+^2 zeta + sum_i iint
     |d_i[(u-k)_+ zeta]|^{p_i}.  Time integrals use the trapezoid rule over
     the snapshots inside the window.  Only the support box of the outer
-    cube's weights is read: zeta vanishes outside it, so zero-ghost face
-    gradients on the box give the face sums of the whole grid.  Its cube
-    integrals go through the checks' contraction (`harnack._contract`), and
-    the measure of Q is the product of the per-axis box weights' sums.
+    cube's weights is read: zeta vanishes outside it, so the zero-ghost
+    `_face_power_sum` on the box gives the face sums of the whole grid.  Its
+    cube integrals go through the checks' contraction (`harnack._contract`),
+    and the measure of Q is the product of the per-axis box weights' sums.
     `prof.p` and `cutoff.exponents` must be the trajectory's exponents.
     """
     if k < 0.0 or not math.isfinite(k):
@@ -334,9 +333,8 @@ def caccioppoli_report(
             trunc = np.maximum(u - k, 0.0)
             sup_term = max(sup_term, float((trunc**2 * zeta).sum()) * vol * x)
             v = trunc * zeta * x
-            log_v = np.log(np.abs(v))
             for i, (pi, h) in enumerate(zip(prof.p, grid.spacings)):
-                series[i, j] = _face_power_sum(v, log_v, i, pi) * h**-pi * vol
+                series[i, j] = _face_power_sum(v, i, pi) * h**-pi * vol
                 series[n + i, j] = _contract(trunc**pi, w_box) * vol
             series[2 * n, j] = _contract(u > k, w_box) * vol
     integrals = np.trapezoid(series, times).tolist()

@@ -71,7 +71,7 @@ class Grid:
 
     @functools.cached_property
     def cell_volume(self) -> float:
-        return float(np.prod(self.spacings))
+        return math.prod(self.spacings)  # no overflow warning: build_grid rejects inf
 
     def axis_centers(self, i: int) -> np.ndarray:
         h = self.spacings[i]
@@ -138,7 +138,13 @@ def build_grid(
         violations.append(f"boundary must be one of {BOUNDARIES}, got {boundary!r}")
     if violations:
         raise ConfigError(violations)
-    return Grid(half_domain=half, resolution=res, boundary=boundary)
+    grid = Grid(half_domain=half, resolution=res, boundary=boundary)
+    if not all(0.0 < x < math.inf for x in (*grid.spacings, grid.cell_volume)):
+        raise ConfigError([
+            f"grid spacings {grid.spacings} and cell volume {grid.cell_volume!r} "
+            "must be positive and finite"
+        ])
+    return grid
 
 
 @dataclass
@@ -227,6 +233,30 @@ def _along(axis: int, s: slice) -> tuple[slice, ...]:
 
 _FIRST, _LAST = slice(None, 1), slice(-1, None)
 
+
+def _split(buf: np.ndarray, shape: tuple, i: int, periodic: bool) -> tuple:
+    """(faces before the first cell, faces after each cell) of an axis-i face buffer of
+    a `shape` field; the first has `shape` with 1 along axis i, the second `shape`."""
+    after = buf[buf.size - math.prod(shape) :].reshape(shape)
+    if periodic:
+        return after[_along(i, _LAST)], after
+    return buf[: buf.size - after.size].reshape(shape[:i] + (1,) + shape[i + 1 :]), after
+
+
+def _face_differences(u: np.ndarray, i: int, faces: np.ndarray, periodic: bool, mirror=False):
+    """The (minuend, subtrahend, out) subtractions, in order, that write G = u[k+1] - u[k]
+    of axis i into `faces`: its last u.size entries are the faces after each cell in cell
+    order (a periodic axis wraps), and a zero ghost layer's start with the faces before
+    the first cell (`_split`).  One flat subtraction at u's axis-i stride, then the
+    boundary hyperplane; the face on a `mirror` plane after the last cell is last - last."""
+    flat, s, zero = u.reshape(-1), math.prod(u.shape[i + 1 :]), np.array(0.0)
+    before, after = _split(faces, u.shape, i, periodic)
+    first, last = u[_along(i, _FIRST)], u[_along(i, _LAST)]
+    wall = last if mirror else first if periodic else zero
+    ops = [(flat[s:], flat[:-s], after.reshape(-1)[:-s]), (wall, last, after[_along(i, _LAST)])]
+    return ops if periodic else ops + [(first, zero, before)]
+
+
 #: bytes between the offsets, mod 4096, at which the step buffers start
 _STAGGER = 384
 
@@ -262,13 +292,9 @@ class _FluxKernel:
     arrays, plus one boundary hyperplane per axis, so `rate()` and `step()`
     allocate no arrays.
 
-    `rate()` first writes G of axis i into the flat buffer `_faces[i]`,
-    named by `split`: its last u.size entries are the faces after each cell,
-    in cell order (periodic axes wrap), and with a zero ghost layer it starts
-    with the faces before the first cell.  An axis is one flat subtraction
-    at offset stride_i plus a boundary-hyperplane fix-up; the zero-ghost `u`
-    is the interior of an array padded along axis 0, whose faces are one
-    subtraction.
+    `rate()` first writes G of axis i into `_faces[i]` (`_face_differences`),
+    but the zero-ghost `u` is the interior of an array padded along axis 0,
+    whose faces are one subtraction.
 
     A small grid's step costs call overhead, so every call is laid out once
     in flat tables that `rate()` and `step()` each run as one loop: (ufunc,
@@ -296,25 +322,17 @@ class _FluxKernel:
             padded = _buffer(n + 2 * strides[0], 0)
             self.u = u = padded[strides[0] : -strides[0]].reshape(shape)
         self._flat = flat = u.reshape(-1)
-        zero = np.array(0.0)
         self._div, scratch = _buffer(n, grid.N + 1), _buffer(n, grid.N + 2)
         add, sub, mul, div = np.add, np.subtract, np.multiply, self._div
         self._faces, differences, squares, bounds, scales, calls = [], [], [], [], [], []
         for i, (pi, h, s) in enumerate(zip(prof.p, grid.spacings, strides)):
             faces = _buffer(n if periodic else n + n // shape[i], 1 + i)
-            before, after = self.split(faces, i)
-            first, last = u[_along(i, _FIRST)], u[_along(i, _LAST)]
             if not periodic and i == 0:  # on a mirrored axis the mirror plane's faces stay 0
                 m = faces.size - s * (i in mirror)
                 differences.append((sub, (padded[s : s + m], padded[:m], faces[:m])))
-            else:  # periodic axes wrap the last hyperplane; the others meet a zero ghost layer
-                wall = last if i in mirror else first if periodic else zero  # last - last = 0
-                differences += [
-                    (sub, (flat[s:], flat[:-s], faces[faces.size - n : -s])),
-                    (sub, (wall, last, after[_along(i, _LAST)])),
-                ]
-                if not periodic:
-                    differences.append((sub, (first, zero, before)))
+            else:
+                ops = _face_differences(u, i, faces, periodic, i in mirror)
+                differences += [(sub, operands) for operands in ops]
             self._faces.append(faces)
             kappa, expo, scale = (h * eps) ** 2, (pi - 2.0) / 2.0, h**-pi
             factor, c = np.array(scale), 2.0 * (pi - 1.0) * scale
@@ -337,7 +355,7 @@ class _FluxKernel:
             if not periodic and i == 0:  # flux = [faces before cell 0, faces after each cell]
                 calls.append((sub, (flux[s:], flux[:-s], d)))
             else:  # d[k] = Phi[k] - Phi[k-1], fixed up on the hyperplane k = 0
-                before, after = self.split(flux, i)
+                before, after = _split(flux, shape, i, periodic)
                 cells = flux[flux.size - n :]
                 first = d.reshape(shape)[_along(i, _FIRST)]
                 calls += [
@@ -362,17 +380,6 @@ class _FluxKernel:
         for destination, source in self._unfold_calls:
             np.copyto(destination, source)
         return self.full
-
-    def split(self, buf: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """(faces before the first cell, faces after each cell) of an axis-i buffer.
-
-        The first has the shape of `u` with 1 along axis i, the second that of `u`.
-        """
-        shape = self.u.shape
-        after = buf[buf.size - self.u.size :].reshape(shape)
-        if self._periodic:
-            return after[_along(i, _LAST)], after
-        return buf[: buf.size - after.size].reshape(shape[:i] + (1,) + shape[i + 1 :]), after
 
     def rate(self) -> float:
         """sum_i 2 a_i_max / h_i^2 at `u`; `stable_dt` divides its clamped safety by it.
@@ -404,6 +411,8 @@ def _kernel_at(field: Field, prof: ExponentProfile, eps: float, mirror: tuple = 
     eps, grid = _require_positive("eps", eps), field.grid
     if prof.N != grid.N:
         raise DomainError(f"profile dimension {prof.N} != grid dimension {grid.N}")
+    if problems := _scheme_violations(grid, prof, eps):
+        raise DomainError("; ".join(problems))
     kernel = _FluxKernel(grid, prof, eps, mirror)
     kernel.u[...] = field.reshaped()[tuple(map(slice, kernel.u.shape))]
     return kernel
@@ -468,6 +477,32 @@ def _range_violations(t_end=0.0, eps=1.0, safety=0.5) -> list[str]:
     return violations
 
 
+def _power(x: float, a: float) -> float:
+    """x ** a, or inf where the float ** raises: past 1e308, or 0 to a negative power."""
+    try:
+        return x**a
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
+
+
+def _scheme_violations(grid: Grid, prof: ExponentProfile, eps: float) -> list[str]:
+    """Why `_FluxKernel` on this grid leaves float64: each h_i^-p_i and (h_i eps)^2 must be
+    positive and finite, and so must the largest rate() can return (at G = 0),
+    sum_i 2 (p_i - 1) h_i^-p_i (h_i eps)^(p_i - 2), each computed as the kernel does."""
+    found, top = [], 0.0
+    for i, (pi, h) in enumerate(zip(prof.p, grid.spacings)):
+        scale, kappa = _power(h, -pi), _power(h * eps, 2)
+        if not (0.0 < scale < math.inf and 0.0 < kappa < math.inf):
+            found.append(
+                f"axis {i}: h^-p = {scale!r} and (h eps)^2 = {kappa!r} must be positive and "
+                f"finite floats (h = {h!r}, p = {pi!r}, eps = {eps!r})"
+            )
+        top += 2.0 * (pi - 1.0) * scale * _power(kappa, (pi - 2.0) / 2.0)
+    if not found and not 0.0 < top < math.inf:
+        found.append(f"the largest step rate, {top!r}, must be positive and finite (eps = {eps!r})")
+    return found
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Everything `run` needs: grid, datum, exponents, regularization, schedule."""
@@ -486,6 +521,8 @@ class SimConfig:
             violations.append(
                 f"{self.exponents.N} exponents for a {self.grid.N}-dimensional grid"
             )
+        elif not _range_violations(eps=self.eps):  # the kernel's constants, once eps is in range
+            violations += _scheme_violations(self.grid, self.exponents, self.eps)
         if self.snapshot_times is None:  # the default schedule, once t_end is known to be valid
             times = (0.0,) if violations else uniform_snapshots(self.t_end, 101)
         else:

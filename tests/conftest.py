@@ -57,3 +57,19 @@ def synthetic_power_trajectory(prof, grid, shape_field, t_star=1.0, n_snap=51):
         af.Field(grid, (t_star - t) ** exponent * shape_field, t) for t in times
     ]
     return af.Trajectory.from_fields(grid, prof, 1e-9, snaps)
+
+
+#: grids and eps on which the scheme's constants leave float64, with a phrase of the
+#: ConfigError: (p, half_domain, resolution, eps or None for the smallest spacing, phrase)
+FLOAT_RANGE_CASES = {
+    "h^-p overflows": ([1.5], [1e-300], [8], None, "h^-p = inf"),
+    "(h eps)^2 underflows": ([1.5], [0.5], [32], 1e-170, "(h eps)^2 = 0.0"),
+    "(h eps)^2 overflows": ([1.5], [1e200], [32], None, "(h eps)^2 = inf"),
+    "the largest rate overflows": ([1.5], [4e-160], [8], 1.0, "the largest step rate, inf,"),
+    "the largest rate underflows": ([1.5], [4e200], [8], 1e-140, "the largest step rate, 0.0,"),
+    "an infinite cell volume": (
+        [1.4, 1.6], [1e200, 1e200], [32, 32], None,
+        "grid spacings (6.25e+198, 6.25e+198) and cell volume inf",
+    ),
+    "an infinite spacing": ([1.4, 1.6], [1e308, 0.5], [8, 8], None, "grid spacings (inf, 0.125)"),
+}

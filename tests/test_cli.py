@@ -25,6 +25,7 @@ from anisofast.cli import (
 )
 from anisofast.errors import ConfigError
 from anisofast.lemmas import fast_convergence, iteration_bound, young_conjugate, young_gamma
+from conftest import FLOAT_RANGE_CASES
 
 MINIMAL = """
 [simulation]
@@ -1296,3 +1297,66 @@ def test_main_reports_a_negative_or_nan_datum_as_an_error(tmp_path, capsys, bad)
     err = capsys.readouterr().err
     assert err == f"error: file {str(datum)!r} must hold finite nonnegative values\n", err
     assert not (tmp_path / "trajectory").exists()
+
+
+# --- arithmetic out of float range ---------------------------------------------------
+
+
+@pytest.mark.parametrize("case", sorted(FLOAT_RANGE_CASES))
+def test_run_reports_a_scheme_out_of_float_range_as_config_errors(tmp_path, capsys, case):
+    # each once a traceback, a blowup at t=nan or a run that never returned
+    p, half, res, eps, phrase = FLOAT_RANGE_CASES[case]
+    keys = {"p": p, "half_domain": half, "resolution": res, "t_end": [0.01]}
+    keys |= {} if eps is None else {"eps": [eps]}
+    text = "[simulation]\n" + "".join(f"{k} = {' '.join(map(str, v))}\n" for k, v in keys.items())
+    text += f"[output]\ndirectory = {tmp_path / 'out'}\n"
+    with pytest.raises(ConfigError):  # at parsing, so that no run can start below
+        parse_config(text)
+    path = tmp_path / "campaign.cfg"
+    path.write_text(text, encoding="utf-8")
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert all(line.startswith("config error: ") for line in err), err
+    assert any(phrase in line for line in err), err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.fixture(scope="module")
+def decay_run(tmp_path_factory):
+    """A directory holding the stored DECAY run and its config."""
+    directory = tmp_path_factory.mktemp("decay")
+    assert main(["run", *_decay_config(directory, "")]) == 0
+    return directory
+
+
+#: [analysis] lines whose arithmetic leaves float64, and what the one error line names
+ANALYZE_OUT_OF_RANGE = {
+    "l1l1 huge rho": (
+        "check = l1l1 rho=1e308 t=0.005", "check l1l1 geometry=intrinsic rho=1e+308 t=0.005 C=0.0"
+    ),
+    "l1l1 tiny rho": (
+        "check = l1l1 rho=1e-300 t=0.005", "check l1l1 geometry=intrinsic rho=1e-300 t=0.005 C=0.0"
+    ),
+    "l1l1 standard tiny rho": (
+        "check = l1l1 geometry=standard rho=1e-300 t=0.005",
+        "check l1l1 geometry=standard rho=1e-300 t=0.005 C=0.0",
+    ),
+    "l1linf tiny t huge C": (
+        "check = l1linf geometry=standard rho=0.1 t=1e-300 C=1e300",
+        "check l1linf geometry=standard rho=0.1 t=1e-300 C=1e+300",
+    ),
+    "huge decay_rho": ("decay_rho = 1e308", "decay_rho=1e+308"),
+    "tiny decay_rho": ("decay_rho = 1e-300", "decay_rho=1e-300"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ANALYZE_OUT_OF_RANGE))
+def test_analyze_reports_arithmetic_out_of_range_as_one_error(decay_run, capsys, case):
+    # each once an OverflowError or ZeroDivisionError traceback
+    analysis, names = ANALYZE_OUT_OF_RANGE[case]
+    capsys.readouterr()
+    assert main(["analyze", *_decay_config(decay_run, analysis)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {names}"), err
+    assert "arithmetic out of float range" in err[0]
+    assert [f.name for f in (decay_run / "run").iterdir()] == ["trajectory"]

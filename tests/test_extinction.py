@@ -1,6 +1,7 @@
 """Extinction detection and power-law slope recovery."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -337,3 +338,35 @@ def test_decay_report_solver_run_isotropic(run_1d_fast):
     assert rep.sup_theory == pytest.approx(2.0)
     assert abs(rep.sup_slope - 2.0) <= 0.8  # coarse eps biases the tail
     assert rep.n_points >= 8
+
+
+# --- guards -------------------------------------------------------------------------
+
+
+def _zero_ended_1d():
+    grid, prof = af.build_grid([0.5], [16]), af.derive_exponents([1.5], 1)
+    return synthetic_power_trajectory(prof, grid, np.ones(16), t_star=0.5, n_snap=11)
+
+
+#: each guard of the decay fits' arguments that no other test reaches: (call, message)
+DECAY_GUARDS = {
+    "one x value": (
+        lambda: af.fit_power_law([(1.0, 1.0), (1.0, 2.0), (1.0, 3.0)]),
+        "fit_power_law needs at least two distinct x values",
+    ),
+    "t_star at the first snapshot": (
+        lambda: af.decay_samples(_zero_ended_1d(), 0.1, 0.0, 1e-3),
+        "no snapshots strictly before t_star",
+    ),
+    "geometry": (
+        lambda: af.decay_report(_zero_ended_1d(), 0.1, 1e-3, "round"),
+        "geometry must be intrinsic or standard, got 'round'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DECAY_GUARDS))
+def test_decay_guards(case):
+    call, message = DECAY_GUARDS[case]
+    with pytest.raises(DomainError, match=re.escape(message)):
+        call()

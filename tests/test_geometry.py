@@ -1,5 +1,7 @@
 """Exponent arithmetic, cube constructions, and their exact identities."""
 
+import math
+import re
 import warnings
 
 import pytest
@@ -215,3 +217,47 @@ def test_smallness_zero_c_skips_heat_mode():
 def test_cube_spec_volume_validation():
     with pytest.raises(DomainError):
         af.CubeSpec(center=(0.0,), half_widths=(2.0,), kind="standard", rho=1.0)
+
+
+# --- guards ------------------------------------------------------------------------
+
+
+_PROF = af.derive_exponents([1.4, 1.6], 2)
+
+#: each guard of the geometry's arguments that no other test reaches: (call, message)
+GEOMETRY_GUARDS = {
+    "dimension 0": (
+        lambda: af.derive_exponents([1.5], 0), "dimension must be a positive integer, got 0"
+    ),
+    "dimension 1.5": (
+        lambda: af.derive_exponents([1.5], 1.5), "dimension must be a positive integer, got 1.5"
+    ),
+    "cube kind": (lambda: af.CubeSpec((0.0,), (0.1,), "round", 0.1), "unknown cube kind 'round'"),
+    "cube lengths": (
+        lambda: af.CubeSpec((0.0, 0.0), (0.1,), "standard", 0.1),
+        "center and half_widths must have equal length",
+    ),
+    "intrinsic time": (
+        lambda: af.CubeSpec((0.0,), (0.1,), "intrinsic", 0.1),
+        "intrinsic cube requires a time level t",
+    ),
+    "smallness mode": (
+        lambda: af.smallness_violated(1.0, 0.1, 0.1, _PROF, "round"),
+        "unknown smallness mode 'round'",
+    ),
+    "smallness C negative": (
+        lambda: af.smallness_violated(-1.0, 0.1, 0.1, _PROF, "standard"),
+        "C must be nonnegative and finite, got -1.0",
+    ),
+    "smallness C nan": (
+        lambda: af.smallness_violated(math.nan, 0.1, 0.1, _PROF, "intrinsic"),
+        "C must be nonnegative and finite, got nan",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GEOMETRY_GUARDS))
+def test_geometry_guards(case):
+    call, message = GEOMETRY_GUARDS[case]
+    with pytest.raises(DomainError, match=re.escape(message)):
+        call()

@@ -1,6 +1,7 @@
 """Cube quadrature, time-window reductions, and the inequality checkers."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -300,3 +301,36 @@ def test_report_row_consistency(run_2d_aniso):
     assert rep.lhs <= rep.gamma_min * rep.rhs_total * (1.0 + 1e-12)
     assert rep.snapshots_in_window > 0
     assert rep.params["rho"] == 0.13 and rep.params["t"] == 0.06
+
+
+# --- guards ------------------------------------------------------------------------
+
+
+def _two_snapshots():
+    grid, prof = af.build_grid([0.5], [8]), af.derive_exponents([1.5], 1)
+    fields = [af.Field(grid, np.ones(8), t) for t in (0.0, 0.05)]
+    return af.Trajectory.from_fields(grid, prof, 1e-3, fields)
+
+
+#: each guard of the quadrature's arguments that no other test reaches: (call, message)
+QUADRATURE_GUARDS = {
+    "cube dimension": (
+        lambda: af.cube_integral(_field_2d(np.ones((8, 8))), _iso_cube(0.1, 1)),
+        "cube dimension 1 != grid dimension 2",
+    ),
+    "integral order": (
+        lambda: af.cube_integral(_field_2d(np.ones((8, 8))), _iso_cube(0.1), r=0.5),
+        "integral order r must be >= 1, got 0.5",
+    ),
+    "empty window": (
+        lambda: af.time_extremal(_two_snapshots(), _iso_cube(0.1, 1), (0.01, 0.02), "sup_l1"),
+        "no snapshots in window [0.01, 0.02]",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(QUADRATURE_GUARDS))
+def test_quadrature_guards(case):
+    call, message = QUADRATURE_GUARDS[case]
+    with pytest.raises(DomainError, match=re.escape(message)):
+        call()

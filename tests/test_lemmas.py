@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -477,3 +478,67 @@ def test_caccioppoli_geometry_errors(run_1d_fast):
     cut, _ = _cutoff_1d()
     with pytest.raises(DomainError):
         caccioppoli_report(run_1d_fast, prof, cut, 0.1, (0.2, 0.02))
+
+
+# --- guards ---------------------------------------------------------------------------
+
+
+def _cube(center, half_widths):
+    rho = half_widths[0]
+    return af.CubeSpec(center, half_widths, "standard", rho)
+
+
+#: each guard of the lemmas' arguments that no other test reaches: (call, message)
+LEMMA_GUARDS = {
+    "young conjugate q": (lambda: young_conjugate(1.0), "q must exceed 1, got 1.0"),
+    "fast convergence constants": (
+        lambda: fast_convergence(0.0, 2.0, 0.5, 0.1, 10), "need C>0, b>1, alpha>0, Y0>=0, n_max>=1"
+    ),
+    "iteration eps": (
+        lambda: iteration_bound(1.0, 1.5, 1.0, 1.0), "eps must lie in (0, 1), got 1.0"
+    ),
+    "iteration b": (lambda: iteration_bound(0.5, 1.0, 1.0, 1.0), "b must exceed 1, got 1.0"),
+    "iteration I": (
+        lambda: iteration_bound(0.5, 1.5, -1.0, 1.0), "I must be nonnegative and finite, got -1.0"
+    ),
+    "iteration M": (
+        lambda: iteration_bound(0.5, 1.5, 1.0, math.inf),
+        "M must be nonnegative and finite, got inf",
+    ),
+    "sobolev dimension": (
+        lambda: sobolev_ratio(
+            af.Field(af.build_grid([0.5] * 3, [4] * 3), np.ones(64), 0.0),
+            af.derive_exponents([1.4, 1.6], 2), 0.1, 1.0, 1.0,
+        ),
+        "profile dimension 2 != grid dimension 3",
+    ),
+    "cutoff dimension": (
+        lambda: CutoffSpec(_cube((0.0,), (0.1,)), _cube((0.0, 0.0), (0.2, 0.2)), (1.5,)),
+        "cutoff cubes and exponents must share one dimension",
+    ),
+    "cutoff centers": (
+        lambda: CutoffSpec(_cube((0.1,), (0.1,)), _cube((0.0,), (0.3,)), (1.5,)),
+        "cutoff cubes must be concentric",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LEMMA_GUARDS))
+def test_lemma_guards(case):
+    call, message = LEMMA_GUARDS[case]
+    with pytest.raises(DomainError, match=re.escape(message)):
+        call()
+
+
+@pytest.mark.parametrize(
+    "k, window, message",
+    [
+        (-0.1, (0.0, 0.1), "truncation level k must be nonnegative, got -0.1"),
+        (math.nan, (0.0, 0.1), "truncation level k must be nonnegative, got nan"),
+        (0.1, (0.0, 0.04), "need at least 2 snapshots in window [0.0, 0.04]"),
+    ],
+)
+def test_caccioppoli_level_and_window_guards(zero_traj_1d, k, window, message):
+    cut, prof = _cutoff_1d()
+    with pytest.raises(DomainError, match=re.escape(message)):
+        caccioppoli_report(zero_traj_1d, prof, cut, k, window)

@@ -1,5 +1,6 @@
 """Grid construction, initial data, time stepping, and persistence."""
 
+import ast
 import dataclasses
 import json
 import re
@@ -13,7 +14,8 @@ from hypothesis import strategies as st
 
 import anisofast as af
 from anisofast.errors import BlowupError, ConfigError, DomainError, IngestionError
-from anisofast.solver import _FluxKernel, advance, stable_dt
+from anisofast.solver import _FluxKernel, _split, advance, stable_dt
+from conftest import FLOAT_RANGE_CASES
 
 
 def test_build_grid_1d():
@@ -885,7 +887,7 @@ def test_face_gradients_match_padded_differences():
         kernel.u[...] = u
         kernel.rate()  # fills the face buffers first
         for i, faces in enumerate(kernel._faces):
-            before, after = kernel.split(faces, i)
+            before, after = _split(faces, kernel.u.shape, i, periodic)
             if periodic:
                 g = after
                 expected = np.roll(u, -1, axis=i) - u
@@ -1123,3 +1125,96 @@ def test_shorter_rerun_leaves_only_its_own_snapshot_files(tmp_path, run_1d_fast)
     assert (path / "snapshots.f64").read_bytes() == rerun.values.tobytes()
     assert (path / "notes.txt").read_text(encoding="utf-8") == "kept"
     assert af.load_trajectory(str(path)).values.tobytes() == rerun.values.tobytes()
+
+
+# --- the scheme's float range -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("case", sorted(FLOAT_RANGE_CASES))
+def test_a_scheme_out_of_float_range_is_a_config_error(case):
+    # before: an OverflowError or ZeroDivisionError in the kernel, a blowup at t=nan,
+    # or a run that never returned (stable_dt 0.0); now SimConfig or build_grid says why
+    p, half, res, eps, phrase = FLOAT_RANGE_CASES[case]
+    prof = af.derive_exponents(p, len(p))
+    with pytest.raises(ConfigError, match=re.escape(phrase)):
+        grid = af.build_grid(half, res)
+        eps = min(grid.spacings) if eps is None else eps
+        af.SimConfig(grid, af.InitialProfile("bump"), prof, eps, 0.01)
+
+
+@pytest.mark.parametrize(  # build_grid rejects the "grid" cases; the others reach the kernel
+    "case", sorted(c for c, v in FLOAT_RANGE_CASES.items() if not v[-1].startswith("grid"))
+)
+def test_stable_dt_and_advance_reject_a_scheme_out_of_float_range(case):
+    p, half, res, eps, phrase = FLOAT_RANGE_CASES[case]
+    grid, prof = af.build_grid(half, res), af.derive_exponents(p, len(p))
+    field = af.Field(grid, np.ones(grid.n_cells), 0.0)
+    eps = min(grid.spacings) if eps is None else eps
+    with pytest.raises(DomainError, match=re.escape(phrase)):
+        stable_dt(field, prof, eps)
+    with pytest.raises(DomainError, match=re.escape(phrase)):
+        advance(field, prof, eps, 1e-6)
+
+
+def test_only_the_solver_names_the_face_layout():
+    # the zero-ghost/periodic face layout lives in solver; other modules build their
+    # face differences with `_face_differences`
+    layout = {"_along", "_FIRST", "_LAST", "_split"}
+    for path in sorted(Path(af.__file__).parent.glob("*.py")):
+        if path.name != "solver.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            nodes = list(ast.walk(tree))
+            imported = {a.name for n in nodes if isinstance(n, ast.ImportFrom) for a in n.names}
+            used = {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+            assert not (imported | used) & layout, path.name
+
+
+# --- guards -----------------------------------------------------------------------------
+
+
+def _other_grid_fields():
+    grids = [af.build_grid([0.5], [8]), af.build_grid([0.5], [8], "periodic")]
+    return [af.Field(g, np.zeros(8), t) for g, t in zip(grids, (0.0, 0.1))]
+
+
+#: each guard of the solver's inputs that no other test reaches: (call, error, message)
+SOLVER_GUARDS = {
+    "grid lengths differ": (
+        lambda: af.build_grid([0.5, 0.5], [8]),
+        ConfigError,
+        "half_domain has 2 entries but resolution has 1",
+    ),
+    "field size": (
+        lambda: af.Field(af.build_grid([0.5], [8]), np.zeros(5), 0.0),
+        IngestionError,
+        "field has 5 values",
+    ),
+    "config dimension": (
+        lambda: af.SimConfig(
+            af.build_grid([0.5], [8]), af.InitialProfile("bump"),
+            af.derive_exponents([1.4, 1.6], 2), 0.1, 0.1,
+        ),
+        ConfigError,
+        "2 exponents for a 1-dimensional grid",
+    ),
+    "fields on two grids": (
+        lambda: af.Trajectory.from_fields(
+            af.build_grid([0.5], [8]), af.derive_exponents([1.5], 1), 0.1, _other_grid_fields()
+        ),
+        IngestionError,
+        "snapshot 1 lives on a different grid",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SOLVER_GUARDS))
+def test_solver_guards(case):
+    call, error, message = SOLVER_GUARDS[case]
+    with pytest.raises(error, match=re.escape(message)):
+        call()
+
+
+def test_a_config_error_from_one_string_holds_it_as_its_one_violation():
+    error = ConfigError("t_end must be nonnegative and finite, got -1.0")
+    assert error.violations == ["t_end must be nonnegative and finite, got -1.0"]
+    assert str(error) == "t_end must be nonnegative and finite, got -1.0"
