@@ -9,7 +9,6 @@ from .errors import BlowupError, ConfigError, DomainError, IngestionError
 from .extinction import (
     DecayReport,
     PowerLawFit,
-    decay_report,
     decay_reports,
     decay_samples,
     detect_extinction,
@@ -34,7 +33,6 @@ from .harnack import (
     check_lr_backward,
     check_lr_sup,
     cube_integral,
-    cube_sup,
     gamma_min,
     time_extremal,
 )

@@ -343,7 +343,6 @@ def _write_csv(path: str, header: list[str], rows: Iterable[Sequence], formatted
 def cmd_run(config: CampaignConfig, outdir: str | None = None) -> str:
     """Run the simulation and persist the trajectory; returns the run directory."""
     run_dir = outdir or config.outdir
-    os.makedirs(run_dir, exist_ok=True)
     traj = solver.run(config.sim)
     solver.save_trajectory(traj, os.path.join(run_dir, "trajectory"))
     return run_dir

@@ -255,11 +255,3 @@ def decay_reports(
         ))
     return samples, tuple(reports)
 
-
-def decay_report(
-    traj: Trajectory, rho: float, threshold: float, geometry: str = "intrinsic"
-) -> DecayReport:
-    """The `decay_reports` fit of one geometry near extinction."""
-    if geometry not in GEOMETRIES:
-        raise DomainError(f"geometry must be intrinsic or standard, got {geometry!r}")
-    return decay_reports(traj, rho, threshold)[1][GEOMETRIES.index(geometry)]

@@ -38,10 +38,6 @@ class ExponentProfile:
     lam_i: tuple[float, ...]
     strict_fast: bool
 
-    @property
-    def isotropic(self) -> bool:
-        return self.p[0] == self.p[-1]
-
     def lam_r(self, r: float) -> float:
         """N(p_bar - 2) + r*p_bar, the r-dependent scaling exponent."""
         return self.N * (self.p_bar - 2.0) + r * self.p_bar
@@ -87,7 +83,10 @@ def _require_fast(prof: ExponentProfile, what: str) -> None:
 
 
 def _require_positive(name: str, value: float) -> float:
-    """float(value) if it is positive and finite; a string is a TypeError, not a number."""
+    """float(value) if it is positive and finite; a string is a TypeError, not a number,
+    and a bool is no number either, though float(True) is 1.0."""
+    if isinstance(value, bool):
+        raise DomainError(f"{name} must be a number, got {value!r}")
     if not 0.0 < value < math.inf:  # NaN fails every comparison
         raise DomainError(f"{name} must be positive and finite, got {float(value)!r}")
     return float(value)
@@ -208,6 +207,8 @@ def smallness_violated(
     """
     if mode not in GEOMETRIES:
         raise DomainError(f"unknown smallness mode {mode!r}")
+    if isinstance(C, bool):  # float(True) is 1.0
+        raise DomainError(f"C must be a number, got {C!r}")
     C = float(C)
     if C < 0.0 or not math.isfinite(C):
         raise DomainError(f"C must be nonnegative and finite, got {C!r}")

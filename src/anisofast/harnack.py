@@ -91,18 +91,14 @@ def gamma_min(lhs: float, rhs_terms) -> float:
 # --- cube quadrature ---------------------------------------------------------
 
 
-def _footprint(grid: Grid, cube: CubeSpec) -> tuple[tuple, tuple, tuple]:
-    """The cube's footprint on the grid, per axis: the read-only overlap fraction
-    of each cell with the cube (0..1), the span of nonzero weight, and the span
-    of the cells whose centers lie in the open cube (a span is None if empty)."""
-    if cube.N != grid.N:
-        raise DomainError(f"cube dimension {cube.N} != grid dimension {grid.N}")
-    return _cached_footprint(grid, cube.center, cube.half_widths)
-
-
 @functools.lru_cache(maxsize=1024)  # footprints; a bench analyze reads 2 to 36 distinct ones
-def _cached_footprint(grid: Grid, center: tuple, half_widths: tuple) -> tuple:
-    """`_footprint` of every cube with this center and these half-widths (any kind, rho, t)."""
+def _footprint(grid: Grid, center: tuple, half_widths: tuple) -> tuple[tuple, tuple, tuple]:
+    """The footprint on the grid of every cube with this center and these half-widths (any
+    kind, rho, t), per axis: the read-only overlap fraction of each cell with the cube
+    (0..1), the span of nonzero weight, and the span of the cells whose centers lie in
+    the open cube (a span is None if empty)."""
+    if len(half_widths) != grid.N:
+        raise DomainError(f"cube dimension {len(half_widths)} != grid dimension {grid.N}")
     weights, open_spans = [], []
     for i in range(grid.N):
         h = grid.spacings[i]
@@ -149,7 +145,7 @@ def _cube_integrals(grid: Grid, rows: np.ndarray, cube: CubeSpec, r: float) -> n
     """
     if r < 1.0:
         raise DomainError(f"integral order r must be >= 1, got {r!r}")
-    weights, spans, _ = _footprint(grid, cube)
+    weights, spans, _ = _footprint(grid, cube.center, cube.half_widths)
     if None in spans:
         warnings.warn("cube does not intersect the grid domain; integral is 0", stacklevel=3)
         return np.zeros(len(rows))
@@ -162,7 +158,7 @@ def _cube_integrals(grid: Grid, rows: np.ndarray, cube: CubeSpec, r: float) -> n
 
 def _cube_sups(grid: Grid, rows: np.ndarray, cube: CubeSpec) -> np.ndarray:
     """Maximum over the cells whose centers lie in the (open) cube, per row."""
-    spans = _footprint(grid, cube)[2]
+    spans = _footprint(grid, cube.center, cube.half_widths)[2]
     if None in spans:
         warnings.warn("no cell centers inside the cube; sup is 0", stacklevel=3)
         return np.zeros(len(rows))
@@ -176,11 +172,6 @@ def cube_integral(field: Field, cube: CubeSpec, r: float = 1.0) -> float:
     clamp round-off negatives, and fractional powers must not see them.
     """
     return float(_cube_integrals(field.grid, field.values[None], cube, r)[0])
-
-
-def cube_sup(field: Field, cube: CubeSpec) -> float:
-    """Maximum of u over cells whose centers lie in the (open) cube."""
-    return float(_cube_sups(field.grid, field.values[None], cube)[0])
 
 
 def cube_contained(cube: CubeSpec, grid: Grid) -> bool:
@@ -417,13 +408,15 @@ def option_violations(kind: str, options: dict) -> list[str]:
     found = []
     if "geometry" in options and options["geometry"] not in GEOMETRIES:
         found.append(f"geometry must be one of {GEOMETRIES}, got {options['geometry']!r}")
-    for name in ("rho", "t"):
-        if name in options and not 0.0 < options[name] < math.inf:  # NaN fails every comparison
-            found.append(f"{name} must be positive and finite, got {float(options[name])!r}")
-    if "r" in options:
-        found.append(CHECKS[kind].r_violation(options["r"]))
-    if "C" in options and not 0.0 <= options["C"] < math.inf:
-        found.append(f"C must be nonnegative and finite, got {float(options['C'])!r}")
+    for name, x in ((name, options[name]) for name in ("rho", "t", "r", "C") if name in options):
+        if isinstance(x, bool):  # float(True) is 1.0, but a bool is not a number here
+            found.append(f"{name} must be a number, got {x!r}")
+        elif name == "r":
+            found.append(CHECKS[kind].r_violation(x))
+        elif name == "C" and not 0.0 <= x < math.inf:
+            found.append(f"C must be nonnegative and finite, got {float(x)!r}")
+        elif name in ("rho", "t") and not 0.0 < x < math.inf:  # NaN fails every comparison
+            found.append(f"{name} must be positive and finite, got {float(x)!r}")
     return [problem for problem in found if problem]
 
 

@@ -318,7 +318,7 @@ def caccioppoli_report(
 
     ramp_len = 0.25 * (t2 - t1)
     xi = np.clip((np.asarray(times) - t1) / ramp_len, 0.0, 1.0)
-    weights, box, _ = _footprint(grid, cutoff.outer)
+    weights, box, _ = _footprint(grid, cutoff.outer.center, cutoff.outer.half_widths)
     w_box = [w[span] for w, span in zip(weights, box)]
     zeta = cutoff.values(grid)[box]
     blocks = _box(grid, traj.values[window], box)
@@ -328,25 +328,29 @@ def caccioppoli_report(
     # rows: the gradient integrands per axis, (u-k)_+^{p_i} per axis, chi_{[u>k]}
     series = np.empty((2 * n + 1, len(times)))
     sup_term = 0.0
-    with np.errstate(divide="ignore"):  # log 0 = -inf, and exp(a * -inf) = 0
-        for j, (u, x) in enumerate(zip(blocks, xi)):
-            trunc = np.maximum(u - k, 0.0)
-            sup_term = max(sup_term, float((trunc**2 * zeta).sum()) * vol * x)
-            v = trunc * zeta * x
-            for i, (pi, h) in enumerate(zip(prof.p, grid.spacings)):
-                series[i, j] = _face_power_sum(v, i, pi) * h**-pi * vol
-                series[n + i, j] = _contract(trunc**pi, w_box) * vol
-            series[2 * n, j] = _contract(u > k, w_box) * vol
-    integrals = np.trapezoid(series, times).tolist()
+    try:
+        with np.errstate(divide="ignore"):  # log 0 = -inf, and exp(a * -inf) = 0
+            for j, (u, x) in enumerate(zip(blocks, xi)):
+                trunc = np.maximum(u - k, 0.0)
+                sup_term = max(sup_term, float((trunc**2 * zeta).sum()) * vol * x)
+                v = trunc * zeta * x
+                for i, (pi, h) in enumerate(zip(prof.p, grid.spacings)):
+                    series[i, j] = _face_power_sum(v, i, pi) * h**-pi * vol
+                    series[n + i, j] = _contract(trunc**pi, w_box) * vol
+                series[2 * n, j] = _contract(u > k, w_box) * vol
+        integrals = np.trapezoid(series, times).tolist()
 
-    lhs = sup_term + sum(integrals[:n])
-    t_grad = 0.0
-    for i, pi in enumerate(prof.p):
-        dzi = cutoff.derivative_bound(i)
-        t_grad += dzi**pi * (1.0 + (C / dzi) ** pi) * integrals[n + i]
-    q_measure = math.prod(float(w.sum()) for w in w_box) * vol * (t2 - t1)
-    t_time = (1.0 / ramp_len) * q_measure
-    t_inhom = sum(C**pi for pi in prof.p) * integrals[2 * n]
+        lhs = sup_term + sum(integrals[:n])
+        t_grad = 0.0
+        for i, pi in enumerate(prof.p):
+            dzi = cutoff.derivative_bound(i)
+            t_grad += dzi**pi * (1.0 + (C / dzi) ** pi) * integrals[n + i]
+        q_measure = math.prod(float(w.sum()) for w in w_box) * vol * (t2 - t1)
+        t_time = (1.0 / ramp_len) * q_measure
+        t_inhom = sum(C**pi for pi in prof.p) * integrals[2 * n]
+    except ArithmeticError as exc:  # a float ** or / past float64, as in `harnack._evaluate`
+        where = f"caccioppoli k={k!r} window=[{t1}, {t2}]"
+        raise DomainError(f"{where}: arithmetic out of float range: {exc!r}") from exc
 
     terms = {"gradient": t_grad, "time": t_time, "inhomogeneity": t_inhom}
     return InequalityReport(

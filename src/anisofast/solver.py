@@ -183,10 +183,10 @@ class InitialProfile:
         violations = []
         if self.kind not in PROFILE_KINDS:
             violations.append(f"unknown initial profile {self.kind!r}")
-        if not 0.0 <= self.amplitude < math.inf:  # NaN fails every comparison
-            violations.append(f"amplitude must be nonnegative and finite, got {self.amplitude}")
-        if self.kind in ("bump", "plateau") and not self.radius > 0.0:
-            violations.append(f"radius must be positive, got {self.radius}")
+        a, radius = self.amplitude, self.radius  # NaN fails every comparison
+        violations += _violation("amplitude", a, 0.0 <= a < math.inf, "be nonnegative and finite")
+        uses_radius = self.kind in ("bump", "plateau")
+        violations += _violation("radius", radius, not uses_radius or radius > 0.0, "be positive")
         if self.kind == "from_file" and not isinstance(self.path or None, (str, os.PathLike)):
             violations.append(f"from_file profile requires a path, got {self.path!r}")
         if violations:
@@ -435,8 +435,8 @@ def stable_dt(
     derivative exceeds a_i_max by at most 1/(p_i - 1), so safety is clamped
     at p_1 - 1 (p_1 the smallest exponent): every step is monotone.
     """
-    if not 0.0 < safety <= 1.0:
-        raise DomainError(f"safety must lie in (0, 1], got {safety!r}")
+    if problems := _range_violations(safety=safety):
+        raise DomainError("; ".join(problems))
     return min(safety, prof.p[0] - 1.0) / _kernel_at(field, prof, eps).rate()
 
 
@@ -465,16 +465,21 @@ def uniform_snapshots(t_end: float, count: int) -> tuple[float, ...]:
     return tuple(np.linspace(0.0, t_end, n))
 
 
+def _violation(name: str, value, ok: bool, rule: str) -> list[str]:
+    """[] if `ok`, else why value breaks the rule; a bool is not a number, though
+    float(True) is 1.0 (the config's `_real` says so in the same words)."""
+    if isinstance(value, bool):
+        return [f"{name} must be a number, got {value!r}"]
+    return [] if ok else [f"{name} must {rule}, got {value}"]
+
+
 def _range_violations(t_end=0.0, eps=1.0, safety=0.5) -> list[str]:
     """The violations of SimConfig's scalar ranges; each default lies in its range."""
-    violations = []
-    if not 0.0 <= t_end < math.inf:  # NaN fails every comparison
-        violations.append(f"t_end must be nonnegative and finite, got {t_end}")
-    if not 0.0 < eps < math.inf:
-        violations.append(f"eps must be positive and finite, got {eps}")
-    if not 0.0 < safety <= 1.0:
-        violations.append(f"safety must lie in (0, 1], got {safety}")
-    return violations
+    return [  # NaN fails every comparison
+        *_violation("t_end", t_end, 0.0 <= t_end < math.inf, "be nonnegative and finite"),
+        *_violation("eps", eps, 0.0 < eps < math.inf, "be positive and finite"),
+        *_violation("safety", safety, 0.0 < safety <= 1.0, "lie in (0, 1]"),
+    ]
 
 
 def _power(x: float, a: float) -> float:
@@ -613,19 +618,6 @@ class Trajectory:
             self._memo[key] = measure()
         return self._memo[key]
 
-    @classmethod
-    def from_fields(
-        cls, grid: Grid, exponents: ExponentProfile, eps: float, fields: Sequence[Field]
-    ) -> "Trajectory":
-        """Stack time-ordered fields on `grid` into one trajectory."""
-        values = np.empty((len(fields), grid.n_cells))
-        for k, f in enumerate(fields):
-            if f.grid != grid:
-                raise IngestionError(f"snapshot {k} lives on a different grid")
-            values[k] = f.values
-        values.flags.writeable = False
-        return cls(grid, exponents, eps, values, tuple(f.time for f in fields))
-
     @property
     def snapshots(self) -> list[Field]:
         """One `Field` per row, sharing memory with `values`."""
@@ -655,7 +647,9 @@ class Trajectory:
 
 @np.errstate(over="ignore", invalid="ignore")  # reported as BlowupError, as in `advance`
 def run(config: SimConfig) -> Trajectory:
-    """Integrate to t_end, hitting every snapshot time exactly; deterministic.
+    """Integrate to the last snapshot time, hitting every snapshot time exactly;
+    deterministic.  `SimConfig` bounds that time only from above, by t_end, so a
+    schedule that ends before t_end ends the run there (`Trajectory.end_time`).
 
     `stable_dt`, `advance` and `run` build their kernel through `_kernel_at`
     and step it with `rate()` and `step(dt)`.  `run` adds the step choice,
@@ -803,11 +797,6 @@ def load_trajectory(path: str) -> Trajectory:
         )
         p = [_real(x, "p") for x in manifest["p"]]
         prof = derive_exponents(p, _integer(manifest["dimension"], "dimension"))
-        if prof.N != grid.N:
-            raise IngestionError(
-                f"manifest.json in {path!r} gives {prof.N} exponents for a "
-                f"{grid.N}-dimensional grid"
-            )
         times = tuple(_real(t, "times") for t in manifest["times"])
         eps, initial_sup = (_real(manifest[k], k) for k in ("eps", "initial_sup"))
         steps, mass_drift, min_value = (manifest[k] for k in ("steps", "mass_drift", "min_value"))

@@ -45,18 +45,15 @@ def zero_traj_1d():
     """Hand-built all-zero trajectory (no solver run needed)."""
     prof = af.derive_exponents([1.5], 1)
     grid = af.build_grid([0.5], [64], "dirichlet_zero")
-    snaps = [af.Field(grid, np.zeros(64), t) for t in (0.0, 0.05, 0.1)]
-    return af.Trajectory.from_fields(grid, prof, 1e-3, snaps)
+    return af.Trajectory(grid, prof, 1e-3, np.zeros((3, 64)), (0.0, 0.05, 0.1))
 
 
 def synthetic_power_trajectory(prof, grid, shape_field, t_star=1.0, n_snap=51):
     """u(x, tau) = (t_star - tau)^(1/(2 - p_bar)) * phi(x), final snapshot exactly zero."""
     exponent = 1.0 / (2.0 - prof.p_bar)
     times = np.linspace(0.0, t_star, n_snap)
-    snaps = [
-        af.Field(grid, (t_star - t) ** exponent * shape_field, t) for t in times
-    ]
-    return af.Trajectory.from_fields(grid, prof, 1e-9, snaps)
+    rows = [((t_star - t) ** exponent * shape_field).ravel() for t in times]
+    return af.Trajectory(grid, prof, 1e-9, rows, tuple(times))
 
 
 #: grids and eps on which the scheme's constants leave float64, with a phrase of the

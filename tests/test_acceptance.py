@@ -100,7 +100,7 @@ def test_criterion_01_geometry_invariants():
         for cube in (af.intrinsic_cube(rho, t, prof), af.standard_cube(rho, prof)):
             ref = (2.0 * rho) ** prof.N
             worst_volume = max(worst_volume, abs(cube.volume() - ref) / ref)
-            if prof.isotropic:
+            if prof.p[0] == prof.p[-1]:  # isotropic
                 worst_iso = max(
                     worst_iso, max(abs(w - rho) / rho for w in cube.half_widths)
                 )
@@ -193,7 +193,7 @@ def test_criterion_05_extinction_sup_exponent(extinction_runs):
     slopes = {}
     for eps, (traj, _) in extinction_runs.items():
         threshold = 1e-5 * traj.initial.sup()
-        rep = af.decay_report(traj, 0.1, threshold, "intrinsic")
+        _, (rep, _) = af.decay_reports(traj, 0.1, threshold)
         slopes[eps] = rep.sup_slope
     run_time = sum(elapsed for _, elapsed in extinction_runs.values())
     total = run_time + (time.perf_counter() - start)
@@ -212,7 +212,7 @@ def test_criterion_05_extinction_sup_exponent(extinction_runs):
 def test_criterion_06_extinction_mass_exponent(extinction_runs):
     traj, _ = extinction_runs[1e-4]
     threshold = 1e-5 * traj.initial.sup()
-    rep = af.decay_report(traj, 0.1, threshold, "intrinsic")
+    _, (rep, _) = af.decay_reports(traj, 0.1, threshold)
     _verdict(
         6,
         abs(rep.mass_slope - 2.0) <= 0.2,
@@ -393,8 +393,7 @@ def test_criterion_11_not_applicable_routing():
     # lam = 2(1.1 - 2) + 1.1 = -0.7 < 0: every L1-Linf report is not applicable
     prof_sub = af.derive_exponents([1.1, 1.1], 2)
     grid = af.build_grid([0.5, 0.5], [8, 8], "dirichlet_zero")
-    snaps = [af.Field(grid, np.full(64, 0.5), t) for t in (0.0, 0.1)]
-    traj = af.Trajectory.from_fields(grid, prof_sub, 1e-3, snaps)
+    traj = af.Trajectory(grid, prof_sub, 1e-3, np.full((2, 64), 0.5), (0.0, 0.1))
     na_intrinsic = af.check_l1linf(traj, 0.1, 0.1, "intrinsic")
     na_standard = af.check_l1linf(traj, 0.1, 0.1, "standard")
 
@@ -403,7 +402,7 @@ def test_criterion_11_not_applicable_routing():
     grid2 = af.build_grid([0.5, 0.5], [24, 24], "dirichlet_zero")
     shape = af.init_field(grid2, af.InitialProfile("bump", 1.0, 0.3)).values
     traj2 = synthetic_power_trajectory(prof_mix, grid2, shape, t_star=0.5, n_snap=41)
-    decay = af.decay_report(traj2, 0.1, 1e-9, "standard")
+    _, (_, decay) = af.decay_reports(traj2, 0.1, 1e-9)
     elapsed = time.perf_counter() - start
     routed = (
         not na_intrinsic.applicable

@@ -180,8 +180,7 @@ def test_not_applicable_rows_pinned():
     # lam = 2(1.1 - 2) + 1.1 = -0.7 and lam_r(1.5) = -1.8 + 1.65 = -0.15
     prof = af.derive_exponents([1.1, 1.1], 2)
     grid = af.build_grid([0.5, 0.5], [8, 8], "dirichlet_zero")
-    snaps = [af.Field(grid, np.zeros(64), t) for t in (0.0, 0.1)]
-    traj = af.Trajectory.from_fields(grid, prof, 1e-3, snaps)
+    traj = af.Trajectory(grid, prof, 1e-3, np.zeros((2, 64)), (0.0, 0.1))
     expected = [
         ("l1linf", ("L1Linf_intrinsic", "L1Linf_standard"), "lam=-0.7 <= 0 (subcritical range)"),
         ("lr_sup", ("LrLinf_sup", "LrLinf_sup_standard"), "lam_r=-0.15 <= 0"),
@@ -208,8 +207,8 @@ def test_any_p_equal_to_2_is_not_applicable(kind, geometry):
     prof = af.derive_exponents([1.5, 2.0], 2)
     grid = af.build_grid([0.5, 0.5], [16, 16], "dirichlet_zero")
     bump = af.init_field(grid, af.InitialProfile("bump", 1.0, 0.3)).values
-    snaps = [af.Field(grid, (1.0 - t) * bump, t) for t in (0.0, 0.05, 0.1)]
-    traj = af.Trajectory.from_fields(grid, prof, 1e-3, snaps)
+    times = (0.0, 0.05, 0.1)
+    traj = af.Trajectory(grid, prof, 1e-3, [(1.0 - t) * bump for t in times], times)
     rep = CHECKERS[kind](traj, 0.1, 0.1, 2.0, geometry)
     theorems = harnack.CHECKS[kind].theorems
     assert rep.theorem == theorems[GEOMETRIES.index(geometry)] and not rep.applicable
@@ -421,8 +420,9 @@ def _bump_trajectory_1d(p: float):
     """A 1D bump on 16 cells that decays linearly over t = 0, 0.05 and 0.1."""
     grid = af.build_grid([0.5], [16], "dirichlet_zero")
     bump = af.init_field(grid, af.InitialProfile("bump", 1.0, 0.3)).values
-    snaps = [af.Field(grid, (1.0 - t) * bump, t) for t in (0.0, 0.05, 0.1)]
-    return af.Trajectory.from_fields(grid, af.derive_exponents([p], 1), 1e-3, snaps)
+    times = (0.0, 0.05, 0.1)
+    rows = [(1.0 - t) * bump for t in times]
+    return af.Trajectory(grid, af.derive_exponents([p], 1), 1e-3, rows, times)
 
 
 def _parse_violations(p: float, kind: str, options: dict) -> list:

@@ -1201,7 +1201,7 @@ def test_main_rejects_a_manifest_whose_exponents_miss_the_grid(tmp_path, capsys)
     capsys.readouterr()
     assert main(["analyze", "--config", str(config_path)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: manifest.json in "), err
+    assert err.startswith("error: invalid manifest.json in "), err
     assert "2 exponents for a 1-dimensional grid" in err, err
     assert not (out / "checks.csv").exists()  # stopped at load, before the check
 

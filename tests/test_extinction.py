@@ -39,8 +39,8 @@ def test_detect_log_interpolation_accuracy():
     grid = af.build_grid([0.5], [16], "dirichlet_zero")
     base = np.ones(16)
     times = np.linspace(0.0, 1.0, 21)
-    snaps = [af.Field(grid, math.exp(-10.0 * t) * base, t) for t in times]
-    traj = af.Trajectory.from_fields(grid, prof, 1e-9, snaps)
+    rows = [math.exp(-10.0 * t) * base for t in times]
+    traj = af.Trajectory(grid, prof, 1e-9, rows, tuple(times))
     threshold = 1e-3
     expected = -math.log(threshold) / 10.0
     assert af.detect_extinction(traj, threshold) == pytest.approx(expected, abs=1e-9)
@@ -109,8 +109,7 @@ def test_synthetic_recovery_isotropic():
     threshold = 1e-9
     t_star = af.detect_extinction(traj, threshold)
     assert abs(t_star - 1.0) <= 1.0 / 50.0
-    for geometry in ("intrinsic", "standard"):
-        rep = af.decay_report(traj, 0.1, threshold, geometry)
+    for rep in af.decay_reports(traj, 0.1, threshold)[1]:
         assert abs(rep.mass_slope - 2.0) <= 1e-6
         assert abs(rep.sup_slope - 2.0) <= 1e-6
         assert rep.mass_theory == pytest.approx(2.0)
@@ -122,7 +121,7 @@ def test_synthetic_recovery_anisotropic_standard():
     prof = af.derive_exponents([1.3, 1.7], 2)
     grid = af.build_grid([0.5, 0.5], [48, 48], "dirichlet_zero")
     traj = synthetic_power_trajectory(prof, grid, _bump_values(grid), t_star=1.0, n_snap=41)
-    rep = af.decay_report(traj, 0.1, 1e-9, "standard")
+    _, (_, rep) = af.decay_reports(traj, 0.1, 1e-9)
     expected = 1.0 / (2.0 - prof.p_bar)
     assert abs(rep.mass_slope - expected) <= 1e-6
     assert rep.mass_theory == pytest.approx(1.0 / (2.0 - 1.7))
@@ -133,7 +132,7 @@ def test_standard_sup_fit_not_applicable():
     prof = af.derive_exponents([1.2, 1.8], 2)
     grid = af.build_grid([0.5, 0.5], [32, 32], "dirichlet_zero")
     traj = synthetic_power_trajectory(prof, grid, _bump_values(grid), t_star=0.5, n_snap=41)
-    rep = af.decay_report(traj, 0.1, 1e-9, "standard")
+    _, (_, rep) = af.decay_reports(traj, 0.1, 1e-9)
     assert not rep.sup_applicable
     assert math.isnan(rep.sup_slope)
     assert "lam_i" in rep.reason
@@ -159,15 +158,15 @@ def test_intrinsic_sup_fit_not_applicable_when_lam_is_not_positive():
     assert prof.lam == pytest.approx(-0.256, abs=1e-3)
     grid = af.build_grid([0.5, 0.5], [32, 32], "dirichlet_zero")
     traj = synthetic_power_trajectory(prof, grid, _bump_values(grid), t_star=0.5, n_snap=41)
-    rep = af.decay_report(traj, 0.1, 1e-9, "intrinsic")
+    _, (rep, _) = af.decay_reports(traj, 0.1, 1e-9)
     assert math.isnan(rep.sup_theory) and not rep.sup_applicable
     assert rep.reason == "lam=-0.256 <= 0"
     assert rep.mass_applicable and rep.mass_theory == pytest.approx(1.0 / (2.0 - prof.p_bar))
 
 
 def test_decay_reports_fit_both_geometries_on_one_sample_set():
-    # decay_report(geometry) is one entry of decay_reports, whose samples are
-    # decay_samples at the detected t_star; a rate the theory table leaves
+    # decay_reports fits both geometries on one sample set, decay_samples at
+    # the detected t_star; a rate the theory table leaves
     # not finite is reported not-applicable
     prof = af.derive_exponents([1.2, 1.8], 2)
     grid = af.build_grid([0.5, 0.5], [32, 32], "dirichlet_zero")
@@ -178,7 +177,6 @@ def test_decay_reports_fit_both_geometries_on_one_sample_set():
         np.testing.assert_array_equal(getattr(samples, name), values)  # NaN equals NaN
     assert [rep.geometry for rep in reports] == ["intrinsic", "standard"]
     for rep in reports:
-        assert repr(rep) == repr(af.decay_report(traj, 0.1, 1e-9, rep.geometry))
         for quantity in ("mass", "sup"):
             finite = math.isfinite(getattr(rep, f"{quantity}_theory"))
             assert getattr(rep, f"{quantity}_applicable") == finite
@@ -327,13 +325,13 @@ def test_threshold_must_be_positive_and_finite(threshold):
 
 def test_decay_report_requires_crossing(run_1d_fast):
     with pytest.raises(DomainError):
-        af.decay_report(run_1d_fast, 0.1, 1e-30, "intrinsic")
+        af.decay_reports(run_1d_fast, 0.1, 1e-30)
 
 
 def test_decay_report_solver_run_isotropic(run_1d_fast):
     # coarse-regularization run still lands near the predicted exponent 2.0
     threshold = 1e-4 * run_1d_fast.initial.sup()
-    rep = af.decay_report(run_1d_fast, 0.1, threshold, "intrinsic")
+    _, (rep, _) = af.decay_reports(run_1d_fast, 0.1, threshold)
     assert rep.sup_applicable
     assert rep.sup_theory == pytest.approx(2.0)
     assert abs(rep.sup_slope - 2.0) <= 0.8  # coarse eps biases the tail
@@ -357,10 +355,6 @@ DECAY_GUARDS = {
     "t_star at the first snapshot": (
         lambda: af.decay_samples(_zero_ended_1d(), 0.1, 0.0, 1e-3),
         "no snapshots strictly before t_star",
-    ),
-    "geometry": (
-        lambda: af.decay_report(_zero_ended_1d(), 0.1, 1e-3, "round"),
-        "geometry must be intrinsic or standard, got 'round'",
     ),
 }
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import anisofast as af
 from anisofast.errors import DomainError
+from anisofast.harnack import _cube_sups
 
 
 def _field_2d(values, half=0.5, boundary="dirichlet_zero"):
@@ -110,7 +111,7 @@ def test_cube_integral_empty_intersection_warns():
     with pytest.warns(UserWarning):
         assert af.cube_integral(field, far, 1.0) == 0.0
     with pytest.warns(UserWarning):
-        assert af.cube_sup(field, far) == 0.0
+        assert _cube_sups(field.grid, field.values[None], far)[0] == 0.0
 
 
 def test_cube_sup_matches_bruteforce():
@@ -126,8 +127,9 @@ def test_cube_sup_matches_bruteforce():
         for j in range(25)
         if abs(xs[i] - 0.0) < 0.3 and abs(ys[j] - 0.1) < 0.2
     )
-    assert af.cube_sup(field, cube) == best
-    assert af.cube_sup(_field_2d(np.full((16, 16), 0.7)), _iso_cube(0.25)) == 0.7
+    assert _cube_sups(grid, field.values[None], cube)[0] == best
+    flat = _field_2d(np.full((16, 16), 0.7))
+    assert _cube_sups(flat.grid, flat.values[None], _iso_cube(0.25))[0] == 0.7
 
 
 # --- time_extremal --------------------------------------------------------------
@@ -169,8 +171,7 @@ def test_l1l1_zero_trajectory(zero_traj_1d):
 def test_l1l1_constant_periodic_trajectory():
     prof = af.derive_exponents([1.5, 1.5], 2)
     grid = af.build_grid([0.5, 0.5], [16, 16], "periodic")
-    snaps = [af.Field(grid, np.full(256, 0.8), t) for t in (0.0, 0.05, 0.1)]
-    traj = af.Trajectory.from_fields(grid, prof, 1e-3, snaps)
+    traj = af.Trajectory(grid, prof, 1e-3, np.full((3, 256), 0.8), (0.0, 0.05, 0.1))
     rep = af.check_l1l1(traj, 0.1, 0.1, "intrinsic")
     assert rep.lhs == pytest.approx(0.8 * 0.2**2, rel=1e-12)
     assert rep.gamma_min <= 1.0
@@ -201,8 +202,7 @@ def test_l1linf_not_applicable_subcritical(zero_traj_1d):
     prof = af.derive_exponents([1.1, 1.1], 2)
     assert prof.lam == pytest.approx(-0.7, abs=1e-12)
     grid = af.build_grid([0.5, 0.5], [8, 8], "dirichlet_zero")
-    snaps = [af.Field(grid, np.zeros(64), t) for t in (0.0, 0.1)]
-    traj = af.Trajectory.from_fields(grid, prof, 1e-3, snaps)
+    traj = af.Trajectory(grid, prof, 1e-3, np.zeros((2, 64)), (0.0, 0.1))
     rep = af.check_l1linf(traj, 0.1, 0.1, "intrinsic")
     assert not rep.applicable
     assert "lam" in rep.reason
@@ -308,8 +308,7 @@ def test_report_row_consistency(run_2d_aniso):
 
 def _two_snapshots():
     grid, prof = af.build_grid([0.5], [8]), af.derive_exponents([1.5], 1)
-    fields = [af.Field(grid, np.ones(8), t) for t in (0.0, 0.05)]
-    return af.Trajectory.from_fields(grid, prof, 1e-3, fields)
+    return af.Trajectory(grid, prof, 1e-3, np.ones((2, 8)), (0.0, 0.05))
 
 
 #: each guard of the quadrature's arguments that no other test reaches: (call, message)

@@ -488,6 +488,14 @@ def _cube(center, half_widths):
     return af.CubeSpec(center, half_widths, "standard", rho)
 
 
+def _caccioppoli_on_a_tiny_grid():
+    """h = 2.5e-301, so h^-p passes 1e308: once a bare OverflowError."""
+    grid, prof = af.build_grid([1e-300], [8]), af.derive_exponents([1.5], 1)
+    traj = af.Trajectory(grid, prof, 1e-3, np.ones((3, 8)), (0.0, 0.05, 0.1))
+    cut = CutoffSpec(af.standard_cube(2e-301, prof), af.standard_cube(5e-301, prof), prof.p)
+    return caccioppoli_report(traj, prof, cut, 0.0, (0.0, 0.1))
+
+
 #: each guard of the lemmas' arguments that no other test reaches: (call, message)
 LEMMA_GUARDS = {
     "young conjugate q": (lambda: young_conjugate(1.0), "q must exceed 1, got 1.0"),
@@ -519,6 +527,10 @@ LEMMA_GUARDS = {
     "cutoff centers": (
         lambda: CutoffSpec(_cube((0.1,), (0.1,)), _cube((0.0,), (0.3,)), (1.5,)),
         "cutoff cubes must be concentric",
+    ),
+    "caccioppoli float range": (
+        _caccioppoli_on_a_tiny_grid,
+        "caccioppoli k=0.0 window=[0.0, 0.1]: arithmetic out of float range: OverflowError(",
     ),
 }
 

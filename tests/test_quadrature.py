@@ -97,7 +97,7 @@ def test_batched_sups_match_snapshot_loop(spec, placement):
     batched = _cube_sups(traj.grid, traj.values, cube)
     expected = [_loop_sup(traj.grid, row, cube) for row in traj.values]
     assert batched.tolist() == expected
-    assert [af.cube_sup(f, cube) for f in traj.snapshots] == expected
+    assert [_cube_sups(f.grid, f.values[None], cube)[0] for f in traj.snapshots] == expected
 
 
 @pytest.mark.parametrize("spec", GRIDS, ids=lambda s: f"{len(s[1])}d-{s[2]}")
@@ -180,11 +180,11 @@ def _reductions(traj, cube):
 def test_cached_footprint_gives_the_bits_and_warnings_of_a_cold_one(spec, placement):
     traj = _trajectory(*spec)
     for cube in _random_cubes(spec[0], placement):
-        harnack._cached_footprint.cache_clear()
+        harnack._footprint.cache_clear()
         cold = _reductions(traj, cube)
-        assert harnack._cached_footprint.cache_info().misses == 1
+        assert harnack._footprint.cache_info().misses == 1
         warm = _reductions(traj, cube)
-        assert harnack._cached_footprint.cache_info().misses == 1
+        assert harnack._footprint.cache_info().misses == 1
         assert warm == cold
         if placement == "outside":
             assert cold[1] == [
@@ -200,7 +200,7 @@ def test_cached_weights_are_read_only_and_shared_by_equal_footprints():
     grid = af.build_grid([0.5, 0.4], [24, 18], "dirichlet_zero")
     prof = af.derive_exponents([1.5, 1.5], 2)  # isotropic: every intrinsic K_rho has width rho
     cubes = [af.intrinsic_cube(0.1, t, prof) for t in (0.01, 0.02)] + [af.standard_cube(0.1, prof)]
-    footprints = [_footprint(grid, cube) for cube in cubes]
+    footprints = [_footprint(grid, cube.center, cube.half_widths) for cube in cubes]
     assert all(f is footprints[0] for f in footprints)
     weights, spans, open_spans = footprints[0]
     assert spans == (slice(9, 15), slice(6, 12))  # the cells that meet [-0.1, 0.1]^2

@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import functools
 import json
 import re
 import tracemalloc
@@ -330,6 +331,58 @@ def test_trajectory_rejects_a_boolean_number(eps, times, message):
         af.Trajectory(grid, af.derive_exponents([1.5], 1), eps, np.ones((2, 64)), times)
 
 
+def _calls_with_a_boolean(b):
+    """{entry point and argument: (the name of the number, its error, the call with b for
+    it)} for each public scalar guard of the package."""
+    grid, prof = af.build_grid([0.5], [32]), af.derive_exponents([1.5], 1)
+    bump, bump_with = af.InitialProfile("bump"), functools.partial(af.InitialProfile, "bump")
+    field, cube = af.init_field(grid, bump), af.standard_cube(0.1, prof)
+    traj = af.Trajectory(grid, prof, 1e-2, np.zeros((2, 32)), (0.0, 0.1))
+    plane = af.init_field(af.build_grid([0.5, 0.5], [8, 8]), bump)
+    simulate = functools.partial(af.SimConfig, grid, bump, prof, eps=1e-2, t_end=0.1)
+    return {
+        "nu-t": ("t", DomainError, lambda: af.nu(b, 0.1, prof)),
+        "intrinsic_cube-rho": ("rho", DomainError, lambda: af.intrinsic_cube(b, 0.1, prof)),
+        "standard_cube-rho": ("rho", DomainError, lambda: af.standard_cube(b, prof)),
+        "scale_cube-factor": ("scale factor", DomainError, lambda: af.scale_cube(cube, b)),
+        "advance-dt": ("dt", DomainError, lambda: advance(field, prof, 1e-2, b)),
+        "stable_dt-eps": ("eps", DomainError, lambda: stable_dt(field, prof, b)),
+        "stable_dt-safety": ("safety", DomainError, lambda: stable_dt(field, prof, 1e-2, b)),
+        "detect_extinction-threshold": (
+            "threshold", DomainError, lambda: af.detect_extinction(traj, b)
+        ),
+        "sobolev_ratio-t_extent": (
+            "t_extent",
+            DomainError,
+            lambda: af.sobolev_ratio(plane, af.derive_exponents([1.5, 1.5], 2), 0.2, 1.0, b),
+        ),
+        **{
+            f"SimConfig-{key}": (key, ConfigError, functools.partial(simulate, **{key: b}))
+            for key in ("t_end", "eps", "safety")
+        },
+        **{
+            f"InitialProfile-{key}": (key, ConfigError, functools.partial(bump_with, **{key: b}))
+            for key in ("amplitude", "radius")
+        },
+        "smallness_violated-C": (
+            "C", DomainError, lambda: af.smallness_violated(b, 0.1, 0.1, prof, "intrinsic")
+        ),
+        "check_l1l1-rho": ("rho", DomainError, lambda: af.check_l1l1(traj, b, 0.1)),
+        "check_l1l1-C": ("C", DomainError, lambda: af.check_l1l1(traj, 0.1, 0.1, C=b)),
+    }
+
+
+@pytest.mark.parametrize("b", [True, False])
+@pytest.mark.parametrize("case", sorted(_calls_with_a_boolean(True)))
+def test_python_api_rejects_a_boolean_for_any_number(case, b):
+    # float(True) is 1.0, but a bool is not a number, in the config's words
+    name, error, call = _calls_with_a_boolean(b)[case]
+    message = f"{name} must be a number, got {b!r}"
+    with pytest.raises(error) as excinfo:
+        call()
+    assert (excinfo.value.violations if error is ConfigError else [str(excinfo.value)]) == [message]
+
+
 @pytest.mark.filterwarnings("error")
 def test_run_rejects_a_periodic_datum_whose_mass_overflows(tmp_path):
     # the 32 cells of 1e307 sum to inf, so no drift |mass - inf| / inf could
@@ -360,6 +413,17 @@ def test_stable_dt_of_a_huge_periodic_field_sums_nothing():
 def test_run_hits_snapshot_times_exactly(run_1d_fast):
     times = np.array(run_1d_fast.times)
     assert np.array_equal(times, np.linspace(0.0, 0.4, 201))
+
+
+def test_run_ends_at_the_last_snapshot_time_not_at_t_end():
+    # SimConfig bounds the schedule only from above, so one that ends early ends the run
+    cfg = af.SimConfig(
+        af.build_grid([0.5], [32]), af.InitialProfile("bump"), af.derive_exponents([1.5], 1),
+        eps=1e-2, t_end=0.1, snapshot_times=(0.0, 0.01, 0.02),
+    )
+    traj = af.run(cfg)
+    assert traj.times == cfg.snapshot_times
+    assert traj.end_time == cfg.snapshot_times[-1] == 0.02 < cfg.t_end
 
 
 def test_run_sup_strictly_decreasing(run_1d_fast):
@@ -447,8 +511,8 @@ def test_step_count_survives_load_and_save(tmp_path, run_1d_fast):
 
 def _scaled(traj, factor, count):
     """The first `count` snapshots of traj times factor, on the same grid."""
-    fields = [af.Field(traj.grid, factor * f.values, f.time) for f in traj.snapshots[:count]]
-    return af.Trajectory.from_fields(traj.grid, traj.exponents, traj.eps, fields)
+    rows = factor * traj.values[:count]
+    return af.Trajectory(traj.grid, traj.exponents, traj.eps, rows, traj.times[:count])
 
 
 class _DyingFile:
@@ -1172,11 +1236,6 @@ def test_only_the_solver_names_the_face_layout():
 # --- guards -----------------------------------------------------------------------------
 
 
-def _other_grid_fields():
-    grids = [af.build_grid([0.5], [8]), af.build_grid([0.5], [8], "periodic")]
-    return [af.Field(g, np.zeros(8), t) for g, t in zip(grids, (0.0, 0.1))]
-
-
 #: each guard of the solver's inputs that no other test reaches: (call, error, message)
 SOLVER_GUARDS = {
     "grid lengths differ": (
@@ -1196,13 +1255,6 @@ SOLVER_GUARDS = {
         ),
         ConfigError,
         "2 exponents for a 1-dimensional grid",
-    ),
-    "fields on two grids": (
-        lambda: af.Trajectory.from_fields(
-            af.build_grid([0.5], [8]), af.derive_exponents([1.5], 1), 0.1, _other_grid_fields()
-        ),
-        IngestionError,
-        "snapshot 1 lives on a different grid",
     ),
 }
 
