@@ -60,7 +60,7 @@ import numpy as np
 
 from . import extinction, harnack, lemmas, solver
 from .errors import BlowupError, ConfigError, DomainError, IngestionError
-from .geometry import derive_exponents
+from .geometry import _BOOLS, derive_exponents
 from .solver import (
     InitialProfile, SimConfig, _integer, _range_violations, _real, build_grid, uniform_snapshots
 )
@@ -314,7 +314,7 @@ def load_config(path: str) -> CampaignConfig:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
+    if isinstance(value, _BOOLS):
         return "true" if value else "false"
     if isinstance(value, float):  # np.float64 too, whose repr is "np.float64(...)"
         return repr(float(value))

@@ -15,9 +15,12 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .errors import DomainError
 
 GEOMETRIES = ("intrinsic", "standard")
+_BOOLS = (bool, np.bool_)  # float(True) is 1.0, but no guard takes a bool for a number
 
 #: relative tolerance for the (2*rho)^N volume identity of every cube
 VOLUME_RTOL = 1e-12
@@ -85,7 +88,7 @@ def _require_fast(prof: ExponentProfile, what: str) -> None:
 def _require_positive(name: str, value: float) -> float:
     """float(value) if it is positive and finite; a string is a TypeError, not a number,
     and a bool is no number either, though float(True) is 1.0."""
-    if isinstance(value, bool):
+    if isinstance(value, _BOOLS):
         raise DomainError(f"{name} must be a number, got {value!r}")
     if not 0.0 < value < math.inf:  # NaN fails every comparison
         raise DomainError(f"{name} must be positive and finite, got {float(value)!r}")
@@ -207,7 +210,7 @@ def smallness_violated(
     """
     if mode not in GEOMETRIES:
         raise DomainError(f"unknown smallness mode {mode!r}")
-    if isinstance(C, bool):  # float(True) is 1.0
+    if isinstance(C, _BOOLS):
         raise DomainError(f"C must be a number, got {C!r}")
     C = float(C)
     if C < 0.0 or not math.isfinite(C):

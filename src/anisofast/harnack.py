@@ -41,6 +41,7 @@ from .geometry import (
     CubeSpec,
     ExponentProfile,
     GEOMETRIES,
+    _BOOLS,
     intrinsic_cube,
     nu,
     nu_sigma,
@@ -101,10 +102,8 @@ def _footprint(grid: Grid, center: tuple, half_widths: tuple) -> tuple[tuple, tu
         raise DomainError(f"cube dimension {len(half_widths)} != grid dimension {grid.N}")
     weights, open_spans = [], []
     for i in range(grid.N):
-        h = grid.spacings[i]
-        centers = grid.axis_centers(i)
-        lo = center[i] - half_widths[i]
-        hi = center[i] + half_widths[i]
+        h, centers = grid.spacings[i], grid.axis_centers(i)
+        lo, hi = center[i] - half_widths[i], center[i] + half_widths[i]
         overlap = np.minimum(centers + 0.5 * h, hi) - np.maximum(centers - 0.5 * h, lo)
         w = np.clip(overlap, 0.0, h) / h
         w.flags.writeable = False  # every caller shares it
@@ -409,7 +408,7 @@ def option_violations(kind: str, options: dict) -> list[str]:
     if "geometry" in options and options["geometry"] not in GEOMETRIES:
         found.append(f"geometry must be one of {GEOMETRIES}, got {options['geometry']!r}")
     for name, x in ((name, options[name]) for name in ("rho", "t", "r", "C") if name in options):
-        if isinstance(x, bool):  # float(True) is 1.0, but a bool is not a number here
+        if isinstance(x, _BOOLS):
             found.append(f"{name} must be a number, got {x!r}")
         elif name == "r":
             found.append(CHECKS[kind].r_violation(x))

@@ -30,7 +30,7 @@ from typing import Any, Callable, Optional, Sequence
 import numpy as np
 
 from .errors import BlowupError, ConfigError, DomainError, IngestionError
-from .geometry import ExponentProfile, _require_positive, derive_exponents
+from .geometry import ExponentProfile, _BOOLS, _require_positive, derive_exponents
 
 BOUNDARIES = ("dirichlet_zero", "periodic")
 
@@ -46,7 +46,8 @@ WINDOW_RTOL = 1e-9
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform cell-centered grid on the box prod_i (-half_domain[i], half_domain[i])."""
+    """Uniform cell-centered grid on the box prod_i (-half_domain[i], half_domain[i]); each
+    axis's centres h (k - (n-1)/2) are odd bit for bit, as fl(h m) = -fl(h (-m))."""
 
     half_domain: tuple[float, ...]
     resolution: tuple[int, ...]
@@ -74,14 +75,14 @@ class Grid:
         return math.prod(self.spacings)  # no overflow warning: build_grid rejects inf
 
     def axis_centers(self, i: int) -> np.ndarray:
-        h = self.spacings[i]
-        return -self.half_domain[i] + h * (np.arange(self.resolution[i]) + 0.5)
+        n = self.resolution[i]
+        return self.spacings[i] * (np.arange(n) - (n - 1) / 2)
 
 
 def _count(n) -> Optional[int]:
     """n as an int when it is integral (32, 32.0, "32"); None when it is not (32.7, nan,
     inf, True: a bool is not a count, though float(True) is 1.0)."""
-    n = math.nan if isinstance(n, bool) else float(n)
+    n = math.nan if isinstance(n, _BOOLS) else float(n)
     return int(n) if n.is_integer() else None
 
 
@@ -89,7 +90,7 @@ def _real(value, name: str) -> float:
     """float(value), else a TypeError that names the value; a JSON true or false is
     not a number, though float(True) is 1.0.  Config and manifest numbers go through it."""
     reason = ""
-    if not isinstance(value, bool):
+    if not isinstance(value, _BOOLS):
         try:
             return float(value)
         except (TypeError, ValueError):
@@ -109,7 +110,7 @@ def _integer(value, name: str) -> int:
 
 def _is_real(value) -> bool:  # a JSON true or false is not a number, as for `_real`
     # a float first: the numbers.Real check costs ~1 us, once per snapshot time
-    return type(value) is float or isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return type(value) is float or isinstance(value, numbers.Real) and not isinstance(value, _BOOLS)
 
 
 def build_grid(
@@ -125,10 +126,7 @@ def build_grid(
             f"half_domain has {len(half)} entries but resolution has {len(res)}"
         )
     for x, given in zip(half, half_domain):
-        if isinstance(given, bool):  # float(True) is 1.0
-            violations.append(f"half_domain entry must be a number, got {given!r}")
-        elif not (x > 0.0) or not math.isfinite(x):
-            violations.append(f"half_domain entry must be positive, got {x!r}")
+        violations += _violation("half_domain entry", given, 0.0 < x < math.inf, "be positive")
     for n, given in zip(res, resolution):
         if n is None:
             violations.append(f"resolution must be an integer per axis, got {given!r}")
@@ -468,7 +466,7 @@ def uniform_snapshots(t_end: float, count: int) -> tuple[float, ...]:
 def _violation(name: str, value, ok: bool, rule: str) -> list[str]:
     """[] if `ok`, else why value breaks the rule; a bool is not a number, though
     float(True) is 1.0 (the config's `_real` says so in the same words)."""
-    if isinstance(value, bool):
+    if isinstance(value, _BOOLS):
         return [f"{name} must be a number, got {value!r}"]
     return [] if ok else [f"{name} must {rule}, got {value}"]
 
@@ -665,14 +663,14 @@ def run(config: SimConfig) -> Trajectory:
     could be measured, is a `DomainError` before the first step.
 
     `run` integrates on the lower half of each even axis along which the
-    datum's bytes equal its flip's (`_mirror_axes`; not a datum one ulp off,
-    nor a bump on 96 or 200 cells, whose centres are not exact mirrors).  A
-    step maps a mirrored u to the mirrored result exactly (fl(a - b) =
-    -fl(b - a), elementwise powers, a fixed axis order), so u stays even bit
-    for bit, as every row of the seed-0 1D and 3D bench runs is.  Rows and
-    periodic mass sums read `kernel.unfold()`: the full grid's bits, if numpy's
-    ufuncs give an element the same result wherever it sits in an array (the
-    test composing `stable_dt` and `advance` checks it).
+    datum's bytes equal its flip's (`_mirror_axes`; a built-in datum's are, as
+    `Grid`'s centres are odd, but not a datum one ulp off).  A step maps a
+    mirrored u to the mirrored result exactly (fl(a - b) = -fl(b - a),
+    elementwise powers, a fixed axis order), so u stays even bit for bit, as
+    every row of the seed-0 bench runs is.  Rows and periodic mass sums read
+    `kernel.unfold()`: the full grid's bits, if numpy's ufuncs give an element
+    the same result wherever it sits in an array (the test composing
+    `stable_dt` and `advance` checks it).
     """
     grid = config.grid
     initial = init_field(grid, config.profile)

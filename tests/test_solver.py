@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import anisofast as af
 from anisofast.errors import BlowupError, ConfigError, DomainError, IngestionError
-from anisofast.solver import _FluxKernel, _split, advance, stable_dt
+from anisofast.solver import _FluxKernel, _mirror_axes, _real, _split, advance, stable_dt
 from conftest import FLOAT_RANGE_CASES
 
 
@@ -26,6 +26,26 @@ def test_build_grid_1d():
     centers = grid.axis_centers(0)
     assert centers[0] == pytest.approx(-0.495)
     assert np.allclose(centers, -centers[::-1])
+
+
+@pytest.mark.parametrize("H", [0.5, 0.3, 0.7, 1.0, 2.0])
+def test_cell_centres_are_odd_bit_for_bit_on_any_grid(H):
+    # x_k = -x_(n-1-k) in every bit (0.0 - x turns the odd grid's middle 0.0 into
+    # 0.0, not -0.0), so a datum even in x is even in its bytes
+    for n in range(4, 258):
+        x = af.build_grid([H], [n]).axis_centers(0)
+        assert x.tobytes() == (0.0 - x[::-1]).tobytes(), n
+        if n % 2:
+            assert x[n // 2] == 0.0 and not np.signbit(x[n // 2])
+
+
+@pytest.mark.parametrize("H", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("n", [4, 16, 32, 64, 128, 256])
+def test_cell_centres_on_dyadic_grids_keep_the_bits_of_minus_H_plus_h_k_half(H, n):
+    # dyadic grids keep the centres of the former formula -H + h (k + 1/2), and so
+    # the bench's 32-cell and 32^3 runs keep every output byte
+    x = af.build_grid([H], [n]).axis_centers(0)
+    assert x.tobytes() == (-H + 2.0 * H / n * (np.arange(n) + 0.5)).tobytes()
 
 
 def test_build_grid_2d_and_errors():
@@ -381,6 +401,39 @@ def test_python_api_rejects_a_boolean_for_any_number(case, b):
     with pytest.raises(error) as excinfo:
         call()
     assert (excinfo.value.violations if error is ConfigError else [str(excinfo.value)]) == [message]
+
+
+def _calls_with_a_numpy_boolean():
+    """{entry point: (its error, the call with np.True_, the violation)} for every guard
+    above that rejects True, and the config and manifest numbers' `_real`."""
+    b = np.True_
+    calls = {
+        case: (error, call, f"{name} must be a number")
+        for case, (name, error, call) in _calls_with_a_boolean(b).items()
+    }
+    return calls | {
+        "build_grid-half_domain": (
+            ConfigError, lambda: af.build_grid([b], [64]), "half_domain entry must be a number"
+        ),
+        "build_grid-resolution": (
+            ConfigError, lambda: af.build_grid([0.5], [b]), "resolution must be an integer per axis"
+        ),
+        "uniform_snapshots-count": (
+            ConfigError, lambda: af.uniform_snapshots(0.1, b), "snapshot count must be an integer"
+        ),
+        "config_number": (TypeError, lambda: _real(b, "eps"), "eps must be a number"),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_calls_with_a_numpy_boolean()))
+def test_python_api_rejects_a_numpy_boolean_for_any_number(case):
+    # np.True_ is no bool subclass, so a guard of `isinstance(x, bool)` let it through
+    # as 1.0; every guard tests one (bool, np.bool_) name
+    error, call, message = _calls_with_a_numpy_boolean()[case]
+    with pytest.raises(error) as excinfo:
+        call()
+    found = excinfo.value.violations if error is ConfigError else [str(excinfo.value)]
+    assert found == [f"{message}, got np.True_"]
 
 
 @pytest.mark.filterwarnings("error")
@@ -776,12 +829,17 @@ COMPOSITION_CASES = {
     "2d_dirichlet_mirrored_heat_axis": ([1.5, 2.0], [8, 8], "dirichlet_zero", "bump", 2e-2, 0.01),
     "3d_periodic_mirrored": ([1.3, 1.5, 1.7], [8, 8, 8], "periodic", "bump", 5e-2, 0.01),
     "2d_periodic_two_cell_half": ([1.4, 1.6], [10, 4], "periodic", "sine_product", 2e-2, 0.01),
+    # grids whose centres the cell-centre formula makes exact mirrors (a half_domain last)
+    "2d_dirichlet_mirrored_96": ([1.4, 1.6], [96, 96], "dirichlet_zero", "bump", 2e-2, 1e-4),
+    "2d_periodic_mirrored_48x200": (
+        [1.4, 1.6], [48, 200], "periodic", "bump", 2e-2, 1e-4, [0.3, 0.7]
+    ),
 }
 
 
 def _composition_config(case):
-    p, res, boundary, kind, eps, t_end = COMPOSITION_CASES[case]
-    grid = af.build_grid([0.5] * len(p), res, boundary)
+    p, res, boundary, kind, eps, t_end, *rest = COMPOSITION_CASES[case]
+    grid = af.build_grid(rest[0] if rest else [0.5] * len(p), res, boundary)
     return af.SimConfig(
         grid=grid,
         profile=af.InitialProfile(kind, 1.0, 0.3),
@@ -829,11 +887,18 @@ def test_run_equals_composed_stable_dt_and_advance(case):
         assert traj.mass_drift is None
 
 
+@pytest.mark.parametrize("case", ["2d_dirichlet_mirrored_96", "2d_periodic_mirrored_48x200"])
+def test_the_non_dyadic_composition_cases_take_the_mirror_path(case):
+    # so the composition test above checks the mirrored run on 96, 48 and 200 cells
+    cfg = _composition_config(case)
+    assert _mirror_axes(af.init_field(cfg.grid, cfg.profile).reshaped()) == (0, 1)
+
+
 def test_run_mirrors_each_even_axis_along_which_the_datum_is_bitwise_even(monkeypatch, tmp_path):
     # run integrates on the lower half of every even axis along which the datum's
     # bytes equal those of its flip (a plateau's are on 6 and 7 cells; 7 is odd).
-    # On 96 cells the centres are not exact negatives of each other, so a bump
-    # there is not even; neither is a datum one ulp off, which must still match
+    # The centres are exact negatives of each other on any number of cells, so a
+    # bump on 96 is even; a datum one ulp off is not, and must still match
     # stable_dt + advance
     shapes, init = [], _FluxKernel.__init__
 
@@ -844,8 +909,8 @@ def test_run_mirrors_each_even_axis_along_which_the_datum_is_bitwise_even(monkey
     monkeypatch.setattr(_FluxKernel, "__init__", spy)
     cases = [
         ([32] * 3, "bump", (16,) * 3),
-        ([96, 96], "bump", (96, 96)),
-        ([8, 6, 7], "bump", (4, 6, 7)),
+        ([96, 96], "bump", (48, 48)),
+        ([8, 6, 7], "bump", (4, 3, 7)),
         ([6, 7], "plateau", (3, 7)),
     ]
     for res, kind, half in cases:
