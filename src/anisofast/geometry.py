@@ -12,6 +12,7 @@ of anisotropy.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -21,6 +22,7 @@ from .errors import DomainError
 
 GEOMETRIES = ("intrinsic", "standard")
 _BOOLS = (bool, np.bool_)  # float(True) is 1.0, but no guard takes a bool for a number
+_BOOL_TYPES = frozenset(_BOOLS)  # neither can be subclassed: type(x) in it is isinstance
 
 #: relative tolerance for the (2*rho)^N volume identity of every cube
 VOLUME_RTOL = 1e-12
@@ -83,6 +85,18 @@ def _require_fast(prof: ExponentProfile, what: str) -> None:
             f"{what} requires strictly fast-diffusion exponents (all p_i < 2); "
             f"got p={prof.p}"
         )
+
+
+def _refuse_bools(**values) -> None:
+    """`DomainError` naming the first of `values` that is a bool, though float(True) is 1.0."""
+    for name, value in values.items():
+        if isinstance(value, _BOOLS):
+            raise DomainError(f"{name} must be a number, got {value!r}")
+
+
+def _is_real(value) -> bool:  # a JSON true or false is not a number, as for `_real`
+    # a float first: the numbers.Real check costs ~1 us, once per snapshot time and check
+    return type(value) is float or isinstance(value, numbers.Real) and not isinstance(value, _BOOLS)
 
 
 def _require_positive(name: str, value: float) -> float:
@@ -210,7 +224,7 @@ def smallness_violated(
     """
     if mode not in GEOMETRIES:
         raise DomainError(f"unknown smallness mode {mode!r}")
-    if isinstance(C, _BOOLS):
+    if not _is_real(C):  # float('0.5') is 0.5
         raise DomainError(f"C must be a number, got {C!r}")
     C = float(C)
     if C < 0.0 or not math.isfinite(C):

@@ -41,7 +41,9 @@ from .geometry import (
     CubeSpec,
     ExponentProfile,
     GEOMETRIES,
+    _BOOL_TYPES,
     _BOOLS,
+    _refuse_bools,
     intrinsic_cube,
     nu,
     nu_sigma,
@@ -76,8 +78,10 @@ class InequalityReport:
 
 def gamma_min(lhs: float, rhs_terms) -> float:
     """lhs / sum(rhs_terms); 0 when lhs = 0; +inf when lhs > 0 but the sum is 0."""
-    lhs = float(lhs)
-    terms = [float(x) for x in rhs_terms]
+    values = [lhs, *rhs_terms]
+    if not _BOOL_TYPES.isdisjoint(map(type, values)):  # one set test: each check calls this
+        _refuse_bools(lhs=lhs, **{f"rhs term {k}": x for k, x in enumerate(values[1:])})
+    lhs, *terms = [float(x) for x in values]
     for value in [lhs, *terms]:
         if value < 0.0 or not math.isfinite(value):
             raise DomainError(f"gamma_min needs nonnegative finite inputs, got {value!r}")
@@ -170,6 +174,7 @@ def cube_integral(field: Field, cube: CubeSpec, r: float = 1.0) -> float:
     For r > 1 the integrand is max(u, 0)^r; the solver monitors but does not
     clamp round-off negatives, and fractional powers must not see them.
     """
+    _refuse_bools(r=r)
     return float(_cube_integrals(field.grid, field.values[None], cube, r)[0])
 
 
@@ -201,6 +206,8 @@ def time_extremal(
     of sup_l1 | inf_l1 | sup_lr | sup_linf (sup_lr uses the order r).  All
     snapshots of the window are reduced at once.
     """
+    if not _BOOL_TYPES.isdisjoint(map(type, (*window, r))):  # one set test: checks call this
+        _refuse_bools(**{"window start": window[0], "window end": window[1]}, r=r)
     t_a, t_b = float(window[0]), float(window[1])
     if t_b < t_a:
         raise DomainError(f"empty window [{t_a}, {t_b}]")

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError
-from .geometry import CubeSpec, ExponentProfile, _require_positive
+from .geometry import CubeSpec, ExponentProfile, _refuse_bools, _require_positive
 from .harnack import InequalityReport, _box, _contract, _footprint, cube_contained, gamma_min
 from .solver import Field, Trajectory, _face_differences
 
@@ -29,6 +29,7 @@ def young_gamma(eps: float, q: float) -> float:
     conjugate exponent q' = (1 - 1/q)^(-1).  Equality is attained at the
     optimal coupling a = (b/(eps*q))^(1/(q-1)).
     """
+    _refuse_bools(eps=eps, q=q)
     if not eps > 0.0 or not math.isfinite(eps):
         raise DomainError(f"eps must be positive, got {eps!r}")
     if not q > 1.0 or not math.isfinite(q):
@@ -62,6 +63,7 @@ def fast_convergence(
     the final value underflows 1e-300 (or hits exact zero), or when the
     sequence is strictly decreasing with final ratio below 1/2.
     """
+    _refuse_bools(C=C, b=b, alpha=alpha, Y0=Y0, n_max=n_max)
     if not (C > 0.0 and b > 1.0 and alpha > 0.0 and Y0 >= 0.0 and n_max >= 1):
         raise DomainError(
             f"need C>0, b>1, alpha>0, Y0>=0, n_max>=1; got "
@@ -130,6 +132,7 @@ def iteration_bound(eps: float, b: float, I: float, M: float) -> Optional[float]
     returns None (not applicable) when eps*b >= 1, since this constructive
     bound does not exist there even though equiboundedness still gives one.
     """
+    _refuse_bools(eps=eps, b=b, I=I, M=M)
     if not (0.0 < eps < 1.0):
         raise DomainError(f"eps must lie in (0, 1), got {eps!r}")
     if not b > 1.0:
@@ -298,6 +301,7 @@ def caccioppoli_report(
     and the measure of Q is the product of the per-axis box weights' sums.
     `prof.p` and `cutoff.exponents` must be the trajectory's exponents.
     """
+    _refuse_bools(k=k, C=C)
     if k < 0.0 or not math.isfinite(k):
         raise DomainError(f"truncation level k must be nonnegative, got {k!r}")
     if not 0.0 <= C < math.inf:  # NaN fails every comparison

@@ -30,7 +30,7 @@ from typing import Any, Callable, Optional, Sequence
 import numpy as np
 
 from .errors import BlowupError, ConfigError, DomainError, IngestionError
-from .geometry import ExponentProfile, _BOOLS, _require_positive, derive_exponents
+from .geometry import ExponentProfile, _BOOLS, _is_real, _require_positive, derive_exponents
 
 BOUNDARIES = ("dirichlet_zero", "periodic")
 
@@ -106,11 +106,6 @@ def _integer(value, name: str) -> int:
         if (n := _count(_real(value, name))) is not None:
             return n
     raise TypeError(f"{name} must be an integer, got {value!r}")
-
-
-def _is_real(value) -> bool:  # a JSON true or false is not a number, as for `_real`
-    # a float first: the numbers.Real check costs ~1 us, once per snapshot time
-    return type(value) is float or isinstance(value, numbers.Real) and not isinstance(value, _BOOLS)
 
 
 def build_grid(
@@ -298,15 +293,18 @@ class _FluxKernel:
     in flat tables that `rate()` and `step()` each run as one loop: (ufunc,
     operands) pairs in `_rate_calls` and `_step_calls`, `out` positional and
     every operand an array; per axis, (2 (p_i-1) h_i^-p_i, argmin, flux,
-    (h_i eps)^2, e_i) in `_bounds` (argmin None on a heat axis) and the
-    `fill` of the 0-d array for dt h_i^-p_i in `_scales`.
+    (h_i eps)^2, e_i) in `_bounds` (argmin None on a term that is constant:
+    heat or mirrored) and the `fill` of the 0-d array for dt h_i^-p_i in
+    `_scales`, run only for a new dt.  If every term is constant, `rate()`
+    is summed once and G is written at the head of `_step_calls`.
 
     With `mirror` axes (`run`'s: see there when and why), u is the lower half
     of each; the face on the mirror plane after its last cell holds G = 0, the
     full grid's u[m] - u[m-1] of equal values, and is a periodic axis's wrap
-    face too, while a Dirichlet axis keeps its outer zero ghost.  So each op
-    is the full grid's, if numpy's ufuncs give an element the same result
-    wherever it sits in an array.  `unfold()` writes u mirrored into `full`.
+    face too (min G^2 = +0.0, so the rate term is c (0.0 + (h_i eps)^2)^e_i),
+    while a Dirichlet axis keeps its outer zero ghost.  So each op is the
+    full grid's, if numpy's ufuncs give an element the same result wherever
+    it sits in an array.  `unfold()` writes u mirrored into `full`.
     """
 
     def __init__(self, grid: Grid, prof: ExponentProfile, eps: float, mirror: tuple = ()):
@@ -341,7 +339,8 @@ class _FluxKernel:
             else:
                 flux = _buffer(faces.size, grid.N + 3 + i)
                 squares.append((mul, (faces, faces, flux)))
-                bounds.append((c, flux.argmin, flux, kappa, expo))
+                floor = (c * (0.0 + kappa) ** expo, None, None, None, None)  # at min G^2 = +0.0
+                bounds.append(floor if i in mirror else (c, flux.argmin, flux, kappa, expo))
                 calls += [
                     (add, (flux, np.array(kappa), flux)),
                     (np.log, (flux, flux)),
@@ -364,8 +363,11 @@ class _FluxKernel:
             if d is not div:
                 calls.append((add, (div, d, div)))
         calls.append((add, (flat, div, flat)))
-        self._rate_calls, self._bounds = tuple(differences + squares), tuple(bounds)
-        self._scales, self._step_calls = tuple(scales), tuple(calls)
+        self._bounds, self._scales, self._dt, self._rate = tuple(bounds), tuple(scales), None, None
+        if all(argmin is None for _, argmin, *_ in bounds):  # a constant rate: only `step` needs G
+            differences, squares, calls = [], [], differences + squares + calls
+        self._rate_calls, self._step_calls = tuple(differences + squares), tuple(calls)
+        self._rate = None if self._rate_calls else self.rate()
         self.full = np.empty(grid.shape) if mirror else u
         self._unfold_calls = [(self.full[tuple(map(slice, shape))], u)] if mirror else []
         for i in reversed(mirror):  # from the last axis: the filled part, flipped, fills the rest
@@ -384,9 +386,12 @@ class _FluxKernel:
 
         a_i_max = (p_i - 1)(min g^2 + eps^2)^e_i, as in `stable_dt`; with
         g = G / h_i the sum is sum_i 2 (p_i - 1) h_i^-p_i (min G^2 + (h_i eps)^2)^e_i,
-        whose heat-axis terms (e_i = 0) are 2 h_i^-2 without a reduction.
-        Leaves G and G*G in place for `step`.
+        whose heat-axis (e_i = 0: 2 h_i^-2) and mirrored-axis terms are
+        constants.  Leaves G and G*G in place for `step`, unless every term
+        is constant: then it returns their sum, taken when the kernel was built.
         """
+        if self._rate is not None:
+            return self._rate
         for ufunc, operands in self._rate_calls:
             ufunc(*operands)
         denom = 0.0
@@ -397,9 +402,12 @@ class _FluxKernel:
         return denom
 
     def step(self, dt: float) -> None:
-        """u += sum_i (dt h_i^-p_i)(Phi_i[k] - Phi_i[k-1]) from the last `rate()`."""
-        for fill, scale in self._scales:
-            fill(dt * scale)
+        """u += sum_i (dt h_i^-p_i)(Phi_i[k] - Phi_i[k-1]) from the last `rate()`'s G (its
+        own, if the rate is constant); dt h_i^-p_i is refilled only for a new dt."""
+        if dt != self._dt:  # a NaN differs from itself, so it refills too
+            self._dt = dt
+            for fill, scale in self._scales:
+                fill(dt * scale)
         for ufunc, operands in self._step_calls:
             ufunc(*operands)
 
@@ -664,13 +672,14 @@ def run(config: SimConfig) -> Trajectory:
 
     `run` integrates on the lower half of each even axis along which the
     datum's bytes equal its flip's (`_mirror_axes`; a built-in datum's are, as
-    `Grid`'s centres are odd, but not a datum one ulp off).  A step maps a
-    mirrored u to the mirrored result exactly (fl(a - b) = -fl(b - a),
-    elementwise powers, a fixed axis order), so u stays even bit for bit, as
-    every row of the seed-0 bench runs is.  Rows and periodic mass sums read
-    `kernel.unfold()`: the full grid's bits, if numpy's ufuncs give an element
-    the same result wherever it sits in an array (the test composing
-    `stable_dt` and `advance` checks it).
+    `Grid`'s centres are odd, but not a datum one ulp off); each such axis's
+    rate term is a constant (`_FluxKernel`).  A step maps a mirrored u to the
+    mirrored result exactly (fl(a - b) = -fl(b - a), elementwise powers, a
+    fixed axis order), so u stays even bit for bit, as every row of the
+    seed-0 bench runs is.  Rows and periodic mass sums read `kernel.unfold()`:
+    the full grid's bits, if numpy's ufuncs give an element the same result
+    wherever it sits in an array (the test composing `stable_dt` and
+    `advance` checks it).
     """
     grid = config.grid
     initial = init_field(grid, config.profile)

@@ -214,6 +214,15 @@ def test_smallness_zero_c_skips_heat_mode():
     assert af.smallness_violated(0.0, 1.0, 1.0, prof, "intrinsic") == (False, None)
 
 
+@pytest.mark.parametrize(
+    "C", ["0.5", "0", None, [0.5]], ids=["string", "zero-string", "none", "list"]
+)
+def test_smallness_refuses_a_C_that_is_no_number(C):
+    # float('0.5') is 0.5, so a string passed as C used to read as a number
+    with pytest.raises(DomainError, match=f"^{re.escape(f'C must be a number, got {C!r}')}$"):
+        af.smallness_violated(C, 0.1, 0.1, _PROF, "intrinsic")
+
+
 def test_cube_spec_volume_validation():
     with pytest.raises(DomainError):
         af.CubeSpec(center=(0.0,), half_widths=(2.0,), kind="standard", rho=1.0)

@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 
 import anisofast as af
 from anisofast.errors import BlowupError, ConfigError, DomainError, IngestionError
-from anisofast.solver import _FluxKernel, _mirror_axes, _real, _split, advance, stable_dt
+from anisofast.solver import (
+    _FluxKernel, _kernel_at, _mirror_axes, _real, _split, advance, stable_dt
+)
 from conftest import FLOAT_RANGE_CASES
 
 
@@ -434,6 +436,62 @@ def test_python_api_rejects_a_numpy_boolean_for_any_number(case):
         call()
     found = excinfo.value.violations if error is ConfigError else [str(excinfo.value)]
     assert found == [f"{message}, got np.True_"]
+
+
+def _lemma_and_check_calls_with_a_boolean(b):
+    """{entry point and argument: (the name of the number, the call with b for it)} for
+    the public entry points of the lemmas, the quadrature and the decay samples."""
+    grid, prof = af.build_grid([0.5], [32]), af.derive_exponents([1.5], 1)
+    field, cube = af.init_field(grid, af.InitialProfile("bump")), af.standard_cube(0.1, prof)
+    traj = af.Trajectory(grid, prof, 1e-2, np.zeros((2, 32)), (0.0, 0.1))
+    cutoff = af.CutoffSpec(af.standard_cube(0.05, prof), cube, prof.p)
+    converge = (1.0, 2.0, 0.5, 0.1, 10)  # C, b, alpha, Y0, n_max
+    return {
+        "young_gamma-eps": ("eps", lambda: af.young_gamma(b, 2.0)),
+        "young_gamma-q": ("q", lambda: af.young_gamma(0.5, b)),
+        **{
+            f"iteration_bound-{name}": (name, functools.partial(af.iteration_bound, **args))
+            for name, args in [
+                ("eps", dict(eps=b, b=1.5, I=1.0, M=1.0)),
+                ("b", dict(eps=0.5, b=b, I=1.0, M=1.0)),
+                ("I", dict(eps=0.5, b=1.5, I=b, M=1.0)),
+                ("M", dict(eps=0.5, b=1.5, I=1.0, M=b)),
+            ]
+        },
+        "gamma_min-lhs": ("lhs", lambda: af.gamma_min(b, [1.0])),
+        "gamma_min-rhs_term": ("rhs term 1", lambda: af.gamma_min(1.0, [1.0, b])),
+        **{
+            f"fast_convergence-{name}": (
+                name, lambda k=k: af.fast_convergence(*converge[:k], b, *converge[k + 1 :])
+            )
+            for k, name in enumerate(["C", "b", "alpha", "Y0", "n_max"])
+        },
+        "caccioppoli_report-k": (
+            "k", lambda: af.caccioppoli_report(traj, prof, cutoff, b, (0.0, 0.1))
+        ),
+        "caccioppoli_report-C": (
+            "C", lambda: af.caccioppoli_report(traj, prof, cutoff, 0.1, (0.0, 0.1), C=b)
+        ),
+        "cube_integral-r": ("r", lambda: af.cube_integral(field, cube, b)),
+        "time_extremal-window_start": (
+            "window start", lambda: af.time_extremal(traj, cube, (b, 0.1), "sup_l1")
+        ),
+        "time_extremal-window_end": (
+            "window end", lambda: af.time_extremal(traj, cube, (0.0, b), "sup_l1")
+        ),
+        "time_extremal-r": ("r", lambda: af.time_extremal(traj, cube, (0.0, 0.1), "sup_lr", b)),
+        "decay_samples-t_star": ("t_star", lambda: af.decay_samples(traj, 0.1, b, 1e-5)),
+    }
+
+
+@pytest.mark.parametrize("b", [True, False, np.True_, np.False_])
+@pytest.mark.parametrize("case", sorted(_lemma_and_check_calls_with_a_boolean(True)))
+def test_lemma_and_check_entry_points_reject_a_boolean_for_any_number(case, b):
+    # young_gamma(True, 2.0) gave 0.25 and gamma_min(True, [1.0]) 1.0: True read as 1.0
+    name, call = _lemma_and_check_calls_with_a_boolean(b)[case]
+    with pytest.raises(DomainError) as excinfo:
+        call()
+    assert str(excinfo.value) == f"{name} must be a number, got {b!r}"
 
 
 @pytest.mark.filterwarnings("error")
@@ -892,6 +950,89 @@ def test_the_non_dyadic_composition_cases_take_the_mirror_path(case):
     # so the composition test above checks the mirrored run on 96, 48 and 200 cells
     cfg = _composition_config(case)
     assert _mirror_axes(af.init_field(cfg.grid, cfg.profile).reshaped()) == (0, 1)
+
+
+def _mirrored_composition_cases():
+    """The COMPOSITION_CASES that run integrates on a half of some axis."""
+    cases = []
+    for case in sorted(COMPOSITION_CASES):
+        cfg = _composition_config(case)
+        if _mirror_axes(af.init_field(cfg.grid, cfg.profile).reshaped()):
+            cases.append(case)
+    return cases
+
+
+@pytest.mark.parametrize("case", _mirrored_composition_cases())
+def test_mirrored_kernel_rate_equals_the_full_grid_rate_bit_for_bit(case):
+    # a mirrored axis's term is the constant eps floor c (0.0 + kappa)^e: the full
+    # grid's min G^2 there is the +0.0 of the mirror plane's face
+    cfg = _composition_config(case)
+    prof, eps, field = cfg.exponents, cfg.eps, af.init_field(cfg.grid, cfg.profile)
+    mirror = _mirror_axes(field.reshaped())
+    kernel = _kernel_at(field, prof, eps, mirror)
+    for _ in range(6):  # at the datum and after each of 5 steps
+        full = _kernel_at(af.Field(cfg.grid, kernel.unfold().ravel(), 0.0), prof, eps)
+        rate = kernel.rate()
+        assert rate.hex() == full.rate().hex()
+        kernel.step(cfg.safety / rate)
+
+
+def _argmin_counting_run(monkeypatch, cfg):
+    """(run(cfg), the argmin calls `rate()` made on face buffers during it)."""
+    calls, init = [], _FluxKernel.__init__
+
+    def counted(argmin):
+        def call():
+            calls.append(1)
+            return argmin()
+
+        return call
+
+    def spy(kernel, *args):
+        init(kernel, *args)
+        kernel._bounds = tuple(
+            row if row[1] is None else (row[0], counted(row[1]), *row[2:])
+            for row in kernel._bounds
+        )
+
+    monkeypatch.setattr(_FluxKernel, "__init__", spy)
+    return af.run(cfg), len(calls)
+
+
+@pytest.mark.parametrize("res, p", [([32], [1.5]), ([12, 8], [1.4, 1.6])])
+def test_a_fully_mirrored_run_reduces_no_face_buffer(monkeypatch, tmp_path, res, p):
+    # every rate term of a run mirrored on every axis is its eps floor, so no step
+    # reduces a face buffer; a datum broken by one ulp mirrors nowhere, and each of
+    # its steps reduces every axis once
+    grid, prof = af.build_grid([0.5] * len(p), res), af.derive_exponents(p, len(p))
+    bump = af.InitialProfile("bump", 1.0, 0.3)
+    cfg = af.SimConfig(grid, bump, prof, 2e-2, 1e-2, 0.4, (0.0, 5e-3, 1e-2))
+    traj, reductions = _argmin_counting_run(monkeypatch, cfg)
+    assert traj.steps > 10 and reductions == 0
+    datum = af.init_field(grid, bump).values
+    datum[1] = np.nextafter(datum[1], 2.0)
+    datum.astype("<f8").tofile(tmp_path / "u0.f64")
+    broken = af.InitialProfile("from_file", path=str(tmp_path / "u0.f64"))
+    traj, reductions = _argmin_counting_run(monkeypatch, dataclasses.replace(cfg, profile=broken))
+    assert reductions == len(p) * traj.steps > 10 * len(p)
+
+
+@pytest.mark.parametrize("mirrored", [True, False])
+def test_step_refills_its_scales_only_for_a_new_dt(mirrored):
+    # dt0, dt0, a clipped dt, dt0: each step gives the bits of a fresh kernel
+    # stepped once with the same dt from the same u
+    grid, prof = af.build_grid([0.5, 0.5], [8, 12]), af.derive_exponents([1.4, 1.6], 2)
+    field = af.init_field(grid, af.InitialProfile("bump", 1.0, 0.3))
+    mirror = _mirror_axes(field.reshaped()) if mirrored else ()
+    assert mirror == ((0, 1) if mirrored else ())
+    kernel = _kernel_at(field, prof, 2e-2, mirror)
+    dt0 = 0.4 / kernel.rate()
+    for dt in (dt0, dt0, 0.3 * dt0, dt0):
+        fresh = _kernel_at(af.Field(grid, kernel.unfold().ravel(), 0.0), prof, 2e-2, mirror)
+        assert kernel.rate() == fresh.rate()
+        kernel.step(dt)
+        fresh.step(dt)
+        assert kernel.u.tobytes() == fresh.u.tobytes()
 
 
 def test_run_mirrors_each_even_axis_along_which_the_datum_is_bitwise_even(monkeypatch, tmp_path):
