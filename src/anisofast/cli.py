@@ -60,9 +60,9 @@ import numpy as np
 
 from . import extinction, harnack, lemmas, solver
 from .errors import BlowupError, ConfigError, DomainError, IngestionError
-from .geometry import _BOOLS, derive_exponents
+from .geometry import _BOOLS, _real, derive_exponents
 from .solver import (
-    InitialProfile, SimConfig, _integer, _range_violations, _real, build_grid, uniform_snapshots
+    InitialProfile, SimConfig, _integer, _range_violations, build_grid, uniform_snapshots
 )
 
 CHECK_KINDS = tuple(harnack.CHECKS)
@@ -264,9 +264,7 @@ def parse_config(text: str) -> CampaignConfig:
         except ConfigError as exc:
             violations.extend(exc.violations)
 
-    if num.get("snapshots", 1) < 1:
-        violations.append(f"snapshot count must be >= 1, got {num['snapshots']}")
-    scalars = ("t_end", "eps", "safety")  # before uniform_snapshots sees t_end
+    scalars = ("t_end", "eps", "safety", "snapshots")  # before uniform_snapshots sees them
     violations += _range_violations(**{k: num[k] for k in scalars if k in num})
     for key in ("extinction_threshold", "decay_rho"):
         if key in num and not 0.0 < num[key] < math.inf:  # NaN fails every comparison

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError
 from .geometry import (
-    GEOMETRIES, ExponentProfile, _intrinsic_widths, _refuse_bools, _require_positive,
+    GEOMETRIES, ExponentProfile, _intrinsic_widths, _not_a_number, _require_positive,
     intrinsic_cube, scale_cube, standard_cube,
 )
 from .harnack import _cube_integrals, _cube_sups, cube_contained
@@ -117,7 +117,8 @@ def decay_samples(traj: Trajectory, rho: float, t_star: float, threshold: float)
     its first t_star - tau and is one reduction, so isotropic intrinsic samples are standard.
     """
     std = standard_cube(rho, traj.exponents)  # rejects a rho not positive and finite
-    _refuse_bools(t_star=t_star)
+    if fault := _not_a_number("t_star", t_star):
+        raise DomainError(fault)
     threshold = _require_positive("threshold", threshold)
     # t_star - tau > 0 exactly when tau < t_star, and times never decrease
     before = bisect.bisect_left(traj.times, t_star)

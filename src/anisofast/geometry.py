@@ -12,8 +12,8 @@ of anisotropy.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
+from numbers import Real
 from typing import Optional, Sequence
 
 import numpy as np
@@ -21,8 +21,8 @@ import numpy as np
 from .errors import DomainError
 
 GEOMETRIES = ("intrinsic", "standard")
-_BOOLS = (bool, np.bool_)  # float(True) is 1.0, but no guard takes a bool for a number
-_BOOL_TYPES = frozenset(_BOOLS)  # neither can be subclassed: type(x) in it is isinstance
+_BOOLS = (bool, np.bool_)  # float(True) is 1.0, but a bool is no number (`_not_a_number`)
+_NUMBER_RULE = "{name} must be a number, got {value!r}"  # `_not_a_number`'s words, and `_real`'s
 
 #: relative tolerance for the (2*rho)^N volume identity of every cube
 VOLUME_RTOL = 1e-12
@@ -45,10 +45,14 @@ class ExponentProfile:
 
     def lam_r(self, r: float) -> float:
         """N(p_bar - 2) + r*p_bar, the r-dependent scaling exponent."""
+        if fault := _not_a_number("r", r):
+            raise DomainError(fault)
         return self.N * (self.p_bar - 2.0) + r * self.p_bar
 
     def lam_ir(self, r: float) -> tuple[float, ...]:
         """Per-axis exponents N(p_i - 2) + r*p_bar."""
+        if fault := _not_a_number("r", r):
+            raise DomainError(fault)
         return tuple(self.N * (pi - 2.0) + r * self.p_bar for pi in self.p)
 
 
@@ -61,16 +65,16 @@ def derive_exponents(p_list: Sequence[float], N: int) -> ExponentProfile:
     admitted too; only the embedding (`lemmas.sobolev_critical`) needs
     p_bar < N, and it rejects such profiles.
     """
-    if int(N) != N or N < 1:
-        raise DomainError(f"dimension must be a positive integer, got {N!r}")
+    if (fault := _not_a_number("dimension", N)) or N % 1 or N < 1:  # nan % 1 is nan
+        raise DomainError(fault or f"dimension must be a positive integer, got {N!r}")
     N = int(N)
-    entries = [float(x) for x in p_list]
+    entries = list(p_list)
     if len(entries) != N:
         raise DomainError(f"expected {N} exponents, got {len(entries)}")
     for x in entries:
-        if not (1.0 < x <= 2.0) or not math.isfinite(x):
-            raise DomainError(f"exponent out of (1, 2]: {x!r}")
-    p = tuple(sorted(entries))
+        if (fault := _not_a_number("exponent", x)) or not 1.0 < x <= 2.0:  # NaN fails it too
+            raise DomainError(fault or f"exponent out of (1, 2]: {float(x)!r}")
+    p = tuple(sorted(map(float, entries)))
     p_bar = N / sum(1.0 / x for x in p)
     lam = N * (p_bar - 2.0) + p_bar
     lam_i = tuple(N * (x - 2.0) + p_bar for x in p)
@@ -87,25 +91,34 @@ def _require_fast(prof: ExponentProfile, what: str) -> None:
         )
 
 
-def _refuse_bools(**values) -> None:
-    """`DomainError` naming the first of `values` that is a bool, though float(True) is 1.0."""
-    for name, value in values.items():
-        if isinstance(value, _BOOLS):
-            raise DomainError(f"{name} must be a number, got {value!r}")
+def _not_a_number(name: str, value, *more) -> str:
+    """The number rule of every entry point: why `value`, then each value of the `more`
+    name, value pairs, is no real number, else "".  A bool or numpy bool is none, though
+    float(True) is 1.0, nor is a string, None or a complex.  Each caller raises the reason
+    as its own exception type and judges the range (positive, finite, ...) itself."""
+    # a float (np.float64 too), the common case, first: the ABC isinstance test costs ~0.4 us
+    if isinstance(value, float) or isinstance(value, Real) and not isinstance(value, _BOOLS):
+        return _not_a_number(*more) if more else ""
+    return _NUMBER_RULE.format(name=name, value=value)
 
 
-def _is_real(value) -> bool:  # a JSON true or false is not a number, as for `_real`
-    # a float first: the numbers.Real check costs ~1 us, once per snapshot time and check
-    return type(value) is float or isinstance(value, numbers.Real) and not isinstance(value, _BOOLS)
+def _real(value, name: str) -> float:
+    """float(value) for a number or the text of one, as a config or a manifest holds it;
+    else a TypeError in the number rule's words (`_not_a_number`)."""
+    try:
+        if isinstance(value, str) or not _not_a_number(name, value):
+            return float(value)
+    except ValueError:  # text that is no number
+        pass
+    except OverflowError as exc:  # a JSON int past 1e308
+        raise TypeError(f"{_NUMBER_RULE.format(name=name, value=value)}: {exc}") from None
+    raise TypeError(_not_a_number(name, value))
 
 
 def _require_positive(name: str, value: float) -> float:
-    """float(value) if it is positive and finite; a string is a TypeError, not a number,
-    and a bool is no number either, though float(True) is 1.0."""
-    if isinstance(value, _BOOLS):
-        raise DomainError(f"{name} must be a number, got {value!r}")
-    if not 0.0 < value < math.inf:  # NaN fails every comparison
-        raise DomainError(f"{name} must be positive and finite, got {float(value)!r}")
+    """float(value) if it is a number (`_not_a_number`), positive and finite."""
+    if (fault := _not_a_number(name, value)) or not 0.0 < value < math.inf:  # NaN fails too
+        raise DomainError(fault or f"{name} must be positive and finite, got {float(value)!r}")
     return float(value)
 
 
@@ -219,19 +232,17 @@ def smallness_violated(
     Intrinsic mode: violated iff C^{p_i} rho^p_bar > min(1, nu^(p_bar-p_i), nu^p_bar)
     for some axis i.  Standard mode: violated iff C^{p_i} rho^p_bar >
     min(1, nu_sigma^{p_i}).  Ties are not violations (strict inequality).
-    For C = 0 the answer is always (False, None) and no scaling factor is
-    evaluated, so the heat-equation validation mode is accepted.
+    For C = 0 the answer is (False, None) once rho and t are judged, and no scaling
+    factor is evaluated, so the heat-equation validation mode is accepted.
     """
     if mode not in GEOMETRIES:
         raise DomainError(f"unknown smallness mode {mode!r}")
-    if not _is_real(C):  # float('0.5') is 0.5
-        raise DomainError(f"C must be a number, got {C!r}")
+    if (fault := _not_a_number("C", C)) or not 0.0 <= C < math.inf:  # float('0.5') is 0.5
+        raise DomainError(fault or f"C must be nonnegative and finite, got {float(C)!r}")
     C = float(C)
-    if C < 0.0 or not math.isfinite(C):
-        raise DomainError(f"C must be nonnegative and finite, got {C!r}")
+    rho, t = _require_positive("rho", rho), _require_positive("t", t)  # for C = 0 too
     if C == 0.0:
         return False, None
-    rho = _require_positive("rho", rho)
     rp = rho**prof.p_bar
     if mode == "intrinsic":
         v = nu(t, rho, prof)

@@ -41,9 +41,7 @@ from .geometry import (
     CubeSpec,
     ExponentProfile,
     GEOMETRIES,
-    _BOOL_TYPES,
-    _BOOLS,
-    _refuse_bools,
+    _not_a_number,
     intrinsic_cube,
     nu,
     nu_sigma,
@@ -79,12 +77,12 @@ class InequalityReport:
 def gamma_min(lhs: float, rhs_terms) -> float:
     """lhs / sum(rhs_terms); 0 when lhs = 0; +inf when lhs > 0 but the sum is 0."""
     values = [lhs, *rhs_terms]
-    if not _BOOL_TYPES.isdisjoint(map(type, values)):  # one set test: each check calls this
-        _refuse_bools(lhs=lhs, **{f"rhs term {k}": x for k, x in enumerate(values[1:])})
+    for k, x in enumerate(values):
+        if fault := _not_a_number(f"rhs term {k - 1}" if k else "lhs", x):
+            raise DomainError(fault)
+        if not 0.0 <= x < math.inf:  # NaN fails every comparison
+            raise DomainError(f"gamma_min needs nonnegative finite inputs, got {float(x)!r}")
     lhs, *terms = [float(x) for x in values]
-    for value in [lhs, *terms]:
-        if value < 0.0 or not math.isfinite(value):
-            raise DomainError(f"gamma_min needs nonnegative finite inputs, got {value!r}")
     if lhs == 0.0:
         return 0.0
     total = sum(terms)
@@ -146,8 +144,8 @@ def _cube_integrals(grid: Grid, rows: np.ndarray, cube: CubeSpec, r: float) -> n
     over those n rows.  A cached reduction is therefore keyed on its exact
     window, never sliced out of a longer one.
     """
-    if r < 1.0:
-        raise DomainError(f"integral order r must be >= 1, got {r!r}")
+    if (fault := _not_a_number("r", r)) or r < 1.0:
+        raise DomainError(fault or f"integral order r must be >= 1, got {r!r}")
     weights, spans, _ = _footprint(grid, cube.center, cube.half_widths)
     if None in spans:
         warnings.warn("cube does not intersect the grid domain; integral is 0", stacklevel=3)
@@ -174,7 +172,6 @@ def cube_integral(field: Field, cube: CubeSpec, r: float = 1.0) -> float:
     For r > 1 the integrand is max(u, 0)^r; the solver monitors but does not
     clamp round-off negatives, and fractional powers must not see them.
     """
-    _refuse_bools(r=r)
     return float(_cube_integrals(field.grid, field.values[None], cube, r)[0])
 
 
@@ -206,8 +203,8 @@ def time_extremal(
     of sup_l1 | inf_l1 | sup_lr | sup_linf (sup_lr uses the order r).  All
     snapshots of the window are reduced at once.
     """
-    if not _BOOL_TYPES.isdisjoint(map(type, (*window, r))):  # one set test: checks call this
-        _refuse_bools(**{"window start": window[0], "window end": window[1]}, r=r)
+    if fault := _not_a_number("window start", window[0], "window end", window[1], "r", r):
+        raise DomainError(fault)
     t_a, t_b = float(window[0]), float(window[1])
     if t_b < t_a:
         raise DomainError(f"empty window [{t_a}, {t_b}]")
@@ -352,8 +349,8 @@ class Inequality:
             return "" if r is None else f"r is not an option (r = 1 is implied), got {r!r}"
         if r is None:
             return "r is required"
-        if not math.isfinite(r):
-            return f"r must be finite, got {r!r}"
+        if (fault := _not_a_number("r", r)) or not math.isfinite(r):
+            return fault or f"r must be finite, got {r!r}"
         if self.r_strict:
             return "" if r > self.r_min else f"r must exceed {self.r_min:g}, got {r!r}"
         return "" if r >= self.r_min else f"r must be >= {self.r_min:g}, got {r!r}"
@@ -415,10 +412,10 @@ def option_violations(kind: str, options: dict) -> list[str]:
     if "geometry" in options and options["geometry"] not in GEOMETRIES:
         found.append(f"geometry must be one of {GEOMETRIES}, got {options['geometry']!r}")
     for name, x in ((name, options[name]) for name in ("rho", "t", "r", "C") if name in options):
-        if isinstance(x, _BOOLS):
-            found.append(f"{name} must be a number, got {x!r}")
-        elif name == "r":
+        if name == "r":
             found.append(CHECKS[kind].r_violation(x))
+        elif fault := _not_a_number(name, x):
+            found.append(fault)
         elif name == "C" and not 0.0 <= x < math.inf:
             found.append(f"C must be nonnegative and finite, got {float(x)!r}")
         elif name in ("rho", "t") and not 0.0 < x < math.inf:  # NaN fails every comparison

@@ -17,9 +17,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError
-from .geometry import CubeSpec, ExponentProfile, _refuse_bools, _require_positive
+from .geometry import CubeSpec, ExponentProfile, _not_a_number, _require_positive
 from .harnack import InequalityReport, _box, _contract, _footprint, cube_contained, gamma_min
-from .solver import Field, Trajectory, _face_differences
+from .solver import Field, Trajectory, _count, _face_differences
 
 
 def young_gamma(eps: float, q: float) -> float:
@@ -29,9 +29,8 @@ def young_gamma(eps: float, q: float) -> float:
     conjugate exponent q' = (1 - 1/q)^(-1).  Equality is attained at the
     optimal coupling a = (b/(eps*q))^(1/(q-1)).
     """
-    _refuse_bools(eps=eps, q=q)
-    if not eps > 0.0 or not math.isfinite(eps):
-        raise DomainError(f"eps must be positive, got {eps!r}")
+    if (fault := _not_a_number("eps", eps, "q", q)) or not 0.0 < eps < math.inf:
+        raise DomainError(fault or f"eps must be positive, got {eps!r}")
     if not q > 1.0 or not math.isfinite(q):
         raise DomainError(f"q must exceed 1, got {q!r}")
     return ((q - 1.0) / (q ** (1.0 / (q - 1.0)) * q)) * (1.0 / eps) ** (1.0 / (q - 1.0))
@@ -39,8 +38,8 @@ def young_gamma(eps: float, q: float) -> float:
 
 def young_conjugate(q: float) -> float:
     """q' = (1 - 1/q)^(-1)."""
-    if not q > 1.0:
-        raise DomainError(f"q must exceed 1, got {q!r}")
+    if (fault := _not_a_number("q", q)) or not q > 1.0:
+        raise DomainError(fault or f"q must exceed 1, got {q!r}")
     return 1.0 / (1.0 - 1.0 / q)
 
 
@@ -63,7 +62,10 @@ def fast_convergence(
     the final value underflows 1e-300 (or hits exact zero), or when the
     sequence is strictly decreasing with final ratio below 1/2.
     """
-    _refuse_bools(C=C, b=b, alpha=alpha, Y0=Y0, n_max=n_max)
+    if fault := _not_a_number("C", C, "b", b, "alpha", alpha, "Y0", Y0, "n_max", n_max):
+        raise DomainError(fault)
+    if (n_steps := _count(n_max)) is None:  # read as a snapshot count is: 3.0, not 2.5
+        raise DomainError(f"n_max must be an integer, got {n_max!r}")
     if not (C > 0.0 and b > 1.0 and alpha > 0.0 and Y0 >= 0.0 and n_max >= 1):
         raise DomainError(
             f"need C>0, b>1, alpha>0, Y0>=0, n_max>=1; got "
@@ -73,7 +75,7 @@ def fast_convergence(
     expo = 1.0 + alpha
     y = float(Y0)
     values, decreasing = [y], True
-    for n in range(n_max):
+    for n in range(n_steps):
         if y == 0.0:
             break
         try:
@@ -132,9 +134,8 @@ def iteration_bound(eps: float, b: float, I: float, M: float) -> Optional[float]
     returns None (not applicable) when eps*b >= 1, since this constructive
     bound does not exist there even though equiboundedness still gives one.
     """
-    _refuse_bools(eps=eps, b=b, I=I, M=M)
-    if not (0.0 < eps < 1.0):
-        raise DomainError(f"eps must lie in (0, 1), got {eps!r}")
+    if (fault := _not_a_number("eps", eps, "b", b, "I", I, "M", M)) or not 0.0 < eps < 1.0:
+        raise DomainError(fault or f"eps must lie in (0, 1), got {eps!r}")
     if not b > 1.0:
         raise DomainError(f"b must exceed 1, got {b!r}")
     if I < 0.0 or not math.isfinite(I):
@@ -182,10 +183,9 @@ def sobolev_ratio(
     under phi -> c*phi, and defined as 0 for phi == 0.
     """
     p_star = sobolev_critical(prof)
-    if not 0.0 <= theta <= prof.p_bar / p_star + 1e-15:
-        raise DomainError(
-            f"theta must lie in [0, p_bar/p*] = [0, {prof.p_bar / p_star:.6g}]"
-        )
+    theta_max, fault = prof.p_bar / p_star, _not_a_number("theta", theta, "sigma", sigma)
+    if fault or not 0.0 <= theta <= theta_max + 1e-15:
+        raise DomainError(fault or f"theta must lie in [0, p_bar/p*] = [0, {theta_max:.6g}]")
     if not 1.0 <= sigma <= p_star + 1e-15:
         raise DomainError(f"sigma must lie in [1, p*] = [1, {p_star:.6g}]")
     T, grid = _require_positive("t_extent", t_extent), field.grid
@@ -301,10 +301,10 @@ def caccioppoli_report(
     and the measure of Q is the product of the per-axis box weights' sums.
     `prof.p` and `cutoff.exponents` must be the trajectory's exponents.
     """
-    _refuse_bools(k=k, C=C)
-    if k < 0.0 or not math.isfinite(k):
-        raise DomainError(f"truncation level k must be nonnegative, got {k!r}")
-    if not 0.0 <= C < math.inf:  # NaN fails every comparison
+    fault = _not_a_number("k", k, "C", C, "window start", window[0], "window end", window[1])
+    if fault or not 0.0 <= k < math.inf:  # NaN fails every comparison
+        raise DomainError(fault or f"truncation level k must be nonnegative, got {k!r}")
+    if not 0.0 <= C < math.inf:
         raise DomainError(f"C must be nonnegative and finite, got {C!r}")
     if not prof.p == tuple(cutoff.exponents) == traj.exponents.p:
         want, got = traj.exponents.p, (prof.p, tuple(cutoff.exponents))

@@ -22,7 +22,6 @@ import contextlib
 import functools
 import json
 import math
-import numbers
 import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
@@ -30,7 +29,7 @@ from typing import Any, Callable, Optional, Sequence
 import numpy as np
 
 from .errors import BlowupError, ConfigError, DomainError, IngestionError
-from .geometry import ExponentProfile, _BOOLS, _is_real, _require_positive, derive_exponents
+from .geometry import ExponentProfile, _not_a_number, _real, _require_positive, derive_exponents
 
 BOUNDARIES = ("dirichlet_zero", "periodic")
 
@@ -80,24 +79,9 @@ class Grid:
 
 
 def _count(n) -> Optional[int]:
-    """n as an int when it is integral (32, 32.0, "32"); None when it is not (32.7, nan,
-    inf, True: a bool is not a count, though float(True) is 1.0)."""
-    n = math.nan if isinstance(n, _BOOLS) else float(n)
-    return int(n) if n.is_integer() else None
-
-
-def _real(value, name: str) -> float:
-    """float(value), else a TypeError that names the value; a JSON true or false is
-    not a number, though float(True) is 1.0.  Config and manifest numbers go through it."""
-    reason = ""
-    if not isinstance(value, _BOOLS):
-        try:
-            return float(value)
-        except (TypeError, ValueError):
-            pass
-        except OverflowError as exc:  # a JSON int past 1e308
-            reason = f": {exc}"
-    raise TypeError(f"{name} must be a number, got {value!r}{reason}")
+    """n as an int when it is an integral number (32, 32.0); None when it is not (32.7,
+    nan, inf, "32", or True: `geometry._not_a_number`)."""
+    return None if _not_a_number("n", n) or not float(n).is_integer() else int(n)
 
 
 def _integer(value, name: str) -> int:
@@ -114,14 +98,14 @@ def build_grid(
     boundary: str = "dirichlet_zero",
 ) -> Grid:
     violations = []
-    half = tuple(float(x) for x in half_domain)
+    half = tuple(half_domain)
     res = tuple(_count(n) for n in resolution)
     if len(half) != len(res):
         violations.append(
             f"half_domain has {len(half)} entries but resolution has {len(res)}"
         )
-    for x, given in zip(half, half_domain):
-        violations += _violation("half_domain entry", given, 0.0 < x < math.inf, "be positive")
+    for x in half:
+        violations += _violation("half_domain entry", x, "be positive", lambda x: 0 < x < math.inf)
     for n, given in zip(res, resolution):
         if n is None:
             violations.append(f"resolution must be an integer per axis, got {given!r}")
@@ -131,7 +115,7 @@ def build_grid(
         violations.append(f"boundary must be one of {BOUNDARIES}, got {boundary!r}")
     if violations:
         raise ConfigError(violations)
-    grid = Grid(half_domain=half, resolution=res, boundary=boundary)
+    grid = Grid(half_domain=tuple(map(float, half)), resolution=res, boundary=boundary)
     if not all(0.0 < x < math.inf for x in (*grid.spacings, grid.cell_volume)):
         raise ConfigError([
             f"grid spacings {grid.spacings} and cell volume {grid.cell_volume!r} "
@@ -176,10 +160,11 @@ class InitialProfile:
         violations = []
         if self.kind not in PROFILE_KINDS:
             violations.append(f"unknown initial profile {self.kind!r}")
-        a, radius = self.amplitude, self.radius  # NaN fails every comparison
-        violations += _violation("amplitude", a, 0.0 <= a < math.inf, "be nonnegative and finite")
-        uses_radius = self.kind in ("bump", "plateau")
-        violations += _violation("radius", radius, not uses_radius or radius > 0.0, "be positive")
+        a, radius, radial = self.amplitude, self.radius, self.kind in ("bump", "plateau")
+        violations += _violation(  # NaN fails every comparison
+            "amplitude", a, "be nonnegative and finite", lambda a: 0.0 <= a < math.inf
+        )
+        violations += _violation("radius", radius, "be positive", lambda r: not radial or r > 0.0)
         if self.kind == "from_file" and not isinstance(self.path or None, (str, os.PathLike)):
             violations.append(f"from_file profile requires a path, got {self.path!r}")
         if violations:
@@ -461,30 +446,31 @@ def advance(field: Field, prof: ExponentProfile, eps: float, dt: float) -> Field
 
 def uniform_snapshots(t_end: float, count: int) -> tuple[float, ...]:
     """Uniform snapshot schedule over [0, t_end] with `count` snapshots incl. t=0."""
-    n = _count(count) if isinstance(count, numbers.Real) else None
+    n = _count(count)  # None: named below, not as a count below 1
+    violations = _range_violations(t_end=t_end, snapshots=1 if n is None else n)
     if n is None:
-        raise ConfigError([f"snapshot count must be an integer, got {count!r}"])
-    if n < 1:
-        raise ConfigError([f"snapshot count must be >= 1, got {count}"])
+        violations.append(f"snapshot count must be an integer, got {count!r}")
+    if violations:
+        raise ConfigError(violations)
     if t_end == 0.0 or n == 1:
         return (0.0,)
     return tuple(np.linspace(0.0, t_end, n))
 
 
-def _violation(name: str, value, ok: bool, rule: str) -> list[str]:
-    """[] if `ok`, else why value breaks the rule; a bool is not a number, though
-    float(True) is 1.0 (the config's `_real` says so in the same words)."""
-    if isinstance(value, _BOOLS):
-        return [f"{name} must be a number, got {value!r}"]
-    return [] if ok else [f"{name} must {rule}, got {value}"]
+def _violation(name: str, value, rule: str, ok: Callable[[Any], bool]) -> list[str]:
+    """[] if value is a number (`geometry._not_a_number`) and ok(value), else why not."""
+    if fault := _not_a_number(name, value):
+        return [fault]
+    return [] if ok(value) else [f"{name} must {rule}, got {value}"]
 
 
-def _range_violations(t_end=0.0, eps=1.0, safety=0.5) -> list[str]:
-    """The violations of SimConfig's scalar ranges; each default lies in its range."""
+def _range_violations(t_end=0.0, eps=1.0, safety=0.5, snapshots=1) -> list[str]:
+    """The violations of SimConfig's scalar ranges and a snapshot count's; defaults obey them."""
     return [  # NaN fails every comparison
-        *_violation("t_end", t_end, 0.0 <= t_end < math.inf, "be nonnegative and finite"),
-        *_violation("eps", eps, 0.0 < eps < math.inf, "be positive and finite"),
-        *_violation("safety", safety, 0.0 < safety <= 1.0, "lie in (0, 1]"),
+        *_violation("t_end", t_end, "be nonnegative and finite", lambda x: 0.0 <= x < math.inf),
+        *_violation("eps", eps, "be positive and finite", lambda x: 0.0 < x < math.inf),
+        *_violation("safety", safety, "lie in (0, 1]", lambda x: 0.0 < x <= 1.0),
+        *_violation("snapshot count", snapshots, "be >= 1", lambda n: n >= 1),
     ]
 
 
@@ -538,10 +524,13 @@ class SimConfig:
             times = (0.0,) if violations else uniform_snapshots(self.t_end, 101)
         else:
             try:
-                times = tuple(float(t) for t in self.snapshot_times)
-            except (TypeError, ValueError):
+                times = tuple(self.snapshot_times)
+            except TypeError:  # no sequence at all, so no sequence of numbers
+                times = (None,)
+            if any(_not_a_number("snapshot time", t) for t in times):  # float("0") is 0.0
                 violations.append(f"snapshot times must be numbers, got {self.snapshot_times!r}")
                 times = (0.0,)  # a schedule that passes the checks below
+            times = tuple(map(float, times))
         not_finite = [t for t in times if not math.isfinite(t)]
         if not_finite:
             violations.append(f"snapshot times must be finite, got {not_finite[0]}")
@@ -577,9 +566,9 @@ class Trajectory:
     _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        for name, x in [("eps", self.eps), *(("snapshot time", t) for t in self.times)]:
-            if not _is_real(x):  # float(True) is 1.0, but a bool is not a number here
-                raise IngestionError(f"{name} must be a number, got {x!r}")
+        for t in self.times:  # a bool is no number, though float(True) is 1.0
+            if (fault := _not_a_number("snapshot time", t)) or not math.isfinite(t):
+                raise IngestionError(fault or "snapshot times must be finite")
         object.__setattr__(self, "times", tuple(float(t) for t in self.times))
         v = self.values
         owned = isinstance(v, np.ndarray) and v.flags.owndata and not v.flags.writeable
@@ -589,10 +578,8 @@ class Trajectory:
             object.__setattr__(self, "values", v)
         if not self.times:
             raise IngestionError("trajectory has no snapshots")
-        if not all(map(math.isfinite, self.times)):
-            raise IngestionError("snapshot times must be finite")
-        if not 0.0 < self.eps < math.inf:  # NaN fails every comparison
-            raise IngestionError(f"eps must be positive and finite, got {self.eps!r}")
+        if (fault := _not_a_number("eps", self.eps)) or not 0.0 < self.eps < math.inf:  # NaN fails
+            raise IngestionError(fault or f"eps must be positive and finite, got {self.eps!r}")
         if self.exponents.N != self.grid.N:
             raise IngestionError(
                 f"{self.exponents.N} exponents for a {self.grid.N}-dimensional grid"
@@ -604,14 +591,14 @@ class Trajectory:
             )
         if any(b < a for a, b in zip(self.times, self.times[1:])):
             raise IngestionError("snapshot times must not decrease")
-        if not (_is_real(self.steps) and self.steps % 1 == 0 and self.steps >= 0):
+        if _not_a_number("steps", self.steps) or self.steps % 1 or self.steps < 0:  # nan % 1 is nan
             raise IngestionError(f"steps must be a nonnegative integer, got {self.steps!r}")
         object.__setattr__(self, "steps", int(self.steps))
-        if not (_is_real(self.min_value) and math.isfinite(self.min_value)):
+        if _not_a_number("min_value", self.min_value) or not math.isfinite(self.min_value):
             raise IngestionError(f"min_value must be finite, got {self.min_value!r}")
         object.__setattr__(self, "min_value", float(self.min_value))
         drift = self.mass_drift
-        if drift is not None and not (_is_real(drift) and math.isfinite(drift)):
+        if drift is not None and (_not_a_number("mass_drift", drift) or not math.isfinite(drift)):
             raise IngestionError(f"mass_drift must be null or a finite number, got {drift!r}")
         object.__setattr__(self, "mass_drift", None if drift is None else float(drift))
 
@@ -644,6 +631,8 @@ class Trajectory:
 
     def window(self, t_a: float, t_b: float) -> slice:
         """Rows with t_a - tol <= time <= t_b + tol, tol = 1e-9 max(1, |t_b|)."""
+        if fault := _not_a_number("t_a", t_a, "t_b", t_b):
+            raise DomainError(fault)
         tol = WINDOW_RTOL * max(1.0, abs(t_b))
         return slice(
             bisect.bisect_left(self.times, t_a - tol),
