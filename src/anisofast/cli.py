@@ -200,8 +200,8 @@ def _parse_check(value, violations, t_end) -> CheckSpec | None:
     if given:
         found.append(f"{where} has unknown options {sorted(given)}")
     found += [f"{where}: {rule}" for rule in harnack.option_violations(kind, values)]
-    t = values.get("t", math.nan)
-    if t_end is not None and t_end < t < math.inf:  # a t that breaks no rule of its own
+    t = values.get("t", math.nan)  # a NaN or an inf t breaks its own rule, named above
+    if t_end is not None and t < math.inf and harnack._past_horizon(t, t_end):
         found.append(f"{where}: t={t} exceeds t_end={t_end}")
     violations += found
     return None if found else CheckSpec(kind, **values)

@@ -11,6 +11,7 @@ of anisotropy.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, replace
 from numbers import Real
@@ -94,24 +95,24 @@ def _require_fast(prof: ExponentProfile, what: str) -> None:
 def _not_a_number(name: str, value, *more) -> str:
     """The number rule of every entry point: why `value`, then each value of the `more`
     name, value pairs, is no real number, else "".  A bool or numpy bool is none, though
-    float(True) is 1.0, nor is a string, None or a complex.  Each caller raises the reason
-    as its own exception type and judges the range (positive, finite, ...) itself."""
-    # a float (np.float64 too), the common case, first: the ABC isinstance test costs ~0.4 us
-    if isinstance(value, float) or isinstance(value, Real) and not isinstance(value, _BOOLS):
-        return _not_a_number(*more) if more else ""
-    return _NUMBER_RULE.format(name=name, value=value)
+    float(True) is 1.0, nor is a string, None, a complex or an int past 1e308.  Each
+    caller raises the reason as its own exception type and judges the range itself."""
+    if not isinstance(value, float):  # a float (np.float64 too) first: the ABC test costs ~0.4 us
+        if not isinstance(value, Real) or isinstance(value, _BOOLS):
+            return _NUMBER_RULE.format(name=name, value=value)
+        try:
+            float(value)
+        except OverflowError as exc:  # an int that no float holds, in float()'s words
+            return f"{_NUMBER_RULE.format(name=name, value=value)}: {exc}"
+    return _not_a_number(*more) if more else ""
 
 
 def _real(value, name: str) -> float:
     """float(value) for a number or the text of one, as a config or a manifest holds it;
     else a TypeError in the number rule's words (`_not_a_number`)."""
-    try:
+    with contextlib.suppress(ValueError):  # text that is no number breaks the rule
         if isinstance(value, str) or not _not_a_number(name, value):
             return float(value)
-    except ValueError:  # text that is no number
-        pass
-    except OverflowError as exc:  # a JSON int past 1e308
-        raise TypeError(f"{_NUMBER_RULE.format(name=name, value=value)}: {exc}") from None
     raise TypeError(_not_a_number(name, value))
 
 
@@ -160,8 +161,10 @@ class CubeSpec:
         if len(self.center) != len(self.half_widths):
             raise DomainError("center and half_widths must have equal length")
         _require_positive("rho", self.rho)
-        for w in self.half_widths:
+        for c, w in zip(self.center, self.half_widths):
             _require_positive("half_width", w)
+            if fault := _not_a_number("center", c):
+                raise DomainError(fault)
         if self.kind == "intrinsic":
             if self.t is None:
                 raise DomainError("intrinsic cube requires a time level t")

@@ -32,7 +32,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -74,7 +74,7 @@ class InequalityReport:
         return float(sum(self.rhs_terms.values())) if self.applicable else math.nan
 
 
-def gamma_min(lhs: float, rhs_terms) -> float:
+def gamma_min(lhs: float, rhs_terms: Iterable[float]) -> float:
     """lhs / sum(rhs_terms); 0 when lhs = 0; +inf when lhs > 0 but the sum is 0."""
     values = [lhs, *rhs_terms]
     for k, x in enumerate(values):
@@ -423,6 +423,10 @@ def option_violations(kind: str, options: dict) -> list[str]:
     return [problem for problem in found if problem]
 
 
+def _past_horizon(t: float, end_time: float) -> bool:
+    return t > end_time * (1.0 + WINDOW_RTOL)  # a check's horizon, and a config's (`cli`)
+
+
 def _evaluate(kind, traj, rho, t, r, geometry, C) -> InequalityReport:
     """Measure the CHECKS[kind] inequality at (rho, t, r, C) in one geometry.
 
@@ -438,7 +442,7 @@ def _evaluate(kind, traj, rho, t, r, geometry, C) -> InequalityReport:
     problems = option_violations(kind, options)
     if problems:
         raise DomainError("; ".join(problems))
-    if t > traj.end_time * (1.0 + WINDOW_RTOL):
+    if _past_horizon(t, traj.end_time):
         raise DomainError(f"window [0, {t}] exceeds the trajectory horizon {traj.end_time}")
     theorem = row.theorems[GEOMETRIES.index(geometry)]
     params = {k: v if k == "geometry" else float(v) for k, v in options.items() if v is not None}

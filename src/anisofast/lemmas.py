@@ -243,15 +243,13 @@ class CutoffSpec:
     def __post_init__(self):
         if self.inner.N != self.outer.N or len(self.exponents) != self.inner.N:
             raise DomainError("cutoff cubes and exponents must share one dimension")
-        if any(
-            abs(a - b) > 1e-12 for a, b in zip(self.inner.center, self.outer.center)
-        ):
+        for p in self.exponents:
+            if fault := _not_a_number("exponent", p):
+                raise DomainError(fault)
+        if any(abs(a - b) > 1e-12 for a, b in zip(self.inner.center, self.outer.center)):
             raise DomainError("cutoff cubes must be concentric")
-        for wi, wo in zip(self.inner.half_widths, self.outer.half_widths):
-            if not wo > wi:
-                raise DomainError(
-                    "outer cube must strictly contain the inner cube per axis"
-                )
+        if any(not wo > wi for wi, wo in zip(self.inner.half_widths, self.outer.half_widths)):
+            raise DomainError("outer cube must strictly contain the inner cube per axis")
 
     def derivative_bound(self, i: int) -> float:
         """sup |d zeta_i / dx_i| = 1/(outer_i - inner_i)."""

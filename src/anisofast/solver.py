@@ -133,6 +133,8 @@ class Field:
     time: float
 
     def __post_init__(self):
+        if fault := _not_a_number("time", self.time):
+            raise IngestionError(fault)
         self.values = np.asarray(self.values, dtype=np.float64).ravel()
         if self.values.size != self.grid.n_cells:
             raise IngestionError(
@@ -536,7 +538,7 @@ class SimConfig:
             violations.append(f"snapshot times must be finite, got {not_finite[0]}")
         elif not times or times[0] != 0.0 or any(b <= a for a, b in zip(times, times[1:])):
             violations.append("snapshot times must start at 0 and increase strictly")
-        elif times[-1] > self.t_end * (1.0 + _TIME_RTOL):
+        elif not _not_a_number("t_end", self.t_end) and times[-1] > self.t_end * (1 + _TIME_RTOL):
             violations.append("snapshot times must not exceed t_end")
         if violations:
             raise ConfigError(violations)
@@ -766,13 +768,12 @@ def save_trajectory(traj: Trajectory, path: str) -> str:
 def load_trajectory(path: str) -> Trajectory:
     """Read back a trajectory directory; snapshot values round-trip bit-exactly.
 
-    snapshots.f64 is read with one `readinto` into a preallocated
-    (len(times), n_cells) array that the trajectory keeps, so loading holds
-    the snapshots in memory once.  Every fault of the directory raises
-    `IngestionError`: a missing or undecodable manifest, a format other than
-    2, a missing key, a true or false for a number, a value the grid, the
-    exponents or the trajectory reject, exponents whose count is not the
-    grid's dimension, a data file that does not hold exactly len(times) x
+    snapshots.f64 is read with one `readinto` into a preallocated (len(times), n_cells)
+    array that the trajectory keeps, so loading holds the snapshots in memory once.  Every
+    fault of the directory raises `IngestionError`: a missing or undecodable manifest, a
+    format other than 2, a missing key, a true or false for a number, a value the grid, the
+    exponents or the trajectory reject, spacings that are not the grid's, exponents whose
+    count is not the grid's dimension, a data file that does not hold exactly len(times) x
     n_cells values, and an initial_sup that is not the max of the first snapshot.
     """
     mpath = os.path.join(path, "manifest.json")
@@ -791,11 +792,16 @@ def load_trajectory(path: str) -> Trajectory:
             [_integer(n, "resolution") for n in manifest["resolution"]],
             manifest["boundary"],
         )
+        if [_real(h, "spacings") for h in manifest["spacings"]] != list(grid.spacings):
+            raise ValueError(f"spacings {manifest['spacings']} are not the grid's {grid.spacings}")
         p = [_real(x, "p") for x in manifest["p"]]
         prof = derive_exponents(p, _integer(manifest["dimension"], "dimension"))
         times = tuple(_real(t, "times") for t in manifest["times"])
         eps, initial_sup = (_real(manifest[k], k) for k in ("eps", "initial_sup"))
         steps, mass_drift, min_value = (manifest[k] for k in ("steps", "mass_drift", "min_value"))
+        for k in ("mass_drift", "min_value"):  # a JSON int past 1e308, in the rule's words
+            if type(manifest[k]) is int and (fault := _not_a_number(k, manifest[k])):
+                raise TypeError(fault)
     except IngestionError:
         raise
     except KeyError as missing:
@@ -815,7 +821,7 @@ def load_trajectory(path: str) -> Trajectory:
     values.flags.writeable = False
     try:
         traj = Trajectory(grid, prof, eps, values, times, steps, mass_drift, min_value)
-    except (IngestionError, OverflowError) as exc:  # times, eps, steps, mass_drift or min_value
+    except IngestionError as exc:  # times, eps, steps, mass_drift or min_value
         raise IngestionError(f"invalid manifest.json in {path!r}: {exc}") from None
     if initial_sup != traj.initial.sup():
         raise IngestionError(f"initial_sup in {path!r} is not the max of the first snapshot")

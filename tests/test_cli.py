@@ -23,7 +23,7 @@ from anisofast.cli import (
     main,
     parse_config,
 )
-from anisofast.errors import ConfigError
+from anisofast.errors import ConfigError, DomainError
 from anisofast.lemmas import fast_convergence, iteration_bound, young_conjugate, young_gamma
 from conftest import FLOAT_RANGE_CASES
 
@@ -334,6 +334,23 @@ def test_parse_check_t_beyond_t_end_is_named_with_other_faults():
         "check 'l1l1': geometry must be one of ('intrinsic', 'standard'), got 'bogus'",
         "check 'l1l1': t=0.5 exceeds t_end=0.02",
     ]
+
+
+@pytest.mark.parametrize("excess, accepted", [(5e-10, True), (2e-9, False)])
+def test_config_and_check_share_one_horizon(excess, accepted):
+    # a t past t_end by a relative 5e-10 reads the run's last snapshot, so the config
+    # accepts it as the check does; past 1e-9 both refuse it, each in its own words
+    t_end, t = 0.01, 0.01 * (1.0 + excess)
+    config = MINIMAL.replace("0.02", str(t_end)) + f"[analysis]\ncheck = l1l1 rho=0.1 t={t}\n"
+    traj = af.run(parse_config(MINIMAL.replace("0.02", str(t_end))).sim)
+    if accepted:
+        assert parse_config(config).checks[0].t == t and af.check_l1l1(traj, 0.1, t).gamma_min > 0
+        return
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(config)
+    assert excinfo.value.violations == [f"check 'l1l1': t={t} exceeds t_end={t_end}"]
+    with pytest.raises(DomainError, match=re.escape(f"window [0, {t}] exceeds the trajectory")):
+        af.check_l1l1(traj, 0.1, t)
 
 
 @pytest.mark.parametrize("key", ["p", "half_domain", "resolution"])

@@ -1,9 +1,10 @@
-"""The number rule: a bool, a numpy bool or a string is no number at any entry point.
+"""The number rule: a bool, a numpy bool, a string or an int past 1e308 is no number at any
+entry point.
 
-`geometry._not_a_number` states the rule once; every public function and method
-that takes a `float` or an `int` reaches it and raises the reason as its own
-exception.  The walker below finds those parameters in the source, so a new
-entry point fails here until it is given a base call.
+`geometry._not_a_number` states the rule once; every public function, method and dataclass
+constructor that takes a number, or a sequence of numbers, reaches it and raises the reason
+as its own exception.  The walker below finds those parameters and fields in the source, so
+a new entry point fails here until it is given a base call.
 """
 
 import ast
@@ -18,7 +19,8 @@ import pytest
 
 import anisofast as af
 from anisofast import cli, harnack, lemmas
-from anisofast.errors import ConfigError, DomainError
+from anisofast.errors import ConfigError, DomainError, IngestionError
+from anisofast.geometry import _real
 from test_public_api import _public_definitions
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -27,30 +29,49 @@ SRC = ROOT / "src" / "anisofast"
 #: the annotations of a parameter that takes one number
 SCALAR = {"float", "int", "Optional[float]", "Optional[int]", "float | None", "int | None"}
 
-#: numbers that no entry point takes: float(True) is 1.0 and float("0.5") is 0.5
-NOT_NUMBERS = [True, np.True_, "0.5"]
+#: the annotations of a parameter that takes numbers: each entry is judged as one
+SEQUENCE = {"Sequence[float]", "Sequence[int]", "Iterable[float]", "tuple[float, float]",
+            "tuple[float, ...]", "tuple[int, ...]"}
 
-#: (entry point, parameter) annotated as a number that is no number of the estimates
+HUGE = 10**400  # float() cannot convert it, so no float parameter takes it
+
+#: numbers that no entry point takes: float(True) is 1.0 and float("0.5") is 0.5
+NOT_NUMBERS = [True, False, np.True_, np.False_, "0.5"]
+
+#: entry points, or (entry point, parameter), whose numbers are no numbers of the estimates
 NOT_CHECKED = {
     ("solver.Grid.axis_centers", "i"): "an axis index, which the tuple indexing judges",
     ("lemmas.CutoffSpec.derivative_bound", "i"): "an axis index, as above",
     ("lemmas.CutoffSpec.axis_ramp", "i"): "an axis index, as above",
     ("cli.cmd_lemmas", "seed"): "seeds numpy's generator, which judges it; argparse reads an int",
+    # the records the package builds itself, of numbers it has judged or computed
+    "geometry.ExponentProfile": "derive_exponents builds it",
+    "solver.Grid": "build_grid builds it",
+    "extinction.PowerLawFit": "fit_power_law's result",
+    "extinction.DecayReport": "decay_reports' result",
+    "harnack.InequalityReport": "a check's result",
+    "harnack.Inequality": "a row of CHECKS",
+    "lemmas.SequenceLemmaResult": "fast_convergence's result",
+    "cli.CampaignConfig": "parse_config builds it from the config it has judged",
 }
 
 
-def _scalar_parameters() -> list[tuple[str, str]]:
-    """(module.qualified name, parameter) of each parameter annotated as one number of every
-    public function and method, as `test_public_api` finds them."""
-    found = []
+def _number_parameters():
+    """(module.qualified name, parameter, annotation) of each parameter annotated as one
+    number or a sequence of numbers, of every public function and method and of every
+    public dataclass's constructor (its public fields), as `test_public_api` finds them."""
     for path in sorted(SRC.glob("*.py")):
-        for qualified, fn in _public_definitions(ast.parse(path.read_text(encoding="utf-8"))):
-            if not isinstance(fn, ast.FunctionDef):
-                continue  # a class: its constructor's numbers are `test_solver`'s
-            for a in [*fn.args.posonlyargs, *fn.args.args, *fn.args.kwonlyargs]:
-                if a.annotation and ast.unparse(a.annotation) in SCALAR:
-                    found.append((f"{path.stem}.{qualified}", a.arg))
-    return found
+        for qualified, node in _public_definitions(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef):
+                args = ast.walk(node.args)
+                named = [(a.arg, a.annotation) for a in args if isinstance(a, ast.arg)]
+            elif any("dataclass" in ast.unparse(d) for d in node.decorator_list):
+                named = [(f.target.id, f.annotation) for f in node.body
+                         if isinstance(f, ast.AnnAssign) and not f.target.id.startswith("_")]
+            else:
+                named = []
+            yield from ((f"{path.stem}.{qualified}", name, text) for name, annotation in named
+                        if annotation and (text := ast.unparse(annotation)) in SCALAR | SEQUENCE)
 
 
 @functools.cache
@@ -61,106 +82,132 @@ def _setting() -> SimpleNamespace:
     rows = field.values * np.array([[1.0], [0.5], [0.0]])  # extinct at t = 0.2
     traj, cube = af.Trajectory(grid, prof, 1e-2, rows, (0.0, 0.1, 0.2)), af.standard_cube(0.1, prof)
     return SimpleNamespace(
-        prof=prof, field=field, traj=traj, cube=cube,
+        grid=grid, prof=prof, field=field, rows=rows, traj=traj, cube=cube,
         cutoff=af.CutoffSpec(af.standard_cube(0.05, prof), cube, prof.p),
         plane=af.init_field(af.build_grid([0.5, 0.5], [8, 8]), af.InitialProfile("bump")),
     )
 
 
 def _entry(function, *args, error=DomainError, **words):
-    """A base call: the function, its valid arguments, the type it raises (str: it returns
-    the reason), and the words of each parameter whose fault is not "<name> must be a
-    number"."""
-    return function, args, error, words
+    """(entry point, base call): the function, its valid arguments, the type it raises (str:
+    it returns the reason), and the words of each parameter whose fault is not "<name> must
+    be a number": the rule's name for it, or the fault of {bad} in {seq}, its sequence."""
+    name = f"{function.__module__.rpartition('.')[2]}.{function.__qualname__}"
+    return name, (function, args, error, words)
 
 
 @functools.cache
 def _base_calls() -> dict:
-    """{entry point: _entry(...)}, one valid call per entry point."""
+    """{entry point: base call}, one valid call per entry point."""
     s = _setting()
     prof, field, traj, cube = s.prof, s.field, s.traj, s.cube
-    check = (traj, 0.1, 0.1)
-    return {
-        "extinction.detect_extinction": _entry(af.detect_extinction, traj, 1e-3),
-        "extinction.decay_samples": _entry(af.decay_samples, traj, 0.1, 0.2, 1e-3),
-        "extinction.decay_reports": _entry(af.decay_reports, traj, 0.1, 1e-3),
-        "geometry.ExponentProfile.lam_r": _entry(prof.lam_r, 2.0),
-        "geometry.ExponentProfile.lam_ir": _entry(prof.lam_ir, 2.0),
-        "geometry.derive_exponents": _entry(
-            af.derive_exponents, [1.5], 1, N="dimension must be a number"
-        ),
-        "geometry.nu": _entry(af.nu, 0.1, 0.1, prof),
-        "geometry.nu_sigma": _entry(af.nu_sigma, 0.1, 0.1, prof),
-        "geometry.intrinsic_cube": _entry(af.intrinsic_cube, 0.1, 0.1, prof),
-        "geometry.standard_cube": _entry(af.standard_cube, 0.1, prof),
-        "geometry.scale_cube": _entry(af.scale_cube, cube, 2.0, a="scale factor must be a number"),
-        "geometry.smallness_violated": _entry(
-            af.smallness_violated, 0.5, 0.1, 0.1, prof, "intrinsic"
-        ),
-        "harnack.gamma_min": _entry(af.gamma_min, 1.0, [1.0]),
-        "harnack.cube_integral": _entry(af.cube_integral, field, cube, 2.0),
-        "harnack.time_extremal": _entry(af.time_extremal, traj, cube, (0.0, 0.1), "sup_lr", 2.0),
-        "harnack.Inequality.r_violation": _entry(
-            harnack.CHECKS["lr_sup"].r_violation, 2.0, error=str
-        ),
-        "harnack.check_l1l1": _entry(af.check_l1l1, *check),
-        "harnack.check_l1linf": _entry(af.check_l1linf, *check),
-        "harnack.check_lr_sup": _entry(af.check_lr_sup, *check, 2.0),
-        "harnack.check_lr_backward": _entry(af.check_lr_backward, *check, 2.0),
-        "harnack.check_backwards_composite": _entry(af.check_backwards_composite, *check, 2.0),
-        "lemmas.young_gamma": _entry(af.young_gamma, 0.5, 2.0),
-        "lemmas.young_conjugate": _entry(lemmas.young_conjugate, 2.0),
-        "lemmas.fast_convergence": _entry(af.fast_convergence, 1.0, 2.0, 0.5, 0.1, 10),
-        "lemmas.iteration_bound": _entry(af.iteration_bound, 0.5, 1.5, 1.0, 1.0),
-        "lemmas.sobolev_ratio": _entry(
-            af.sobolev_ratio, s.plane, af.derive_exponents([1.5, 1.5], 2), 0.2, 1.0, 1.0
-        ),
-        "lemmas.caccioppoli_report": _entry(
-            af.caccioppoli_report, traj, prof, s.cutoff, 0.1, (0.0, 0.2)
-        ),
-        "solver.stable_dt": _entry(af.stable_dt, field, prof, 1e-2),
-        "solver.advance": _entry(af.advance, field, prof, 1e-2, 1e-6),
-        "solver.uniform_snapshots": _entry(  # a count is an integer, in its own words
-            af.uniform_snapshots, 0.1, 3, error=ConfigError,
-            count="snapshot count must be an integer",
-        ),
-        "solver.Trajectory.window": _entry(traj.window, 0.0, 0.1),
-    }
+    check, window = (traj, 0.1, 0.1), ("window start", "window end")
+    return dict([
+        _entry(af.detect_extinction, traj, 1e-3),
+        _entry(af.decay_samples, traj, 0.1, 0.2, 1e-3),
+        _entry(af.decay_reports, traj, 0.1, 1e-3),
+        _entry(prof.lam_r, 2.0),
+        _entry(prof.lam_ir, 2.0),
+        _entry(af.derive_exponents, [1.5], 1, p_list="exponent", N="dimension"),
+        _entry(af.nu, 0.1, 0.1, prof),
+        _entry(af.nu_sigma, 0.1, 0.1, prof),
+        _entry(af.CubeSpec, (0.0,), (0.1,), "intrinsic", 0.1, 0.1, half_widths="half_width"),
+        _entry(af.intrinsic_cube, 0.1, 0.1, prof),
+        _entry(af.standard_cube, 0.1, prof),
+        _entry(af.scale_cube, cube, 2.0, a="scale factor"),
+        _entry(af.smallness_violated, 0.5, 0.1, 0.1, prof, "intrinsic"),
+        _entry(af.gamma_min, 1.0, [1.0, 1.0], rhs_terms=("rhs term 0", "rhs term 1")),
+        _entry(af.cube_integral, field, cube, 2.0),
+        _entry(af.time_extremal, traj, cube, (0.0, 0.1), "sup_lr", 2.0, window=window),
+        _entry(harnack.CHECKS["lr_sup"].r_violation, 2.0, error=str),
+        _entry(af.check_l1l1, *check),
+        _entry(af.check_l1linf, *check),
+        _entry(af.check_lr_sup, *check, 2.0),
+        _entry(af.check_lr_backward, *check, 2.0),
+        _entry(af.check_backwards_composite, *check, 2.0),
+        _entry(af.young_gamma, 0.5, 2.0),
+        _entry(lemmas.young_conjugate, 2.0),
+        _entry(af.fast_convergence, 1.0, 2.0, 0.5, 0.1, 10),
+        _entry(af.iteration_bound, 0.5, 1.5, 1.0, 1.0),
+        _entry(af.sobolev_ratio, s.plane, af.derive_exponents([1.5, 1.5], 2), 0.2, 1.0, 1.0),
+        _entry(af.CutoffSpec, af.standard_cube(0.05, prof), cube, prof.p, exponents="exponent"),
+        _entry(af.caccioppoli_report, traj, prof, s.cutoff, 0.1, (0.0, 0.2), window=window),
+        _entry(af.Field, s.grid, field.values, 0.0, error=IngestionError),
+        _entry(af.InitialProfile, "bump", error=ConfigError),
+        _entry(af.stable_dt, field, prof, 1e-2),
+        _entry(af.advance, field, prof, 1e-2, 1e-6),
+        _entry(traj.window, 0.0, 0.1),
+        # counts, the schedule and the run record, in the words of their own rules
+        _entry(af.build_grid, [0.5], [32], error=ConfigError, half_domain="half_domain entry",
+               resolution="resolution must be an integer per axis, got {bad!r}"),
+        _entry(af.uniform_snapshots, 0.1, 3, error=ConfigError,
+               count="snapshot count must be an integer, got {bad!r}"),
+        _entry(af.SimConfig, s.grid, af.InitialProfile("bump"), prof, 1e-2, 0.1, 0.5, (0.0, 0.1),
+               error=ConfigError, snapshot_times="snapshot times must be numbers, got {seq!r}"),
+        _entry(af.Trajectory, s.grid, prof, 1e-2, s.rows, (0.0, 0.1, 0.2), 3, 0.0, 0.0,
+               error=IngestionError, times="snapshot time",
+               steps="steps must be a nonnegative integer, got {bad!r}",
+               mass_drift="mass_drift must be null or a finite number, got {bad!r}",
+               min_value="min_value must be finite, got {bad!r}"),
+    ])
+
+
+def _expected(words: str, bad, seq=None) -> str:
+    """The fault of `bad` in `words` (`_entry`), as the rule words an int past 1e308 too."""
+    tail = ": int too large to convert to float" if bad is HUGE else ""
+    rule = words if " must " in words else words + " must be a number, got {bad!r}" + tail
+    return rule.format(bad=bad, seq=seq)
+
+
+def _shown(bad) -> str:
+    return "10**400" if bad is HUGE else repr(bad)
 
 
 def _cases():
-    return [
-        pytest.param(entry, parameter, bad, id=f"{entry}-{parameter}-{bad!r}")
-        for entry, parameter in _scalar_parameters()
-        if (entry, parameter) not in NOT_CHECKED
-        for bad in NOT_NUMBERS
-    ]
+    """(entry point, parameter, entry index or None, bad value) of every checked number."""
+    cases = []
+    for entry, parameter, annotation in _number_parameters():
+        if entry not in _base_calls() or (entry, parameter) in NOT_CHECKED:
+            continue  # a checked entry point without a base call fails the test below
+        function, args, _, _ = _base_calls()[entry]
+        given = inspect.signature(function).bind(*args).arguments.get(parameter)
+        for index in [None] if annotation in SCALAR else range(len(given)):
+            at = f"{entry}-{parameter}" + ("" if index is None else f"[{index}]")
+            for bad in NOT_NUMBERS + [HUGE] * ("float" in annotation):
+                cases.append(pytest.param(entry, parameter, index, bad, id=f"{at}-{_shown(bad)}"))
+    return cases
 
 
 def test_every_entry_point_that_takes_a_number_has_a_base_call():
-    # a new public function or method with a float or int parameter fails here
-    scalars = set(_scalar_parameters())
-    checked = {entry for entry, _ in scalars - set(NOT_CHECKED)}
+    # a new public function, method or dataclass field taking a number fails here
+    found = {(entry, parameter) for entry, parameter, _ in _number_parameters()}
+    checked = {e for e, p in found if e not in NOT_CHECKED and (e, p) not in NOT_CHECKED}
     assert sorted(checked - set(_base_calls())) == []
     assert sorted(set(_base_calls()) - checked) == []  # no call for what is gone
-    assert sorted(set(NOT_CHECKED) - scalars) == []
+    assert sorted(set(NOT_CHECKED) - found - {entry for entry, _ in found}) == []
 
 
 @pytest.mark.parametrize("entry", sorted(_base_calls()))
 def test_every_base_call_is_valid(entry):
-    function, args, error, _ = _base_calls()[entry]
+    function, args, error, words = _base_calls()[entry]
+    assert set(words) <= set(inspect.signature(function).parameters)
     result = function(*args)  # raises nothing
     if error is str:
         assert result == ""
 
 
-@pytest.mark.parametrize("entry, parameter, bad", _cases())
-def test_entry_point_refuses_what_is_no_number(entry, parameter, bad):
+@pytest.mark.parametrize("entry, parameter, index, bad", _cases())
+def test_entry_point_refuses_what_is_no_number(entry, parameter, index, bad):
     function, args, error, words = _base_calls()[entry]
     bound = inspect.signature(function).bind(*args)
     bound.apply_defaults()
-    bound.arguments[parameter] = bad
-    message = f"{words.get(parameter, f'{parameter} must be a number')}, got {bad!r}"
+    said, seq = words.get(parameter, parameter), bad
+    if index is not None:  # one entry replaced, in a sequence of the given type
+        given = bound.arguments[parameter]
+        seq = type(given)([*given[:index], bad, *given[index + 1 :]])
+        said = said[index] if isinstance(said, tuple) else said
+    bound.arguments[parameter] = seq
+    message = _expected(said, bad, seq)
     if error is str:
         assert function(*bound.args, **bound.kwargs) == message
         return
@@ -168,6 +215,13 @@ def test_entry_point_refuses_what_is_no_number(entry, parameter, bad):
         function(*bound.args, **bound.kwargs)
     found = excinfo.value.violations if error is ConfigError else [str(excinfo.value)]
     assert found == [message]
+
+
+@pytest.mark.parametrize("bad", [*NOT_NUMBERS[:4], HUGE], ids=_shown)
+def test_a_config_number_follows_the_rule(bad):
+    # `_real` reads text as a number (test_config_text_still_reads_as_numbers): all but "0.5"
+    with pytest.raises(TypeError, match=f"^{re.escape(_expected('eps', bad))}$"):
+        _real(bad, "eps")
 
 
 def test_the_number_rule_is_stated_once():

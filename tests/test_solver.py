@@ -2,7 +2,6 @@
 
 import ast
 import dataclasses
-import functools
 import json
 import re
 import tracemalloc
@@ -16,7 +15,7 @@ from hypothesis import strategies as st
 import anisofast as af
 from anisofast.errors import BlowupError, ConfigError, DomainError, IngestionError
 from anisofast.solver import (
-    _FluxKernel, _kernel_at, _mirror_axes, _real, _split, advance, stable_dt
+    _FluxKernel, _kernel_at, _mirror_axes, _split, advance, stable_dt
 )
 from conftest import FLOAT_RANGE_CASES
 
@@ -321,179 +320,6 @@ def test_uniform_snapshots_rejects_a_bad_count(count, violation):
     assert af.uniform_snapshots(0.1, 3.0) == af.uniform_snapshots(0.1, 3) == (0.0, 0.05, 0.1)
 
 
-@pytest.mark.parametrize(
-    "build, violation",
-    [
-        (lambda: af.build_grid([True], [64]), "half_domain entry must be a number, got True"),
-        (lambda: af.build_grid([0.5], [True]), "resolution must be an integer per axis, got True"),
-        (lambda: af.uniform_snapshots(0.1, True), "snapshot count must be an integer, got True"),
-    ],
-    ids=["half_domain", "resolution", "snapshot_count"],
-)
-def test_python_api_rejects_a_boolean_number(build, violation):
-    # float(True) is 1.0, but a bool is not a number, as in a config or a manifest
-    with pytest.raises(ConfigError) as excinfo:
-        build()
-    assert excinfo.value.violations == [violation]
-
-
-@pytest.mark.parametrize(
-    "eps, times, message",
-    [(True, (0.0, 0.1), "eps must be a number, got True"),
-     (1e-3, (False, 0.1), "snapshot time must be a number, got False"),
-     (np.True_, (0.0, 0.1), "eps must be a number, got np.True_"),
-     (1e-3, (np.False_, 0.1), "snapshot time must be a number, got np.False_"),
-     ("0.1", (0.0, 0.1), "eps must be a number, got '0.1'"),
-     (1e-3, (0.0, "0.1"), "snapshot time must be a number, got '0.1'")],
-    ids=["eps", "time", "eps-numpy_bool", "time-numpy_bool", "eps-string", "time-string"],
-)
-def test_trajectory_rejects_a_boolean_number(eps, times, message):
-    grid = af.build_grid([0.5], [64])
-    with pytest.raises(IngestionError, match=f"^{re.escape(message)}$"):
-        af.Trajectory(grid, af.derive_exponents([1.5], 1), eps, np.ones((2, 64)), times)
-
-
-def _calls_with_a_boolean(b):
-    """{entry point and argument: (the name of the number, its error, the call with b for
-    it)} for each public scalar guard of the package."""
-    grid, prof = af.build_grid([0.5], [32]), af.derive_exponents([1.5], 1)
-    bump, bump_with = af.InitialProfile("bump"), functools.partial(af.InitialProfile, "bump")
-    field, cube = af.init_field(grid, bump), af.standard_cube(0.1, prof)
-    traj = af.Trajectory(grid, prof, 1e-2, np.zeros((2, 32)), (0.0, 0.1))
-    plane = af.init_field(af.build_grid([0.5, 0.5], [8, 8]), bump)
-    simulate = functools.partial(af.SimConfig, grid, bump, prof, eps=1e-2, t_end=0.1)
-    return {
-        "nu-t": ("t", DomainError, lambda: af.nu(b, 0.1, prof)),
-        "intrinsic_cube-rho": ("rho", DomainError, lambda: af.intrinsic_cube(b, 0.1, prof)),
-        "standard_cube-rho": ("rho", DomainError, lambda: af.standard_cube(b, prof)),
-        "scale_cube-factor": ("scale factor", DomainError, lambda: af.scale_cube(cube, b)),
-        "advance-dt": ("dt", DomainError, lambda: advance(field, prof, 1e-2, b)),
-        "stable_dt-eps": ("eps", DomainError, lambda: stable_dt(field, prof, b)),
-        "stable_dt-safety": ("safety", DomainError, lambda: stable_dt(field, prof, 1e-2, b)),
-        "detect_extinction-threshold": (
-            "threshold", DomainError, lambda: af.detect_extinction(traj, b)
-        ),
-        "sobolev_ratio-t_extent": (
-            "t_extent",
-            DomainError,
-            lambda: af.sobolev_ratio(plane, af.derive_exponents([1.5, 1.5], 2), 0.2, 1.0, b),
-        ),
-        **{
-            f"SimConfig-{key}": (key, ConfigError, functools.partial(simulate, **{key: b}))
-            for key in ("t_end", "eps", "safety")
-        },
-        **{
-            f"InitialProfile-{key}": (key, ConfigError, functools.partial(bump_with, **{key: b}))
-            for key in ("amplitude", "radius")
-        },
-        "smallness_violated-C": (
-            "C", DomainError, lambda: af.smallness_violated(b, 0.1, 0.1, prof, "intrinsic")
-        ),
-        "check_l1l1-rho": ("rho", DomainError, lambda: af.check_l1l1(traj, b, 0.1)),
-        "check_l1l1-C": ("C", DomainError, lambda: af.check_l1l1(traj, 0.1, 0.1, C=b)),
-    }
-
-
-@pytest.mark.parametrize("b", [True, False])
-@pytest.mark.parametrize("case", sorted(_calls_with_a_boolean(True)))
-def test_python_api_rejects_a_boolean_for_any_number(case, b):
-    # float(True) is 1.0, but a bool is not a number, in the config's words
-    name, error, call = _calls_with_a_boolean(b)[case]
-    message = f"{name} must be a number, got {b!r}"
-    with pytest.raises(error) as excinfo:
-        call()
-    assert (excinfo.value.violations if error is ConfigError else [str(excinfo.value)]) == [message]
-
-
-def _calls_with_a_numpy_boolean():
-    """{entry point: (its error, the call with np.True_, the violation)} for every guard
-    above that rejects True, and the config and manifest numbers' `_real`."""
-    b = np.True_
-    calls = {
-        case: (error, call, f"{name} must be a number")
-        for case, (name, error, call) in _calls_with_a_boolean(b).items()
-    }
-    return calls | {
-        "build_grid-half_domain": (
-            ConfigError, lambda: af.build_grid([b], [64]), "half_domain entry must be a number"
-        ),
-        "build_grid-resolution": (
-            ConfigError, lambda: af.build_grid([0.5], [b]), "resolution must be an integer per axis"
-        ),
-        "uniform_snapshots-count": (
-            ConfigError, lambda: af.uniform_snapshots(0.1, b), "snapshot count must be an integer"
-        ),
-        "config_number": (TypeError, lambda: _real(b, "eps"), "eps must be a number"),
-    }
-
-
-@pytest.mark.parametrize("case", sorted(_calls_with_a_numpy_boolean()))
-def test_python_api_rejects_a_numpy_boolean_for_any_number(case):
-    # np.True_ is no bool subclass, so a guard of `isinstance(x, bool)` let it through
-    # as 1.0; every guard tests one (bool, np.bool_) name
-    error, call, message = _calls_with_a_numpy_boolean()[case]
-    with pytest.raises(error) as excinfo:
-        call()
-    found = excinfo.value.violations if error is ConfigError else [str(excinfo.value)]
-    assert found == [f"{message}, got np.True_"]
-
-
-def _lemma_and_check_calls_with_a_boolean(b):
-    """{entry point and argument: (the name of the number, the call with b for it)} for
-    the public entry points of the lemmas, the quadrature and the decay samples."""
-    grid, prof = af.build_grid([0.5], [32]), af.derive_exponents([1.5], 1)
-    field, cube = af.init_field(grid, af.InitialProfile("bump")), af.standard_cube(0.1, prof)
-    traj = af.Trajectory(grid, prof, 1e-2, np.zeros((2, 32)), (0.0, 0.1))
-    cutoff = af.CutoffSpec(af.standard_cube(0.05, prof), cube, prof.p)
-    converge = (1.0, 2.0, 0.5, 0.1, 10)  # C, b, alpha, Y0, n_max
-    return {
-        "young_gamma-eps": ("eps", lambda: af.young_gamma(b, 2.0)),
-        "young_gamma-q": ("q", lambda: af.young_gamma(0.5, b)),
-        **{
-            f"iteration_bound-{name}": (name, functools.partial(af.iteration_bound, **args))
-            for name, args in [
-                ("eps", dict(eps=b, b=1.5, I=1.0, M=1.0)),
-                ("b", dict(eps=0.5, b=b, I=1.0, M=1.0)),
-                ("I", dict(eps=0.5, b=1.5, I=b, M=1.0)),
-                ("M", dict(eps=0.5, b=1.5, I=1.0, M=b)),
-            ]
-        },
-        "gamma_min-lhs": ("lhs", lambda: af.gamma_min(b, [1.0])),
-        "gamma_min-rhs_term": ("rhs term 1", lambda: af.gamma_min(1.0, [1.0, b])),
-        **{
-            f"fast_convergence-{name}": (
-                name, lambda k=k: af.fast_convergence(*converge[:k], b, *converge[k + 1 :])
-            )
-            for k, name in enumerate(["C", "b", "alpha", "Y0", "n_max"])
-        },
-        "caccioppoli_report-k": (
-            "k", lambda: af.caccioppoli_report(traj, prof, cutoff, b, (0.0, 0.1))
-        ),
-        "caccioppoli_report-C": (
-            "C", lambda: af.caccioppoli_report(traj, prof, cutoff, 0.1, (0.0, 0.1), C=b)
-        ),
-        "cube_integral-r": ("r", lambda: af.cube_integral(field, cube, b)),
-        "time_extremal-window_start": (
-            "window start", lambda: af.time_extremal(traj, cube, (b, 0.1), "sup_l1")
-        ),
-        "time_extremal-window_end": (
-            "window end", lambda: af.time_extremal(traj, cube, (0.0, b), "sup_l1")
-        ),
-        "time_extremal-r": ("r", lambda: af.time_extremal(traj, cube, (0.0, 0.1), "sup_lr", b)),
-        "decay_samples-t_star": ("t_star", lambda: af.decay_samples(traj, 0.1, b, 1e-5)),
-    }
-
-
-@pytest.mark.parametrize("b", [True, False, np.True_, np.False_])
-@pytest.mark.parametrize("case", sorted(_lemma_and_check_calls_with_a_boolean(True)))
-def test_lemma_and_check_entry_points_reject_a_boolean_for_any_number(case, b):
-    # young_gamma(True, 2.0) gave 0.25 and gamma_min(True, [1.0]) 1.0: True read as 1.0
-    name, call = _lemma_and_check_calls_with_a_boolean(b)[case]
-    with pytest.raises(DomainError) as excinfo:
-        call()
-    assert str(excinfo.value) == f"{name} must be a number, got {b!r}"
-
-
 @pytest.mark.filterwarnings("error")
 def test_run_rejects_a_periodic_datum_whose_mass_overflows(tmp_path):
     # the 32 cells of 1e307 sum to inf, so no drift |mass - inf| / inf could
@@ -679,6 +505,7 @@ def test_rerun_that_dies_midway_does_not_load(tmp_path, monkeypatch, run_1d_fast
         ("format", None, "format"),
         ("steps", -1, "steps must be a nonnegative integer, got -1"),
         ("steps", 2.5, "steps must be a nonnegative integer, got 2.5"),
+        ("spacings", [7.0], "invalid manifest.json in .*: spacings"),
     ],
 )
 def test_load_rejects_an_inconsistent_manifest(tmp_path, run_1d_fast, key, value, message):
