@@ -80,11 +80,11 @@ _CONFIG = {
         "boundary": "dirichlet_zero",
         "t_end": _REQUIRED,
         "eps": None,
-        "safety": 0.5,
-        "snapshots": 101,
+        "safety": SimConfig.safety,
+        "snapshots": solver.DEFAULT_SNAPSHOTS,
         "profile": "bump",
-        "amplitude": 1.0,
-        "radius": 0.25,
+        "amplitude": InitialProfile.amplitude,
+        "radius": InitialProfile.radius,
         "path": None,
     },
     "analysis": {"extinction_threshold": 1e-6, "decay_rho": None, "check": ()},
@@ -201,7 +201,7 @@ def _parse_check(value, violations, t_end) -> CheckSpec | None:
         found.append(f"{where} has unknown options {sorted(given)}")
     found += [f"{where}: {rule}" for rule in harnack.option_violations(kind, values)]
     t = values.get("t", math.nan)  # a NaN or an inf t breaks its own rule, named above
-    if t_end is not None and t < math.inf and harnack._past_horizon(t, t_end):
+    if t_end is not None and t < math.inf and solver._past_horizon(t, t_end):
         found.append(f"{where}: t={t} exceeds t_end={t_end}")
     violations += found
     return None if found else CheckSpec(kind, **values)

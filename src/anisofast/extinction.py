@@ -49,9 +49,14 @@ class PowerLawFit:
 
 def fit_power_law(points: Sequence[tuple[float, float]]) -> PowerLawFit:
     """Ordinary least squares on logs; exact on synthetic pure power laws."""
-    arr = np.asarray(points, dtype=np.float64)
+    floats = isinstance(points, np.ndarray) and points.dtype == np.float64  # `_fit_or_none`'s
+    arr = np.asarray(points, dtype=np.float64 if floats else object)  # a ragged list is 1-D
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 3:
         raise DomainError("fit_power_law needs at least 3 (x, y) pairs")
+    for value in () if floats else arr.flat:  # float(True) and float("1") are 1.0, no numbers
+        if fault := _not_a_number("points", value):
+            raise DomainError(fault)
+    arr = arr.astype(np.float64, copy=False)
     if (arr <= 0.0).any() or not np.isfinite(arr).all():
         raise DomainError("fit_power_law needs strictly positive finite points")
     lx = np.log(arr[:, 0])
@@ -67,7 +72,7 @@ def fit_power_law(points: Sequence[tuple[float, float]]) -> PowerLawFit:
     ss_res = float(resid @ resid)
     ss_tot = float((ly - ly.mean()) @ (ly - ly.mean()))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    stderr = math.sqrt(ss_res / (n - 2) / sxx) if n > 2 else float("nan")
+    stderr = math.sqrt(ss_res / (n - 2) / sxx)
     return PowerLawFit(
         slope=slope, intercept=intercept, r_squared=r2, n_points=n, slope_stderr=stderr
     )

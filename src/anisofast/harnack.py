@@ -49,7 +49,7 @@ from .geometry import (
     smallness_violated,
     standard_cube,
 )
-from .solver import WINDOW_RTOL, Field, Grid, Trajectory
+from .solver import Field, Grid, Trajectory, _past_horizon
 
 
 @dataclass(frozen=True)
@@ -203,14 +203,11 @@ def time_extremal(
     of sup_l1 | inf_l1 | sup_lr | sup_linf (sup_lr uses the order r).  All
     snapshots of the window are reduced at once.
     """
-    if fault := _not_a_number("window start", window[0], "window end", window[1], "r", r):
+    rows = traj.values[traj.window(*window)]
+    if fault := _not_a_number("r", r):
         raise DomainError(fault)
-    t_a, t_b = float(window[0]), float(window[1])
-    if t_b < t_a:
-        raise DomainError(f"empty window [{t_a}, {t_b}]")
-    rows = traj.values[traj.window(t_a, t_b)]
     if not len(rows):
-        raise DomainError(f"no snapshots in window [{t_a}, {t_b}]")
+        raise DomainError(f"no snapshots in window [{float(window[0])}, {float(window[1])}]")
     if kind not in _EXTREMA:
         raise DomainError(f"unknown reduction kind {kind!r}")
     if kind == "sup_linf":
@@ -421,10 +418,6 @@ def option_violations(kind: str, options: dict) -> list[str]:
         elif name in ("rho", "t") and not 0.0 < x < math.inf:  # NaN fails every comparison
             found.append(f"{name} must be positive and finite, got {float(x)!r}")
     return [problem for problem in found if problem]
-
-
-def _past_horizon(t: float, end_time: float) -> bool:
-    return t > end_time * (1.0 + WINDOW_RTOL)  # a check's horizon, and a config's (`cli`)
 
 
 def _evaluate(kind, traj, rho, t, r, geometry, C) -> InequalityReport:

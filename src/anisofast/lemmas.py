@@ -299,7 +299,7 @@ def caccioppoli_report(
     and the measure of Q is the product of the per-axis box weights' sums.
     `prof.p` and `cutoff.exponents` must be the trajectory's exponents.
     """
-    fault = _not_a_number("k", k, "C", C, "window start", window[0], "window end", window[1])
+    fault = _not_a_number("k", k, "C", C)
     if fault or not 0.0 <= k < math.inf:  # NaN fails every comparison
         raise DomainError(fault or f"truncation level k must be nonnegative, got {k!r}")
     if not 0.0 <= C < math.inf:
@@ -307,14 +307,14 @@ def caccioppoli_report(
     if not prof.p == tuple(cutoff.exponents) == traj.exponents.p:
         want, got = traj.exponents.p, (prof.p, tuple(cutoff.exponents))
         raise DomainError(f"prof and cutoff exponents must be the trajectory's {want}, got {got}")
+    in_window = traj.window(*window)  # finite ends, the start no later than the end
     t1, t2 = float(window[0]), float(window[1])
     if not t2 > t1:
         raise DomainError(f"empty time window [{t1}, {t2}]")
     grid = traj.grid
     if not cube_contained(cutoff.outer, grid):
         raise DomainError("cutoff outer cube must lie inside the grid domain")
-    window = traj.window(t1, t2)
-    times = traj.times[window]
+    times = traj.times[in_window]
     if len(times) < 2:
         raise DomainError(f"need at least 2 snapshots in window [{t1}, {t2}]")
 
@@ -323,7 +323,7 @@ def caccioppoli_report(
     weights, box, _ = _footprint(grid, cutoff.outer.center, cutoff.outer.half_widths)
     w_box = [w[span] for w, span in zip(weights, box)]
     zeta = cutoff.values(grid)[box]
-    blocks = _box(grid, traj.values[window], box)
+    blocks = _box(grid, traj.values[in_window], box)
     vol = grid.cell_volume
 
     n = prof.N

@@ -36,11 +36,16 @@ BOUNDARIES = ("dirichlet_zero", "periodic")
 PROFILE_KINDS = ("sine_product", "bump", "plateau", "from_file")
 
 SNAPSHOT_DTYPE = "<f8"  # little-endian float64, row-major
+DEFAULT_SNAPSHOTS = 101  # the snapshot count of the default schedule, t = 0 included
 
 _TIME_RTOL = 1e-12
 
 #: relative tolerance of `Trajectory.window` on its end points
 WINDOW_RTOL = 1e-9
+
+
+def _past_horizon(t: float, end_time: float) -> bool:
+    return t > end_time * (1.0 + WINDOW_RTOL)  # a check's horizon, and a config's (`cli`)
 
 
 @dataclass(frozen=True)
@@ -523,7 +528,7 @@ class SimConfig:
         elif not _range_violations(eps=self.eps):  # the kernel's constants, once eps is in range
             violations += _scheme_violations(self.grid, self.exponents, self.eps)
         if self.snapshot_times is None:  # the default schedule, once t_end is known to be valid
-            times = (0.0,) if violations else uniform_snapshots(self.t_end, 101)
+            times = (0.0,) if violations else uniform_snapshots(self.t_end, DEFAULT_SNAPSHOTS)
         else:
             try:
                 times = tuple(self.snapshot_times)
@@ -632,9 +637,14 @@ class Trajectory:
         return sups
 
     def window(self, t_a: float, t_b: float) -> slice:
-        """Rows with t_a - tol <= time <= t_b + tol, tol = 1e-9 max(1, |t_b|)."""
-        if fault := _not_a_number("t_a", t_a, "t_b", t_b):
+        """Rows with t_a - tol <= time <= t_b + tol, tol = 1e-9 max(1, |t_b|); finite t_a <= t_b."""
+        if fault := _not_a_number("window start", t_a, "window end", t_b):
             raise DomainError(fault)
+        t_a, t_b = float(t_a), float(t_b)
+        if not math.isfinite(t_a) or not math.isfinite(t_b):  # an inf end makes tol inf
+            raise DomainError(f"window ends must be finite, got [{t_a}, {t_b}]")
+        if t_b < t_a:
+            raise DomainError(f"empty window [{t_a}, {t_b}]")
         tol = WINDOW_RTOL * max(1.0, abs(t_b))
         return slice(
             bisect.bisect_left(self.times, t_a - tol),

@@ -175,32 +175,9 @@ def test_parse_collects_all_violations():
     assert len(excinfo.value.violations) >= 2
 
 
-NUMERIC_KEYS = {
-    "t_end": "simulation",
-    "eps": "simulation",
-    "safety": "simulation",
-    "snapshots": "simulation",
-    "amplitude": "simulation",
-    "radius": "simulation",
-    "extinction_threshold": "analysis",
-    "decay_rho": "analysis",
-}
-
-
 def _with_value(key, value):
-    """MINIMAL with `key = value` set in its section (replacing t_end if that is the key)."""
-    lines = [ln for ln in MINIMAL.splitlines() if not ln.startswith(f"{key} ")]
-    text = "\n".join(lines) + "\n"
-    if NUMERIC_KEYS[key] == "simulation":
-        return text.replace("[simulation]\n", f"[simulation]\n{key} = {value}\n")
-    return text + f"[analysis]\n{key} = {value}\n"
-
-
-@pytest.mark.parametrize("key", sorted(NUMERIC_KEYS))
-def test_parse_non_numeric_value_is_a_violation(key):
-    with pytest.raises(ConfigError) as excinfo:
-        parse_config(_with_value(key, "abc"))
-    assert any(key in v and "'abc'" in v for v in excinfo.value.violations)
+    """MINIMAL with `key = value` added to [simulation], its one section."""
+    return MINIMAL + f"{key} = {value}\n"
 
 
 def test_parse_non_numeric_values_all_reported():
@@ -271,28 +248,6 @@ def test_parse_check_non_finite_value_is_a_violation(key, value):
     ), excinfo.value.violations
 
 
-@pytest.mark.parametrize("form", ["text", "json"])
-@pytest.mark.parametrize("key", ["rho", "t", "r", "C"])
-def test_parse_check_bad_value_names_its_option(key, form):
-    # a value that is not a number is named as a section key's would be
-    options = {"rho": 0.1, "t": 0.01, "r": 2, "C": 0}
-    options[key] = "abc" if form == "text" else None
-    if form == "text":
-        text = MINIMAL + "[analysis]\ncheck = lr_sup " + " ".join(
-            f"{k}={v}" for k, v in options.items()
-        )
-    else:
-        text = json.dumps({
-            "simulation": {"p": 1.5, "half_domain": 0.5, "resolution": 64, "t_end": 0.02},
-            "analysis": {"check": [{"kind": "lr_sup", **options}]},
-        })
-    with pytest.raises(ConfigError) as excinfo:
-        parse_config(text)
-    assert excinfo.value.violations == [
-        f"check 'lr_sup': {key} must be a number, got {options[key]!r}"
-    ]
-
-
 def test_parse_check_names_every_bad_value():
     # one bad option does not hide the next: each is named, in option order
     with pytest.raises(ConfigError) as excinfo:
@@ -351,14 +306,6 @@ def test_config_and_check_share_one_horizon(excess, accepted):
     assert excinfo.value.violations == [f"check 'l1l1': t={t} exceeds t_end={t_end}"]
     with pytest.raises(DomainError, match=re.escape(f"window [0, {t}] exceeds the trajectory")):
         af.check_l1l1(traj, 0.1, t)
-
-
-@pytest.mark.parametrize("key", ["p", "half_domain", "resolution"])
-def test_parse_list_entry_that_is_not_a_number_is_named(key):
-    with pytest.raises(ConfigError) as excinfo:
-        parse_config(re.sub(f"^{key} = .*$", f"{key} = abc", MINIMAL, flags=re.M))
-    prefix = "p: " if key == "p" else ""
-    assert excinfo.value.violations == [f"{prefix}{key} entries must be numbers, got ['abc']"]
 
 
 def test_parse_reports_profile_and_run_scalar_violations_together():
@@ -467,18 +414,11 @@ def test_parse_non_integral_count_is_a_violation(tmp_path, capsys, form, key, va
 
 # JSON literals written over a valid document, {(section, key or None): literal},
 # and the start of the one violation they give; each once raised a traceback or
-# was accepted
-_BIG = "1" + "0" * 400
+# was accepted (a value that is no number: tests/test_number_rule.py)
 MALFORMED_JSON = {
     "simulation_number": ({("simulation", None): "5"}, "[simulation] must hold key = value"),
     "analysis_null": ({("analysis", None): "null"}, "[analysis] must hold key = value"),
     "nested_p": ({("simulation", "p"): "[[1.5]]"}, "p: p entries must be numbers"),
-    "huge_p": ({("simulation", "p"): _BIG}, "p: p entries must be numbers"),
-    "huge_half_domain": (
-        {("simulation", "half_domain"): _BIG},
-        "half_domain entries must be numbers",
-    ),
-    "huge_resolution": ({("simulation", "resolution"): _BIG}, "resolution entries must be numbers"),
     "overlong_int": ({("simulation", "t_end"): "1" + "0" * 5000}, "invalid JSON: "),
     "number_path": (
         {("simulation", "profile"): '"from_file"', ("simulation", "path"): "7"},
@@ -488,44 +428,9 @@ MALFORMED_JSON = {
         {("analysis", "check"): '"l1l1 rho=0.1 t=0.01"'},
         "check must be a list of checks",
     ),
-    "huge_check_rho": (
-        {("analysis", "check"): '[{"kind": "l1l1", "rho": %s, "t": 0.01}]' % _BIG},
-        "check 'l1l1': rho must be a number, got 1000",
-    ),
     "directory_list": ({("output", "directory"): '["a"]'}, "directory must be a path"),
     "directory_empty": ({("output", "directory"): '""'}, "directory must be a path, got ''"),
 }
-# a JSON true or false is not a number, though float(True) is 1.0
-MALFORMED_JSON.update(
-    {
-        f"bool_{key}": ({(section, key): literal}, f"{key} must be {what}, got {literal.title()}")
-        for section, key, literal, what in (
-            ("simulation", "eps", "true", "a number"),
-            ("simulation", "t_end", "true", "a number"),
-            ("simulation", "snapshots", "true", "an integer"),
-            ("simulation", "amplitude", "true", "a number"),
-            ("simulation", "radius", "true", "a number"),
-            ("simulation", "safety", "false", "a number"),
-            ("analysis", "extinction_threshold", "true", "a number"),
-            ("analysis", "decay_rho", "true", "a number"),
-        )
-    },
-    bool_half_domain=({("simulation", "half_domain"): "true"}, "half_domain entries must be"),
-    bool_half_domain_list=(
-        {("simulation", "half_domain"): "[true]"},
-        "half_domain entries must be numbers, got [True]",
-    ),
-    bool_check_r=(
-        {("analysis", "check"): '[{"kind": "lr_sup", "rho": 0.1, "t": 0.01, "r": true}]'},
-        "check 'lr_sup': r must be a number, got True",
-    ),
-    bool_check_C=(
-        {("analysis", "check"): '[{"kind": "l1l1", "rho": 0.1, "t": 0.01, "C": false}]'},
-        "check 'l1l1': C must be a number, got False",
-    ),
-)
-
-
 @pytest.mark.parametrize("case", sorted(MALFORMED_JSON))
 def test_malformed_json_config_is_one_violation(tmp_path, capsys, monkeypatch, case):
     changes, words = MALFORMED_JSON[case]

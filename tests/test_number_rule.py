@@ -4,12 +4,15 @@ entry point.
 `geometry._not_a_number` states the rule once; every public function, method and dataclass
 constructor that takes a number, or a sequence of numbers, reaches it and raises the reason
 as its own exception.  The walker below finds those parameters and fields in the source, so
-a new entry point fails here until it is given a base call.
+a new entry point fails here until it is given a base call; the second, over the text readers,
+finds each number of a config, of its checks and of a manifest in the program itself.
 """
 
 import ast
 import functools
 import inspect
+import itertools
+import json
 import re
 from pathlib import Path
 from types import SimpleNamespace
@@ -32,6 +35,8 @@ SCALAR = {"float", "int", "Optional[float]", "Optional[int]", "float | None", "i
 #: the annotations of a parameter that takes numbers: each entry is judged as one
 SEQUENCE = {"Sequence[float]", "Sequence[int]", "Iterable[float]", "tuple[float, float]",
             "tuple[float, ...]", "tuple[int, ...]"}
+PAIRS = {"Sequence[tuple[float, float]]"}  # of pairs of numbers: each coordinate is judged
+NUMBERS = SCALAR | SEQUENCE | PAIRS
 
 HUGE = 10**400  # float() cannot convert it, so no float parameter takes it
 
@@ -71,7 +76,7 @@ def _number_parameters():
             else:
                 named = []
             yield from ((f"{path.stem}.{qualified}", name, text) for name, annotation in named
-                        if annotation and (text := ast.unparse(annotation)) in SCALAR | SEQUENCE)
+                        if annotation and (text := ast.unparse(annotation)) in NUMBERS)
 
 
 @functools.cache
@@ -136,7 +141,8 @@ def _base_calls() -> dict:
         _entry(af.InitialProfile, "bump", error=ConfigError),
         _entry(af.stable_dt, field, prof, 1e-2),
         _entry(af.advance, field, prof, 1e-2, 1e-6),
-        _entry(traj.window, 0.0, 0.1),
+        _entry(traj.window, 0.0, 0.1, t_a="window start", t_b="window end"),
+        _entry(af.fit_power_law, [(1.0, 1.0), (2.0, 3.0), (3.0, 4.5)]),
         # counts, the schedule and the run record, in the words of their own rules
         _entry(af.build_grid, [0.5], [32], error=ConfigError, half_domain="half_domain entry",
                resolution="resolution must be an integer per axis, got {bad!r}"),
@@ -160,21 +166,34 @@ def _expected(words: str, bad, seq=None) -> str:
 
 
 def _shown(bad) -> str:
+    if isinstance(bad, list):
+        return f"[{', '.join(map(_shown, bad))}]"
     return "10**400" if bad is HUGE else repr(bad)
 
 
+def _replaced(value, path: tuple, bad):
+    """value, of its own type, with bad at `path` (indices, outermost first; () is value)."""
+    if not path:
+        return bad
+    i, *rest = path
+    return type(value)([*value[:i], _replaced(value[i], rest, bad), *value[i + 1 :]])
+
+
 def _cases():
-    """(entry point, parameter, entry index or None, bad value) of every checked number."""
+    """(entry point, parameter, path of the entry replaced, bad value) of every checked number."""
     cases = []
     for entry, parameter, annotation in _number_parameters():
         if entry not in _base_calls() or (entry, parameter) in NOT_CHECKED:
             continue  # a checked entry point without a base call fails the test below
         function, args, _, _ = _base_calls()[entry]
         given = inspect.signature(function).bind(*args).arguments.get(parameter)
-        for index in [None] if annotation in SCALAR else range(len(given)):
-            at = f"{entry}-{parameter}" + ("" if index is None else f"[{index}]")
+        paths = [()] if annotation in SCALAR else [(i,) for i in range(len(given))]
+        if annotation in PAIRS:  # one coordinate of one pair
+            paths = [(i, j) for i, pair in enumerate(given) for j in range(len(pair))]
+        for path in paths:
+            at = f"{entry}-{parameter}" + "".join(f"[{i}]" for i in path)
             for bad in NOT_NUMBERS + [HUGE] * ("float" in annotation):
-                cases.append(pytest.param(entry, parameter, index, bad, id=f"{at}-{_shown(bad)}"))
+                cases.append(pytest.param(entry, parameter, path, bad, id=f"{at}-{_shown(bad)}"))
     return cases
 
 
@@ -196,17 +215,14 @@ def test_every_base_call_is_valid(entry):
         assert result == ""
 
 
-@pytest.mark.parametrize("entry, parameter, index, bad", _cases())
-def test_entry_point_refuses_what_is_no_number(entry, parameter, index, bad):
+@pytest.mark.parametrize("entry, parameter, path, bad", _cases())
+def test_entry_point_refuses_what_is_no_number(entry, parameter, path, bad):
     function, args, error, words = _base_calls()[entry]
     bound = inspect.signature(function).bind(*args)
     bound.apply_defaults()
-    said, seq = words.get(parameter, parameter), bad
-    if index is not None:  # one entry replaced, in a sequence of the given type
-        given = bound.arguments[parameter]
-        seq = type(given)([*given[:index], bad, *given[index + 1 :]])
-        said = said[index] if isinstance(said, tuple) else said
-    bound.arguments[parameter] = seq
+    said = words.get(parameter, parameter)
+    said = said[path[0]] if isinstance(said, tuple) else said  # the words of one entry
+    seq = bound.arguments[parameter] = _replaced(bound.arguments[parameter], path, bad)
     message = _expected(said, bad, seq)
     if error is str:
         assert function(*bound.args, **bound.kwargs) == message
@@ -348,15 +364,6 @@ def test_a_check_option_of_text_is_a_violation():
     ]
 
 
-def test_config_text_still_reads_as_numbers():
-    # the config and the manifest hold text: parsing it is `_real`'s job
-    config = cli.parse_config(
-        "[simulation]\np = 1.5\nhalf_domain = 0.5\nresolution = 32\nt_end = 0.01\n"
-        "[analysis]\ncheck = lr_sup rho=0.1 t=0.01 r=2\n"
-    )
-    assert config.sim.grid.resolution == (32,) and config.checks[0].r == 2.0
-
-
 @pytest.mark.parametrize("n_max", [2.5, np.nan, np.inf])
 def test_fast_convergence_refuses_a_count_that_is_no_integer(n_max):
     # range(2.5) raised "'float' object cannot be interpreted as an integer"
@@ -368,3 +375,94 @@ def test_fast_convergence_reads_an_integral_float_as_a_count():
     # as uniform_snapshots reads 3.0 as 3 snapshots
     converge = (1.0, 2.0, 0.5, 0.1)  # C, b, alpha, Y0
     assert af.fast_convergence(*converge, 3.0) == af.fast_convergence(*converge, 3)
+
+
+@pytest.mark.parametrize("window, words", [
+    ((0.15, np.inf), "window ends must be finite, got [0.15, inf]"),
+    ((0.0, np.nan), "window ends must be finite, got [0.0, nan]"),
+    ((np.nan, np.nan), "window ends must be finite, got [nan, nan]"),
+    ((0.01, np.inf), "window ends must be finite, got [0.01, inf]"),
+    ((0.2, 0.1), "empty window [0.2, 0.1]"),
+])
+def test_a_window_has_finite_ends_in_order(window, words):
+    # (0.15, inf) measured the t = 0 row (tol was inf), a NaN end every row, each unnamed
+    s = _setting()
+    for call in (s.traj.window, lambda *w: af.time_extremal(s.traj, s.cube, w, "sup_l1"),
+                 lambda *w: af.caccioppoli_report(s.traj, s.prof, s.cutoff, 0.1, w)):
+        with pytest.raises(DomainError, match=f"^{re.escape(words)}$"):
+            call(*window)
+
+
+def test_fit_power_law_refuses_ragged_or_complex_points():
+    # numpy raised its own ValueError and TypeError
+    with pytest.raises(DomainError, match=r"^fit_power_law needs at least 3 \(x, y\) pairs$"):
+        af.fit_power_law([(1.0, 1.0), (2.0,), (3.0, 4.5)])
+    with pytest.raises(DomainError, match=r"^points must be a number, got 1j$"):
+        af.fit_power_law([(1.0, 1.0), (2.0, 1j), (3.0, 4.5)])
+
+
+# --- the text readers: each number of a config, of its checks and of a manifest -----------
+
+#: what no text reader takes as a number, as (form, value): a JSON value, alone or in a list,
+#: or text ("abc": a text config reads the 401 digits of 10**400 as inf, a range fault)
+FORMS = [("text", "abc")]
+FORMS += [("json", v) for bad in (True, False, None, HUGE, "abc") for v in (bad, [bad])]
+CONFIG = {"simulation": {"p": 1.5, "half_domain": 0.5, "resolution": 16, "t_end": 0.02}}
+
+
+def _violations(config: dict, form: str) -> list[str]:
+    """What `cli.parse_config` names in config, written as JSON or as text."""
+    sections = [f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                for name, keys in config.items()]
+    with pytest.raises(ConfigError) as excinfo:
+        cli.parse_config("".join(sections) if form == "text" else json.dumps(config))
+    return excinfo.value.violations
+
+
+@pytest.mark.parametrize("form, bad", FORMS, ids=[f"{f}-{_shown(bad)}" for f, bad in FORMS])
+def test_config_reader_refuses_what_is_no_number(form, bad):
+    # each key `cli._NUMBERS` reads, and each check option it reads as a number, alone
+    sections, found, said = {key: s for s, keys in cli._CONFIG.items() for key in keys}, {}, {}
+    for key, read in cli._NUMBERS.items():
+        section = sections[key]
+        found[key] = _violations(CONFIG | {section: CONFIG.get(section, {}) | {key: bad}}, form)
+        said[key] = [_expected(key, bad)]  # `_real`'s
+        if read is cli._integer:
+            said[key] = [f"{key} must be an integer, got {bad!r}"]
+        elif read is cli._floats:  # a number is a list of one entry, other text its split
+            got = str(bad).split() if bad is None or isinstance(bad, str) else bad
+            got = got if isinstance(got, list) else [got]
+            said[key] = ["p: " * (key == "p") + f"{key} entries must be numbers, got {got!r}"]
+    options = [name for name, d in harnack.CHECK_OPTIONS.items() if not isinstance(d, str)]
+    for kind, option in itertools.product(cli.CHECK_KINDS, options):
+        order = {"r": 2.0} if harnack.CHECKS[kind].r_min else {}  # where the kind takes one
+        given = {"rho": 0.1, "t": 0.01} | order | {option: bad}
+        line = " ".join([kind, *(f"{k}={v}" for k, v in given.items())])  # a `check =` line
+        check = line if form == "text" else [{"kind": kind} | given]
+        found[kind, option] = _violations(CONFIG | {"analysis": {"check": check}}, form)
+        said[kind, option] = [f"check {kind!r}: {_expected(option, bad)}"]
+    assert found == said
+
+
+@pytest.mark.parametrize("bad", [bad for form, bad in FORMS if form == "json"], ids=_shown)
+def test_manifest_reader_refuses_what_is_no_number(tmp_path, bad):
+    # each number or list entry of the API walker's `Trajectory` as saved, alone, but the format
+    # (`test_load_rejects_an_inconsistent_manifest`) and a null drift (a Dirichlet run's value)
+    function, args, _, words = _base_calls()["solver.Trajectory"]
+    manifest_path = Path(af.save_trajectory(function(*args), str(tmp_path)), "manifest.json")
+    manifest, found, said = json.loads(manifest_path.read_text(encoding="utf-8")), {}, {}
+    for key, value in manifest.items():
+        for path in [(i,) for i in range(len(value))] if isinstance(value, list) else [()]:
+            skipped = key == "format" or (key, bad) == ("mass_drift", None)
+            if skipped or type(value[path[0]] if path else value) not in (int, float):
+                continue  # or the boundary's name
+            manifest_path.write_text(json.dumps(manifest | {key: _replaced(value, path, bad)}))
+            with pytest.raises(IngestionError) as excinfo:
+                af.load_trajectory(str(tmp_path))
+            found[key, path], rule = str(excinfo.value), _expected(key, bad)  # `_real`'s
+            if key in ("dimension", "resolution"):
+                rule = f"{key} must be an integer, got {bad!r}"  # `_integer`'s
+            elif key == "steps" or key in ("mass_drift", "min_value") and bad is not HUGE:
+                rule = words[key].format(bad=bad)  # passed on as is: `Trajectory`'s words
+            said[key, path] = f"invalid manifest.json in {str(tmp_path)!r}: {rule}"
+    assert found == said

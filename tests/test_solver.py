@@ -518,33 +518,6 @@ def test_load_rejects_an_inconsistent_manifest(tmp_path, run_1d_fast, key, value
         af.load_trajectory(str(path))
 
 
-# a JSON true or false where the manifest holds a number; float() reads them as 1 and 0
-@pytest.mark.parametrize(
-    "key, value",
-    [
-        ("steps", True),
-        ("eps", True),
-        ("times", [False, 0.1]),
-        ("half_domain", [True]),
-        ("initial_sup", True),
-        ("dimension", True),
-        ("mass_drift", True),
-        ("min_value", False),
-    ],
-)
-def test_load_rejects_a_boolean_for_a_manifest_number(tmp_path, key, value):
-    # all ones: the initial sup and the first time equal float(True) and float(False)
-    grid = af.build_grid([0.5], [64])
-    traj = af.Trajectory(grid, af.derive_exponents([1.5], 1), 1.0, np.ones((2, 64)), (0.0, 0.1))
-    path = tmp_path / "traj"
-    af.save_trajectory(traj, str(path))
-    manifest = json.loads((path / "manifest.json").read_text(encoding="utf-8"))
-    manifest[key] = value
-    (path / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
-    with pytest.raises(IngestionError, match=f"invalid manifest.json in .*: {key} must be "):
-        af.load_trajectory(str(path))
-
-
 def test_trajectory_keeps_its_run_record_as_plain_numbers():
     grid = af.build_grid([0.5], [64])
     traj = af.Trajectory(
@@ -552,22 +525,6 @@ def test_trajectory_keeps_its_run_record_as_plain_numbers():
         steps=3.0, mass_drift=0, min_value=np.float32(0.5),
     )
     assert (type(traj.steps), type(traj.mass_drift), type(traj.min_value)) == (int, float, float)
-
-
-@pytest.mark.parametrize("key", ["eps", "times", "min_value", "mass_drift"])
-def test_load_rejects_a_manifest_number_beyond_the_float_range(tmp_path, run_1d_fast, key):
-    # a JSON integer of 401 digits, which float() and math.isfinite() cannot convert
-    path = tmp_path / "traj"
-    af.save_trajectory(run_1d_fast, str(path))
-    manifest = json.loads((path / "manifest.json").read_text(encoding="utf-8"))
-    if key == "times":
-        manifest["times"][1] = "HUGE"
-    else:
-        manifest[key] = "HUGE"
-    text = json.dumps(manifest).replace('"HUGE"', "1" + "0" * 400)
-    (path / "manifest.json").write_text(text, encoding="utf-8")
-    with pytest.raises(IngestionError, match="invalid manifest.json .* int too large"):
-        af.load_trajectory(str(path))
 
 
 @pytest.mark.parametrize("boundary", ["dirichlet_zero", "periodic"])
