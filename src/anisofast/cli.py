@@ -60,7 +60,7 @@ import numpy as np
 
 from . import extinction, harnack, lemmas, solver
 from .errors import BlowupError, ConfigError, DomainError, IngestionError
-from .geometry import _BOOLS, _real, derive_exponents
+from .geometry import _BOOLS, _real, _violation, derive_exponents
 from .solver import (
     InitialProfile, SimConfig, _integer, _range_violations, build_grid, uniform_snapshots
 )
@@ -145,10 +145,10 @@ def _parse_kv_document(text: str) -> dict:
 
 def _floats(value, name: str) -> list[float]:
     """One float per axis: a number, a list of numbers or space-separated text."""
-    if isinstance(value, (int, float)):
-        value = [value]
+    if isinstance(value, str):
+        value = value.split()
     elif not isinstance(value, (list, tuple)):
-        value = str(value).split()
+        value = [value]  # one number, or a value the rule names
     try:
         return [_real(v, name) for v in value]
     except TypeError:  # [[1.5]], 'abc'; a JSON int past 1e308
@@ -266,9 +266,8 @@ def parse_config(text: str) -> CampaignConfig:
 
     scalars = ("t_end", "eps", "safety", "snapshots")  # before uniform_snapshots sees them
     violations += _range_violations(**{k: num[k] for k in scalars if k in num})
-    for key in ("extinction_threshold", "decay_rho"):
-        if key in num and not 0.0 < num[key] < math.inf:  # NaN fails every comparison
-            violations.append(f"{key} must be positive and finite, got {num[key]}")
+    ranged = [_violation(k, num[k]) for k in ("extinction_threshold", "decay_rho") if k in num]
+    violations += filter(None, ranged)
 
     checks, entries = [], ana["check"] or ()
     if not isinstance(entries, (list, tuple)):  # a JSON string would be read per character

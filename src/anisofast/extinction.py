@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError
 from .geometry import (
-    GEOMETRIES, ExponentProfile, _intrinsic_widths, _not_a_number, _require_positive,
+    _FINITE, GEOMETRIES, ExponentProfile, _intrinsic_widths, _not_a_number, _violation,
     intrinsic_cube, scale_cube, standard_cube,
 )
 from .harnack import _cube_integrals, _cube_sups, cube_contained
@@ -86,7 +86,8 @@ def detect_extinction(traj: Trajectory, threshold: float) -> Optional[float]:
     zero (or the trajectory starts below the threshold) its own time is
     returned.
     """
-    threshold = _require_positive("threshold", threshold)
+    if fault := _violation("threshold", threshold):
+        raise DomainError(fault)
     sups = traj.sup_series()
     times = np.asarray(traj.times)
     below = sups < threshold
@@ -122,9 +123,8 @@ def decay_samples(traj: Trajectory, rho: float, t_star: float, threshold: float)
     its first t_star - tau and is one reduction, so isotropic intrinsic samples are standard.
     """
     std = standard_cube(rho, traj.exponents)  # rejects a rho not positive and finite
-    if fault := _not_a_number("t_star", t_star):
+    if fault := _violation("t_star", t_star, _FINITE) or _violation("threshold", threshold):
         raise DomainError(fault)
-    threshold = _require_positive("threshold", threshold)
     # t_star - tau > 0 exactly when tau < t_star, and times never decrease
     before = bisect.bisect_left(traj.times, t_star)
     if before == 0:

@@ -25,6 +25,13 @@ GEOMETRIES = ("intrinsic", "standard")
 _BOOLS = (bool, np.bool_)  # float(True) is 1.0, but a bool is no number (`_not_a_number`)
 _NUMBER_RULE = "{name} must be a number, got {value!r}"  # `_not_a_number`'s words, and `_real`'s
 
+#: the common range rules of `_violation`, as (words, predicate); NaN fails each comparison
+_POSITIVE = ("be positive and finite", lambda x: 0.0 < x < math.inf)
+_NONNEGATIVE = ("be nonnegative and finite", lambda x: 0.0 <= x < math.inf)
+_FINITE = ("be finite", math.isfinite)
+_ABOVE_ONE = ("exceed 1 and be finite", lambda x: 1.0 < x < math.inf)
+_COUNT = ("be >= 1", lambda n: n >= 1)  # of an int
+
 #: relative tolerance for the (2*rho)^N volume identity of every cube
 VOLUME_RTOL = 1e-12
 
@@ -96,7 +103,7 @@ def _not_a_number(name: str, value, *more) -> str:
     """The number rule of every entry point: why `value`, then each value of the `more`
     name, value pairs, is no real number, else "".  A bool or numpy bool is none, though
     float(True) is 1.0, nor is a string, None, a complex or an int past 1e308.  Each
-    caller raises the reason as its own exception type and judges the range itself."""
+    caller raises the reason as its own exception type; `_violation` judges the range."""
     if not isinstance(value, float):  # a float (np.float64 too) first: the ABC test costs ~0.4 us
         if not isinstance(value, Real) or isinstance(value, _BOOLS):
             return _NUMBER_RULE.format(name=name, value=value)
@@ -116,25 +123,31 @@ def _real(value, name: str) -> float:
     raise TypeError(_not_a_number(name, value))
 
 
-def _require_positive(name: str, value: float) -> float:
-    """float(value) if it is a number (`_not_a_number`), positive and finite."""
-    if (fault := _not_a_number(name, value)) or not 0.0 < value < math.inf:  # NaN fails too
-        raise DomainError(fault or f"{name} must be positive and finite, got {float(value)!r}")
-    return float(value)
+def _violation(name: str, value, rule: tuple = _POSITIVE) -> str:
+    """The range rule of every entry point: why `value` is no number (`_not_a_number`), or
+    "{name} must {words}, got {value}" unless the rule's predicate holds, else "".  A numpy
+    scalar is shown as the equal Python number.  Each caller raises it as its own type."""
+    if not isinstance(value, float) and (fault := _not_a_number(name, value)):  # as it does
+        return fault  # a float at once: no second call on the hot path
+    words, holds = rule
+    if holds(value):
+        return ""
+    shown = value.item() if isinstance(value, np.generic) else value  # np.float64(2.0) as 2.0
+    return f"{name} must {words}, got {shown!r}"
 
 
 def nu(t: float, rho: float, prof: ExponentProfile) -> float:
     """Time-scaling factor (t/rho^p_bar)^(1/(2-p_bar)) of the intrinsic geometry."""
-    t = _require_positive("t", t)
-    rho = _require_positive("rho", rho)
+    if fault := _violation("t", t) or _violation("rho", rho):
+        raise DomainError(fault)
     _require_fast(prof, "nu")
     return float((t / rho**prof.p_bar) ** (1.0 / (2.0 - prof.p_bar)))
 
 
 def nu_sigma(t: float, rho: float, prof: ExponentProfile) -> float:
     """Per-axis scaling sum of the standard geometry: sum_k (t/rho^p_bar)^(1/(2-p_k))."""
-    t = _require_positive("t", t)
-    rho = _require_positive("rho", rho)
+    if fault := _violation("t", t) or _violation("rho", rho):
+        raise DomainError(fault)
     _require_fast(prof, "nu_sigma")
     base = t / rho**prof.p_bar
     return float(sum(base ** (1.0 / (2.0 - pk)) for pk in prof.p))
@@ -160,15 +173,13 @@ class CubeSpec:
             raise DomainError(f"unknown cube kind {self.kind!r}")
         if len(self.center) != len(self.half_widths):
             raise DomainError("center and half_widths must have equal length")
-        _require_positive("rho", self.rho)
+        if self.kind == "intrinsic" and self.t is None:
+            raise DomainError("intrinsic cube requires a time level t")
+        fault = _violation("rho", self.rho)
         for c, w in zip(self.center, self.half_widths):
-            _require_positive("half_width", w)
-            if fault := _not_a_number("center", c):
-                raise DomainError(fault)
-        if self.kind == "intrinsic":
-            if self.t is None:
-                raise DomainError("intrinsic cube requires a time level t")
-            _require_positive("t", self.t)
+            fault = fault or _violation("half_width", w) or _violation("center", c, _FINITE)
+        if fault := fault or self.kind == "intrinsic" and _violation("t", self.t):
+            raise DomainError(fault)
         volume, reference = self.volume(), (2.0 * self.rho) ** self.N
         if abs(volume - reference) > VOLUME_RTOL * reference:
             raise DomainError(
@@ -189,8 +200,10 @@ def intrinsic_cube(rho: float, t: float, prof: ExponentProfile) -> CubeSpec:
     Along axes with p_i > p_bar the cube shrinks as t decreases; along axes
     with p_i < p_bar it stretches.  The volume stays (2*rho)^N.
     """
-    rho, t = _require_positive("rho", rho), _require_positive("t", t)
+    if fault := _violation("rho", rho) or _violation("t", t):
+        raise DomainError(fault)
     _require_fast(prof, "intrinsic_cube")
+    rho, t = float(rho), float(t)
     widths = _intrinsic_widths(rho, t, prof)
     return CubeSpec(center=(0.0,) * prof.N, half_widths=widths, kind="intrinsic", rho=rho, t=t)
 
@@ -203,7 +216,9 @@ def _intrinsic_widths(rho: float, t: float, prof: ExponentProfile) -> tuple[floa
 
 def standard_cube(rho: float, prof: ExponentProfile) -> CubeSpec:
     """Time-independent origin-centered cube with half-widths rho^(p_bar/p_i)."""
-    rho = _require_positive("rho", rho)
+    if fault := _violation("rho", rho):
+        raise DomainError(fault)
+    rho = float(rho)
     widths = tuple(rho ** (prof.p_bar / pi) for pi in prof.p)
     return CubeSpec(center=(0.0,) * prof.N, half_widths=widths, kind="standard", rho=rho)
 
@@ -215,7 +230,8 @@ def scale_cube(cube: CubeSpec, a: float) -> CubeSpec:
     scales its half-widths linearly, while the doubled standard cube is
     standard_cube(2*rho, ...) whose half-widths scale like (2*rho)^(p_bar/p_i).
     """
-    a = _require_positive("scale factor", a)
+    if fault := _violation("scale factor", a):
+        raise DomainError(fault)
     return replace(
         cube,
         half_widths=tuple(a * w for w in cube.half_widths),
@@ -240,10 +256,8 @@ def smallness_violated(
     """
     if mode not in GEOMETRIES:
         raise DomainError(f"unknown smallness mode {mode!r}")
-    if (fault := _not_a_number("C", C)) or not 0.0 <= C < math.inf:  # float('0.5') is 0.5
-        raise DomainError(fault or f"C must be nonnegative and finite, got {float(C)!r}")
-    C = float(C)
-    rho, t = _require_positive("rho", rho), _require_positive("t", t)  # for C = 0 too
+    if fault := _violation("C", C, _NONNEGATIVE) or _violation("rho", rho) or _violation("t", t):
+        raise DomainError(fault)  # rho and t for C = 0 too
     if C == 0.0:
         return False, None
     rp = rho**prof.p_bar

@@ -41,7 +41,10 @@ from .geometry import (
     CubeSpec,
     ExponentProfile,
     GEOMETRIES,
-    _not_a_number,
+    _ABOVE_ONE,
+    _NONNEGATIVE,
+    _POSITIVE,
+    _violation,
     intrinsic_cube,
     nu,
     nu_sigma,
@@ -50,6 +53,9 @@ from .geometry import (
     standard_cube,
 )
 from .solver import Field, Grid, Trajectory, _past_horizon
+
+#: the range rule of an integral order (`geometry._violation`)
+_ORDER = ("be >= 1 and finite", lambda r: 1.0 <= r < math.inf)
 
 
 @dataclass(frozen=True)
@@ -78,10 +84,8 @@ def gamma_min(lhs: float, rhs_terms: Iterable[float]) -> float:
     """lhs / sum(rhs_terms); 0 when lhs = 0; +inf when lhs > 0 but the sum is 0."""
     values = [lhs, *rhs_terms]
     for k, x in enumerate(values):
-        if fault := _not_a_number(f"rhs term {k - 1}" if k else "lhs", x):
+        if fault := _violation(f"rhs term {k - 1}" if k else "lhs", x, _NONNEGATIVE):
             raise DomainError(fault)
-        if not 0.0 <= x < math.inf:  # NaN fails every comparison
-            raise DomainError(f"gamma_min needs nonnegative finite inputs, got {float(x)!r}")
     lhs, *terms = [float(x) for x in values]
     if lhs == 0.0:
         return 0.0
@@ -144,8 +148,8 @@ def _cube_integrals(grid: Grid, rows: np.ndarray, cube: CubeSpec, r: float) -> n
     over those n rows.  A cached reduction is therefore keyed on its exact
     window, never sliced out of a longer one.
     """
-    if (fault := _not_a_number("r", r)) or r < 1.0:
-        raise DomainError(fault or f"integral order r must be >= 1, got {r!r}")
+    if fault := _violation("r", r, _ORDER):
+        raise DomainError(fault)
     weights, spans, _ = _footprint(grid, cube.center, cube.half_widths)
     if None in spans:
         warnings.warn("cube does not intersect the grid domain; integral is 0", stacklevel=3)
@@ -187,7 +191,7 @@ def cube_contained(cube: CubeSpec, grid: Grid) -> bool:
 
 # --- time-window reductions --------------------------------------------------
 
-_EXTREMA = {"sup_l1": np.max, "inf_l1": np.min, "sup_lr": np.max, "sup_linf": np.max}
+_EXTREMA = {"inf_l1": np.min, "sup_lr": np.max, "sup_linf": np.max}
 
 
 def time_extremal(
@@ -200,11 +204,11 @@ def time_extremal(
     """Extremum over snapshots in the window of a per-snapshot cube reduction.
 
     The cube is fixed; it is not re-evaluated per snapshot time.  kind is one
-    of sup_l1 | inf_l1 | sup_lr | sup_linf (sup_lr uses the order r).  All
-    snapshots of the window are reduced at once.
+    of inf_l1 | sup_lr | sup_linf (sup_lr uses the order r, whose default 1 is
+    the sup of the integral of u).  All snapshots of the window are reduced at once.
     """
     rows = traj.values[traj.window(*window)]
-    if fault := _not_a_number("r", r):
+    if fault := _violation("r", r, _ORDER):
         raise DomainError(fault)
     if not len(rows):
         raise DomainError(f"no snapshots in window [{float(window[0])}, {float(window[1])}]")
@@ -338,19 +342,13 @@ class Inequality:
     applicable: Callable[[ExponentProfile, float], str] = lambda prof, r: ""  # or why not
     hypothesis: Callable[[_Instance], CubeSpec] = lambda x: x.doubled  # inside the box
     r_min: Optional[float] = None  # None: stated for r = 1 only, r is not an option
-    r_strict: bool = True  # r must exceed r_min, not only reach it
+    r_rule: tuple = _ABOVE_ONE  # the range rule of r where r_min is set (`geometry._violation`)
 
     def r_violation(self, r: Optional[float]) -> str:
         """Why r cannot be the order of this inequality; "" when it can."""
         if self.r_min is None:
             return "" if r is None else f"r is not an option (r = 1 is implied), got {r!r}"
-        if r is None:
-            return "r is required"
-        if (fault := _not_a_number("r", r)) or not math.isfinite(r):
-            return fault or f"r must be finite, got {r!r}"
-        if self.r_strict:
-            return "" if r > self.r_min else f"r must exceed {self.r_min:g}, got {r!r}"
-        return "" if r >= self.r_min else f"r must be >= {self.r_min:g}, got {r!r}"
+        return "r is required" if r is None else _violation("r", r, self.r_rule)
 
 
 CHECKS = {
@@ -375,7 +373,7 @@ CHECKS = {
         applicable=_needs_lam_r_positive,
         hypothesis=_Instance.four_rho_intrinsic,
         r_min=1.0,
-        r_strict=False,
+        r_rule=_ORDER,
     ),
     "lr_backward": Inequality(
         theorems=("Lr_backward_intrinsic", "Lr_backward_standard"),
@@ -400,6 +398,7 @@ _REQUIRED = object()  # marks an option that must be given
 #: the options of every check and their defaults; r, absent by default, is
 #: required or refused by the row (`Inequality.r_violation`)
 CHECK_OPTIONS = {"geometry": "intrinsic", "rho": _REQUIRED, "t": _REQUIRED, "r": None, "C": 0.0}
+_OPTION_RULES = {"rho": _POSITIVE, "t": _POSITIVE, "C": _NONNEGATIVE}  # r's: its row's r_rule
 
 
 def option_violations(kind: str, options: dict) -> list[str]:
@@ -409,14 +408,8 @@ def option_violations(kind: str, options: dict) -> list[str]:
     if "geometry" in options and options["geometry"] not in GEOMETRIES:
         found.append(f"geometry must be one of {GEOMETRIES}, got {options['geometry']!r}")
     for name, x in ((name, options[name]) for name in ("rho", "t", "r", "C") if name in options):
-        if name == "r":
-            found.append(CHECKS[kind].r_violation(x))
-        elif fault := _not_a_number(name, x):
-            found.append(fault)
-        elif name == "C" and not 0.0 <= x < math.inf:
-            found.append(f"C must be nonnegative and finite, got {float(x)!r}")
-        elif name in ("rho", "t") and not 0.0 < x < math.inf:  # NaN fails every comparison
-            found.append(f"{name} must be positive and finite, got {float(x)!r}")
+        rule = _OPTION_RULES.get(name)
+        found.append(_violation(name, x, rule) if rule else CHECKS[kind].r_violation(x))
     return [problem for problem in found if problem]
 
 

@@ -17,7 +17,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError
-from .geometry import CubeSpec, ExponentProfile, _not_a_number, _require_positive
+from .geometry import (
+    _ABOVE_ONE, _COUNT, _NONNEGATIVE, CubeSpec, ExponentProfile, _not_a_number, _violation
+)
 from .harnack import InequalityReport, _box, _contract, _footprint, cube_contained, gamma_min
 from .solver import Field, Trajectory, _count, _face_differences
 
@@ -29,17 +31,15 @@ def young_gamma(eps: float, q: float) -> float:
     conjugate exponent q' = (1 - 1/q)^(-1).  Equality is attained at the
     optimal coupling a = (b/(eps*q))^(1/(q-1)).
     """
-    if (fault := _not_a_number("eps", eps, "q", q)) or not 0.0 < eps < math.inf:
-        raise DomainError(fault or f"eps must be positive, got {eps!r}")
-    if not q > 1.0 or not math.isfinite(q):
-        raise DomainError(f"q must exceed 1, got {q!r}")
+    if fault := _violation("eps", eps) or _violation("q", q, _ABOVE_ONE):
+        raise DomainError(fault)
     return ((q - 1.0) / (q ** (1.0 / (q - 1.0)) * q)) * (1.0 / eps) ** (1.0 / (q - 1.0))
 
 
 def young_conjugate(q: float) -> float:
     """q' = (1 - 1/q)^(-1)."""
-    if (fault := _not_a_number("q", q)) or not q > 1.0:
-        raise DomainError(fault or f"q must exceed 1, got {q!r}")
+    if fault := _violation("q", q, _ABOVE_ONE):
+        raise DomainError(fault)
     return 1.0 / (1.0 - 1.0 / q)
 
 
@@ -62,15 +62,13 @@ def fast_convergence(
     the final value underflows 1e-300 (or hits exact zero), or when the
     sequence is strictly decreasing with final ratio below 1/2.
     """
-    if fault := _not_a_number("C", C, "b", b, "alpha", alpha, "Y0", Y0, "n_max", n_max):
+    fault = _violation("C", C) or _violation("b", b, _ABOVE_ONE) or _violation("alpha", alpha)
+    if fault := fault or _violation("Y0", Y0, _NONNEGATIVE) or _not_a_number("n_max", n_max):
         raise DomainError(fault)
     if (n_steps := _count(n_max)) is None:  # read as a snapshot count is: 3.0, not 2.5
         raise DomainError(f"n_max must be an integer, got {n_max!r}")
-    if not (C > 0.0 and b > 1.0 and alpha > 0.0 and Y0 >= 0.0 and n_max >= 1):
-        raise DomainError(
-            f"need C>0, b>1, alpha>0, Y0>=0, n_max>=1; got "
-            f"C={C!r}, b={b!r}, alpha={alpha!r}, Y0={Y0!r}, n_max={n_max!r}"
-        )
+    if fault := _violation("n_max", n_steps, _COUNT):
+        raise DomainError(fault)
     bound = C ** (-1.0 / alpha) * b ** (-1.0 / alpha**2)
     expo = 1.0 + alpha
     y = float(Y0)
@@ -134,14 +132,10 @@ def iteration_bound(eps: float, b: float, I: float, M: float) -> Optional[float]
     returns None (not applicable) when eps*b >= 1, since this constructive
     bound does not exist there even though equiboundedness still gives one.
     """
-    if (fault := _not_a_number("eps", eps, "b", b, "I", I, "M", M)) or not 0.0 < eps < 1.0:
-        raise DomainError(fault or f"eps must lie in (0, 1), got {eps!r}")
-    if not b > 1.0:
-        raise DomainError(f"b must exceed 1, got {b!r}")
-    if I < 0.0 or not math.isfinite(I):
-        raise DomainError(f"I must be nonnegative and finite, got {I!r}")
-    if M < 0.0 or not math.isfinite(M):
-        raise DomainError(f"M must be nonnegative and finite, got {M!r}")
+    fault = _violation("eps", eps, ("lie in (0, 1)", lambda e: 0.0 < e < 1.0))
+    fault = fault or _violation("b", b, _ABOVE_ONE) or _violation("I", I, _NONNEGATIVE)
+    if fault := fault or _violation("M", M, _NONNEGATIVE):
+        raise DomainError(fault)
     if eps * b >= 1.0:
         return None
     return I / (1.0 - eps * b)
@@ -183,12 +177,13 @@ def sobolev_ratio(
     under phi -> c*phi, and defined as 0 for phi == 0.
     """
     p_star = sobolev_critical(prof)
-    theta_max, fault = prof.p_bar / p_star, _not_a_number("theta", theta, "sigma", sigma)
-    if fault or not 0.0 <= theta <= theta_max + 1e-15:
-        raise DomainError(fault or f"theta must lie in [0, p_bar/p*] = [0, {theta_max:.6g}]")
-    if not 1.0 <= sigma <= p_star + 1e-15:
-        raise DomainError(f"sigma must lie in [1, p*] = [1, {p_star:.6g}]")
-    T, grid = _require_positive("t_extent", t_extent), field.grid
+    theta_max = prof.p_bar / p_star  # each upper bound is met up to one rounding
+    thetas = f"lie in [0, p_bar/p*] = [0, {theta_max:.6g}]", lambda x: 0 <= x <= theta_max + 1e-15
+    sigmas = f"lie in [1, p*] = [1, {p_star:.6g}]", lambda x: 1.0 <= x <= p_star + 1e-15
+    fault = _violation("theta", theta, thetas) or _violation("sigma", sigma, sigmas)
+    if fault := fault or _violation("t_extent", t_extent):
+        raise DomainError(fault)
+    T, grid = t_extent, field.grid
     if prof.N != grid.N:
         raise DomainError(f"profile dimension {prof.N} != grid dimension {grid.N}")
     if grid.boundary == "periodic":
@@ -299,11 +294,8 @@ def caccioppoli_report(
     and the measure of Q is the product of the per-axis box weights' sums.
     `prof.p` and `cutoff.exponents` must be the trajectory's exponents.
     """
-    fault = _not_a_number("k", k, "C", C)
-    if fault or not 0.0 <= k < math.inf:  # NaN fails every comparison
-        raise DomainError(fault or f"truncation level k must be nonnegative, got {k!r}")
-    if not 0.0 <= C < math.inf:
-        raise DomainError(f"C must be nonnegative and finite, got {C!r}")
+    if fault := _violation("k", k, _NONNEGATIVE) or _violation("C", C, _NONNEGATIVE):
+        raise DomainError(fault)
     if not prof.p == tuple(cutoff.exponents) == traj.exponents.p:
         want, got = traj.exponents.p, (prof.p, tuple(cutoff.exponents))
         raise DomainError(f"prof and cutoff exponents must be the trajectory's {want}, got {got}")

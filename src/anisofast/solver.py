@@ -29,7 +29,10 @@ from typing import Any, Callable, Optional, Sequence
 import numpy as np
 
 from .errors import BlowupError, ConfigError, DomainError, IngestionError
-from .geometry import ExponentProfile, _not_a_number, _real, _require_positive, derive_exponents
+from .geometry import (
+    _COUNT, _FINITE, _NONNEGATIVE, ExponentProfile, _not_a_number, _real, _violation,
+    derive_exponents,
+)
 
 BOUNDARIES = ("dirichlet_zero", "periodic")
 
@@ -109,8 +112,7 @@ def build_grid(
         violations.append(
             f"half_domain has {len(half)} entries but resolution has {len(res)}"
         )
-    for x in half:
-        violations += _violation("half_domain entry", x, "be positive", lambda x: 0 < x < math.inf)
+    violations += filter(None, (_violation("half_domain entry", x) for x in half))
     for n, given in zip(res, resolution):
         if n is None:
             violations.append(f"resolution must be an integer per axis, got {given!r}")
@@ -138,7 +140,7 @@ class Field:
     time: float
 
     def __post_init__(self):
-        if fault := _not_a_number("time", self.time):
+        if fault := _violation("time", self.time, _FINITE):
             raise IngestionError(fault)
         self.values = np.asarray(self.values, dtype=np.float64).ravel()
         if self.values.size != self.grid.n_cells:
@@ -167,11 +169,11 @@ class InitialProfile:
         violations = []
         if self.kind not in PROFILE_KINDS:
             violations.append(f"unknown initial profile {self.kind!r}")
-        a, radius, radial = self.amplitude, self.radius, self.kind in ("bump", "plateau")
-        violations += _violation(  # NaN fails every comparison
-            "amplitude", a, "be nonnegative and finite", lambda a: 0.0 <= a < math.inf
-        )
-        violations += _violation("radius", radius, "be positive", lambda r: not radial or r > 0.0)
+        radial, radius = self.kind in ("bump", "plateau"), self.radius  # else radius is unused
+        violations += filter(None, [
+            _violation("amplitude", self.amplitude, _NONNEGATIVE),
+            _violation("radius", radius) if radial else _not_a_number("radius", radius),
+        ])
         if self.kind == "from_file" and not isinstance(self.path or None, (str, os.PathLike)):
             violations.append(f"from_file profile requires a path, got {self.path!r}")
         if violations:
@@ -406,7 +408,9 @@ class _FluxKernel:
 
 def _kernel_at(field: Field, prof: ExponentProfile, eps: float, mirror: tuple = ()) -> _FluxKernel:
     """The kernel holding `field`, halved along `mirror`, after the public steps' checks."""
-    eps, grid = _require_positive("eps", eps), field.grid
+    if fault := _violation("eps", eps):
+        raise DomainError(fault)
+    eps, grid = float(eps), field.grid
     if prof.N != grid.N:
         raise DomainError(f"profile dimension {prof.N} != grid dimension {grid.N}")
     if problems := _scheme_violations(grid, prof, eps):
@@ -440,7 +444,8 @@ def stable_dt(
 
 def advance(field: Field, prof: ExponentProfile, eps: float, dt: float) -> Field:
     """One conservative explicit Euler step of size dt; `BlowupError` unless it is finite."""
-    dt = _require_positive("dt", dt)
+    if fault := _violation("dt", dt):
+        raise DomainError(fault)
     t_new = field.time + dt
     with np.errstate(over="ignore", invalid="ignore"):  # reported as BlowupError
         kernel = _kernel_at(field, prof, eps)
@@ -464,21 +469,14 @@ def uniform_snapshots(t_end: float, count: int) -> tuple[float, ...]:
     return tuple(np.linspace(0.0, t_end, n))
 
 
-def _violation(name: str, value, rule: str, ok: Callable[[Any], bool]) -> list[str]:
-    """[] if value is a number (`geometry._not_a_number`) and ok(value), else why not."""
-    if fault := _not_a_number(name, value):
-        return [fault]
-    return [] if ok(value) else [f"{name} must {rule}, got {value}"]
-
-
 def _range_violations(t_end=0.0, eps=1.0, safety=0.5, snapshots=1) -> list[str]:
     """The violations of SimConfig's scalar ranges and a snapshot count's; defaults obey them."""
-    return [  # NaN fails every comparison
-        *_violation("t_end", t_end, "be nonnegative and finite", lambda x: 0.0 <= x < math.inf),
-        *_violation("eps", eps, "be positive and finite", lambda x: 0.0 < x < math.inf),
-        *_violation("safety", safety, "lie in (0, 1]", lambda x: 0.0 < x <= 1.0),
-        *_violation("snapshot count", snapshots, "be >= 1", lambda n: n >= 1),
-    ]
+    return list(filter(None, [
+        _violation("t_end", t_end, _NONNEGATIVE),
+        _violation("eps", eps),
+        _violation("safety", safety, ("lie in (0, 1]", lambda x: 0.0 < x <= 1.0)),
+        _violation("snapshot count", snapshots, _COUNT),
+    ]))
 
 
 def _power(x: float, a: float) -> float:
@@ -538,12 +536,11 @@ class SimConfig:
                 violations.append(f"snapshot times must be numbers, got {self.snapshot_times!r}")
                 times = (0.0,)  # a schedule that passes the checks below
             times = tuple(map(float, times))
-        not_finite = [t for t in times if not math.isfinite(t)]
-        if not_finite:
-            violations.append(f"snapshot times must be finite, got {not_finite[0]}")
+        if faults := [fault for t in times if (fault := _violation("snapshot time", t, _FINITE))]:
+            violations.append(faults[0])
         elif not times or times[0] != 0.0 or any(b <= a for a, b in zip(times, times[1:])):
             violations.append("snapshot times must start at 0 and increase strictly")
-        elif not _not_a_number("t_end", self.t_end) and times[-1] > self.t_end * (1 + _TIME_RTOL):
+        elif not _range_violations(self.t_end) and times[-1] > self.t_end * (1 + _TIME_RTOL):
             violations.append("snapshot times must not exceed t_end")
         if violations:
             raise ConfigError(violations)
@@ -574,8 +571,8 @@ class Trajectory:
 
     def __post_init__(self):
         for t in self.times:  # a bool is no number, though float(True) is 1.0
-            if (fault := _not_a_number("snapshot time", t)) or not math.isfinite(t):
-                raise IngestionError(fault or "snapshot times must be finite")
+            if fault := _violation("snapshot time", t, _FINITE):
+                raise IngestionError(fault)
         object.__setattr__(self, "times", tuple(float(t) for t in self.times))
         v = self.values
         owned = isinstance(v, np.ndarray) and v.flags.owndata and not v.flags.writeable
@@ -585,8 +582,8 @@ class Trajectory:
             object.__setattr__(self, "values", v)
         if not self.times:
             raise IngestionError("trajectory has no snapshots")
-        if (fault := _not_a_number("eps", self.eps)) or not 0.0 < self.eps < math.inf:  # NaN fails
-            raise IngestionError(fault or f"eps must be positive and finite, got {self.eps!r}")
+        if fault := _violation("eps", self.eps):
+            raise IngestionError(fault)
         if self.exponents.N != self.grid.N:
             raise IngestionError(
                 f"{self.exponents.N} exponents for a {self.grid.N}-dimensional grid"
@@ -601,12 +598,11 @@ class Trajectory:
         if _not_a_number("steps", self.steps) or self.steps % 1 or self.steps < 0:  # nan % 1 is nan
             raise IngestionError(f"steps must be a nonnegative integer, got {self.steps!r}")
         object.__setattr__(self, "steps", int(self.steps))
-        if _not_a_number("min_value", self.min_value) or not math.isfinite(self.min_value):
-            raise IngestionError(f"min_value must be finite, got {self.min_value!r}")
+        drift = self.mass_drift  # None where no mass is conserved
+        fault = _violation("min_value", self.min_value, _FINITE)
+        if fault := fault or drift is not None and _violation("mass_drift", drift, _FINITE):
+            raise IngestionError(fault)
         object.__setattr__(self, "min_value", float(self.min_value))
-        drift = self.mass_drift
-        if drift is not None and (_not_a_number("mass_drift", drift) or not math.isfinite(drift)):
-            raise IngestionError(f"mass_drift must be null or a finite number, got {drift!r}")
         object.__setattr__(self, "mass_drift", None if drift is None else float(drift))
 
     def measured(self, key: tuple, measure: Callable[[], Any]) -> Any:
@@ -638,11 +634,10 @@ class Trajectory:
 
     def window(self, t_a: float, t_b: float) -> slice:
         """Rows with t_a - tol <= time <= t_b + tol, tol = 1e-9 max(1, |t_b|); finite t_a <= t_b."""
-        if fault := _not_a_number("window start", t_a, "window end", t_b):
+        fault = _violation("window start", t_a, _FINITE)  # an inf end would make tol inf
+        if fault := fault or _violation("window end", t_b, _FINITE):
             raise DomainError(fault)
         t_a, t_b = float(t_a), float(t_b)
-        if not math.isfinite(t_a) or not math.isfinite(t_b):  # an inf end makes tol inf
-            raise DomainError(f"window ends must be finite, got [{t_a}, {t_b}]")
         if t_b < t_a:
             raise DomainError(f"empty window [{t_a}, {t_b}]")
         tol = WINDOW_RTOL * max(1.0, abs(t_b))
@@ -809,9 +804,6 @@ def load_trajectory(path: str) -> Trajectory:
         times = tuple(_real(t, "times") for t in manifest["times"])
         eps, initial_sup = (_real(manifest[k], k) for k in ("eps", "initial_sup"))
         steps, mass_drift, min_value = (manifest[k] for k in ("steps", "mass_drift", "min_value"))
-        for k in ("mass_drift", "min_value"):  # a JSON int past 1e308, in the rule's words
-            if type(manifest[k]) is int and (fault := _not_a_number(k, manifest[k])):
-                raise TypeError(fault)
     except IngestionError:
         raise
     except KeyError as missing:

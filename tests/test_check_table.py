@@ -16,18 +16,21 @@ from anisofast.errors import DomainError
 
 GEOMETRIES = ("intrinsic", "standard")
 
-# the public checker of each kind; r is passed only to those that take one
-CHECKERS = {
-    "l1l1": lambda traj, rho, t, r, g: af.check_l1l1(traj, rho, t, g),
-    "l1linf": lambda traj, rho, t, r, g: af.check_l1linf(traj, rho, t, g),
-    "lr_sup": lambda traj, rho, t, r, g: af.check_lr_sup(traj, rho, t, r, g),
-    "lr_backward": lambda traj, rho, t, r, g: af.check_lr_backward(traj, rho, t, r, g),
-    "composite": lambda traj, rho, t, r, g: af.check_backwards_composite(traj, rho, t, r, g),
-}
+
+def _checker(kind):
+    """The public checker of each kind, as `cli` names it."""
+    return getattr(harnack, cli._CHECK_FUNCTIONS[kind])
+
+
+def _call(kind, traj, rho, t, r, geometry):
+    """The checker of a kind; r is passed only to those that take one (`Inequality.r_min`)."""
+    order = () if harnack.CHECKS[kind].r_min is None else (r,)
+    return _checker(kind)(traj, rho, t, *order, geometry)
+
 
 # Recorded with the five hand-written checkers that preceded the table, C = 0:
 # fixture -> ((rho, t, r), one (theorem, lhs, rhs terms in order, gamma_min)
-# per kind of CHECKERS and geometry, in that order).
+# per kind of cli._CHECK_FUNCTIONS and geometry, in that order).
 PINNED = {
     "run_2d_aniso": (
         (0.13, 0.06, 2.0),
@@ -166,7 +169,7 @@ def _close(value, expected):
 def test_checker_values_pinned(fixture, request):
     traj = request.getfixturevalue(fixture)
     (rho, t, r), expected = PINNED[fixture]
-    reports = [CHECKERS[kind](traj, rho, t, r, g) for kind in CHECKERS for g in GEOMETRIES]
+    reports = [_call(kind, traj, rho, t, r, g) for kind in cli._CHECK_FUNCTIONS for g in GEOMETRIES]
     for rep, (theorem, lhs, terms, gamma) in zip(reports, expected, strict=True):
         assert rep.applicable and rep.theorem == theorem
         assert list(rep.rhs_terms) == list(terms), theorem
@@ -192,7 +195,7 @@ def test_not_applicable_rows_pinned():
     ]
     for kind, theorems, reason in expected:
         for g, theorem in zip(GEOMETRIES, theorems):
-            rep = CHECKERS[kind](traj, 0.1, 0.1, 1.5, g)
+            rep = _call(kind, traj, 0.1, 0.1, 1.5, g)
             assert rep.theorem == theorem and not rep.applicable
             assert rep.reason == reason
             assert math.isnan(rep.lhs) and math.isnan(rep.gamma_min)
@@ -201,7 +204,7 @@ def test_not_applicable_rows_pinned():
 
 
 @pytest.mark.parametrize("geometry", GEOMETRIES)
-@pytest.mark.parametrize("kind", sorted(CHECKERS))
+@pytest.mark.parametrize("kind", sorted(cli._CHECK_FUNCTIONS))
 def test_any_p_equal_to_2_is_not_applicable(kind, geometry):
     # p = (1.5, 2): lam and lam_r(2) are positive, so only the p_i < 2 condition fails
     prof = af.derive_exponents([1.5, 2.0], 2)
@@ -209,7 +212,7 @@ def test_any_p_equal_to_2_is_not_applicable(kind, geometry):
     bump = af.init_field(grid, af.InitialProfile("bump", 1.0, 0.3)).values
     times = (0.0, 0.05, 0.1)
     traj = af.Trajectory(grid, prof, 1e-3, [(1.0 - t) * bump for t in times], times)
-    rep = CHECKERS[kind](traj, 0.1, 0.1, 2.0, geometry)
+    rep = _call(kind, traj, 0.1, 0.1, 2.0, geometry)
     theorems = harnack.CHECKS[kind].theorems
     assert rep.theorem == theorems[GEOMETRIES.index(geometry)] and not rep.applicable
     assert rep.reason == "Harnack inequalities need all p_i < 2"
@@ -220,22 +223,19 @@ def test_any_p_equal_to_2_is_not_applicable(kind, geometry):
 @pytest.mark.parametrize(
     "kind, r, message",
     [
-        ("lr_sup", 0.5, "r must be >= 1, got 0.5"),
-        ("lr_backward", 1.0, "r must exceed 1, got 1.0"),
-        ("composite", 1.0, "r must exceed 1, got 1.0"),
-        ("lr_sup", math.inf, "r must be finite, got inf"),
-        ("lr_backward", math.inf, "r must be finite, got inf"),
-        ("composite", math.nan, "r must be finite, got nan"),
+        ("lr_sup", 0.5, "r must be >= 1 and finite, got 0.5"),
+        ("lr_backward", 1.0, "r must exceed 1 and be finite, got 1.0"),
+        ("composite", 1.0, "r must exceed 1 and be finite, got 1.0"),
     ],
 )
 def test_order_rule_is_the_checkers_error(zero_traj_1d, kind, r, message):
     assert harnack.CHECKS[kind].r_violation(r) == message
     with pytest.raises(DomainError, match=re.escape(message)):
-        CHECKERS[kind](zero_traj_1d, 0.1, 0.05, r, "intrinsic")
+        _call(kind, zero_traj_1d, 0.1, 0.05, r, "intrinsic")
 
 
 def test_check_kinds_come_from_the_table():
-    assert cli.CHECK_KINDS == tuple(harnack.CHECKS) == tuple(CHECKERS)
+    assert cli.CHECK_KINDS == tuple(harnack.CHECKS) == tuple(cli._CHECK_FUNCTIONS)
 
 
 # --- the names the benchmark traces ---------------------------------------------
@@ -306,18 +306,10 @@ def test_analyze_reaches_each_check_through_the_harnack_module(tmp_path, monkeyp
 
 # --- one analyze call measures each cube reduction once --------------------------
 
-CHECK_FUNCTIONS = {
-    "l1l1": af.check_l1l1,
-    "l1linf": af.check_l1linf,
-    "lr_sup": af.check_lr_sup,
-    "lr_backward": af.check_lr_backward,
-    "composite": af.check_backwards_composite,
-}
-
 # (kind, geometry, rho, t): every kind at one (rho, t) in both geometries, then
 # the standard geometry again at a second t
-ONE_POINT = [(kind, g, 0.1, 0.05) for kind in CHECK_FUNCTIONS for g in GEOMETRIES]
-SECOND_T = [(kind, "standard", 0.1, 0.07) for kind in CHECK_FUNCTIONS]
+ONE_POINT = [(kind, g, 0.1, 0.05) for kind in cli._CHECK_FUNCTIONS for g in GEOMETRIES]
+SECOND_T = [(kind, "standard", 0.1, 0.07) for kind in cli._CHECK_FUNCTIONS]
 
 
 def _small_trajectory(scale=1.0):
@@ -333,8 +325,7 @@ def _small_trajectory(scale=1.0):
 
 
 def _check(traj, kind, geometry, rho, t):
-    order = () if harnack.CHECKS[kind].r_min is None else (2.0,)
-    return CHECK_FUNCTIONS[kind](traj, rho, t, *order, geometry)
+    return _call(kind, traj, rho, t, 2.0, geometry)
 
 
 def _fresh(traj):
@@ -410,9 +401,17 @@ BAD_OPTIONS = [
 BAD_ORDERS = {
     "l1l1": [("2", "r is not an option (r = 1 is implied), got 2.0")],
     "l1linf": [("1", "r is not an option (r = 1 is implied), got 1.0")],
-    "lr_sup": [("0.5", "r must be >= 1, got 0.5"), ("inf", "r must be finite, got inf")],
-    "lr_backward": [("1", "r must exceed 1, got 1.0"), ("nan", "r must be finite, got nan")],
-    "composite": [("0.9", "r must exceed 1, got 0.9"), ("inf", "r must be finite, got inf")],
+    "lr_sup": [
+        ("0.5", "r must be >= 1 and finite, got 0.5"), ("inf", "r must be >= 1 and finite, got inf")
+    ],
+    "lr_backward": [
+        ("1", "r must exceed 1 and be finite, got 1.0"),
+        ("nan", "r must exceed 1 and be finite, got nan"),
+    ],
+    "composite": [
+        ("0.9", "r must exceed 1 and be finite, got 0.9"),
+        ("inf", "r must exceed 1 and be finite, got inf"),
+    ],
 }
 
 
@@ -435,7 +434,7 @@ def _parse_violations(p: float, kind: str, options: dict) -> list:
     return excinfo.value.violations
 
 
-@pytest.mark.parametrize("kind", sorted(CHECKERS))
+@pytest.mark.parametrize("kind", sorted(cli._CHECK_FUNCTIONS))
 @pytest.mark.parametrize("p", [1.5, 2.0])
 def test_parser_and_checkers_reject_the_same_values_with_the_same_rule(p, kind):
     # the rules hold on every trajectory, also where p = 2 makes the check
@@ -447,7 +446,7 @@ def test_parser_and_checkers_reject_the_same_values_with_the_same_rule(p, kind):
 
     def call(options):
         args = {k: v if k == "geometry" else float(v) for k, v in options.items()}
-        return CHECK_FUNCTIONS[kind](traj, **args)
+        return _checker(kind)(traj, **args)
 
     report = call(valid)
     assert report.applicable == (p < 2.0)

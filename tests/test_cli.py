@@ -215,15 +215,15 @@ def test_parse_check_specs():
 @pytest.mark.parametrize(
     "check, violation",
     [
-        ("lr_backward rho=0.1 t=0.01 r=1", "check 'lr_backward': r must exceed 1, got 1.0"),
-        ("composite rho=0.1 t=0.01 r=0.9", "check 'composite': r must exceed 1, got 0.9"),
-        ("lr_sup rho=0.1 t=0.01 r=0.5", "check 'lr_sup': r must be >= 1, got 0.5"),
+        ("lr_backward rho=0.1 t=0.01 r=1", "check 'lr_backward': r must exceed 1 and be finite, got 1.0"),
+        ("composite rho=0.1 t=0.01 r=0.9", "check 'composite': r must exceed 1 and be finite, got 0.9"),
+        ("lr_sup rho=0.1 t=0.01 r=0.5", "check 'lr_sup': r must be >= 1 and finite, got 0.5"),
         ("l1l1 rho=0.1 t=0.01 r=2", "check 'l1l1': r is not an option (r = 1 is implied), got 2.0"),
         ("l1linf rho=0.1 t=0.01 r=1", "check 'l1linf': r is not an option (r = 1 is implied), got 1.0"),
         ("composite rho=0.1 t=0.01", "check 'composite': r is required"),
-        ("lr_sup rho=0.1 t=0.01 r=inf", "check 'lr_sup': r must be finite, got inf"),
-        ("lr_backward rho=0.1 t=0.01 r=inf", "check 'lr_backward': r must be finite, got inf"),
-        ("composite rho=0.1 t=0.01 r=nan", "check 'composite': r must be finite, got nan"),
+        ("lr_sup rho=0.1 t=0.01 r=inf", "check 'lr_sup': r must be >= 1 and finite, got inf"),
+        ("lr_backward rho=0.1 t=0.01 r=inf", "check 'lr_backward': r must exceed 1 and be finite, got inf"),
+        ("composite rho=0.1 t=0.01 r=nan", "check 'composite': r must exceed 1 and be finite, got nan"),
         ("l1l1", "check 'l1l1' is missing required option 'rho'"),
         ("l1l1", "check 'l1l1' is missing required option 't'"),
     ],
@@ -316,7 +316,7 @@ def test_parse_reports_profile_and_run_scalar_violations_together():
         parse_config(text)
     assert excinfo.value.violations == [
         "amplitude must be nonnegative and finite, got -1.0",
-        "radius must be positive, got -1.0",
+        "radius must be positive and finite, got -1.0",
         "eps must be positive and finite, got -1.0",
         "safety must lie in (0, 1], got 2.0",
     ]
@@ -1074,11 +1074,11 @@ TRAJECTORY_FAULTS = {
     "bad_exponent": (_rewrite_manifest(lambda m: m.update(p=[3.0])), "exponent out of (1, 2]"),
     "nan_time": (
         _rewrite_manifest(lambda m: m["times"].__setitem__(1, math.nan)),
-        "snapshot times must be finite",
+        "snapshot time must be finite, got nan",
     ),
     "inf_time": (
         _rewrite_manifest(lambda m: m["times"].__setitem__(2, math.inf)),
-        "snapshot times must be finite",
+        "snapshot time must be finite, got inf",
     ),
     "nan_eps": (_rewrite_manifest(lambda m: m.update(eps=math.nan)), "eps must be positive"),
     "negative_eps": (_rewrite_manifest(lambda m: m.update(eps=-1e-3)), "eps must be positive"),
@@ -1088,7 +1088,7 @@ TRAJECTORY_FAULTS = {
     ),
     "text_mass_drift": (
         _rewrite_manifest(lambda m: m.update(mass_drift="x")),
-        "mass_drift must be null or a finite number",
+        "mass_drift must be a number, got 'x'",
     ),
 }
 

@@ -1,6 +1,5 @@
 """Exponent arithmetic, cube constructions, and their exact identities."""
 
-import math
 import re
 import warnings
 
@@ -257,10 +256,6 @@ GEOMETRY_GUARDS = {
     "smallness C negative": (
         lambda: af.smallness_violated(-1.0, 0.1, 0.1, _PROF, "standard"),
         "C must be nonnegative and finite, got -1.0",
-    ),
-    "smallness C nan": (
-        lambda: af.smallness_violated(math.nan, 0.1, 0.1, _PROF, "intrinsic"),
-        "C must be nonnegative and finite, got nan",
     ),
 }
 

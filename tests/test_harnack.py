@@ -137,13 +137,13 @@ def test_cube_sup_matches_bruteforce():
 
 def test_time_extremal_single_snapshot(zero_traj_1d):
     cube = af.standard_cube(0.2, zero_traj_1d.exponents)
-    value = af.time_extremal(zero_traj_1d, cube, (0.05, 0.05), "sup_l1")
+    value = af.time_extremal(zero_traj_1d, cube, (0.05, 0.05), "sup_lr")
     assert value == 0.0
 
 
 def test_time_extremal_monotone_sequence(run_1d_fast):
     cube = af.standard_cube(0.2, run_1d_fast.exponents)
-    sup = af.time_extremal(run_1d_fast, cube, (0.0, 0.1), "sup_l1")
+    sup = af.time_extremal(run_1d_fast, cube, (0.0, 0.1), "sup_lr")
     first = af.cube_integral(run_1d_fast.snapshots[0], cube, 1.0)
     assert sup == pytest.approx(first, rel=1e-12)
     inf = af.time_extremal(run_1d_fast, cube, (0.0, 0.1), "inf_l1")
@@ -153,7 +153,7 @@ def test_time_extremal_monotone_sequence(run_1d_fast):
 def test_time_extremal_errors(run_1d_fast):
     cube = af.standard_cube(0.2, run_1d_fast.exponents)
     with pytest.raises(DomainError):
-        af.time_extremal(run_1d_fast, cube, (0.05, 0.01), "sup_l1")
+        af.time_extremal(run_1d_fast, cube, (0.05, 0.01), "sup_lr")
     with pytest.raises(DomainError):
         af.time_extremal(run_1d_fast, cube, (0.0, 0.1), "median_l1")
 
@@ -319,10 +319,10 @@ QUADRATURE_GUARDS = {
     ),
     "integral order": (
         lambda: af.cube_integral(_field_2d(np.ones((8, 8))), _iso_cube(0.1), r=0.5),
-        "integral order r must be >= 1, got 0.5",
+        "r must be >= 1 and finite, got 0.5",
     ),
     "empty window": (
-        lambda: af.time_extremal(_two_snapshots(), _iso_cube(0.1, 1), (0.01, 0.02), "sup_l1"),
+        lambda: af.time_extremal(_two_snapshots(), _iso_cube(0.1, 1), (0.01, 0.02), "sup_lr"),
         "no snapshots in window [0.01, 0.02]",
     ),
 }

@@ -1,19 +1,25 @@
 """The number rule: a bool, a numpy bool, a string or an int past 1e308 is no number at any
-entry point.
+entry point; and the range rule: NaN and +-inf are out of the range of every number of the
+estimates.
 
-`geometry._not_a_number` states the rule once; every public function, method and dataclass
-constructor that takes a number, or a sequence of numbers, reaches it and raises the reason
-as its own exception.  The walker below finds those parameters and fields in the source, so
-a new entry point fails here until it is given a base call; the second, over the text readers,
-finds each number of a config, of its checks and of a manifest in the program itself.
+`geometry._not_a_number` states the number rule once, and `geometry._violation` the range
+rule, in one form ("<name> must <rule>, got <value>", a numpy value shown as the equal Python
+number); every public function, method and dataclass constructor that takes a number, or a
+sequence of numbers, reaches them and raises the reason as its own exception.  The walker
+below finds those parameters and fields in the source, so a new entry point fails here until
+it is given a base call, and a new float parameter until it is guarded or listed in
+NOT_RANGED; the second, over the text readers, finds each number of a config, of its checks
+and of a manifest in the program itself.
 """
 
 import ast
 import functools
+import importlib
 import inspect
 import itertools
 import json
 import re
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -21,7 +27,7 @@ import numpy as np
 import pytest
 
 import anisofast as af
-from anisofast import cli, harnack, lemmas
+from anisofast import cli, geometry, harnack, lemmas
 from anisofast.errors import ConfigError, DomainError, IngestionError
 from anisofast.geometry import _real
 from test_public_api import _public_definitions
@@ -59,6 +65,21 @@ NOT_CHECKED = {
     "lemmas.SequenceLemmaResult": "fast_convergence's result",
     "cli.CampaignConfig": "parse_config builds it from the config it has judged",
 }
+
+#: what no number of the estimates is; `np.float64(nan)` must be named as `nan` is
+NOT_FINITE = [np.nan, np.inf, -np.inf, np.float64(np.nan)]
+
+#: (entry point, float parameter) that takes or judges a value the range rule would refuse
+NOT_RANGED = {
+    ("geometry.ExponentProfile.lam_r", "r"): "a formula input, not a number of the estimates",
+    ("geometry.ExponentProfile.lam_ir", "r"): "a formula input, as above",
+    ("geometry.derive_exponents", "p_list"): "keeps its own words: exponent out of (1, 2]",
+    ("lemmas.CutoffSpec", "exponents"): "the trajectory's; caccioppoli_report takes no others",
+    ("extinction.fit_power_law", "points"): "judged as one array: strictly positive finite points",
+}
+
+#: the name the range rule gives a parameter whose number fault has words of its own
+RANGE_NAMES = {("solver.SimConfig", "snapshot_times"): "snapshot time"}
 
 
 def _number_parameters():
@@ -152,9 +173,7 @@ def _base_calls() -> dict:
                error=ConfigError, snapshot_times="snapshot times must be numbers, got {seq!r}"),
         _entry(af.Trajectory, s.grid, prof, 1e-2, s.rows, (0.0, 0.1, 0.2), 3, 0.0, 0.0,
                error=IngestionError, times="snapshot time",
-               steps="steps must be a nonnegative integer, got {bad!r}",
-               mass_drift="mass_drift must be null or a finite number, got {bad!r}",
-               min_value="min_value must be finite, got {bad!r}"),
+               steps="steps must be a nonnegative integer, got {bad!r}"),
     ])
 
 
@@ -179,21 +198,24 @@ def _replaced(value, path: tuple, bad):
     return type(value)([*value[:i], _replaced(value[i], rest, bad), *value[i + 1 :]])
 
 
-def _cases():
-    """(entry point, parameter, path of the entry replaced, bad value) of every checked number."""
+def _cases(ranged=False):
+    """(entry point, parameter, path of the entry replaced, bad value) of every checked number,
+    or, `ranged`, of every float number the range rule judges, with each value of NOT_FINITE."""
     cases = []
     for entry, parameter, annotation in _number_parameters():
         if entry not in _base_calls() or (entry, parameter) in NOT_CHECKED:
             continue  # a checked entry point without a base call fails the test below
+        if ranged and ("float" not in annotation or (entry, parameter) in NOT_RANGED):
+            continue
         function, args, _, _ = _base_calls()[entry]
         given = inspect.signature(function).bind(*args).arguments.get(parameter)
         paths = [()] if annotation in SCALAR else [(i,) for i in range(len(given))]
         if annotation in PAIRS:  # one coordinate of one pair
             paths = [(i, j) for i, pair in enumerate(given) for j in range(len(pair))]
-        for path in paths:
+        bads = NOT_FINITE if ranged else NOT_NUMBERS + [HUGE] * ("float" in annotation)
+        for path, bad in itertools.product(paths, bads):
             at = f"{entry}-{parameter}" + "".join(f"[{i}]" for i in path)
-            for bad in NOT_NUMBERS + [HUGE] * ("float" in annotation):
-                cases.append(pytest.param(entry, parameter, path, bad, id=f"{at}-{_shown(bad)}"))
+            cases.append(pytest.param(entry, parameter, path, bad, id=f"{at}-{_shown(bad)}"))
     return cases
 
 
@@ -204,6 +226,7 @@ def test_every_entry_point_that_takes_a_number_has_a_base_call():
     assert sorted(checked - set(_base_calls())) == []
     assert sorted(set(_base_calls()) - checked) == []  # no call for what is gone
     assert sorted(set(NOT_CHECKED) - found - {entry for entry, _ in found}) == []
+    assert sorted(set(NOT_RANGED) - found) == []
 
 
 @pytest.mark.parametrize("entry", sorted(_base_calls()))
@@ -215,22 +238,37 @@ def test_every_base_call_is_valid(entry):
         assert result == ""
 
 
-@pytest.mark.parametrize("entry, parameter, path, bad", _cases())
-def test_entry_point_refuses_what_is_no_number(entry, parameter, path, bad):
+def _refusal(entry, parameter, path, bad) -> tuple:
+    """(the words of the parameter's entry, its value with bad at path, and what the base
+    call with that value says: the violations of a ConfigError, else the one message)."""
     function, args, error, words = _base_calls()[entry]
     bound = inspect.signature(function).bind(*args)
     bound.apply_defaults()
     said = words.get(parameter, parameter)
     said = said[path[0]] if isinstance(said, tuple) else said  # the words of one entry
     seq = bound.arguments[parameter] = _replaced(bound.arguments[parameter], path, bad)
-    message = _expected(said, bad, seq)
     if error is str:
-        assert function(*bound.args, **bound.kwargs) == message
-        return
+        return said, seq, [function(*bound.args, **bound.kwargs)]
     with pytest.raises(error) as excinfo:
         function(*bound.args, **bound.kwargs)
-    found = excinfo.value.violations if error is ConfigError else [str(excinfo.value)]
-    assert found == [message]
+    return said, seq, excinfo.value.violations if error is ConfigError else [str(excinfo.value)]
+
+
+@pytest.mark.parametrize("entry, parameter, path, bad", _cases())
+def test_entry_point_refuses_what_is_no_number(entry, parameter, path, bad):
+    said, seq, found = _refusal(entry, parameter, path, bad)
+    assert found == [_expected(said, bad, seq)]
+
+
+@pytest.mark.parametrize("entry, parameter, path, bad", _cases(ranged=True))
+def test_entry_point_refuses_what_is_out_of_range(entry, parameter, path, bad):
+    # in `geometry._violation`'s one form, the value shown as the equal Python number
+    said, _, found = _refusal(entry, parameter, path, bad)
+    said = RANGE_NAMES.get((entry, parameter), said)
+    pattern = f"{re.escape(said)} must .+, got {re.escape(repr(float(bad)))}"
+    assert len(found) == 1 and re.fullmatch(pattern, found[0]), found
+    if isinstance(bad, np.generic):  # word for word what the float says
+        assert found == _refusal(entry, parameter, path, bad.item())[2]
 
 
 @pytest.mark.parametrize("bad", [*NOT_NUMBERS[:4], HUGE], ids=_shown)
@@ -257,6 +295,30 @@ def test_the_number_rule_is_stated_once():
     assert not re.search(r"_BOOL_TYPES|_refuse_bools|_is_real", "".join(texts.values()))
 
 
+def test_the_range_rule_is_stated_once():
+    # each named rule, a (words, predicate) pair at the top of a module, is one string of
+    # src/, no message restates one as "must <words>, got", and geometry alone defines the
+    # helper that words them (it was solver._violation, beside geometry._require_positive)
+    texts = {path.stem: path.read_text(encoding="utf-8") for path in SRC.glob("*.py")}
+    values = [v for stem in texts for v in vars(importlib.import_module(f"anisofast.{stem}"))
+              .values() if type(v) is tuple and len(v) == 2]
+    rules = {words for words, holds in values if isinstance(words, str) and callable(holds)}
+    assert {"be positive and finite", "be nonnegative and finite", "be finite"} <= rules
+    strings = Counter(
+        node.value for text in texts.values() for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    )
+    for words in rules:
+        assert strings[words] == 1, words
+        assert [s for s in strings if f"must {words}, got" in s] == [], words
+    helpers = {
+        f"{stem}.{node.name}" for stem, text in texts.items() for node in ast.parse(text).body
+        if isinstance(node, ast.FunctionDef) and node.name in ("_violation", "_require_positive")
+    }
+    assert helpers == {"geometry._violation"}
+    assert geometry._violation("x", np.float64(-1.0)) == "x must be positive and finite, got -1.0"
+
+
 @pytest.mark.parametrize(
     "call, error, words",
     [
@@ -267,7 +329,7 @@ def test_the_number_rule_is_stated_once():
             "rhs term 0 must be a number, got '0.5'",
         ),
         (
-            lambda s: af.time_extremal(s.traj, s.cube, (0.0, "0.5"), "sup_l1"),
+            lambda s: af.time_extremal(s.traj, s.cube, (0.0, "0.5"), "sup_lr"),
             DomainError,
             "window end must be a number, got '0.5'",
         ),
@@ -378,16 +440,14 @@ def test_fast_convergence_reads_an_integral_float_as_a_count():
 
 
 @pytest.mark.parametrize("window, words", [
-    ((0.15, np.inf), "window ends must be finite, got [0.15, inf]"),
-    ((0.0, np.nan), "window ends must be finite, got [0.0, nan]"),
-    ((np.nan, np.nan), "window ends must be finite, got [nan, nan]"),
-    ((0.01, np.inf), "window ends must be finite, got [0.01, inf]"),
+    ((np.nan, np.nan), "window start must be finite, got nan"),
     ((0.2, 0.1), "empty window [0.2, 0.1]"),
 ])
 def test_a_window_has_finite_ends_in_order(window, words):
-    # (0.15, inf) measured the t = 0 row (tol was inf), a NaN end every row, each unnamed
+    # (0.15, inf) measured the t = 0 row (tol was inf), a NaN end every row, each unnamed;
+    # one non-finite end at each of these entry points is the range walker's
     s = _setting()
-    for call in (s.traj.window, lambda *w: af.time_extremal(s.traj, s.cube, w, "sup_l1"),
+    for call in (s.traj.window, lambda *w: af.time_extremal(s.traj, s.cube, w, "sup_lr"),
                  lambda *w: af.caccioppoli_report(s.traj, s.prof, s.cutoff, 0.1, w)):
         with pytest.raises(DomainError, match=f"^{re.escape(words)}$"):
             call(*window)
@@ -406,7 +466,7 @@ def test_fit_power_law_refuses_ragged_or_complex_points():
 #: what no text reader takes as a number, as (form, value): a JSON value, alone or in a list,
 #: or text ("abc": a text config reads the 401 digits of 10**400 as inf, a range fault)
 FORMS = [("text", "abc")]
-FORMS += [("json", v) for bad in (True, False, None, HUGE, "abc") for v in (bad, [bad])]
+FORMS += [("json", v) for bad in (True, False, None, HUGE, "abc", {"a": 1}) for v in (bad, [bad])]
 CONFIG = {"simulation": {"p": 1.5, "half_domain": 0.5, "resolution": 16, "t_end": 0.02}}
 
 
@@ -429,8 +489,8 @@ def test_config_reader_refuses_what_is_no_number(form, bad):
         said[key] = [_expected(key, bad)]  # `_real`'s
         if read is cli._integer:
             said[key] = [f"{key} must be an integer, got {bad!r}"]
-        elif read is cli._floats:  # a number is a list of one entry, other text its split
-            got = str(bad).split() if bad is None or isinstance(bad, str) else bad
+        elif read is cli._floats:  # text is its split, any other value a list of one entry
+            got = bad.split() if isinstance(bad, str) else bad
             got = got if isinstance(got, list) else [got]
             said[key] = ["p: " * (key == "p") + f"{key} entries must be numbers, got {got!r}"]
     options = [name for name, d in harnack.CHECK_OPTIONS.items() if not isinstance(d, str)]
@@ -462,7 +522,7 @@ def test_manifest_reader_refuses_what_is_no_number(tmp_path, bad):
             found[key, path], rule = str(excinfo.value), _expected(key, bad)  # `_real`'s
             if key in ("dimension", "resolution"):
                 rule = f"{key} must be an integer, got {bad!r}"  # `_integer`'s
-            elif key == "steps" or key in ("mass_drift", "min_value") and bad is not HUGE:
+            elif key == "steps":
                 rule = words[key].format(bad=bad)  # passed on as is: `Trajectory`'s words
             said[key, path] = f"invalid manifest.json in {str(tmp_path)!r}: {rule}"
     assert found == said

@@ -13,17 +13,9 @@ import numpy as np
 import pytest
 
 import anisofast as af
-from anisofast import harnack
+from anisofast import cli, harnack
 from anisofast.geometry import GEOMETRIES
 from anisofast.lemmas import CutoffSpec, caccioppoli_report
-
-CHECK_FUNCTIONS = {
-    "l1l1": af.check_l1l1,
-    "l1linf": af.check_l1linf,
-    "lr_sup": af.check_lr_sup,
-    "lr_backward": af.check_lr_backward,
-    "composite": af.check_backwards_composite,
-}
 
 P = (1.4, 1.6)
 POINTS = [(0.1, 0.02), (0.15, 0.03), (0.08, 0.04)]  # (rho, t)
@@ -31,7 +23,7 @@ POINTS = [(0.1, 0.02), (0.15, 0.03), (0.08, 0.04)]  # (rho, t)
 
 def _gamma(traj, kind, geometry, rho, t):
     order = () if harnack.CHECKS[kind].r_min is None else (2.0,)
-    report = CHECK_FUNCTIONS[kind](traj, rho, t, *order, geometry)
+    report = getattr(harnack, cli._CHECK_FUNCTIONS[kind])(traj, rho, t, *order, geometry)
     assert report.applicable and 0.0 < report.gamma_min < np.inf, report
     return report.gamma_min
 
@@ -60,7 +52,7 @@ def test_s2_anisotropic_scaling_keeps_every_gamma_min(T):
     scaled = af.Trajectory(
         stretched, prof, traj.eps, traj.values, tuple(T * t for t in traj.times)
     )
-    for kind in CHECK_FUNCTIONS:
+    for kind in cli._CHECK_FUNCTIONS:
         for geometry in GEOMETRIES:
             for rho, t in POINTS:
                 want = _gamma(traj, kind, geometry, rho, t)
@@ -98,7 +90,7 @@ def test_s1_amplitude_scaling_keeps_the_run_and_the_intrinsic_gamma_min(s1_runs)
     assert large.times == tuple(L**2 * t for t in small.times)
     sup = L * small.values.max()
     assert np.abs(large.values - L * small.values).max() <= 1e-12 * sup
-    for kind in CHECK_FUNCTIONS:
+    for kind in cli._CHECK_FUNCTIONS:
         for rho, t in POINTS[:2]:
             want = _gamma(small, kind, "intrinsic", rho, t)
             got = _gamma(large, kind, "intrinsic", L * rho, L**2 * t)
