@@ -88,6 +88,7 @@ def detect_extinction(traj: Trajectory, threshold: float) -> Optional[float]:
     """
     if fault := _violation("threshold", threshold):
         raise DomainError(fault)
+    threshold = float(threshold)
     sups = traj.sup_series()
     times = np.asarray(traj.times)
     below = sups < threshold
@@ -125,6 +126,7 @@ def decay_samples(traj: Trajectory, rho: float, t_star: float, threshold: float)
     std = standard_cube(rho, traj.exponents)  # rejects a rho not positive and finite
     if fault := _violation("t_star", t_star, _FINITE) or _violation("threshold", threshold):
         raise DomainError(fault)
+    threshold = float(threshold)
     # t_star - tau > 0 exactly when tau < t_star, and times never decrease
     before = bisect.bisect_left(traj.times, t_star)
     if before == 0:

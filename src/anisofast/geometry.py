@@ -141,6 +141,7 @@ def nu(t: float, rho: float, prof: ExponentProfile) -> float:
     if fault := _violation("t", t) or _violation("rho", rho):
         raise DomainError(fault)
     _require_fast(prof, "nu")
+    t, rho = float(t), float(rho)
     return float((t / rho**prof.p_bar) ** (1.0 / (2.0 - prof.p_bar)))
 
 
@@ -149,6 +150,7 @@ def nu_sigma(t: float, rho: float, prof: ExponentProfile) -> float:
     if fault := _violation("t", t) or _violation("rho", rho):
         raise DomainError(fault)
     _require_fast(prof, "nu_sigma")
+    t, rho = float(t), float(rho)
     base = t / rho**prof.p_bar
     return float(sum(base ** (1.0 / (2.0 - pk)) for pk in prof.p))
 
@@ -232,6 +234,7 @@ def scale_cube(cube: CubeSpec, a: float) -> CubeSpec:
     """
     if fault := _violation("scale factor", a):
         raise DomainError(fault)
+    a = float(a)
     return replace(
         cube,
         half_widths=tuple(a * w for w in cube.half_widths),
@@ -258,6 +261,7 @@ def smallness_violated(
         raise DomainError(f"unknown smallness mode {mode!r}")
     if fault := _violation("C", C, _NONNEGATIVE) or _violation("rho", rho) or _violation("t", t):
         raise DomainError(fault)  # rho and t for C = 0 too
+    C, rho, t = float(C), float(rho), float(t)
     if C == 0.0:
         return False, None
     rp = rho**prof.p_bar

@@ -341,12 +341,11 @@ class Inequality:
     rhs: Callable[[_Instance], dict[str, float]]  # the named right-side terms
     applicable: Callable[[ExponentProfile, float], str] = lambda prof, r: ""  # or why not
     hypothesis: Callable[[_Instance], CubeSpec] = lambda x: x.doubled  # inside the box
-    r_min: Optional[float] = None  # None: stated for r = 1 only, r is not an option
-    r_rule: tuple = _ABOVE_ONE  # the range rule of r where r_min is set (`geometry._violation`)
+    r_rule: Optional[tuple] = None  # r's range rule (`geometry._violation`); None: r = 1 only
 
     def r_violation(self, r: Optional[float]) -> str:
         """Why r cannot be the order of this inequality; "" when it can."""
-        if self.r_min is None:
+        if self.r_rule is None:
             return "" if r is None else f"r is not an option (r = 1 is implied), got {r!r}"
         return "r is required" if r is None else _violation("r", r, self.r_rule)
 
@@ -372,14 +371,13 @@ CHECKS = {
         },
         applicable=_needs_lam_r_positive,
         hypothesis=_Instance.four_rho_intrinsic,
-        r_min=1.0,
         r_rule=_ORDER,
     ),
     "lr_backward": Inequality(
         theorems=("Lr_backward_intrinsic", "Lr_backward_standard"),
         lhs=_Instance.sup_mass,
         rhs=lambda x: {"initial_doubled": x.initial_doubled(), **x.backward_scaling()},
-        r_min=1.0,
+        r_rule=_ABOVE_ONE,
     ),
     "composite": Inequality(
         theorems=("Backwards_composite_intrinsic", "Backwards_composite_standard"),
@@ -389,7 +387,7 @@ CHECKS = {
             **x.sup_scaling(),
         },
         applicable=_needs_lam_r_positive,
-        r_min=1.0,
+        r_rule=_ABOVE_ONE,
     ),
 }
 

@@ -183,7 +183,7 @@ def sobolev_ratio(
     fault = _violation("theta", theta, thetas) or _violation("sigma", sigma, sigmas)
     if fault := fault or _violation("t_extent", t_extent):
         raise DomainError(fault)
-    T, grid = t_extent, field.grid
+    T, grid = float(t_extent), field.grid
     if prof.N != grid.N:
         raise DomainError(f"profile dimension {prof.N} != grid dimension {grid.N}")
     if grid.boundary == "periodic":

@@ -446,6 +446,7 @@ def advance(field: Field, prof: ExponentProfile, eps: float, dt: float) -> Field
     """One conservative explicit Euler step of size dt; `BlowupError` unless it is finite."""
     if fault := _violation("dt", dt):
         raise DomainError(fault)
+    dt = float(dt)
     t_new = field.time + dt
     with np.errstate(over="ignore", invalid="ignore"):  # reported as BlowupError
         kernel = _kernel_at(field, prof, eps)

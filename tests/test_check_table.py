@@ -23,8 +23,8 @@ def _checker(kind):
 
 
 def _call(kind, traj, rho, t, r, geometry):
-    """The checker of a kind; r is passed only to those that take one (`Inequality.r_min`)."""
-    order = () if harnack.CHECKS[kind].r_min is None else (r,)
+    """The checker of a kind; r is passed only to those that take one (`Inequality.r_rule`)."""
+    order = () if harnack.CHECKS[kind].r_rule is None else (r,)
     return _checker(kind)(traj, rho, t, *order, geometry)
 
 
@@ -441,7 +441,7 @@ def test_parser_and_checkers_reject_the_same_values_with_the_same_rule(p, kind):
     # not applicable, and parse_config states each as the checker does
     traj = _bump_trajectory_1d(p)
     valid = {"geometry": "intrinsic", "rho": "0.1", "t": "0.05", "C": "0"}
-    if harnack.CHECKS[kind].r_min is not None:
+    if harnack.CHECKS[kind].r_rule is not None:
         valid["r"] = "2"
 
     def call(options):

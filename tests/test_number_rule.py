@@ -61,13 +61,13 @@ NOT_CHECKED = {
     "extinction.PowerLawFit": "fit_power_law's result",
     "extinction.DecayReport": "decay_reports' result",
     "harnack.InequalityReport": "a check's result",
-    "harnack.Inequality": "a row of CHECKS",
     "lemmas.SequenceLemmaResult": "fast_convergence's result",
     "cli.CampaignConfig": "parse_config builds it from the config it has judged",
 }
 
-#: what no number of the estimates is; `np.float64(nan)` must be named as `nan` is
-NOT_FINITE = [np.nan, np.inf, -np.inf, np.float64(np.nan)]
+#: what no number of the estimates is; `np.float64(nan)` must be named as `nan` is, and the
+#: case compares it word for word with the float's
+NOT_FINITE = [np.inf, -np.inf, np.float64(np.nan)]
 
 #: (entry point, float parameter) that takes or judges a value the range rule would refuse
 NOT_RANGED = {
@@ -80,6 +80,34 @@ NOT_RANGED = {
 
 #: the name the range rule gives a parameter whose number fault has words of its own
 RANGE_NAMES = {("solver.SimConfig", "snapshot_times"): "snapshot time"}
+
+#: the words of each range rule, with the (entry point, parameter) pairs it judges, or a
+#: parameter name for every entry point (a pair comes first); any other must "be positive
+#: and finite"
+RANGE_WORDS = {
+    "be nonnegative and finite": {
+        "C", "Y0", "I", "M", "k", "lhs", "rhs_terms", "amplitude", "t_end",
+    },
+    "be finite": {
+        "center", "time", "times", "snapshot_times", "mass_drift", "min_value", "t_star",
+        "window", "t_a", "t_b",
+    },
+    "exceed 1 and be finite": {"q", "b", "r"},
+    "be >= 1 and finite": {
+        ("harnack.cube_integral", "r"), ("harnack.time_extremal", "r"),
+        ("harnack.check_lr_sup", "r"), ("harnack.Inequality.r_violation", "r"),  # lr_sup's row
+    },
+    "be positive and finite": {("lemmas.fast_convergence", "C")},
+    "lie in (0, 1]": {"safety"},
+    "lie in (0, 1)": {("lemmas.iteration_bound", "eps")},
+    "lie in [0, p_bar/p*] = [0, 0.25]": {"theta"},  # of the walker's 2D profile
+    "lie in [1, p*] = [1, 6]": {"sigma"},
+}
+_WORDS = {at: words for words, pairs in RANGE_WORDS.items() for at in pairs}
+
+
+def _range_words(entry: str, parameter: str) -> str:
+    return _WORDS.get((entry, parameter), _WORDS.get(parameter, "be positive and finite"))
 
 
 def _number_parameters():
@@ -227,6 +255,7 @@ def test_every_entry_point_that_takes_a_number_has_a_base_call():
     assert sorted(set(_base_calls()) - checked) == []  # no call for what is gone
     assert sorted(set(NOT_CHECKED) - found - {entry for entry, _ in found}) == []
     assert sorted(set(NOT_RANGED) - found) == []
+    assert sorted(set(_WORDS) - found - {parameter for _, parameter in found}, key=str) == []
 
 
 @pytest.mark.parametrize("entry", sorted(_base_calls()))
@@ -265,10 +294,31 @@ def test_entry_point_refuses_what_is_out_of_range(entry, parameter, path, bad):
     # in `geometry._violation`'s one form, the value shown as the equal Python number
     said, _, found = _refusal(entry, parameter, path, bad)
     said = RANGE_NAMES.get((entry, parameter), said)
-    pattern = f"{re.escape(said)} must .+, got {re.escape(repr(float(bad)))}"
-    assert len(found) == 1 and re.fullmatch(pattern, found[0]), found
+    assert found == [f"{said} must {_range_words(entry, parameter)}, got {float(bad)!r}"]
     if isinstance(bad, np.generic):  # word for word what the float says
         assert found == _refusal(entry, parameter, path, bad.item())[2]
+
+
+#: (entry point, parameter) that reads its number as a float once it is judged, so a numpy
+#: float32, which NEP 50 keeps through arithmetic with a float, goes no further
+AS_FLOAT = [
+    ("geometry.nu", "t"), ("geometry.nu", "rho"), ("geometry.nu_sigma", "t"),
+    ("geometry.nu_sigma", "rho"), ("geometry.intrinsic_cube", "rho"),
+    ("geometry.intrinsic_cube", "t"), ("geometry.standard_cube", "rho"),
+    ("geometry.scale_cube", "a"), ("lemmas.sobolev_ratio", "t_extent"),
+    ("solver.stable_dt", "eps"), ("solver.advance", "eps"), ("solver.advance", "dt"),
+]
+
+
+@pytest.mark.parametrize("entry, parameter", AS_FLOAT, ids=[f"{e}-{p}" for e, p in AS_FLOAT])
+def test_a_float32_is_read_as_the_equal_float(entry, parameter):
+    function, args, _, _ = _base_calls()[entry]
+    bound = inspect.signature(function).bind(*args)
+    value, results = np.float32(bound.arguments[parameter]), []
+    for given in (value, value.item()):
+        bound.arguments[parameter] = given
+        results.append(repr(function(*bound.args, **bound.kwargs)))
+    assert results[0] == results[1]
 
 
 @pytest.mark.parametrize("bad", [*NOT_NUMBERS[:4], HUGE], ids=_shown)
@@ -495,7 +545,7 @@ def test_config_reader_refuses_what_is_no_number(form, bad):
             said[key] = ["p: " * (key == "p") + f"{key} entries must be numbers, got {got!r}"]
     options = [name for name, d in harnack.CHECK_OPTIONS.items() if not isinstance(d, str)]
     for kind, option in itertools.product(cli.CHECK_KINDS, options):
-        order = {"r": 2.0} if harnack.CHECKS[kind].r_min else {}  # where the kind takes one
+        order = {"r": 2.0} if harnack.CHECKS[kind].r_rule else {}  # where the kind takes one
         given = {"rho": 0.1, "t": 0.01} | order | {option: bad}
         line = " ".join([kind, *(f"{k}={v}" for k, v in given.items())])  # a `check =` line
         check = line if form == "text" else [{"kind": kind} | given]

@@ -22,7 +22,7 @@ POINTS = [(0.1, 0.02), (0.15, 0.03), (0.08, 0.04)]  # (rho, t)
 
 
 def _gamma(traj, kind, geometry, rho, t):
-    order = () if harnack.CHECKS[kind].r_min is None else (2.0,)
+    order = () if harnack.CHECKS[kind].r_rule is None else (2.0,)
     report = getattr(harnack, cli._CHECK_FUNCTIONS[kind])(traj, rho, t, *order, geometry)
     assert report.applicable and 0.0 < report.gamma_min < np.inf, report
     return report.gamma_min
