@@ -130,10 +130,12 @@ def _violation(name: str, value, rule: tuple = _POSITIVE) -> str:
     if not isinstance(value, float) and (fault := _not_a_number(name, value)):  # as it does
         return fault  # a float at once: no second call on the hot path
     words, holds = rule
-    if holds(value):
-        return ""
-    shown = value.item() if isinstance(value, np.generic) else value  # np.float64(2.0) as 2.0
-    return f"{name} must {words}, got {shown!r}"
+    return "" if holds(value) else f"{name} must {words}, got {_plain(value)!r}"
+
+
+def _plain(value):
+    """A numpy scalar as the equal Python number (np.float64(2.0) as 2.0), else value."""
+    return value.item() if isinstance(value, np.generic) else value
 
 
 def nu(t: float, rho: float, prof: ExponentProfile) -> float:

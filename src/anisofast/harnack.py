@@ -44,6 +44,7 @@ from .geometry import (
     _ABOVE_ONE,
     _NONNEGATIVE,
     _POSITIVE,
+    _plain,
     _violation,
     intrinsic_cube,
     nu,
@@ -346,7 +347,7 @@ class Inequality:
     def r_violation(self, r: Optional[float]) -> str:
         """Why r cannot be the order of this inequality; "" when it can."""
         if self.r_rule is None:
-            return "" if r is None else f"r is not an option (r = 1 is implied), got {r!r}"
+            return "" if r is None else f"r is not an option (r = 1 is implied), got {_plain(r)!r}"
         return "r is required" if r is None else _violation("r", r, self.r_rule)
 
 

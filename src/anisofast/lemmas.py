@@ -239,7 +239,7 @@ class CutoffSpec:
         if self.inner.N != self.outer.N or len(self.exponents) != self.inner.N:
             raise DomainError("cutoff cubes and exponents must share one dimension")
         for p in self.exponents:
-            if fault := _not_a_number("exponent", p):
+            if fault := _violation("exponent", p):
                 raise DomainError(fault)
         if any(abs(a - b) > 1e-12 for a, b in zip(self.inner.center, self.outer.center)):
             raise DomainError("cutoff cubes must be concentric")

@@ -235,12 +235,14 @@ def _face_differences(u: np.ndarray, i: int, faces: np.ndarray, periodic: bool, 
     of axis i into `faces`: its last u.size entries are the faces after each cell in cell
     order (a periodic axis wraps), and a zero ghost layer's start with the faces before
     the first cell (`_split`).  One flat subtraction at u's axis-i stride, then the
-    boundary hyperplane; the face on a `mirror` plane after the last cell is last - last."""
+    boundary hyperplane; the faces on a `mirror` plane after the last cell are left to
+    the caller, and past axis 0 the flat subtraction writes wrap-around values there."""
     flat, s, zero = u.reshape(-1), math.prod(u.shape[i + 1 :]), np.array(0.0)
     before, after = _split(faces, u.shape, i, periodic)
     first, last = u[_along(i, _FIRST)], u[_along(i, _LAST)]
-    wall = last if mirror else first if periodic else zero
-    ops = [(flat[s:], flat[:-s], after.reshape(-1)[:-s]), (wall, last, after[_along(i, _LAST)])]
+    ops = [(flat[s:], flat[:-s], after.reshape(-1)[:-s])]
+    if not mirror:
+        ops.append((first if periodic else zero, last, after[_along(i, _LAST)]))
     return ops if periodic else ops + [(first, zero, before)]
 
 
@@ -287,16 +289,20 @@ class _FluxKernel:
     in flat tables that `rate()` and `step()` each run as one loop: (ufunc,
     operands) pairs in `_rate_calls` and `_step_calls`, `out` positional and
     every operand an array; per axis, (2 (p_i-1) h_i^-p_i, argmin, flux,
-    (h_i eps)^2, e_i) in `_bounds` (argmin None on a term that is constant:
-    heat or mirrored) and the `fill` of the 0-d array for dt h_i^-p_i in
-    `_scales`, run only for a new dt.  If every term is constant, `rate()`
-    is summed once and G is written at the head of `_step_calls`.
+    (h_i eps)^2, e_i) in `_bounds` (argmin None on a heat axis, whose term
+    is constant) and the `fill` of the 0-d array for dt h_i^-p_i in
+    `_scales`, run only for a new dt.
 
-    With `mirror` axes (`run`'s: see there when and why), u is the lower half
-    of each; the face on the mirror plane after its last cell holds G = 0, the
-    full grid's u[m] - u[m-1] of equal values, and is a periodic axis's wrap
-    face too (min G^2 = +0.0, so the rate term is c (0.0 + (h_i eps)^2)^e_i),
-    while a Dirichlet axis keeps its outer zero ghost.  So each op is the
+    With `mirror` axes (`run`'s and `stable_dt`'s: see `run`), u is the lower
+    half of each.  The faces on the mirror plane after its last cell (a
+    periodic axis's wrap faces too) hold the full grid's G = 0 of equal
+    values: no-flux walls of the half grid, which the step bound leaves out.
+    On axis 0 nothing writes them (G = +0.0) and the bound's argmin reads a
+    view that ends before them; past axis 0 one copyto writes +inf over the
+    wrap-around G*G there, so exp(e_i log inf) = 0 and their flux is 0 G (a
+    heat axis's copyto writes G = 0).  So the kernel steps at the bound of the
+    system it integrates, monotone on the even subspace where a mirrored u
+    lives.  A Dirichlet axis keeps its outer zero ghost, and each op is the
     full grid's, if numpy's ufuncs give an element the same result wherever
     it sits in an array.  `unfold()` writes u mirrored into `full`.
     """
@@ -320,7 +326,7 @@ class _FluxKernel:
             if not periodic and i == 0:  # on a mirrored axis the mirror plane's faces stay 0
                 m = faces.size - s * (i in mirror)
                 differences.append((sub, (padded[s : s + m], padded[:m], faces[:m])))
-            else:
+            else:  # on a mirrored axis 0 too: its mirror plane's faces are the last s
                 ops = _face_differences(u, i, faces, periodic, i in mirror)
                 differences += [(sub, operands) for operands in ops]
             self._faces.append(faces)
@@ -328,13 +334,13 @@ class _FluxKernel:
             factor, c = np.array(scale), 2.0 * (pi - 1.0) * scale
             scales.append((factor.fill, scale))
             if pi == 2.0:  # a heat axis: exp(0 log S) = 1, so Phi = G and its rate is 2 h^-2
-                flux = faces
+                flux, wall = faces, 0.0
                 bounds.append((c, None, None, None, None))
-            else:
-                flux = _buffer(faces.size, grid.N + 3 + i)
+            else:  # S = G*G in flux, the bound's min taken off the mirror plane
+                flux, wall = _buffer(faces.size, grid.N + 3 + i), math.inf
                 squares.append((mul, (faces, faces, flux)))
-                floor = (c * (0.0 + kappa) ** expo, None, None, None, None)  # at min G^2 = +0.0
-                bounds.append(floor if i in mirror else (c, flux.argmin, flux, kappa, expo))
+                view = flux[: flux.size - s] if i == 0 and i in mirror else flux
+                bounds.append((c, view.argmin, view, kappa, expo))
                 calls += [
                     (add, (flux, np.array(kappa), flux)),
                     (np.log, (flux, flux)),
@@ -342,6 +348,9 @@ class _FluxKernel:
                     (np.exp, (flux, flux)),
                     (mul, (flux, faces, flux)),
                 ]
+            if i > 0 and i in mirror:  # over the wrap-around G: G = 0, or S = inf and Phi = 0 G
+                plane = _split(flux, shape, i, periodic)[1][_along(i, _LAST)]
+                squares.append((np.copyto, (plane, np.array(wall))))
             d = div if i == 0 else scratch
             if not periodic and i == 0:  # flux = [faces before cell 0, faces after each cell]
                 calls.append((sub, (flux[s:], flux[:-s], d)))
@@ -357,11 +366,8 @@ class _FluxKernel:
             if d is not div:
                 calls.append((add, (div, d, div)))
         calls.append((add, (flat, div, flat)))
-        self._bounds, self._scales, self._dt, self._rate = tuple(bounds), tuple(scales), None, None
-        if all(argmin is None for _, argmin, *_ in bounds):  # a constant rate: only `step` needs G
-            differences, squares, calls = [], [], differences + squares + calls
+        self._bounds, self._scales, self._dt = tuple(bounds), tuple(scales), None
         self._rate_calls, self._step_calls = tuple(differences + squares), tuple(calls)
-        self._rate = None if self._rate_calls else self.rate()
         self.full = np.empty(grid.shape) if mirror else u
         self._unfold_calls = [(self.full[tuple(map(slice, shape))], u)] if mirror else []
         for i in reversed(mirror):  # from the last axis: the filled part, flipped, fills the rest
@@ -378,14 +384,11 @@ class _FluxKernel:
     def rate(self) -> float:
         """sum_i 2 a_i_max / h_i^2 at `u`; `stable_dt` divides its clamped safety by it.
 
-        a_i_max = (p_i - 1)(min g^2 + eps^2)^e_i, as in `stable_dt`; with
-        g = G / h_i the sum is sum_i 2 (p_i - 1) h_i^-p_i (min G^2 + (h_i eps)^2)^e_i,
-        whose heat-axis (e_i = 0: 2 h_i^-2) and mirrored-axis terms are
-        constants.  Leaves G and G*G in place for `step`, unless every term
-        is constant: then it returns their sum, taken when the kernel was built.
+        a_i_max = (p_i - 1)(min g^2 + eps^2)^e_i, as in `stable_dt`, the min
+        taken off the mirror planes; with g = G / h_i the sum is
+        sum_i 2 (p_i - 1) h_i^-p_i (min G^2 + (h_i eps)^2)^e_i, whose heat-axis
+        term (e_i = 0: 2 h_i^-2) is constant.  Leaves G and G*G in place for `step`.
         """
-        if self._rate is not None:
-            return self._rate
         for ufunc, operands in self._rate_calls:
             ufunc(*operands)
         denom = 0.0
@@ -396,8 +399,8 @@ class _FluxKernel:
         return denom
 
     def step(self, dt: float) -> None:
-        """u += sum_i (dt h_i^-p_i)(Phi_i[k] - Phi_i[k-1]) from the last `rate()`'s G (its
-        own, if the rate is constant); dt h_i^-p_i is refilled only for a new dt."""
+        """u += sum_i (dt h_i^-p_i)(Phi_i[k] - Phi_i[k-1]) from the last `rate()`'s G;
+        dt h_i^-p_i is refilled only for a new dt."""
         if dt != self._dt:  # a NaN differs from itself, so it refills too
             self._dt = dt
             for fill, scale in self._scales:
@@ -436,10 +439,16 @@ def stable_dt(
     smallest g^2, so only min(g^2) is needed per axis.  The face flux's
     derivative exceeds a_i_max by at most 1/(p_i - 1), so safety is clamped
     at p_1 - 1 (p_1 the smallest exponent): every step is monotone.
+
+    On a field whose bytes equal their flip's along an axis (`_mirror_axes`),
+    the min leaves out that axis's mirror-plane faces (G = +0.0), no-flux walls
+    of the half grid `run` steps (`_FluxKernel`): each step is monotone on the
+    even subspace, and a field one ulp off it keeps the full grid's bound.
     """
     if problems := _range_violations(safety=safety):
         raise DomainError("; ".join(problems))
-    return min(safety, prof.p[0] - 1.0) / _kernel_at(field, prof, eps).rate()
+    kernel = _kernel_at(field, prof, eps, _mirror_axes(field.reshaped()))
+    return min(safety, prof.p[0] - 1.0) / kernel.rate()
 
 
 def advance(field: Field, prof: ExponentProfile, eps: float, dt: float) -> Field:
@@ -669,8 +678,9 @@ def run(config: SimConfig) -> Trajectory:
 
     `run` integrates on the lower half of each even axis along which the
     datum's bytes equal its flip's (`_mirror_axes`; a built-in datum's are, as
-    `Grid`'s centres are odd, but not a datum one ulp off); each such axis's
-    rate term is a constant (`_FluxKernel`).  A step maps a mirrored u to the
+    `Grid`'s centres are odd, but not a datum one ulp off), at the bound
+    `stable_dt` takes on the even field: the mirror-plane faces, no-flux
+    walls of the half grid, are left out of it (`_FluxKernel`).  A step maps a mirrored u to the
     mirrored result exactly (fl(a - b) = -fl(b - a), elementwise powers, a
     fixed axis order), so u stays even bit for bit, as every row of the
     seed-0 bench runs is.  Rows and periodic mass sums read `kernel.unfold()`:

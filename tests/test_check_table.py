@@ -28,7 +28,9 @@ def _call(kind, traj, rho, t, r, geometry):
     return _checker(kind)(traj, rho, t, *order, geometry)
 
 
-# Recorded with the five hand-written checkers that preceded the table, C = 0:
+# Recorded with the five hand-written checkers that preceded the table, C = 0; the
+# run_2d_aniso values that moved past 1e-12 when mirrored runs began to step at the half
+# grid's bound were re-recorded:
 # fixture -> ((rho, t, r), one (theorem, lhs, rhs terms in order, gamma_min)
 # per kind of cli._CHECK_FUNCTIONS and geometry, in that order).
 PINNED = {
@@ -38,42 +40,42 @@ PINNED = {
             (
                 "L1L1_intrinsic",
                 0.057639174244884565,
-                {"inf_doubled": 0.013299221056956516, "scaling": 0.02678418910106853},
-                1.4379808009759545,
+                {"inf_doubled": 0.01329921960828297, "scaling": 0.02678418910106853},
+                1.4379808529467022,
             ),
             (
                 "L1L1_standard",
                 0.057869474629363635,
-                {"inf_doubled": 0.013503384524390013, "scaling_sum": 0.05521641276113902},
-                0.8421077610127023,
+                {"inf_doubled": 0.013503383043201993, "scaling_sum": 0.05521641276113902},
+                0.842107779163512,
             ),
             (
                 "L1Linf_intrinsic",
-                0.25275165201884514,
-                {"harnack": 0.17949457050123005, "scaling": 1.584863260418257},
-                0.14325419004552198,
+                0.25275162634064974,
+                {"harnack": 0.17949450967216898, "scaling": 1.584863260418257},
+                0.14325418043059138,
             ),
             (
                 "L1Linf_standard",
-                0.25275165201884514,
+                0.25275162634064974,
                 {
-                    "harnack": 0.18820699699649832,
+                    "harnack": 0.1882069327693274,
                     "scaling_weighted_sum": 3.5905126710531174,
                     "scaling_sum": 3.2672433586472795,
                 },
-                0.03587183910292722,
+                0.03587183578553132,
             ),
             (
                 "LrLinf_sup",
-                0.25275165201884514,
+                0.25275162634064974,
                 {"mean_term": 0.6273770986343616, "scaling": 1.584863260418257},
-                0.11425144242784036,
+                0.11425143082051419,
             ),
             (
                 "LrLinf_sup_standard",
-                0.25275165201884514,
+                0.25275162634064974,
                 {"mean_term": 0.6304862332327322, "scaling_sum": 3.2672433586472795},
-                0.06484586630775845,
+                0.06484585971977054,
             ),
             (
                 "Lr_backward_intrinsic",
@@ -89,19 +91,19 @@ PINNED = {
             ),
             (
                 "Backwards_composite_intrinsic",
-                0.25275165201884514,
+                0.25275162634064974,
                 {"initial_term": 2.510844270896125, "scaling": 1.584863260418257},
-                0.06171135269947678,
+                0.06171134642993842,
             ),
             (
                 "Backwards_composite_standard",
-                0.25275165201884514,
+                0.25275162634064974,
                 {
                     "initial_term": 2.519362961281056,
                     "scaling_weighted_sum": 3.330597969872907,
                     "scaling_sum": 3.2672433586472795,
                 },
-                0.02772249518436042,
+                0.027722492367905444,
             ),
         ],
     ),

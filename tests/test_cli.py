@@ -760,7 +760,8 @@ _ALL_KINDS_2D = "".join(
 
 # sha256 of every analyze output, recorded before `analyze` was routed through
 # extinction.decay_reports and the dataclass-declared CSV columns; decay_1d's
-# decay files since its intrinsic samples are reduced as its standard ones are
+# decay files since its intrinsic samples are reduced as its standard ones are;
+# decay_1d and checks_2d since mirrored runs step at the half grid's bound
 ANALYZE_PINS = {
     "decay_1d": (
         "[simulation]\np = 1.5\nhalf_domain = 0.5\nresolution = 64\nt_end = 0.45\n"
@@ -769,11 +770,11 @@ ANALYZE_PINS = {
         "check = l1l1 geometry=intrinsic rho=0.1 t=0.2\n"
         "check = l1linf geometry=standard rho=0.1 t=0.2\n",
         {
-            "checks.csv": "5fb4bb2e91e0f20f86d947ef0013f14a1bb5bed92d0470b4c71bd3b4c1cde9c0",
-            "checks.json": "f81bbea9225895e52d3d17e50fed50921330e456a3884d1a57afe713fee23b68",
-            "decay_samples.csv": "4f96d2400e1bc6d9756f93a5be649fcf0670b07765630c4c86931c5723f69a0d",
-            "decay_report.csv": "d667d5b394ef6e21d3edb6fb65119b66063703fc7e3a1a6c4248efa69cd4e552",
-            "summary.csv": "46f5721f4982a93a188514c1d0e62e1e002ba6077433b312b5b26c1cb09c5c2e",
+            "checks.csv": "565d98984cf23239fe362d0013f60915e91f0b7544f78e1b9247a251f5bc52c9",
+            "checks.json": "b5d67262eb3084e9b5fae786822060f7de407d388a6594100242b8245a99a30b",
+            "decay_samples.csv": "24d21706f42e53847a38d388f49582fca0978eea78bcccf9e8d29db7a2216e08",
+            "decay_report.csv": "cce929f701db9e4212c9f0b8c1ab4a170eeabe73a4618e76561a3a61e4a7ab84",
+            "summary.csv": "5055187edf478d05e481c57c7fb588e1f9152e747a33006dd8320309e3253bd7",
         },
     ),
     "checks_2d": (
@@ -781,11 +782,11 @@ ANALYZE_PINS = {
         "t_end = 0.2\neps = 0.05\nsafety = 0.35\nsnapshots = 81\nradius = 0.3\n"
         "[analysis]\nextinction_threshold = 1e-3\ndecay_rho = 0.1\n" + _ALL_KINDS_2D,
         {
-            "checks.csv": "9f8553e6b3299662999ec731dbd03386259caf211783e856bd1305da3540f9dc",
-            "checks.json": "50ca56bc2943def3fc6e7fe6c658083af53e05fa54c1e8535f9c527c8be6e087",
-            "decay_samples.csv": "a78a390aa46510929840d873d1bd17d5673811900c82aeddd6b684029c4536c5",
-            "decay_report.csv": "63902f58c54057d649b5daa712b7c30078e482bcd4a3730527b60f10d0561a20",
-            "summary.csv": "7e8fcd627e89a81b0a4fd59c1b0f71d5132965da7b51d1991f5d939142641402",
+            "checks.csv": "04eda515f3ae96fc0ed4a353dda8f42983e79b4784d0005db4dab49124919f22",
+            "checks.json": "e19879dcba93a7198f7d140ed83a46588b3932d0a00e8716c972d3493c1610dd",
+            "decay_samples.csv": "a8e436ece82b8fe6ff7d26f7c099b933661fab7712206b9116700d36e82a55c4",
+            "decay_report.csv": "3b89d45e6f64692b6c55cc4bd46b4c6f899d13d290619d2fc1101025f088bc7b",
+            "summary.csv": "c78350debfe8e1d1c4e0903e3c345c3063ba335218e30327196c8ee4a8f6b764",
         },
     ),
     "heat_1d": (  # p = 2: every check and decay row is not-applicable

@@ -74,7 +74,6 @@ NOT_RANGED = {
     ("geometry.ExponentProfile.lam_r", "r"): "a formula input, not a number of the estimates",
     ("geometry.ExponentProfile.lam_ir", "r"): "a formula input, as above",
     ("geometry.derive_exponents", "p_list"): "keeps its own words: exponent out of (1, 2]",
-    ("lemmas.CutoffSpec", "exponents"): "the trajectory's; caccioppoli_report takes no others",
     ("extinction.fit_power_law", "points"): "judged as one array: strictly positive finite points",
 }
 
@@ -297,6 +296,15 @@ def test_entry_point_refuses_what_is_out_of_range(entry, parameter, path, bad):
     assert found == [f"{said} must {_range_words(entry, parameter)}, got {float(bad)!r}"]
     if isinstance(bad, np.generic):  # word for word what the float says
         assert found == _refusal(entry, parameter, path, bad.item())[2]
+
+
+def test_a_row_that_takes_no_order_shows_a_numpy_r_as_the_equal_number():
+    # the walker's base call is lr_sup's, whose row takes an order: these rows refuse
+    # any r for being given, not for its range
+    for kind in ("l1l1", "l1linf"):
+        said = harnack.CHECKS[kind].r_violation(np.float64(2.0))
+        assert said == harnack.CHECKS[kind].r_violation(2.0)
+        assert said == "r is not an option (r = 1 is implied), got 2.0"
 
 
 #: (entry point, parameter) that reads its number as a float once it is judged, so a numpy

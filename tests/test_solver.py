@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import json
+import math
 import re
 import tracemalloc
 from pathlib import Path
@@ -661,7 +662,7 @@ def test_heat_oracle_quick():
 COMPOSITION_CASES = {
     "1d_dirichlet": ([1.5], [32], "dirichlet_zero", "bump", 1e-3, 0.004),
     "1d_periodic": ([1.3], [24], "periodic", "plateau", 1e-2, 0.004),
-    "2d_dirichlet_aniso": ([1.4, 1.7], [12, 10], "dirichlet_zero", "sine_product", 2e-2, 0.002),
+    "2d_dirichlet_aniso": ([1.4, 1.7], [12, 10], "dirichlet_zero", "sine_product", 2e-2, 0.006),
     "2d_periodic_aniso": ([1.2, 1.8], [10, 12], "periodic", "bump", 2e-2, 0.01),
     "3d_dirichlet_heat_axis": (
         [1.3, 1.6, 2.0], [6, 8, 5], "dirichlet_zero", "sine_product", 5e-2, 0.01
@@ -670,7 +671,7 @@ COMPOSITION_CASES = {
     # run integrates these on the lower half of each mirror axis (see the next test)
     "2d_dirichlet_mirrored_heat_axis": ([1.5, 2.0], [8, 8], "dirichlet_zero", "bump", 2e-2, 0.01),
     "3d_periodic_mirrored": ([1.3, 1.5, 1.7], [8, 8, 8], "periodic", "bump", 5e-2, 0.01),
-    "2d_periodic_two_cell_half": ([1.4, 1.6], [10, 4], "periodic", "sine_product", 2e-2, 0.01),
+    "2d_periodic_two_cell_half": ([1.4, 1.6], [10, 4], "periodic", "sine_product", 2e-2, 0.02),
     # grids whose centres the cell-centre formula makes exact mirrors (a half_domain last)
     "2d_dirichlet_mirrored_96": ([1.4, 1.6], [96, 96], "dirichlet_zero", "bump", 2e-2, 1e-4),
     "2d_periodic_mirrored_48x200": (
@@ -746,18 +747,44 @@ def _mirrored_composition_cases():
     return cases
 
 
+def _full_grid_faces(field, i):
+    """G = u[k] - u[k-1] over the full grid's faces k of axis i: with a zero ghost at k = 0
+    and k = m, or, periodic, the wrap face once, at k = 0 (u[0] - u[m-1])."""
+    u = field.reshaped()
+    first, last = np.take(u, [0], axis=i), np.take(u, [-1], axis=i)
+    if field.grid.boundary == "periodic":
+        return np.diff(np.concatenate([last, u], axis=i), axis=i)
+    return np.diff(np.concatenate([0.0 * first, u, 0.0 * last], axis=i), axis=i)
+
+
+def _rate_off_planes(field, prof, eps, skip):
+    """sum_i 2 (p_i - 1) h_i^-p_i (min S + (h_i eps)^2)^e_i in `rate()`'s float ops, with
+    min S = min G^2 over the full grid's faces of axis i, but off the centre plane and
+    the periodic wrap plane of each axis in `skip`."""
+    denom, periodic = 0.0, field.grid.boundary == "periodic"
+    for i, (pi, h) in enumerate(zip(prof.p, field.grid.spacings)):
+        g = _full_grid_faces(field, i)
+        if i in skip:
+            m = field.grid.shape[i]
+            g = np.take(g, [k for k in range(g.shape[i]) if k != m // 2 and (k or not periodic)], i)
+        c, kappa, expo = 2.0 * (pi - 1.0) * h**-pi, (h * eps) ** 2, (pi - 2.0) / 2.0
+        denom += c if pi == 2.0 else c * (float((g * g).min()) + kappa) ** expo
+    return denom
+
+
 @pytest.mark.parametrize("case", _mirrored_composition_cases())
-def test_mirrored_kernel_rate_equals_the_full_grid_rate_bit_for_bit(case):
-    # a mirrored axis's term is the constant eps floor c (0.0 + kappa)^e: the full
-    # grid's min G^2 there is the +0.0 of the mirror plane's face
+def test_mirrored_kernel_rate_is_the_full_grid_minimum_off_the_mirror_planes(case):
+    # the mirror plane's faces are no-flux walls of the half grid, so its bound takes
+    # the full grid's faces off the centre plane and the wrap plane: the half grid's,
+    # up to sign, as fl(a - b) = -fl(b - a)
     cfg = _composition_config(case)
     prof, eps, field = cfg.exponents, cfg.eps, af.init_field(cfg.grid, cfg.profile)
     mirror = _mirror_axes(field.reshaped())
     kernel = _kernel_at(field, prof, eps, mirror)
     for _ in range(6):  # at the datum and after each of 5 steps
-        full = _kernel_at(af.Field(cfg.grid, kernel.unfold().ravel(), 0.0), prof, eps)
+        full = af.Field(cfg.grid, kernel.unfold().ravel(), 0.0)
         rate = kernel.rate()
-        assert rate.hex() == full.rate().hex()
+        assert rate.hex() == _rate_off_planes(full, prof, eps, mirror).hex()
         kernel.step(cfg.safety / rate)
 
 
@@ -783,22 +810,94 @@ def _argmin_counting_run(monkeypatch, cfg):
     return af.run(cfg), len(calls)
 
 
-@pytest.mark.parametrize("res, p", [([32], [1.5]), ([12, 8], [1.4, 1.6])])
-def test_a_fully_mirrored_run_reduces_no_face_buffer(monkeypatch, tmp_path, res, p):
-    # every rate term of a run mirrored on every axis is its eps floor, so no step
-    # reduces a face buffer; a datum broken by one ulp mirrors nowhere, and each of
-    # its steps reduces every axis once
+@pytest.mark.parametrize("res, p", [([32], [1.5]), ([12, 8], [1.4, 1.6]), ([12, 8], [1.5, 2.0])])
+def test_a_fully_mirrored_run_reduces_each_non_heat_face_buffer_once_per_step(monkeypatch, res, p):
+    # a mirrored axis's term is a minimum over its faces off the mirror plane; a heat
+    # axis's is the constant 2 h^-2
     grid, prof = af.build_grid([0.5] * len(p), res), af.derive_exponents(p, len(p))
     bump = af.InitialProfile("bump", 1.0, 0.3)
+    assert _mirror_axes(af.init_field(grid, bump).reshaped()) == tuple(range(len(p)))
     cfg = af.SimConfig(grid, bump, prof, 2e-2, 1e-2, 0.4, (0.0, 5e-3, 1e-2))
     traj, reductions = _argmin_counting_run(monkeypatch, cfg)
-    assert traj.steps > 10 and reductions == 0
-    datum = af.init_field(grid, bump).values
+    assert reductions == sum(pi < 2.0 for pi in p) * traj.steps > 10
+
+
+@pytest.mark.parametrize("res, p", [([32], [1.5]), ([12, 8], [1.4, 1.6])])
+def test_a_datum_one_ulp_off_keeps_the_full_bound(monkeypatch, tmp_path, res, p):
+    # broken by one ulp, the datum mirrors nowhere: its bound is the minimum over all the
+    # full grid's faces, the centre faces' G = 0 included, and its run reduces every
+    # axis once per step
+    grid, prof = af.build_grid([0.5] * len(p), res), af.derive_exponents(p, len(p))
+    even, eps = af.init_field(grid, af.InitialProfile("sine_product")), 2e-2  # no flat region
+    datum = even.values.copy()
     datum[1] = np.nextafter(datum[1], 2.0)
+    off = af.Field(grid, datum, 0.0)
+    assert _mirror_axes(off.reshaped()) == ()
+    safety = min(0.4, prof.p[0] - 1.0)  # as stable_dt clamps it
+    assert stable_dt(off, prof, eps, 0.4) == safety / _rate_off_planes(off, prof, eps, ())
+    even_bound = safety / _rate_off_planes(even, prof, eps, range(len(p)))
+    assert stable_dt(even, prof, eps, 0.4) == even_bound > stable_dt(off, prof, eps, 0.4)
     datum.astype("<f8").tofile(tmp_path / "u0.f64")
     broken = af.InitialProfile("from_file", path=str(tmp_path / "u0.f64"))
-    traj, reductions = _argmin_counting_run(monkeypatch, dataclasses.replace(cfg, profile=broken))
+    cfg = af.SimConfig(grid, broken, prof, eps, 1e-2, 0.4, (0.0, 5e-3, 1e-2))
+    traj, reductions = _argmin_counting_run(monkeypatch, cfg)
     assert reductions == len(p) * traj.steps > 10 * len(p)
+
+
+def _energy(field, prof, eps):
+    """E(u) = sum_i h_i^-p_i sum_faces (G^2 + (h_i eps)^2)^(p_i/2) / p_i over the full
+    grid's faces: the step is u <- u - dt grad E, so E is the scheme's own energy."""
+    terms = []
+    for i, (pi, h) in enumerate(zip(prof.p, field.grid.spacings)):
+        g = _full_grid_faces(field, i).ravel()
+        terms += list(h**-pi * (g * g + (h * eps) ** 2) ** (pi / 2.0) / pi)
+    return math.fsum(terms)
+
+
+#: The largest rise of E that rounding may show, in units of the unit roundoff u times E,
+#: from the error bound of the sum, not fitted to a run.  To first order each term of `_energy` is within 8u of its
+#: value at the stored field: G (one rounding) and its square carry 3u, (h eps)^2 3u,
+#: their sum 4u, the power p/2 <= 1 keeps 4u and rounds once, and h^-p, the product and
+#: the division by p round once each.  `math.fsum` rounds the sum once, and the terms
+#: are positive, so the computed E is within 9u E of the stored field's.  An E that does
+#: not rise may thus read at most (1 + 9u) / (1 - 9u) = 1 + 18u + O(u^2) times higher.
+ENERGY_RISE_ULPS = 20
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    p=st.lists(st.floats(1.0, 2.0, exclude_min=True), min_size=1, max_size=3),
+    res=st.lists(st.sampled_from([4, 6, 8, 10]), min_size=3, max_size=3),
+    boundary=st.sampled_from(["dirichlet_zero", "periodic"]),
+    datum=st.sampled_from(["bump", "sine_product", "plateau", "random"]),
+    one_ulp_off=st.booleans(),
+    eps=st.sampled_from([1e-3, 1e-2, 5e-2]),
+    safety=st.floats(0.05, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_discrete_energy_never_rises(p, res, boundary, datum, one_ulp_off, eps, safety, seed):
+    # stable_dt + advance from an even datum, stepped at the even subspace's bound, or
+    # from the same datum one ulp off, stepped at the full grid's
+    n = len(p)
+    grid, prof = af.build_grid([0.5] * n, res[:n], boundary), af.derive_exponents(p, n)
+    if datum == "random":  # even along every axis bit for bit, as a + b = b + a
+        u = np.random.default_rng(seed).uniform(0.0, 1.0, grid.shape)
+        for i in range(n):
+            u = u + np.flip(u, i)
+    else:
+        u = af.init_field(grid, af.InitialProfile(datum, 1.0, 0.3)).reshaped().copy()
+    assert _mirror_axes(u) == tuple(range(n))
+    if one_ulp_off:
+        u.flat[1] = np.nextafter(u.flat[1], 3.0)
+    field, rise = af.Field(grid, u, 0.0), ENERGY_RISE_ULPS * np.finfo(float).eps / 2
+    energy, sup = _energy(field, prof, eps), u.max()
+    for _ in range(20):
+        new = advance(field, prof, eps, stable_dt(field, prof, eps, safety))
+        assert new.values.min() >= -1e-14 * sup  # the max principle, as in the test above
+        if boundary == "dirichlet_zero":
+            assert new.values.max() <= field.values.max()
+        field, previous, energy = new, energy, _energy(new, prof, eps)
+        assert energy <= previous * (1.0 + rise)
 
 
 @pytest.mark.parametrize("mirrored", [True, False])
@@ -873,13 +972,15 @@ def test_run_memory_is_snapshots_plus_fixed_workspace():
     # the step loop works in the kernel's preallocated buffers: the peak is the
     # snapshot array plus a fixed workspace, whatever the step count.  On 16^3
     # that is a fixed number of fields.  On 32 cells, where a step costs call
-    # overhead and the record lives in run's locals, it is the kernel's own
-    # buffers (each padded to its cache-line slot) plus a few fields
+    # overhead and the record lives in run's locals, it is the own buffers of the
+    # kernel run builds, halved along axis 0 (each padded to its cache-line slot),
+    # plus a few fields.  Each case's
+    # second run takes at least 10 times the steps of its first
     cases = [
-        ("periodic", [16] * 3, [1.3, 1.5, 1.7], 0.05, 0.3),
-        ("dirichlet_zero", [32], [1.5], 1e-3, 0.45),
+        ("periodic", [16] * 3, [1.3, 1.5, 1.7], 0.05, 0.3, 1e-2),
+        ("dirichlet_zero", [32], [1.5], 1e-3, 0.45, 2e-2),
     ]
-    for boundary, res, p, eps, safety in cases:
+    for boundary, res, p, eps, safety, t_long in cases:
         grid = af.build_grid([0.5] * len(res), res, boundary)
         prof = af.derive_exponents(p, len(p))
         field_bytes = grid.n_cells * 8
@@ -894,7 +995,7 @@ def test_run_memory_is_snapshots_plus_fixed_workspace():
                 safety=safety,
                 snapshot_times=(0.0, t_end / 2, t_end),
             )
-            for t_end in (2e-4, 1e-2)
+            for t_end in (2e-4, t_long)
         ]
         if grid.N == 1:
             af.run(configs[0])  # numpy's first calls on these operands fill its caches
@@ -904,7 +1005,8 @@ def test_run_memory_is_snapshots_plus_fixed_workspace():
             excess.append(peak - traj.values.nbytes)
         assert steps[1] >= 10 * steps[0]
         if grid.N == 1:
-            workspace = _traced_peak(lambda: _FluxKernel(grid, prof, eps))[1]
+            mirror = _mirror_axes(af.init_field(grid, configs[0].profile).reshaped())
+            workspace = _traced_peak(lambda: _FluxKernel(grid, prof, eps, mirror))[1]
             assert max(excess) <= workspace + 4 * field_bytes
             assert abs(excess[1] - excess[0]) <= field_bytes
         else:
