@@ -326,7 +326,7 @@ class _FluxKernel:
             if not periodic and i == 0:  # on a mirrored axis the mirror plane's faces stay 0
                 m = faces.size - s * (i in mirror)
                 differences.append((sub, (padded[s : s + m], padded[:m], faces[:m])))
-            else:  # on a mirrored axis 0 too: its mirror plane's faces are the last s
+            else:
                 ops = _face_differences(u, i, faces, periodic, i in mirror)
                 differences += [(sub, operands) for operands in ops]
             self._faces.append(faces)
@@ -339,7 +339,9 @@ class _FluxKernel:
             else:  # S = G*G in flux, the bound's min taken off the mirror plane
                 flux, wall = _buffer(faces.size, grid.N + 3 + i), math.inf
                 squares.append((mul, (faces, faces, flux)))
-                view = flux[: flux.size - s] if i == 0 and i in mirror else flux
+                # on axis 0, periodic or padded, the mirror plane's faces are the buffer's
+                # last s entries, and nothing writes them
+                view = flux[:-s] if i == 0 and i in mirror else flux
                 bounds.append((c, view.argmin, view, kappa, expo))
                 calls += [
                     (add, (flux, np.array(kappa), flux)),
@@ -353,7 +355,9 @@ class _FluxKernel:
                 squares.append((np.copyto, (plane, np.array(wall))))
             d = div if i == 0 else scratch
             if not periodic and i == 0:  # flux = [faces before cell 0, faces after each cell]
-                calls.append((sub, (flux[s:], flux[:-s], d)))
+                # the faces but the last s: the view a mirrored axis's bound reads
+                lower = view if pi != 2.0 and i in mirror else flux[:-s]
+                calls.append((sub, (flux[s:], lower, d)))
             else:  # d[k] = Phi[k] - Phi[k-1], fixed up on the hyperplane k = 0
                 before, after = _split(flux, shape, i, periodic)
                 cells = flux[flux.size - n :]
@@ -371,9 +375,9 @@ class _FluxKernel:
         self.full = np.empty(grid.shape) if mirror else u
         self._unfold_calls = [(self.full[tuple(map(slice, shape))], u)] if mirror else []
         for i in reversed(mirror):  # from the last axis: the filled part, flipped, fills the rest
-            part = self.full[tuple(slice(m if j < i else None) for j, m in enumerate(shape))]
-            upper = _along(i, slice(shape[i], None))
-            self._unfold_calls.append((part[upper], np.flip(part, i)[upper]))
+            part, half = self.full[tuple(map(slice, shape[:i]))], shape[i]
+            upper, flipped = _along(i, slice(half, None)), _along(i, slice(half - 1, None, -1))
+            self._unfold_calls.append((part[upper], part[flipped]))
 
     def unfold(self) -> np.ndarray:
         """`full`: u, mirrored across each mirrored axis into the full grid's shape."""

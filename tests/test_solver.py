@@ -855,12 +855,13 @@ def _energy(field, prof, eps):
 
 
 #: The largest rise of E that rounding may show, in units of the unit roundoff u times E,
-#: from the error bound of the sum, not fitted to a run.  To first order each term of `_energy` is within 8u of its
-#: value at the stored field: G (one rounding) and its square carry 3u, (h eps)^2 3u,
-#: their sum 4u, the power p/2 <= 1 keeps 4u and rounds once, and h^-p, the product and
-#: the division by p round once each.  `math.fsum` rounds the sum once, and the terms
-#: are positive, so the computed E is within 9u E of the stored field's.  An E that does
-#: not rise may thus read at most (1 + 9u) / (1 - 9u) = 1 + 18u + O(u^2) times higher.
+#: from the error bound of the sum, not fitted to a run.  To first order each term of
+#: `_energy` is within 8u of its value at the stored field: G (one rounding) and its
+#: square carry 3u, (h eps)^2 3u, their sum 4u, the power p/2 <= 1 keeps 4u and
+#: rounds once, and h^-p, the product and the division by p round once each.
+#: `math.fsum` rounds the sum once, and the terms are positive, so the computed E is
+#: within 9u E of the stored field's.  An E that does not rise may thus read at most
+#: (1 + 9u) / (1 - 9u) = 1 + 18u + O(u^2) times higher.
 ENERGY_RISE_ULPS = 20
 
 
@@ -972,10 +973,9 @@ def test_run_memory_is_snapshots_plus_fixed_workspace():
     # the step loop works in the kernel's preallocated buffers: the peak is the
     # snapshot array plus a fixed workspace, whatever the step count.  On 16^3
     # that is a fixed number of fields.  On 32 cells, where a step costs call
-    # overhead and the record lives in run's locals, it is the own buffers of the
-    # kernel run builds, halved along axis 0 (each padded to its cache-line slot),
-    # plus a few fields.  Each case's
-    # second run takes at least 10 times the steps of its first
+    # overhead and the record lives in run's locals, it is the kernel's own
+    # buffers (each padded to its cache-line slot) plus a few fields.  Each
+    # case's second run takes at least 10 times the steps of its first
     cases = [
         ("periodic", [16] * 3, [1.3, 1.5, 1.7], 0.05, 0.3, 1e-2),
         ("dirichlet_zero", [32], [1.5], 1e-3, 0.45, 2e-2),
@@ -1005,8 +1005,7 @@ def test_run_memory_is_snapshots_plus_fixed_workspace():
             excess.append(peak - traj.values.nbytes)
         assert steps[1] >= 10 * steps[0]
         if grid.N == 1:
-            mirror = _mirror_axes(af.init_field(grid, configs[0].profile).reshaped())
-            workspace = _traced_peak(lambda: _FluxKernel(grid, prof, eps, mirror))[1]
+            workspace = _traced_peak(lambda: _FluxKernel(grid, prof, eps))[1]
             assert max(excess) <= workspace + 4 * field_bytes
             assert abs(excess[1] - excess[0]) <= field_bytes
         else:
