@@ -304,7 +304,7 @@ class _FluxKernel:
     system it integrates, monotone on the even subspace where a mirrored u
     lives.  A Dirichlet axis keeps its outer zero ghost, and each op is the
     full grid's, if numpy's ufuncs give an element the same result wherever
-    it sits in an array.  `unfold()` writes u mirrored into `full`.
+    it sits in an array.  `unfold()` writes u mirrored into `full`, for `run`'s rows.
     """
 
     def __init__(self, grid: Grid, prof: ExponentProfile, eps: float, mirror: tuple = ()):
@@ -677,7 +677,7 @@ def run(config: SimConfig) -> Trajectory:
     composing `stable_dt` and `advance`.  argmin and argmax return the first
     NaN, and a min or max of +-inf shows the infinity, so two index reads
     prove u finite; a periodic run's finite mass sum already proves it and
-    skips the argmax.  A periodic datum whose sum overflows, so that no drift
+    skips the argmax.  A periodic datum whose mass overflows, so that no drift
     could be measured, is a `DomainError` before the first step.
 
     `run` integrates on the lower half of each even axis along which the
@@ -687,10 +687,9 @@ def run(config: SimConfig) -> Trajectory:
     walls of the half grid, are left out of it (`_FluxKernel`).  A step maps a mirrored u to the
     mirrored result exactly (fl(a - b) = -fl(b - a), elementwise powers, a
     fixed axis order), so u stays even bit for bit, as every row of the
-    seed-0 bench runs is.  Rows and periodic mass sums read `kernel.unfold()`:
-    the full grid's bits, if numpy's ufuncs give an element the same result
-    wherever it sits in an array (the test composing `stable_dt` and
-    `advance` checks it).
+    seed-0 bench runs is.  Rows read `kernel.unfold()`, the full grid's bits
+    if numpy's ufuncs give an element the same result wherever it sits in an
+    array; the mass is 2^k (k mirror axes, an exact scale) times the half's sum.
     """
     grid = config.grid
     initial = init_field(grid, config.profile)
@@ -702,7 +701,8 @@ def run(config: SimConfig) -> Trajectory:
     safety = min(config.safety, config.exponents.p[0] - 1.0)  # as in `stable_dt`
     argmin, argmax, total, isfinite = u.argmin, u.argmax, np.add.reduce, math.isfinite
     steps, min_value, t_now = 0, float(initial.values.min()), 0.0
-    mass0 = float(initial.values.sum()) if kernel._periodic else None
+    copies = kernel.full.size // u.size  # 2^k for k mirror axes: the scale is exact
+    mass0 = copies * float(total(u, None)) if kernel._periodic else None
     if mass0 is not None and not isfinite(mass0):
         raise DomainError(f"the periodic datum's mass overflows float64 (its sum is {mass0})")
     drift = None if mass0 is None else 0.0
@@ -716,7 +716,7 @@ def run(config: SimConfig) -> Trajectory:
                 dt = remaining
             t_now = target if clipped else t_now + dt
             step(dt)
-            mass = math.inf if mass0 is None else float(total(unfold(), None))
+            mass = math.inf if mass0 is None else copies * float(total(u, None))
             low = u.item(argmin())
             if not (isfinite(mass) or isfinite(low) and isfinite(u.item(argmax()))):
                 raise BlowupError(t_now)

@@ -213,10 +213,12 @@ def _clock_after(cfg, steps):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("boundary", ["dirichlet_zero", "periodic"])
-def test_run_blowup_names_the_step_that_wrote_a_non_finite_value(monkeypatch, boundary, bad):
-    # one non-finite cell written by step k stops the run at step k's end time
-    cfg, k = _probe_config(boundary), 7
+@pytest.mark.parametrize("case", ["dirichlet_zero", "periodic", "3d_periodic_mirrored"])
+def test_run_blowup_names_the_step_that_wrote_a_non_finite_value(monkeypatch, case, bad):
+    # one non-finite cell written by step k stops the run at step k's end time; a
+    # periodic run, on the 1D half or the 4 x 4 x 4 one, proves u finite by its mass sum
+    cfg = _composition_config(case) if case in COMPOSITION_CASES else _probe_config(case)
+    k = 7
     expected = _clock_after(cfg, k)
     calls = []
     step = _FluxKernel.step
@@ -225,7 +227,7 @@ def test_run_blowup_names_the_step_that_wrote_a_non_finite_value(monkeypatch, bo
         step(kernel, dt)
         calls.append(dt)
         if len(calls) == k:
-            kernel.u[11] = bad
+            kernel._flat[11] = bad
 
     monkeypatch.setattr(_FluxKernel, "step", faulty)
     with pytest.raises(BlowupError) as excinfo:
@@ -324,18 +326,24 @@ def test_uniform_snapshots_rejects_a_bad_count(count, violation):
 @pytest.mark.filterwarnings("error")
 def test_run_rejects_a_periodic_datum_whose_mass_overflows(tmp_path):
     # the 32 cells of 1e307 sum to inf, so no drift |mass - inf| / inf could
-    # be measured: a nan drift would read as a perfect 0.0 under max()
+    # be measured: a nan drift would read as a perfect 0.0 under max().  run sums
+    # the half it integrates (16 cells; the 2 x 2 corner of 4 x 4 cells of 4e307),
+    # which is finite, and scales it by 2^k, which is not
     path = tmp_path / "u0.f64"
-    np.full(32, 1e307).astype("<f8").tofile(path)
-    cfg = af.SimConfig(
-        grid=af.build_grid([0.5], [32], "periodic"),
-        profile=af.InitialProfile("from_file", path=str(path)),
-        exponents=af.derive_exponents([1.5], 1),
-        eps=1e-2,
-        t_end=1e-4,
-    )
-    with pytest.raises(DomainError, match="mass overflows float64"):
-        af.run(cfg)
+    for res, p, v in (([32], [1.5], 1e307), ([4, 4], [1.5, 1.6], 4e307)):
+        n, k = math.prod(res), len(res)
+        assert math.isfinite(n // 2**k * v) and not math.isfinite(n * v)
+        np.full(n, v).astype("<f8").tofile(path)
+        cfg = af.SimConfig(
+            grid=af.build_grid([0.5] * k, res, "periodic"),
+            profile=af.InitialProfile("from_file", path=str(path)),
+            exponents=af.derive_exponents(p, k),
+            eps=1e-2,
+            t_end=1e-4,
+        )
+        assert _mirror_axes(af.init_field(cfg.grid, cfg.profile).reshaped()) == tuple(range(k))
+        with pytest.raises(DomainError, match="mass overflows float64"):
+            af.run(cfg)
 
 
 @pytest.mark.filterwarnings("error")
@@ -697,13 +705,21 @@ def _composition_config(case):
 @pytest.mark.parametrize("case", sorted(COMPOSITION_CASES))
 def test_run_equals_composed_stable_dt_and_advance(case):
     # run() must be stable_dt + advance, the step clipped to the next snapshot
-    # time and the clock set to that time, bit for bit
+    # time and the clock set to that time, bit for bit.  run measures a periodic
+    # mass on the half it integrates: 2^k times the pairwise sum of the lower
+    # corner, halved along the datum's k mirror axes
     cfg = _composition_config(case)
     prof, eps = cfg.exponents, cfg.eps
     field = af.init_field(cfg.grid, cfg.profile)
     rows, steps = [field.values.copy()], 0
     min_value = float(field.values.min())
-    mass0 = float(field.values.sum())
+    mirror = _mirror_axes(field.reshaped())
+    corner = tuple(slice(m // 2 if i in mirror else m) for i, m in enumerate(cfg.grid.shape))
+
+    def mass(f):
+        return 2 ** len(mirror) * float(np.ascontiguousarray(f.reshaped()[corner]).ravel().sum())
+
+    mass0 = mass(field)
     drift = 0.0
     for target in cfg.snapshot_times[1:]:
         while field.time < target * (1.0 - 1e-12):
@@ -716,7 +732,7 @@ def test_run_equals_composed_stable_dt_and_advance(case):
                 field.time = target
             steps += 1
             min_value = min(min_value, float(field.values.min()))
-            drift = max(drift, abs(float(field.values.sum()) - mass0) / abs(mass0))
+            drift = max(drift, abs(mass(field) - mass0) / abs(mass0))
         rows.append(field.values.copy())
 
     traj = af.run(cfg)
@@ -735,6 +751,71 @@ def test_the_non_dyadic_composition_cases_take_the_mirror_path(case):
     # so the composition test above checks the mirrored run on 96, 48 and 200 cells
     cfg = _composition_config(case)
     assert _mirror_axes(af.init_field(cfg.grid, cfg.profile).reshaped()) == (0, 1)
+
+
+def _pairwise_depth(n):
+    """The most roundings a term meets in numpy's pairwise sum of n float64 values:
+    below 8 one running sum, up to 128 eight running sums combined in 3 levels and
+    the rest added one by one, above that two halves (cut at a multiple of 8) and
+    one addition."""
+    if n < 8:
+        return max(n - 1, 0)
+    if n <= 128:
+        return n // 8 - 1 + 3 + n % 8
+    half = n // 2 - n // 2 % 8
+    return 1 + max(_pairwise_depth(half), _pairwise_depth(n - half))
+
+
+def _gamma(d):
+    """gamma_d = d u / (1 - d u): a sum whose terms meet at most d roundings is within
+    gamma_d sum |x| of the exact sum (Higham, Accuracy and Stability, section 4.2)."""
+    u = np.finfo(float).eps / 2
+    return d * u / (1.0 - d * u)
+
+
+@pytest.mark.parametrize("case", ["3d_periodic_mirrored", "2d_periodic_mirrored_48x200"])
+def test_the_scaled_half_mass_is_the_full_grid_mass(case):
+    # every row is even along the mirror axes, so 2^k times the lower corner's exact sum
+    # is the row's exact sum; each float sum is within gamma_d sum |x| of its exact sum,
+    # and 2^k sum |corner| = sum |row|, so the two differ by at most
+    # (gamma_d(half) + gamma_d(full)) sum |row|, here rounded once more by fsum
+    cfg = _composition_config(case)
+    shape = cfg.grid.shape
+    mirror = _mirror_axes(af.init_field(cfg.grid, cfg.profile).reshaped())
+    assert mirror == tuple(range(len(shape)))
+    corner = tuple(slice(m // 2) for m in shape)
+    n = cfg.grid.n_cells
+    slack = _gamma(_pairwise_depth(n >> len(mirror)) + 1) + _gamma(_pairwise_depth(n) + 1)
+    traj = af.run(cfg)
+    for row in traj.values:
+        half = np.ascontiguousarray(row.reshape(shape)[corner]).ravel()
+        scaled = 2 ** len(mirror) * float(half.sum())
+        assert abs(scaled - float(row.sum())) <= slack * math.fsum(np.abs(row))
+
+
+@pytest.mark.parametrize("case", ["3d_periodic_mirrored", "2d_periodic_mirrored_48x200"])
+def test_a_periodic_datum_one_ulp_off_measures_its_drift_on_the_full_grid(tmp_path, case):
+    # no axis mirrors, so run sums the full grid: its drift is the pairwise full-grid
+    # oracle's of stable_dt + advance, bit for bit
+    cfg = _composition_config(case)
+    datum = af.init_field(cfg.grid, cfg.profile).values.copy()
+    top = int(datum.argmax())
+    datum[top] = np.nextafter(datum[top], 2.0)
+    datum.astype("<f8").tofile(tmp_path / "u0.f64")
+    profile = af.InitialProfile("from_file", path=str(tmp_path / "u0.f64"))
+    cfg = dataclasses.replace(cfg, profile=profile)
+    field = af.init_field(cfg.grid, profile)
+    assert _mirror_axes(field.reshaped()) == ()
+    mass0, drift = float(field.values.sum()), 0.0
+    for target in cfg.snapshot_times[1:]:
+        while field.time < target * (1.0 - 1e-12):
+            dt = stable_dt(field, cfg.exponents, cfg.eps, cfg.safety)
+            clipped = dt >= target - field.time
+            field = advance(field, cfg.exponents, cfg.eps, target - field.time if clipped else dt)
+            if clipped:
+                field.time = target
+            drift = max(drift, abs(float(field.values.sum()) - mass0) / abs(mass0))
+    assert af.run(cfg).mass_drift == drift > 0.0
 
 
 def _mirrored_composition_cases():
